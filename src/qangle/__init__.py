@@ -12,6 +12,7 @@ from .alphasets import (
     AthetaComponent,
     AthetaFamily,
     Cardinality,
+    Circle,
     CircleComponent,
     PointComponent,
     SphereSliceComponent,
@@ -65,7 +66,6 @@ from .projspace import (
     quantum_angle,
 )
 from .symmetric_sets import (
-    Circle,
     SymmetryVerdict,
     classify_circle,
     empirical_high_symmetry_check,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .projspace import (
     TripleCanonicalForm,
     canonical_line,
     canonical_pair_form,
+    check_weighted_basis,
     inner,
     orthonormal_complement,
     quantum_angle,
@@ -96,6 +98,26 @@ class AlphaConfig:
             )
 
 
+def _check_profile_weights(a: float, c: float, d: float) -> None:
+    """Parameter domain of the radius profile: c >= d > 0, c^2 + d^2 = 1, c > a."""
+    if not (c >= d > 0):
+        raise ParameterError(f"need c >= d > 0, got c={c}, d={d}")
+    if abs(c * c + d * d - 1.0) > 1e-12:
+        raise ParameterError("c^2 + d^2 != 1")
+    if c <= a:
+        raise ParameterError(f"need c > a, got c={c}, a={a}")
+
+
+def _rho(a: float, c: float, d: float, theta0: float, theta):
+    """rho(theta) = sqrt(1 - (a/c)^2 cos^2 theta - (a/d)^2 sin^2 theta) on [-theta0, theta0]."""
+    th = np.asarray(theta, dtype=float)
+    if np.any(np.abs(th) > theta0 + 1e-12):
+        raise DomainError(f"theta outside [-{theta0}, {theta0}]")
+    val = 1.0 - (a / c) ** 2 * np.cos(th) ** 2 - (a / d) ** 2 * np.sin(th) ** 2
+    out = np.sqrt(np.clip(val, 0.0, None))
+    return float(out) if np.isscalar(theta) else out
+
+
 def theta0_and_rho(cfg: AlphaConfig, c: float, d: float):
     """Cutoff angle theta0 and radius profile rho for the pair alpha-set.
 
@@ -107,12 +129,7 @@ def theta0_and_rho(cfg: AlphaConfig, c: float, d: float):
     raises DomainError outside [-theta0, theta0].
     """
     a = cfg.a
-    if not (c >= d > 0):
-        raise ParameterError(f"need c >= d > 0, got c={c}, d={d}")
-    if abs(c * c + d * d - 1.0) > 1e-12:
-        raise ParameterError("c^2 + d^2 != 1")
-    if c <= a:
-        raise ParameterError(f"need c > a, got c={c}, a={a}")
+    _check_profile_weights(a, c, d)
 
     ac2 = (a / c) ** 2
     ad2 = (a / d) ** 2
@@ -134,15 +151,38 @@ def theta0_and_rho(cfg: AlphaConfig, c: float, d: float):
                 hi = mid
         theta0 = 0.5 * (lo + hi)
 
-    def rho(theta):
-        th = np.asarray(theta, dtype=float)
-        if np.any(np.abs(th) > theta0 + 1e-12):
-            raise DomainError(f"theta outside [-{theta0}, {theta0}]")
-        val = 1.0 - ac2 * np.cos(th) ** 2 - ad2 * np.sin(th) ** 2
-        out = np.sqrt(np.clip(val, 0.0, None))
-        return float(out) if np.isscalar(theta) else out
+    return float(theta0), partial(_rho, a, c, d, theta0)
 
-    return float(theta0), rho
+
+def _sphere_point(center: np.ndarray, radius: float, comp: np.ndarray, rng) -> Line:
+    """[center + radius h] for a uniformly random unit vector h in the row span of comp.
+
+    Draws the real, then the imaginary parts of h's coordinates, and draws
+    nothing when the radius or the span is zero.
+    """
+    k = comp.shape[0]
+    if radius > 0 and k > 0:
+        coords = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        coords /= np.linalg.norm(coords)
+        center = center + radius * (coords @ comp)
+    return canonical_line(center)
+
+
+def _sphere_distance(
+    v: Line, center: np.ndarray, radius: float, comp: np.ndarray, overlap: complex
+) -> float:
+    """Angular distance from v to the nearest [center + radius h], h a unit vector in the row span of comp.
+
+    ``overlap`` is <v, center>.  The nearest line is built explicitly so that
+    near-zero distances are not lost to arccos round-off.
+    """
+    if comp.size and radius > 0:
+        coords = comp.conj() @ v.amplitudes
+        pnorm = float(np.linalg.norm(coords))
+        hdir = (coords @ comp) / pnorm if pnorm > 1e-15 else comp[0]
+        phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
+        center = center + phase * radius * hdir
+    return float(quantum_angle(v, canonical_line(center)))
 
 
 @dataclass(frozen=True)
@@ -153,7 +193,8 @@ class AthetaFamily:
     ``(a/c) cos(theta) e1 + (a/d) sin(theta) eh2 + h`` with h orthogonal to
     e1 and e2 and ||h|| = rho(theta), where eh2 = e2_phase * e2 is the
     phase-corrected second basis vector inherited from the pair canonical
-    form (the family is a different set for a different phase).
+    form (the family is a different set for a different phase).  The
+    weights must satisfy c >= d > 0, c^2 + d^2 = 1 and c > a.
     """
 
     e1: Line
@@ -168,8 +209,8 @@ class AthetaFamily:
     def __post_init__(self):
         if self.e1.dim != self.ambient_dim or self.e2.dim != self.ambient_dim:
             raise DimensionError("basis lines do not match the ambient dimension")
-        if abs(inner(self.e1, self.e2)) > 1e-10:
-            raise ParameterError("e1, e2 not orthogonal")
+        check_weighted_basis(self.e1, self.e2, self.c, self.d)
+        _check_profile_weights(self.cfg.a, self.c, self.d)
         if abs(abs(self.e2_phase) - 1.0) > 1e-12:
             raise ParameterError("e2_phase must be unimodular")
         a = math.cos(self.alpha)
@@ -191,8 +232,14 @@ class AthetaFamily:
         return self.e2_phase * self.e2.amplitudes
 
     def rho(self, theta):
-        _, fn = theta0_and_rho(self.cfg, self.c, self.d)
-        return fn(theta)
+        return _rho(self.cfg.a, self.c, self.d, self.theta0, theta)
+
+    def _center(self, theta: float) -> np.ndarray:
+        """Center (a/c) cos(theta) e1 + (a/d) sin(theta) eh2 of the sphere A_theta."""
+        a = math.cos(self.alpha)
+        return (a / self.c) * math.cos(theta) * self.e1.amplitudes + (
+            a / self.d
+        ) * math.sin(theta) * self.e2_vector
 
     def _complement(self) -> np.ndarray:
         return orthonormal_complement(
@@ -201,11 +248,8 @@ class AthetaFamily:
 
     def member(self, theta: float, h_direction: np.ndarray | None = None) -> Line:
         """The member of A_theta along a given unit direction in the complement."""
-        a = math.cos(self.alpha)
         r = self.rho(theta)
-        vec = (a / self.c) * math.cos(theta) * self.e1.amplitudes + (
-            a / self.d
-        ) * math.sin(theta) * self.e2_vector
+        vec = self._center(theta)
         if r > 0:
             if h_direction is None:
                 h_direction = self._complement()[0]
@@ -214,22 +258,9 @@ class AthetaFamily:
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
         comp = self._complement()
-        k = comp.shape[0]
-        a = math.cos(self.alpha)
-        _, rho = theta0_and_rho(self.cfg, self.c, self.d)
-        out = []
         thetas = rng.uniform(-self.theta0, self.theta0, size=count)
-        radii = rho(thetas)
-        for th, r in zip(thetas, radii):
-            vec = (a / self.c) * math.cos(th) * self.e1.amplitudes + (
-                a / self.d
-            ) * math.sin(th) * self.e2_vector
-            if r > 0 and k > 0:
-                coords = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-                coords /= np.linalg.norm(coords)
-                vec = vec + r * (coords @ comp)
-            out.append(canonical_line(vec))
-        return out
+        radii = self.rho(thetas)
+        return [_sphere_point(self._center(th), r, comp, rng) for th, r in zip(thetas, radii)]
 
     def distance(self, v: Line) -> float:
         """Angular distance from a line to the nearest member of the family."""
@@ -240,7 +271,7 @@ class AthetaFamily:
         a2 = complex(np.vdot(v.amplitudes, self.e2_vector))
         comp = self._complement()
         pnorm = float(np.linalg.norm(comp.conj() @ v.amplitudes)) if comp.size else 0.0
-        _, rho = theta0_and_rho(self.cfg, self.c, self.d)
+        rho = partial(_rho, self.cfg.a, self.c, self.d, self.theta0)
 
         def fidelity(th):
             th = np.asarray(th, dtype=float)
@@ -279,21 +310,8 @@ class AthetaFamily:
                     f1 = fidelity(x1)
             candidates.extend([float(x1), float(x2), float(grid[i])])
         th = candidates[int(np.argmax([fidelity(t) for t in candidates]))]
-
-        # Materialize the nearest member at the optimal parameter so that
-        # near-zero distances are not lost to arccos round-off.
-        base = (a / self.c) * math.cos(th) * self.e1.amplitudes + (
-            a / self.d
-        ) * math.sin(th) * self.e2_vector
-        r = rho(th)
-        if comp.size and r > 0:
-            coords = comp.conj() @ v.amplitudes
-            pn = float(np.linalg.norm(coords))
-            hdir = (coords @ comp) / pn if pn > 1e-15 else comp[0]
-            overlap = a1 * (a / self.c) * math.cos(th) + a2 * (a / self.d) * math.sin(th)
-            phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
-            base = base + phase * r * hdir
-        return float(quantum_angle(v, canonical_line(base)))
+        overlap = a1 * (a / self.c) * math.cos(th) + a2 * (a / self.d) * math.sin(th)
+        return _sphere_distance(v, self._center(th), rho(th), comp, overlap)
 
     def to_json(self) -> dict:
         return {
@@ -311,7 +329,11 @@ class AthetaFamily:
 
 @dataclass(frozen=True)
 class CircleComponent:
-    """The circle {[c e1 + lambda d e2] : |lambda| = 1}."""
+    """The circle {[c e1 + lambda d e2] : |lambda| = 1}.
+
+    Also exported as ``Circle``: the same object is a descriptor component
+    and the input of the symmetry classification.
+    """
 
     e1: Line
     e2: Line
@@ -319,12 +341,11 @@ class CircleComponent:
     d: float
 
     def __post_init__(self):
-        if abs(inner(self.e1, self.e2)) > 1e-10:
-            raise ParameterError("e1, e2 not orthogonal")
-        if not (self.c > 0 and self.d > 0):
-            raise ParameterError("circle weights must be positive")
-        if abs(self.c**2 + self.d**2 - 1.0) > 1e-12:
-            raise ParameterError("c^2 + d^2 != 1")
+        check_weighted_basis(self.e1, self.e2, self.c, self.d)
+
+    @property
+    def dim(self) -> int:
+        return self.e1.dim
 
     def member(self, lam: complex) -> Line:
         return canonical_line(self.c * self.e1.amplitudes + lam * self.d * self.e2.amplitudes)
@@ -353,6 +374,9 @@ class CircleComponent:
         }
 
 
+Circle = CircleComponent
+
+
 @dataclass(frozen=True)
 class SphereSliceComponent:
     """Lines of the form [q * axis + h] with h of fixed norm, orthogonal to a basis."""
@@ -372,29 +396,14 @@ class SphereSliceComponent:
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
         comp = self._complement()
-        k = comp.shape[0]
-        out = []
-        for _ in range(count):
-            vec = self.coefficient * self.axis.amplitudes
-            if self.radius > 0 and k > 0:
-                coords = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-                coords /= np.linalg.norm(coords)
-                vec = vec + self.radius * (coords @ comp)
-            out.append(canonical_line(vec))
-        return out
+        center = self.coefficient * self.axis.amplitudes
+        return [_sphere_point(center, self.radius, comp, rng) for _ in range(count)]
 
     def distance(self, v: Line) -> float:
-        comp = self._complement()
-        base = self.coefficient * self.axis.amplitudes
-        if comp.size == 0:
-            return float(quantum_angle(v, canonical_line(base)))
-        coords = comp.conj() @ v.amplitudes
-        pnorm = float(np.linalg.norm(coords))
         overlap = self.coefficient * inner(v, self.axis)
-        hdir = (coords @ comp) / pnorm if pnorm > 1e-15 else comp[0]
-        phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
-        nearest = canonical_line(base + phase * self.radius * hdir)
-        return float(quantum_angle(v, nearest))
+        return _sphere_distance(
+            v, self.coefficient * self.axis.amplitudes, self.radius, self._complement(), overlap
+        )
 
     def to_json(self) -> dict:
         return {
@@ -498,7 +507,7 @@ def _check_distinct_lambdas(lambdas) -> None:
 
 
 def _triple_alpha_components(
-    e1: Line, e2: Line, c: float, d: float, cfg: AlphaConfig, ambient_dim: int
+    e1: Line, e2: Line, c: float, d: float, cfg: AlphaConfig
 ) -> tuple[Component, ...]:
     """Components of the alpha-set of {[c e1 + lambda_j d e2]} with >= 3 distinct lambdas."""
     a = cfg.a
@@ -534,9 +543,7 @@ def collinear_triple_alpha_set(
     if t.e1.dim != ambient_dim:
         raise DimensionError("canonical form does not match the ambient dimension")
     _check_distinct_lambdas(t.lambdas)
-    return AlphaSetDescriptor(
-        _triple_alpha_components(t.e1, t.e2, t.c, t.d, cfg, ambient_dim)
-    )
+    return AlphaSetDescriptor(_triple_alpha_components(t.e1, t.e2, t.c, t.d, cfg))
 
 
 def matches_exceptional_triple(a: float, c: float, d: float) -> int | None:
@@ -728,7 +735,7 @@ def counterexample_witness(
     # Post-conditions: verified here so a returned witness is always valid.
     pseudo = TripleCanonicalForm(e1, e2, c, d, (1.0 + 0j, 1j, -1j))
     double = double_alpha_set_classify(pseudo, cfg, 3)
-    first = AlphaSetDescriptor(_triple_alpha_components(e1, e2, c, d, cfg, 3))
+    first = AlphaSetDescriptor(_triple_alpha_components(e1, e2, c, d, cfg))
     for u in (u1, u2, u3):
         if double.distance(u) > 1e-9:
             raise ParameterError("witness construction failed a membership post-check")

@@ -20,7 +20,7 @@ import numpy as np
 from . import alphasets, oracle, projspace, symmetric_sets, wigner
 from .alphasets import AlphaConfig
 from .errors import NotAWignerMapError, QAngleError
-from .projspace import Line, canonical_line
+from .projspace import Line, canonical_line, random_orthonormal_pair
 
 SUITES = (
     "shape",
@@ -75,6 +75,11 @@ def _need(payload: dict, key: str, kind):
     if kind in (dict, list) and isinstance(val, kind):
         return val
     raise SchemaError(f"field {key!r} must be {kind.__name__}")
+
+
+def _optional(payload: dict, key: str, kind, default):
+    """An optional field, type-checked like a required one when present."""
+    return _need(payload, key, kind) if key in payload else default
 
 
 def _line(payload: dict, key: str) -> Line:
@@ -175,7 +180,7 @@ def _run_classify_circle(payload, args):
     else:
         eye = np.eye(dim, dtype=complex)
         e1, e2 = canonical_line(eye[0]), canonical_line(eye[1])
-    circle = symmetric_sets.Circle(e1, e2, cf, df)
+    circle = alphasets.CircleComponent(e1, e2, cf, df)
     return symmetric_sets.classify_circle(circle, cfg, dim).to_json()
 
 
@@ -199,23 +204,23 @@ def _run_oracle(payload, args):
     gens = _lines(payload, "generators")
     dim = _need(payload, "dim", int)
     count = _need(payload, "count", int)
-    seed = payload.get("seed", args.seed)
-    tol = payload.get("tol", args.tol if args.tol is not None else 1e-3)
-    cloud = oracle.sample_lines(dim, count, int(seed))
-    if payload.get("refine", False):
-        members = oracle.discover_alpha_set(
-            gens, cfg, cloud, float(tol), float(payload.get("confirmTol", 1e-7))
-        )
+    seed = _optional(payload, "seed", int, args.seed)
+    tol = _optional(payload, "tol", float, args.tol if args.tol is not None else 1e-3)
+    refine = _optional(payload, "refine", bool, False)
+    confirm_tol = _optional(payload, "confirmTol", float, 1e-7)
+    cloud = oracle.sample_lines(dim, count, seed)
+    if refine:
+        members = oracle.discover_alpha_set(gens, cfg, cloud, tol, confirm_tol)
     else:
-        members = oracle.alpha_set_numeric(gens, cfg, cloud, float(tol))
+        members = oracle.alpha_set_numeric(gens, cfg, cloud, tol)
     return {"count": len(members), "members": [m.to_json() for m in members]}
 
 
 def _run_wigner_generate(payload, args):
     dim = _need(payload, "dim", int)
-    seed = payload.get("seed", args.seed)
-    anti = payload.get("antiunitary", False)
-    return wigner.random_wigner(dim, int(seed), bool(anti)).to_json()
+    seed = _optional(payload, "seed", int, args.seed)
+    anti = _optional(payload, "antiunitary", bool, False)
+    return wigner.random_wigner(dim, seed, anti).to_json()
 
 
 def _run_wigner_fit(payload, args):
@@ -227,17 +232,17 @@ def _run_wigner_fit(payload, args):
 def _run_wigner_check(payload, args):
     cfg = _cfg(payload)
     sym = wigner.WignerSymmetry.from_json(_need(payload, "symmetry", dict))
-    n_pairs = payload.get("nPairs", 200)
-    seed = payload.get("seed", args.seed)
-    tol = payload.get("tol", args.tol if args.tol is not None else 1e-9)
+    n_pairs = _optional(payload, "nPairs", int, 200)
+    seed = _optional(payload, "seed", int, args.seed)
+    tol = _optional(payload, "tol", float, args.tol if args.tol is not None else 1e-9)
     inv = wigner.inverse_symmetry(sym)
     report = wigner.preservation_report(
         lambda v: wigner.apply_symmetry(sym, v),
         cfg,
         sym.dim,
-        int(n_pairs),
-        int(seed),
-        float(tol),
+        n_pairs,
+        seed,
+        tol,
         inverse_fn=lambda v: wigner.apply_symmetry(inv, v),
     )
     return report.to_json()
@@ -276,12 +281,6 @@ _PAYLOAD_HANDLERS = {
 
 # ---------------------------------------------------------------------------
 # verify suites
-
-
-def _random_orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[Line, Line]:
-    g = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-    q, _ = np.linalg.qr(g)
-    return canonical_line(q[:, 0]), canonical_line(q[:, 1])
 
 
 def _random_cd(rng: np.random.Generator, a: float, margin: float = 1e-3) -> tuple[float, float]:
@@ -351,7 +350,7 @@ def _suite_shape(args) -> oracle.OracleReport:
             if np.any(diffs[:mid] < -1e-12) or np.any(diffs[mid:] > 1e-12):
                 verdict = False
                 notes.append("radius profile not unimodal")
-        e1, e2 = _random_orthonormal_pair(rng, dim)
+        e1, e2 = random_orthonormal_pair(rng, dim)
         v1 = canonical_line(c * e1.amplitudes + 1j * d * e2.amplitudes)
         v2 = canonical_line(c * e1.amplitudes - 1j * d * e2.amplitudes)
         descr = alphasets.pair_alpha_set(v1, v2, cfg)
@@ -378,7 +377,7 @@ def _suite_collin_alpha(args) -> oracle.OracleReport:
             alpha = rng.uniform(np.pi / 4 + 0.05, np.pi / 2 - 0.05)
             cfg = AlphaConfig.from_alpha(alpha)
             c, d = _random_cd(rng, cfg.a)
-            e1, e2 = _random_orthonormal_pair(rng, dim)
+            e1, e2 = random_orthonormal_pair(rng, dim)
             lams = _distinct_unimodular_triple(rng)
             form = projspace.TripleCanonicalForm(e1, e2, c, d, lams)
             gens = list(form.synthesize())
@@ -413,7 +412,7 @@ def _suite_circle4(args) -> oracle.OracleReport:
         alpha = rng.uniform(np.pi / 4 + 0.05, np.pi / 2 - 0.05)
         cfg = AlphaConfig.from_alpha(alpha)
         c, d = _random_cd(rng, cfg.a)
-        e1, e2 = _random_orthonormal_pair(rng, dim)
+        e1, e2 = random_orthonormal_pair(rng, dim)
         lams = _distinct_unimodular_triple(rng)
         form = projspace.TripleCanonicalForm(e1, e2, c, d, lams)
         descr = alphasets.double_alpha_set_classify(form, cfg, dim)
@@ -474,7 +473,7 @@ def _suite_circle3(args) -> oracle.OracleReport:
             triples.append((cfg.a, c, d))
     for a, c, d in triples:
         cfg = AlphaConfig.from_alpha(math.acos(a))
-        e1, e2 = _random_orthonormal_pair(rng, 3)
+        e1, e2 = random_orthonormal_pair(rng, 3)
         lams = _distinct_unimodular_triple(rng)
         form = projspace.TripleCanonicalForm(e1, e2, c, d, lams)
         descr = alphasets.double_alpha_set_classify(form, cfg, 3)
@@ -574,8 +573,8 @@ def _suite_circle_char(args) -> oracle.OracleReport:
                 c / math.sqrt(1 + c * c) - cfg.a
             ) > 1e-4:
                 break
-        e1, e2 = _random_orthonormal_pair(rng, dim)
-        circle = symmetric_sets.Circle(e1, e2, c, d)
+        e1, e2 = random_orthonormal_pair(rng, dim)
+        circle = alphasets.CircleComponent(e1, e2, c, d)
         if dim not in clouds:
             clouds[dim] = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, args.seed + dim)
         report = symmetric_sets.empirical_high_symmetry_check(
@@ -613,7 +612,7 @@ def _suite_section5(args) -> oracle.OracleReport:
 
     # Great-circle case: both explicit common lines must be recovered.
     for _ in range(20):
-        e1, e2 = _random_orthonormal_pair(rng, dim)
+        e1, e2 = random_orthonormal_pair(rng, dim)
         afr = rng.uniform(0.05, 0.95)
         bfr = math.sqrt(1 - afr * afr)
         mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -636,7 +635,7 @@ def _suite_section5(args) -> oracle.OracleReport:
                 notes.append("explicit common line not recovered")
 
     # Count transition of the sqrt(7/12) circles at overlap 1/6.
-    e1, e2 = _random_orthonormal_pair(rng, dim)
+    e1, e2 = random_orthonormal_pair(rng, dim)
     mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
 
     def count(afr: float) -> int:
@@ -667,7 +666,7 @@ def _suite_section5(args) -> oracle.OracleReport:
     cfg = AlphaConfig.from_alpha(math.acos(1 / math.sqrt(3)))
     bridged = 0
     for _ in range(args.draws if args.draws > 8 else 100):
-        e1, e2 = _random_orthonormal_pair(rng, dim)
+        e1, e2 = random_orthonormal_pair(rng, dim)
         afr = rng.uniform(0.0, 0.95)
         bfr = math.sqrt(1 - afr * afr)
         mu = np.exp(1j * rng.uniform(0, 2 * np.pi))

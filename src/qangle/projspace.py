@@ -162,6 +162,32 @@ def orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:
     return vh[rank:].conj()
 
 
+def check_weighted_basis(e1: Line, e2: Line, c: float, d: float) -> None:
+    """Validate the weighted orthonormal pair behind [c e1 + lambda d e2].
+
+    Raises ParameterError unless e1 and e2 are orthogonal within 1e-10, both
+    weights are positive, and c^2 + d^2 = 1 within NORM_TOL.
+    """
+    if abs(inner(e1, e2)) > 1e-10:
+        raise ParameterError("e1, e2 not orthogonal")
+    if not (c > 0 and d > 0):
+        raise ParameterError(f"weights must be positive, got c={c}, d={d}")
+    if abs(c**2 + d**2 - 1.0) > NORM_TOL:
+        raise ParameterError("c^2 + d^2 != 1")
+
+
+def random_line(rng: np.random.Generator, dim: int) -> Line:
+    """A line from a complex-Gaussian vector: real parts drawn first, then imaginary."""
+    return canonical_line(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+
+def random_orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[Line, Line]:
+    """Two orthogonal lines: the QR factor of a complex-Gaussian dim x 2 matrix."""
+    g = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+    q, _ = np.linalg.qr(g)
+    return canonical_line(q[:, 0]), canonical_line(q[:, 1])
+
+
 @dataclass(frozen=True)
 class PairCanonicalForm:
     """Orthonormal pair (e1, e2) and weights c >= d > 0 with c^2 + d^2 = 1.
@@ -180,12 +206,9 @@ class PairCanonicalForm:
     e2_phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if abs(inner(self.e1, self.e2)) > 1e-10:
-            raise ParameterError("e1, e2 not orthogonal")
-        if not (self.c >= self.d > 0):
-            raise ParameterError(f"need c >= d > 0, got c={self.c}, d={self.d}")
-        if abs(self.c**2 + self.d**2 - 1.0) > NORM_TOL:
-            raise ParameterError("c^2 + d^2 != 1")
+        check_weighted_basis(self.e1, self.e2, self.c, self.d)
+        if self.c < self.d:
+            raise ParameterError(f"need c >= d, got c={self.c}, d={self.d}")
         if abs(abs(self.e2_phase) - 1.0) > NORM_TOL:
             raise ParameterError("e2_phase must be unimodular")
 
@@ -212,12 +235,9 @@ class TripleCanonicalForm:
     lambdas: tuple[complex, complex, complex]
 
     def __post_init__(self):
-        if abs(inner(self.e1, self.e2)) > 1e-10:
-            raise ParameterError("e1, e2 not orthogonal")
-        if not (self.c >= self.d > 0):
-            raise ParameterError(f"need c >= d > 0, got c={self.c}, d={self.d}")
-        if abs(self.c**2 + self.d**2 - 1.0) > NORM_TOL:
-            raise ParameterError("c^2 + d^2 != 1")
+        check_weighted_basis(self.e1, self.e2, self.c, self.d)
+        if self.c < self.d:
+            raise ParameterError(f"need c >= d, got c={self.c}, d={self.d}")
         for lam in self.lambdas:
             if abs(abs(lam) - 1.0) > NORM_TOL:
                 raise ParameterError(f"lambda {lam} not unimodular")

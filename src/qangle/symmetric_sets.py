@@ -34,7 +34,7 @@ from .oracle import (
     funnel_alpha_set,
     sample_lines,
 )
-from .projspace import Line, canonical_line, canonical_triple_form, inner
+from .projspace import canonical_triple_form
 
 #: Enumerated verdict reasons.
 REASON_DIM_GE_4 = "dim-at-least-4"
@@ -53,47 +53,6 @@ REASONS = (
 
 HIGHLY_SYMMETRIC = "HighlySymmetric"
 NOT_HIGHLY_SYMMETRIC = "NotHighlySymmetric"
-
-
-@dataclass(frozen=True)
-class Circle:
-    """The circle {[cfrak e1 + lambda dfrak e2] : |lambda| = 1}."""
-
-    e1: Line
-    e2: Line
-    cfrak: float
-    dfrak: float
-
-    def __post_init__(self):
-        if abs(inner(self.e1, self.e2)) > 1e-10:
-            raise ParameterError("e1, e2 not orthonormal")
-        if not (self.cfrak > 0 and self.dfrak > 0):
-            raise ParameterError("circle weights must be positive")
-        if abs(self.cfrak**2 + self.dfrak**2 - 1.0) > 1e-12:
-            raise ParameterError("cfrak^2 + dfrak^2 != 1")
-
-    @property
-    def dim(self) -> int:
-        return self.e1.dim
-
-    def member(self, lam: complex) -> Line:
-        return canonical_line(
-            self.cfrak * self.e1.amplitudes + lam * self.dfrak * self.e2.amplitudes
-        )
-
-    def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
-        return [self.member(np.exp(1j * p)) for p in rng.uniform(0, 2 * np.pi, count)]
-
-    def as_component(self) -> CircleComponent:
-        return CircleComponent(self.e1, self.e2, self.cfrak, self.dfrak)
-
-    def to_json(self) -> dict:
-        return {
-            "e1": self.e1.to_json(),
-            "e2": self.e2.to_json(),
-            "cfrak": self.cfrak,
-            "dfrak": self.dfrak,
-        }
 
 
 @dataclass(frozen=True)
@@ -118,7 +77,7 @@ class SymmetryVerdict:
         }
 
 
-def classify_circle(circle: Circle, cfg: AlphaConfig, ambient_dim: int) -> SymmetryVerdict:
+def classify_circle(circle: CircleComponent, cfg: AlphaConfig, ambient_dim: int) -> SymmetryVerdict:
     """Decide whether a circle is highly symmetric for the configured angle.
 
     Ambient dimension >= 4 always gives a positive verdict.  In dimension 3
@@ -132,7 +91,7 @@ def classify_circle(circle: Circle, cfg: AlphaConfig, ambient_dim: int) -> Symme
     if circle.dim != ambient_dim:
         raise DimensionError("circle does not live in the stated ambient dimension")
 
-    c, d = max(circle.cfrak, circle.dfrak), min(circle.cfrak, circle.dfrak)
+    c, d = max(circle.c, circle.d), min(circle.c, circle.d)
     a = cfg.a
     margins = {
         "weight_tie": abs(a - d),
@@ -164,7 +123,7 @@ def _distinct_phases(rng: np.random.Generator) -> np.ndarray:
 
 
 def empirical_high_symmetry_check(
-    circle: Circle,
+    circle: CircleComponent,
     cfg: AlphaConfig,
     ambient_dim: int,
     n_triples: int = 10,
@@ -200,7 +159,6 @@ def empirical_high_symmetry_check(
     verdict_ok = True
     two_component = False
 
-    circle_comp = circle.as_component()
     first_descr: AlphaSetDescriptor | None = None
     double_descr: AlphaSetDescriptor | None = None
 
@@ -257,7 +215,7 @@ def empirical_high_symmetry_check(
     survivors = funnel_alpha_set(constraints, cfg, hunt_cloud)
     counts["survivors"] = len(survivors)
     for s in survivors:
-        dist_circle = circle_comp.distance(s)
+        dist_circle = circle.distance(s)
         dist_descr = double_descr.distance(s)
         worst = max(worst, dist_descr)
         if dist_descr > 1e-5:
@@ -268,7 +226,7 @@ def empirical_high_symmetry_check(
 
     witness_ok = False
     if two_component and ambient_dim == 3:
-        c, d = max(circle.cfrak, circle.dfrak), min(circle.cfrak, circle.dfrak)
+        c, d = max(circle.c, circle.d), min(circle.c, circle.d)
         t = 0.05
         for _ in range(12):
             try:

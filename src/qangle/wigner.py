@@ -25,12 +25,7 @@ from .errors import (
     ParameterError,
     SpanError,
 )
-from .projspace import Line, canonical_line, lines_equal, quantum_angle
-
-#: Offsets of the three probe blocks; the enumeration order is normative:
-#: first the basis lines [e_j] for j = 1..n, then [(e_1+e_j)/sqrt2] for
-#: j = 2..n, then [(e_1 + i e_j)/sqrt2] for j = 2..n.
-PROBE_COUNT = lambda dim: 3 * dim - 2  # noqa: E731
+from .projspace import Line, canonical_line, lines_equal, quantum_angle, random_line
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,11 @@ def same_induced_map(w1: WignerSymmetry, w2: WignerSymmetry, tol: float = 1e-9) 
 
 
 def probe_set(dim: int) -> list[Line]:
-    """The 3*dim - 2 probe lines, in normative enumeration order."""
+    """The 3*dim - 2 probe lines, in normative enumeration order.
+
+    First the basis lines [e_j] for j = 1..n, then [(e_1 + e_j)/sqrt2] for
+    j = 2..n, then [(e_1 + i e_j)/sqrt2] for j = 2..n.
+    """
     if dim < 2:
         raise ParameterError(f"dim must be >= 2, got {dim}")
     eye = np.eye(dim, dtype=complex)
@@ -213,10 +212,6 @@ class PreservationReport:
         }
 
 
-def _random_line(rng: np.random.Generator, dim: int) -> Line:
-    return canonical_line(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-
-
 def _partner_at_angle(v: Line, angle: float, rng: np.random.Generator) -> Line:
     """A line at the exact quantum angle ``angle`` from v, drawn from its alpha-sphere."""
     w = rng.standard_normal(v.dim) + 1j * rng.standard_normal(v.dim)
@@ -253,7 +248,7 @@ def preservation_report(
     tested = 0
 
     for _ in range(n_pairs):
-        v1 = _random_line(rng, dim)
+        v1 = random_line(rng, dim)
         v2 = _partner_at_angle(v1, alpha, rng)
         dev = abs(float(quantum_angle(map_fn(v1), map_fn(v2))) - alpha)
         max_dev = max(max_dev, dev)
@@ -264,7 +259,7 @@ def preservation_report(
     beta = np.pi / 2 - alpha
     if 0.0 < beta < np.pi / 2:
         for _ in range(n_pairs):
-            v1 = _random_line(rng, dim)
+            v1 = random_line(rng, dim)
             v2 = _partner_at_angle(v1, beta, rng)
             img_dev = abs(float(quantum_angle(map_fn(v1), map_fn(v2))) - alpha)
             src_dev = abs(float(quantum_angle(v1, v2)) - alpha)
@@ -275,7 +270,7 @@ def preservation_report(
 
     if inverse_fn is not None:
         for _ in range(n_pairs):
-            x1 = map_fn(_random_line(rng, dim))
+            x1 = map_fn(random_line(rng, dim))
             x2 = _partner_at_angle(x1, alpha, rng)
             w1 = inverse_fn(x1)
             w2 = inverse_fn(x2)
@@ -409,9 +404,8 @@ def bridge_basis(
     g1 = canonical_line((e1.amplitudes + mu * e2.amplitudes) / np.sqrt(2))
     g2 = canonical_line((e1.amplitudes - mu * e2.amplitudes) / np.sqrt(2))
 
-    for g in (g1,):
-        if abs(np.vdot(g.amplitudes, e1.amplitudes)) <= 1.0 / 6.0 + 1e-10:
-            raise ParameterError("bridge post-check against the first basis failed")
-        if abs(np.vdot(g.amplitudes, f1.amplitudes)) <= 1.0 / 6.0 + 1e-10:
-            raise ParameterError("bridge post-check against the second basis failed")
+    if abs(np.vdot(g1.amplitudes, e1.amplitudes)) <= 1.0 / 6.0 + 1e-10:
+        raise ParameterError("bridge post-check against the first basis failed")
+    if abs(np.vdot(g1.amplitudes, f1.amplitudes)) <= 1.0 / 6.0 + 1e-10:
+        raise ParameterError("bridge post-check against the second basis failed")
     return g1, g2

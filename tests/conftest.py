@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 import qangle as qa
-
-
-def random_line(rng: np.random.Generator, dim: int) -> qa.Line:
-    return qa.canonical_line(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-
-
-def random_orthonormal_pair(rng: np.random.Generator, dim: int):
-    g = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-    q, _ = np.linalg.qr(g)
-    return qa.canonical_line(q[:, 0]), qa.canonical_line(q[:, 1])
+from qangle.projspace import random_line, random_orthonormal_pair  # noqa: F401
 
 
 def random_collinear_triple(rng: np.random.Generator, dim: int):

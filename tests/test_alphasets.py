@@ -106,6 +106,18 @@ class TestThetaZeroAndRho:
         with pytest.raises(ParameterError):
             theta0_and_rho(qa.AlphaConfig.from_alpha(0.2), 0.7, math.sqrt(1 - 0.49))
 
+    def test_family_guards_at_construction(self):
+        e1, e2 = std_basis(4)[:2]
+        with pytest.raises(ParameterError):
+            AthetaFamily(e1, e2, 0.6, 0.8, 1.0, np.pi / 2, 4)  # c < d
+        with pytest.raises(ParameterError):
+            AthetaFamily(e1, e2, 0.8, 0.7, 1.0, np.pi / 2, 4)  # c^2 + d^2 != 1
+        # c = a passes the cutoff equation at theta0 = 0 but leaves no profile.
+        cfg = qa.AlphaConfig.from_alpha(math.acos(0.8))
+        c = cfg.a
+        with pytest.raises(ParameterError):
+            AthetaFamily(e1, e2, c, math.sqrt(1 - c * c), float(cfg.alpha), 0.0, 4)
+
 
 class TestPairAlphaSet:
     def test_members_at_angle_alpha_from_both(self):
@@ -441,6 +453,16 @@ class TestDescriptorJson:
         assert json.dumps(again.to_json(), sort_keys=True) == blob
         p = descr.sample(5, 1)[0]
         assert again.distance(p) < 1e-8
+
+    def test_circle_round_trip(self):
+        basis = std_basis(4)
+        descr = qa.AlphaSetDescriptor((qa.Circle(basis[0], basis[2], 0.8, 0.6),))
+        blob = json.dumps(descr.to_json(), sort_keys=True)
+        again = descriptor_from_json(json.loads(blob))
+        assert type(again.components[0]) is qa.Circle
+        assert json.dumps(again.to_json(), sort_keys=True) == blob
+        v = qa.canonical_line([0.3, 0.5j, 0.4, 0.2])
+        assert again.distance(v) == descr.distance(v)
 
     def test_all_component_kinds_round_trip(self):
         a, c, d = EXCEPTIONAL_TRIPLES[1]

@@ -185,6 +185,18 @@ class TestOracleVerb:
         member = qa.Line.from_json(out["members"][0])
         assert abs(abs(member.amplitudes[0]) - 0.5) < 1.2e-2
 
+    def test_bad_tol_is_schema_error(self, tmp_path):
+        payload = {
+            "alpha": math.pi / 3,
+            "generators": [line_json([1, 0])],
+            "dim": 2,
+            "count": 100,
+            "tol": "abc",
+        }
+        code, out = run_cli(["oracle"], payload, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
 
 class TestWignerVerbs:
     def test_generate_fit_check_pipeline(self, tmp_path):
@@ -203,6 +215,12 @@ class TestWignerVerbs:
         assert code == 0
         assert rep["forwardViolations"] == 0
         assert rep["backwardViolations"] == 0
+
+    @pytest.mark.parametrize("seed", ["x", 1.5])
+    def test_bad_seed_is_schema_error(self, tmp_path, seed):
+        code, out = run_cli(["wigner-generate"], {"dim": 3, "seed": seed}, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
 
     def test_fit_rejects_garbage(self, tmp_path):
         images = [line_json([1, 0, 0]).copy() for _ in range(7)]
@@ -266,6 +284,24 @@ class TestVerifySuites:
         code, out = run_cli(["verify", "section5", "--dim", "3", "--seed", "3", "--draws", "20"])
         assert code == 0
         assert out["verdict"] is True
+
+    @pytest.mark.parametrize(
+        "suite, draws, keys",
+        [
+            ("collin-alpha", 2, {"draws", "oracle_members"}),
+            ("circle4", 2, {"draws", "survivors"}),
+            ("circle-char", 2, {"draws", "agreements"}),
+            ("basic", 2, {"alpha_set_S1", "alpha_set_S2", "double_alpha_set", "triple_alpha_set"}),
+            # Below 9 draws this suite runs 1000.
+            ("infinite-element", 9, {"draws", "agreements", "boundary_cases"}),
+        ],
+    )
+    def test_suite_passes_at_small_draws(self, suite, draws, keys):
+        code, out = run_cli(["verify", suite, "--seed", "1", "--draws", str(draws)])
+        assert code == 0
+        assert out["verdict"] is True
+        assert set(out["counts"]) == keys
+        assert all(v > 0 for v in out["counts"].values())
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:

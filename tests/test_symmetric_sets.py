@@ -75,6 +75,12 @@ class TestClassifyCircle:
         with pytest.raises(RangeError):
             qa.classify_circle(std_circle(3, 0.8, 0.6), cfg, 3)
 
+    def test_circle_is_the_descriptor_component(self):
+        assert qa.Circle is qa.CircleComponent
+        circle = std_circle(3, 0.8, 0.6)
+        assert circle.dim == 3
+        assert (circle.c, circle.d) == (0.8, 0.6)
+
     def test_verdict_json(self):
         cfg = qa.AlphaConfig.from_alpha(1.0)
         v = qa.classify_circle(std_circle(4, 0.8, 0.6), cfg, 4)
