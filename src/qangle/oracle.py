@@ -16,9 +16,13 @@ import numpy as np
 
 from .alphasets import AlphaConfig
 from .errors import DimensionError, ParameterError
-from .projspace import GAUGE_TOL, Line, canonical_line, quantum_angle
+from .projspace import GAUGE_TOL, MAX_DIM, Line, canonical_line, quantum_angle
 
 _HEADER = struct.Struct("<QQQ")
+
+# Largest count * dim of a cloud (256 MB of amplitudes): four times the
+# 1 000 000 lines of dimension 4 that the acceptance criteria sample.
+MAX_CLOUD_ENTRIES = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,12 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     """Independent complex-Gaussian lines, normalized and gauged; deterministic per seed."""
     if dim < 2:
         raise ParameterError(f"dim must be >= 2, got {dim}")
+    if dim > MAX_DIM:
+        raise DimensionError(f"dim {dim} outside supported range [2, {MAX_DIM}]")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if count * dim > MAX_CLOUD_ENTRIES:
+        raise ParameterError(f"{count} lines of dimension {dim} exceed {MAX_CLOUD_ENTRIES} amplitudes")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -102,6 +110,29 @@ class OracleReport:
         }
 
 
+@dataclass
+class Tally:
+    """Running verdict, worst residual, counts and notes of one verification run."""
+
+    verdict: bool = True
+    worst: float = 0.0
+    counts: dict[str, int] = field(default_factory=dict)
+    notes: list[str] = field(default_factory=list)
+
+    def fail(self, note: str) -> None:
+        self.verdict = False
+        self.notes.append(note)
+
+    def bound(self, value: float, tol: float, note: str) -> None:
+        """Record a residual; it fails the run when it exceeds ``tol``."""
+        self.worst = max(self.worst, value)
+        if value > tol:
+            self.fail(note)
+
+    def report(self) -> OracleReport:
+        return OracleReport(self.verdict, self.worst, dict(self.counts), tuple(self.notes))
+
+
 def _lines_matrix(lines) -> np.ndarray:
     return np.vstack([l.amplitudes for l in lines])
 
@@ -112,6 +143,11 @@ def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.nda
     m = np.abs(np.atleast_2d(vectors) @ gens.conj().T)
     ang = np.arccos(np.clip(m, 0.0, 1.0))
     return np.max(np.abs(ang - float(cfg.alpha)), axis=1)
+
+
+def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:
+    """Largest |angle(line, g) - alpha| over the lines and the generators."""
+    return float(np.max(angle_residuals(generators, cfg, _lines_matrix(lines))))
 
 
 def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: float) -> list[Line]:
@@ -312,32 +348,22 @@ def verify_basic_relations(
         if not any(quantum_angle(s, t) < 1e-9 for t in S2):
             raise ParameterError("S1 must be a subset of S2")
 
-    notes: list[str] = []
-    counts: dict[str, int] = {}
-    worst = 0.0
-    verdict = True
-
+    tally = Tally()
     n1 = discover_alpha_set(S1, cfg, cloud, discovery_tol, confirm_tol, max_candidates=800)
     n2 = discover_alpha_set(S2, cfg, cloud, discovery_tol, confirm_tol, max_candidates=800)
-    counts["alpha_set_S1"] = len(n1)
-    counts["alpha_set_S2"] = len(n2)
+    tally.counts["alpha_set_S1"] = len(n1)
+    tally.counts["alpha_set_S2"] = len(n2)
 
     # Clause 1: definitional, so the refined members must satisfy it exactly
     # at the confirmation tolerance.
     if n1:
-        res1 = float(np.max(angle_residuals(S1, cfg, _lines_matrix(n1))))
-        worst = max(worst, res1)
-        if res1 > confirm_tol:
-            verdict = False
-            notes.append("clause1: generator/alpha-set residual above tolerance")
+        res1 = worst_angle_residual(S1, cfg, n1)
+        tally.bound(res1, confirm_tol, "clause1: generator/alpha-set residual above tolerance")
 
     # Clause 2: alpha-sets shrink as the generating set grows.
     if n2:
-        res2 = float(np.max(angle_residuals(S1, cfg, _lines_matrix(n2))))
-        worst = max(worst, res2)
-        if res2 > inclusion_tol:
-            verdict = False
-            notes.append("clause2: alpha-set of S2 escapes the alpha-set of S1")
+        res2 = worst_angle_residual(S1, cfg, n2)
+        tally.bound(res2, inclusion_tol, "clause2: alpha-set of S2 escapes the alpha-set of S1")
 
     # Clause 3: the alpha-set is fixed by taking its own double-alpha-set.
     first = dedup_lines(n1, 1e-3)
@@ -349,28 +375,21 @@ def verify_basic_relations(
             second = [
                 q
                 for q in second
-                if float(np.max(angle_residuals(holdout, cfg, q.amplitudes[None, :])))
-                <= 1e-4
+                if worst_angle_residual(holdout, cfg, [q]) <= 1e-4
             ]
-        counts["double_alpha_set"] = len(second)
+        tally.counts["double_alpha_set"] = len(second)
         if second:
             gen_b = dedup_lines(second, 1e-3)[: min(25, len(second))]
             third = funnel_alpha_set(gen_b, cfg, cloud, confirm_tol=confirm_tol)
-            counts["triple_alpha_set"] = len(third)
+            tally.counts["triple_alpha_set"] = len(third)
             if third:
-                res3 = float(np.max(angle_residuals(S1, cfg, _lines_matrix(third))))
-                worst = max(worst, res3)
-                if res3 > inclusion_tol:
-                    verdict = False
-                    notes.append("clause3: triple alpha-set escapes the alpha-set of S1")
-            resb = float(np.max(angle_residuals(gen_b, cfg, _lines_matrix(first))))
-            worst = max(worst, resb)
-            if resb > inclusion_tol:
-                verdict = False
-                notes.append("clause3: alpha-set members miss the double-alpha-set constraints")
+                res3 = worst_angle_residual(S1, cfg, third)
+                tally.bound(res3, inclusion_tol, "clause3: triple alpha-set escapes the alpha-set of S1")
+            resb = worst_angle_residual(gen_b, cfg, first)
+            tally.bound(resb, inclusion_tol, "clause3: alpha-set members miss the double-alpha-set constraints")
         else:
-            notes.append("clause3: no numeric double-alpha-set members found")
+            tally.notes.append("clause3: no numeric double-alpha-set members found")
     else:
-        notes.append("clause3: not enough alpha-set members found to test")
+        tally.notes.append("clause3: not enough alpha-set members found to test")
 
-    return OracleReport(verdict, worst, counts, tuple(notes))
+    return tally.report()

@@ -30,9 +30,10 @@ from .errors import DimensionError, ParameterError, QAngleError, RangeError
 from .oracle import (
     OracleReport,
     SampleCloud,
-    angle_residuals,
+    Tally,
     funnel_alpha_set,
     sample_lines,
+    worst_angle_residual,
 )
 from .projspace import canonical_triple_form
 
@@ -147,16 +148,9 @@ def empirical_high_symmetry_check(
     expected = classify_circle(circle, cfg, ambient_dim)
 
     rng = np.random.default_rng(seed)
-    alpha = float(cfg.alpha)
-    worst = 0.0
-    counts: dict[str, int] = {
-        "triples": n_triples,
-        "components_max": 0,
-        "off_circle_members": 0,
-        "witnesses": 0,
-    }
-    notes: list[str] = []
-    verdict_ok = True
+    tally = Tally(
+        counts={"triples": n_triples, "components_max": 0, "off_circle_members": 0, "witnesses": 0}
+    )
     two_component = False
 
     first_descr: AlphaSetDescriptor | None = None
@@ -170,40 +164,21 @@ def empirical_high_symmetry_check(
         first = collinear_triple_alpha_set(form, cfg, ambient_dim)
         if first_descr is None:
             first_descr, double_descr = first, descr
-        counts["components_max"] = max(counts["components_max"], len(descr.components))
+        tally.counts["components_max"] = max(tally.counts["components_max"], len(descr.components))
         if len(descr.components) >= 2:
             two_component = True
 
         # The circle must sit inside the double-alpha-set of each triple.
         circ_samples = circle.sample(n_alpha_samples, rng)
         for s in circ_samples:
-            worst = max(worst, descr.distance(s))
+            tally.worst = max(tally.worst, descr.distance(s))
         first_samples = first.sample(max(n_alpha_samples, 24), rng)
-        res = float(
-            np.max(
-                angle_residuals(
-                    first_samples, cfg, np.vstack([s.amplitudes for s in circ_samples])
-                )
-            )
-        )
-        worst = max(worst, res)
-        if res > 1e-8:
-            verdict_ok = False
-            notes.append("circle samples miss the sampled alpha-set at angle alpha")
+        res = worst_angle_residual(first_samples, cfg, circ_samples)
+        tally.bound(res, 1e-8, "circle samples miss the sampled alpha-set at angle alpha")
 
         # Descriptor members must be at angle alpha from the sampled alpha-set.
-        d_samples = descr.sample(n_alpha_samples, rng)
-        res = float(
-            np.max(
-                angle_residuals(
-                    first_samples, cfg, np.vstack([s.amplitudes for s in d_samples])
-                )
-            )
-        )
-        worst = max(worst, res)
-        if res > 1e-8:
-            verdict_ok = False
-            notes.append("double-alpha-set samples violate the defining condition")
+        res = worst_angle_residual(first_samples, cfg, descr.sample(n_alpha_samples, rng))
+        tally.bound(res, 1e-8, "double-alpha-set samples violate the defining condition")
 
     # Independent numeric hunt for double-alpha-set members, seeded only by
     # the defining angle conditions.
@@ -213,16 +188,13 @@ def empirical_high_symmetry_check(
     )
     constraints = first_descr.sample(40, rng)
     survivors = funnel_alpha_set(constraints, cfg, hunt_cloud)
-    counts["survivors"] = len(survivors)
+    tally.counts["survivors"] = len(survivors)
     for s in survivors:
         dist_circle = circle.distance(s)
-        dist_descr = double_descr.distance(s)
-        worst = max(worst, dist_descr)
-        if dist_descr > 1e-5:
-            verdict_ok = False
-            notes.append("numeric double-alpha-set member escapes the descriptor")
+        dist = double_descr.distance(s)
+        tally.bound(dist, 1e-5, "numeric double-alpha-set member escapes the descriptor")
         if dist_circle > 1e-3:
-            counts["off_circle_members"] += 1
+            tally.counts["off_circle_members"] += 1
 
     witness_ok = False
     if two_component and ambient_dim == 3:
@@ -232,21 +204,19 @@ def empirical_high_symmetry_check(
             try:
                 counterexample_witness(cfg, c, d, t)
                 witness_ok = True
-                counts["witnesses"] += 1
+                tally.counts["witnesses"] += 1
                 break
             except QAngleError:
                 t *= 0.5
         if not witness_ok:
-            verdict_ok = False
-            notes.append("two-component case but no witness construction succeeded")
+            tally.fail("two-component case but no witness construction succeeded")
 
     empirical_tag = (
         NOT_HIGHLY_SYMMETRIC
-        if (two_component or counts["off_circle_members"] > 0)
+        if (two_component or tally.counts["off_circle_members"] > 0)
         else HIGHLY_SYMMETRIC
     )
     agreement = empirical_tag == expected.tag
-    notes.append(f"empirical={empirical_tag}")
-    notes.append(f"classifier={expected.tag}")
-    notes.append(f"agreement={agreement}")
-    return OracleReport(verdict_ok and agreement, worst, counts, tuple(notes))
+    tally.notes += [f"empirical={empirical_tag}", f"classifier={expected.tag}", f"agreement={agreement}"]
+    tally.verdict = tally.verdict and agreement
+    return tally.report()

@@ -238,8 +238,11 @@ def preservation_report(
     Backward: image pairs at alpha are pulled back through ``inverse_fn``
     when available; independently, pairs constructed at the complementary
     angle pi/2 - alpha probe for images landing at alpha without the sources
-    being at alpha.  Finite sampling can refute but not certify.
+    being at alpha.  Finite sampling can refute but not certify, and
+    ``n_pairs`` must be at least 1 so that a report always rests on a sample.
     """
+    if n_pairs < 1:
+        raise ParameterError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
     alpha = float(cfg.alpha)
     fwd = 0

@@ -23,11 +23,6 @@ def random_collinear_triple(rng: np.random.Generator, dim: int):
             return vs
 
 
-def classification_alpha(rng: np.random.Generator) -> qa.AlphaConfig:
-    """A random angle safely inside the classification range."""
-    return qa.AlphaConfig.from_alpha(rng.uniform(np.pi / 4 + 0.05, np.pi / 2 - 0.05))
-
-
 @pytest.fixture(scope="session")
 def cloud3():
     return qa.sample_lines(3, 200_000, 101)

@@ -1,19 +1,33 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one `[PASS]`/`[FAIL]` line (run with ``pytest -s`` to see
-them on a green run).  Budgets follow the stated runtime caps.
+them on a green run).  Budgets follow the stated runtime caps.  The numeric
+checks come from :mod:`qangle.verify`, the engine behind ``qangle verify``;
+a line reports the worst residual over all the checks it gathers.
 """
 
 import math
 import time
 
 import numpy as np
-import pytest
 
 import qangle as qa
-from qangle.alphasets import EXCEPTIONAL_TRIPLES, theta0_and_rho
-from qangle.oracle import angle_residuals
+from qangle.alphasets import EXCEPTIONAL_TRIPLES
 from qangle.symmetric_sets import HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC
+from qangle.verify import (
+    Tally,
+    check_alpha_set,
+    check_balanced_common_lines,
+    check_bridges,
+    check_circle_classification,
+    check_count_threshold,
+    check_double_alpha_set,
+    distinct_unimodular_triple,
+    draw_alpha,
+    random_cd,
+    standard_family,
+    sweep_verdict,
+)
 
 from conftest import random_line, random_orthonormal_pair
 
@@ -24,15 +38,10 @@ def report(label: str, ok: bool, detail: str = ""):
     assert ok, f"{label}: {detail}"
 
 
-def _draw_alpha(rng):
-    return qa.AlphaConfig.from_alpha(rng.uniform(np.pi / 4 + 0.05, np.pi / 2 - 0.05))
-
-
-def _distinct_lams(rng):
-    while True:
-        lams = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        if min(abs(lams[i] - lams[j]) for i in range(3) for j in range(i + 1, 3)) > 5e-2:
-            return tuple(lams)
+def summary(tally: Tally) -> str:
+    """The tally's worst residual, followed on failure by its distinct notes."""
+    text = f"worst {tally.worst:.2e}"
+    return text if tally.verdict else text + ": " + "; ".join(dict.fromkeys(tally.notes))
 
 
 def test_criterion_1_pair_alpha_set_equivalence():
@@ -42,34 +51,34 @@ def test_criterion_1_pair_alpha_set_equivalence():
     clouds = {3: qa.sample_lines(3, 200_000, 1001), 4: qa.sample_lines(4, 1_000_000, 1002)}
     for dim in (3, 4):
         start = time.perf_counter()
+        tally = Tally()
         total_found = 0
-        worst_completeness = 0.0
-        worst_soundness = 0.0
         for _ in range(50):
-            cfg = _draw_alpha(rng)
+            cfg = draw_alpha(rng)
             v1, v2 = random_line(rng, dim), random_line(rng, dim)
             if qa.lines_equal(v1, v2, 1e-3):
                 continue
             descr = qa.pair_alpha_set(v1, v2, cfg)
-            samples = descr.sample(500, rng)
-            res = angle_residuals(
-                [v1, v2], cfg, np.vstack([s.amplitudes for s in samples])
+            total_found += check_alpha_set(
+                tally, [v1, v2], cfg, descr, rng, 500, clouds[dim], 1e-2, 400
             )
-            worst_soundness = max(worst_soundness, float(np.max(res)))
-            found = qa.discover_alpha_set([v1, v2], cfg, clouds[dim], 1e-2, 1e-7, 400)
-            total_found += len(found)
-            for m in found:
-                worst_completeness = max(worst_completeness, descr.distance(m))
         elapsed = time.perf_counter() - start
         report(
             f"criterion 1 (dim {dim})",
-            worst_soundness < 1e-9
-            and worst_completeness < 1e-5
-            and total_found > 500
-            and elapsed < 120,
-            f"soundness {worst_soundness:.2e}, completeness {worst_completeness:.2e}, "
-            f"members {total_found}, {elapsed:.1f}s",
+            tally.verdict and total_found > 500 and elapsed < 120,
+            f"{summary(tally)}, members {total_found}, {elapsed:.1f}s",
         )
+
+
+def _draw_triple(rng):
+    """Alpha and a dim-4 collinear triple with c > a + 0.05, or None when c misses it."""
+    cfg = draw_alpha(rng)
+    d = rng.uniform(0.15, 1 / math.sqrt(2) - 1e-3)
+    c = math.sqrt(1 - d * d)
+    if c <= cfg.a + 0.05:
+        return None
+    e1, e2 = random_orthonormal_pair(rng, 4)
+    return cfg, qa.TripleCanonicalForm(e1, e2, c, d, distinct_unimodular_triple(rng, 5e-2))
 
 
 def test_criterion_2_triple_and_double_alpha_sets():
@@ -77,63 +86,38 @@ def test_criterion_2_triple_and_double_alpha_sets():
     cloud = qa.sample_lines(4, 1_000_000, 2001)
 
     # Collinear-triple alpha-sets in dim 4.
-    worst_soundness = 0.0
-    worst_completeness = 0.0
+    tally = Tally()
     total_found = 0
     for _ in range(50):
-        cfg = _draw_alpha(rng)
-        d = rng.uniform(0.15, 1 / math.sqrt(2) - 1e-3)
-        c = math.sqrt(1 - d * d)
-        if c <= cfg.a + 0.05:
+        drawn = _draw_triple(rng)
+        if drawn is None:
             continue
-        e1, e2 = random_orthonormal_pair(rng, 4)
-        form = qa.TripleCanonicalForm(e1, e2, c, d, _distinct_lams(rng))
-        gens = list(form.synthesize())
+        cfg, form = drawn
         descr = qa.collinear_triple_alpha_set(form, cfg, 4)
-        samples = descr.sample(500, rng)
-        res = angle_residuals(gens, cfg, np.vstack([s.amplitudes for s in samples]))
-        worst_soundness = max(worst_soundness, float(np.max(res)))
-        found = qa.discover_alpha_set(gens, cfg, cloud, 3e-2, 1e-7, 400)
-        total_found += len(found)
-        for m in found:
-            worst_completeness = max(worst_completeness, descr.distance(m))
+        total_found += check_alpha_set(
+            tally, list(form.synthesize()), cfg, descr, rng, 500, cloud, 3e-2, 400
+        )
     report(
         "criterion 2 (triple alpha-sets, dim 4)",
-        worst_soundness < 1e-9 and worst_completeness < 1e-5 and total_found > 500,
-        f"soundness {worst_soundness:.2e}, completeness {worst_completeness:.2e}, "
-        f"members {total_found}",
+        tally.verdict and total_found > 500,
+        f"{summary(tally)}, members {total_found}",
     )
 
     # Double-alpha-sets in dim 4: single circle, two-sided.
-    worst_soundness = 0.0
-    worst_completeness = 0.0
+    tally = Tally()
     total_surv = 0
     for _ in range(50):
-        cfg = _draw_alpha(rng)
-        d = rng.uniform(0.15, 1 / math.sqrt(2) - 1e-3)
-        c = math.sqrt(1 - d * d)
-        if c <= cfg.a + 0.05:
+        drawn = _draw_triple(rng)
+        if drawn is None:
             continue
-        e1, e2 = random_orthonormal_pair(rng, 4)
-        form = qa.TripleCanonicalForm(e1, e2, c, d, _distinct_lams(rng))
+        cfg, form = drawn
         first = qa.collinear_triple_alpha_set(form, cfg, 4)
         double = qa.double_alpha_set_classify(form, cfg, 4)
-        assert len(double.components) == 1
-        f_samples = first.sample(40, rng)
-        d_samples = double.sample(500, rng)
-        res = angle_residuals(
-            f_samples, cfg, np.vstack([s.amplitudes for s in d_samples])
-        )
-        worst_soundness = max(worst_soundness, float(np.max(res)))
-        survivors = qa.funnel_alpha_set(f_samples, cfg, cloud, max_pool=800)
-        total_surv += len(survivors)
-        for s in survivors:
-            worst_completeness = max(worst_completeness, double.distance(s))
+        total_surv += check_double_alpha_set(tally, first, double, cfg, rng, 500, cloud, 800)
     report(
         "criterion 2 (double-alpha-sets, dim 4)",
-        worst_soundness < 1e-9 and worst_completeness < 1e-5 and total_surv > 200,
-        f"soundness {worst_soundness:.2e}, completeness {worst_completeness:.2e}, "
-        f"survivors {total_surv}",
+        tally.verdict and total_surv > 200,
+        f"{summary(tally)}, survivors {total_surv}",
     )
 
     # Exceptional dim-3 classifications, coefficients exact to 1e-12.
@@ -142,7 +126,7 @@ def test_criterion_2_triple_and_double_alpha_sets():
     a, c, d = EXCEPTIONAL_TRIPLES[0]
     cfg = qa.AlphaConfig.from_alpha(math.acos(a))
     descr = qa.double_alpha_set_classify(
-        qa.TripleCanonicalForm(e1, e2, c, d, _distinct_lams(rng)), cfg, 3
+        qa.TripleCanonicalForm(e1, e2, c, d, distinct_unimodular_triple(rng, 5e-2)), cfg, 3
     )
     second = descr.components[1]
     ok1 = (
@@ -153,7 +137,7 @@ def test_criterion_2_triple_and_double_alpha_sets():
     a, c, d = EXCEPTIONAL_TRIPLES[1]
     cfg = qa.AlphaConfig.from_alpha(math.acos(a))
     descr = qa.double_alpha_set_classify(
-        qa.TripleCanonicalForm(e1, e2, c, d, _distinct_lams(rng)), cfg, 3
+        qa.TripleCanonicalForm(e1, e2, c, d, distinct_unimodular_triple(rng, 5e-2)), cfg, 3
     )
     second = descr.components[1]
     ok2 = isinstance(second, qa.PointComponent) and float(
@@ -164,20 +148,17 @@ def test_criterion_2_triple_and_double_alpha_sets():
 
 def test_criterion_3_cardinality_trichotomy():
     rng = np.random.default_rng(3000)
-    eye = np.eye(4, dtype=complex)
-    e1, e2 = qa.canonical_line(eye[0]), qa.canonical_line(eye[1])
     disagreements = 0
     checked = 0
     while checked < 1000:
-        cfg = _draw_alpha(rng)
+        cfg = draw_alpha(rng)
         a = cfg.a
         d = rng.uniform(0.15, 1 / math.sqrt(2))
         c = math.sqrt(1 - d * d)
         if c <= a + 0.02:
             continue
-        theta0, rho = theta0_and_rho(cfg, c, d)
-        fam = qa.AthetaFamily(e1, e2, c, d, float(cfg.alpha), theta0, 4)
-        theta = rng.uniform(-theta0, theta0)
+        fam = standard_family(cfg, c, d)
+        theta = rng.uniform(-fam.theta0, fam.theta0)
         c1 = rng.standard_normal() + 1j * rng.standard_normal()
         c2 = rng.standard_normal() + 1j * rng.standard_normal()
         c3 = rng.uniform(0.2, 0.9)
@@ -189,9 +170,8 @@ def test_criterion_3_cardinality_trichotomy():
         z = c1 * (a / c) * math.cos(theta) + c2 * (a / d) * math.sin(theta)
         if abs(z) < 1e-6:
             continue
-        total = qa.root_count_on_disk(z, c3 * rho(theta), a, 2048, 48)
-        sweep = "infinite" if (total is math.inf or total >= 2) else "zero"
-        if card.tag != sweep:
+        total = qa.root_count_on_disk(z, c3 * fam.rho(theta), a, 2048, 48)
+        if card.tag != sweep_verdict(total):
             disagreements += 1
         checked += 1
     report(
@@ -241,28 +221,17 @@ def test_criterion_4_witness_construction():
 def test_criterion_5_classification_consistency():
     rng = np.random.default_rng(5000)
     clouds = {3: qa.sample_lines(3, 30_000, 5001), 4: qa.sample_lines(4, 60_000, 5002)}
+    tally = Tally()
     agreements = 0
     draws = 100
     for k in range(draws):
         dim = 3 if k % 2 == 0 else 4
-        cfg = _draw_alpha(rng)
-        while True:
-            d = rng.uniform(0.15, 1 / math.sqrt(2) - 1e-3)
-            c = math.sqrt(1 - d * d)
-            if (
-                c > cfg.a + 0.05
-                and abs(cfg.a - d) > 1e-4
-                and abs(c / math.sqrt(1 + c * c) - cfg.a) > 1e-4
-            ):
-                break
+        cfg = draw_alpha(rng)
+        c, d = random_cd(rng, cfg.a, 1e-4)
         e1, e2 = random_orthonormal_pair(rng, dim)
-        circle = qa.Circle(e1, e2, c, d)
-        rep = qa.empirical_high_symmetry_check(
-            circle, cfg, dim, n_triples=3, n_alpha_samples=12, seed=5100 + k,
-            cloud=clouds[dim],
+        agreements += check_circle_classification(
+            tally, qa.Circle(e1, e2, c, d), cfg, dim, 12, 5100 + k, clouds[dim]
         )
-        if rep.verdict:
-            agreements += 1
     report(
         "criterion 5 (classifier vs empirical)",
         agreements == draws,
@@ -302,68 +271,21 @@ def test_criterion_5_classification_consistency():
 
 def test_criterion_6_section5_machinery():
     rng = np.random.default_rng(6000)
-    c0 = math.sqrt(7 / 12)
 
     # Threshold of the intersection count at overlap 1/6.
-    e1, e2 = random_orthonormal_pair(rng, 3)
-    mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
-
-    def count(afrak):
-        b = math.sqrt(1 - afrak * afrak)
-        f1 = qa.canonical_line(afrak * e1.amplitudes + mu * b * e2.amplitudes)
-        f2 = qa.canonical_line(b * e1.amplitudes - mu * afrak * e2.amplitudes)
-        return len(qa.circle_intersection(e1, e2, f1, f2, c0))
-
-    lo, hi = 0.05, 0.4
-    assert count(lo) < 2 <= count(hi)
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= 2:
-            hi = mid
-        else:
-            lo = mid
-    thr_err = abs(0.5 * (lo + hi) - 1.0 / 6.0)
-    report("criterion 6 (count threshold at 1/6)", thr_err < 1e-6, f"error {thr_err:.2e}")
+    tally = Tally()
+    check_count_threshold(tally, rng, 3)
+    report("criterion 6 (count threshold at 1/6)", tally.verdict, summary(tally))
 
     # Bridge post-checks over 100 random basis pairs.
-    cfg = qa.AlphaConfig.from_alpha(math.acos(1 / math.sqrt(3)))
-    ok = True
-    for _ in range(100):
-        e1, e2 = random_orthonormal_pair(rng, 3)
-        afrak = rng.uniform(0.0, 0.95)
-        b = math.sqrt(1 - afrak * afrak)
-        mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        f1 = qa.canonical_line(afrak * e1.amplitudes + mu * b * e2.amplitudes)
-        f2 = qa.canonical_line(b * e1.amplitudes - mu * afrak * e2.amplitudes)
-        g1, g2 = qa.bridge_basis(e1, e2, f1, f2, cfg)
-        ok &= abs(np.vdot(g1.amplitudes, e1.amplitudes)) > 1 / 6
-        ok &= abs(np.vdot(g1.amplitudes, f1.amplitudes)) > 1 / 6
-        ok &= len(qa.circle_intersection(e1, e2, g1, g2, c0)) >= 2
-        ok &= len(qa.circle_intersection(g1, g2, f1, f2, c0)) >= 2
-    report("criterion 6 (bridge over 100 pairs)", ok)
+    tally = Tally()
+    check_bridges(tally, rng, 3, 100)
+    report("criterion 6 (bridge over 100 pairs)", tally.verdict, "; ".join(dict.fromkeys(tally.notes)))
 
     # Balanced circles: explicit common lines recovered to 1e-10.
-    worst = 0.0
-    for _ in range(50):
-        e1, e2 = random_orthonormal_pair(rng, 3)
-        afrak = rng.uniform(0.05, 0.95)
-        b = math.sqrt(1 - afrak * afrak)
-        mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        f1 = qa.canonical_line(afrak * e1.amplitudes + mu * b * e2.amplitudes)
-        f2 = qa.canonical_line(b * e1.amplitudes - mu * afrak * e2.amplitudes)
-        got = qa.circle_intersection(e1, e2, f1, f2, 1 / math.sqrt(2))
-        assert len(got) == 2
-        r = 1 / np.sqrt(2)
-        for sign in (1, -1):
-            want = qa.canonical_line(
-                r * e1.amplitudes + sign * 1j * mu * r * e2.amplitudes
-            )
-            worst = max(
-                worst, min(float(qa.quantum_angle(want, g)) for g in got)
-            )
-    report(
-        "criterion 6 (explicit balanced common lines)", worst < 1e-10, f"worst {worst:.2e}"
-    )
+    tally = Tally()
+    check_balanced_common_lines(tally, rng, 3, 50)
+    report("criterion 6 (explicit balanced common lines)", tally.verdict, summary(tally))
 
 
 def test_criterion_7_wigner_round_trip():

@@ -21,7 +21,9 @@ from qangle.errors import (
     WitnessRangeError,
 )
 
-from conftest import classification_alpha, random_line
+from qangle.verify import draw_alpha
+
+from conftest import random_line
 
 SQ3 = 1 / math.sqrt(3)
 
@@ -66,7 +68,7 @@ class TestThetaZeroAndRho:
     def test_random_draws_match_closed_form(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            cfg = classification_alpha(rng)
+            cfg = draw_alpha(rng)
             d = rng.uniform(0.15, 1 / math.sqrt(2))
             c = math.sqrt(1 - d * d)
             theta0, _ = theta0_and_rho(cfg, c, d)
@@ -83,7 +85,7 @@ class TestThetaZeroAndRho:
     def test_monotonicity_of_profile(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            cfg = classification_alpha(rng)
+            cfg = draw_alpha(rng)
             d = rng.uniform(0.15, 1 / math.sqrt(2) - 1e-3)
             c = math.sqrt(1 - d * d)
             theta0, rho = theta0_and_rho(cfg, c, d)
@@ -235,7 +237,7 @@ class TestDoubleAlphaSetClassify:
     def test_dim4_always_single_circle_through_inputs(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            cfg = classification_alpha(rng)
+            cfg = draw_alpha(rng)
             d = rng.uniform(0.15, 1 / math.sqrt(2))
             c = math.sqrt(1 - d * d)
             form = self._form(c, d, 4)

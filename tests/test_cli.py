@@ -216,6 +216,15 @@ class TestWignerVerbs:
         assert rep["forwardViolations"] == 0
         assert rep["backwardViolations"] == 0
 
+    def test_check_needs_a_pair(self, tmp_path):
+        code, sym = run_cli(["wigner-generate"], {"dim": 3}, tmp_path)
+        assert code == 0
+        code, out = run_cli(
+            ["wigner-check"], {"symmetry": sym, "alpha": 1.0, "nPairs": -3}, tmp_path
+        )
+        assert code == 1
+        assert out["error"] == "parameter"
+
     @pytest.mark.parametrize("seed", ["x", 1.5])
     def test_bad_seed_is_schema_error(self, tmp_path, seed):
         code, out = run_cli(["wigner-generate"], {"dim": 3, "seed": seed}, tmp_path)
@@ -292,7 +301,7 @@ class TestVerifySuites:
             ("circle4", 2, {"draws", "survivors"}),
             ("circle-char", 2, {"draws", "agreements"}),
             ("basic", 2, {"alpha_set_S1", "alpha_set_S2", "double_alpha_set", "triple_alpha_set"}),
-            # Below 9 draws this suite runs 1000.
+            # Without --draws this suite runs 1000; an explicit count is honoured.
             ("infinite-element", 9, {"draws", "agreements", "boundary_cases"}),
         ],
     )
@@ -302,6 +311,19 @@ class TestVerifySuites:
         assert out["verdict"] is True
         assert set(out["counts"]) == keys
         assert all(v > 0 for v in out["counts"].values())
+
+    @pytest.mark.parametrize("suite, key", [("infinite-element", "draws"), ("section5", "bridged")])
+    def test_explicit_draws_are_honoured(self, suite, key):
+        code, out = run_cli(["verify", suite, "--seed", "0", "--draws", "2"])
+        assert code == 0
+        assert out["verdict"] is True
+        assert out["counts"][key] == 2
+
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_draws_below_one_exit_2(self, draws):
+        code, out = run_cli(["verify", "shape", "--draws", draws])
+        assert code == 2
+        assert out["error"] == "schema"
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import qangle as qa
-from qangle.errors import ParameterError
+from qangle import oracle
+from qangle.errors import DimensionError, ParameterError
+from qangle.projspace import MAX_DIM
 
 from conftest import random_line
 
@@ -41,6 +43,16 @@ class TestSampleLines:
             qa.sample_lines(1, 10, 0)
         with pytest.raises(ParameterError):
             qa.sample_lines(3, 0, 0)
+
+    def test_dimension_bound(self):
+        with pytest.raises(DimensionError):
+            qa.sample_lines(MAX_DIM + 1, 10, 0)
+
+    def test_cloud_size_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CLOUD_ENTRIES", 100)
+        assert qa.sample_lines(4, 25, 0).count == 25
+        with pytest.raises(ParameterError):
+            qa.sample_lines(4, 26, 0)
 
 
 class TestCloudPersistence:

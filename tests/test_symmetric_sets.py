@@ -11,7 +11,9 @@ from qangle.symmetric_sets import (
     REASON_DIM_GE_4,
 )
 
-from conftest import classification_alpha, random_orthonormal_pair
+from qangle.verify import draw_alpha
+
+from conftest import random_orthonormal_pair
 
 SQ3 = 1 / math.sqrt(3)
 
@@ -25,7 +27,7 @@ class TestClassifyCircle:
     def test_dim4_always_symmetric(self):
         rng = np.random.default_rng(30)
         for _ in range(20):
-            cfg = classification_alpha(rng)
+            cfg = draw_alpha(rng)
             d = rng.uniform(0.1, 1 / math.sqrt(2))
             v = qa.classify_circle(std_circle(4, math.sqrt(1 - d * d), d), cfg, 4)
             assert v.tag == HIGHLY_SYMMETRIC
@@ -143,7 +145,7 @@ class TestEmpiricalCheck:
         }
         for k in range(12):
             dim = 3 if k % 2 == 0 else 4
-            cfg = classification_alpha(rng)
+            cfg = draw_alpha(rng)
             while True:
                 d = rng.uniform(0.15, 1 / math.sqrt(2) - 1e-3)
                 c = math.sqrt(1 - d * d)

@@ -11,6 +11,8 @@ from qangle.errors import (
     SpanError,
 )
 
+from qangle.verify import rotated_basis
+
 from conftest import random_line, random_orthonormal_pair
 
 
@@ -191,6 +193,13 @@ class TestPreservation:
         )
         assert rep.forward_violations + rep.backward_violations <= rep.pairs_tested
 
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_needs_a_pair(self, n_pairs):
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        w = qa.random_wigner(3, 2, False)
+        with pytest.raises(ParameterError):
+            qa.preservation_report(lambda v: qa.apply_symmetry(w, v), cfg, 3, n_pairs, 1, 1e-9)
+
     def test_json_shape(self):
         cfg = qa.AlphaConfig.from_alpha(1.0)
         w = qa.random_wigner(3, 2, False)
@@ -255,10 +264,7 @@ class TestExoticMap:
 class TestCircleIntersection:
     def _basis_pair(self, rng, dim, afrak, mu):
         e1, e2 = random_orthonormal_pair(rng, dim)
-        bfrak = math.sqrt(1 - afrak * afrak)
-        f1 = qa.canonical_line(afrak * e1.amplitudes + mu * bfrak * e2.amplitudes)
-        f2 = qa.canonical_line(bfrak * e1.amplitudes - mu * afrak * e2.amplitudes)
-        return e1, e2, f1, f2
+        return (e1, e2, *rotated_basis(e1, e2, afrak, mu))
 
     def test_balanced_weights_explicit_lines(self):
         rng = np.random.default_rng(40)
@@ -287,9 +293,7 @@ class TestCircleIntersection:
         e1, e2 = random_orthonormal_pair(rng, 3)
 
         def count(afrak):
-            b = math.sqrt(1 - afrak**2)
-            f1 = qa.canonical_line(afrak * e1.amplitudes + mu * b * e2.amplitudes)
-            f2 = qa.canonical_line(b * e1.amplitudes - mu * afrak * e2.amplitudes)
+            f1, f2 = rotated_basis(e1, e2, afrak, mu)
             return len(qa.circle_intersection(e1, e2, f1, f2, math.sqrt(7 / 12)))
 
         lo, hi = 0.05, 0.4
@@ -334,10 +338,7 @@ class TestBridgeBasis:
 
     def _basis_pair(self, rng, afrak, mu):
         e1, e2 = random_orthonormal_pair(rng, 3)
-        b = math.sqrt(1 - afrak * afrak)
-        f1 = qa.canonical_line(afrak * e1.amplitudes + mu * b * e2.amplitudes)
-        f2 = qa.canonical_line(b * e1.amplitudes - mu * afrak * e2.amplitudes)
-        return e1, e2, f1, f2
+        return (e1, e2, *rotated_basis(e1, e2, afrak, mu))
 
     def test_large_overlap_returns_original(self):
         rng = np.random.default_rng(46)
