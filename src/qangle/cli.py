@@ -18,7 +18,7 @@ import numpy as np
 
 from . import alphasets, oracle, projspace, symmetric_sets, verify, wigner
 from .alphasets import AlphaConfig
-from .errors import NotAWignerMapError, QAngleError
+from .errors import DimensionError, NotAWignerMapError, QAngleError
 from .projspace import Line, canonical_line
 
 PAYLOAD_VERBS = (
@@ -36,6 +36,10 @@ PAYLOAD_VERBS = (
     "intersect",
     "bridge",
 )
+
+
+# Suite parameters of ``verify``; a suite takes only those in its ``Suite.options``.
+_SUITE_OPTIONS = ("dim", "a", "c", "d")
 
 
 class SchemaError(Exception):
@@ -267,12 +271,19 @@ def _run_suite(args) -> oracle.OracleReport:
     draws = suite.draws if args.draws is None else args.draws
     if draws < 1:
         raise SchemaError(f"--draws must be >= 1, got {draws}")
-    extra = {}
-    if args.suite == "circle3" and args.a is not None:
-        if args.c is None or args.d is None:
-            raise SchemaError("circle3 with --a also needs --c and --d")
-        extra = {"a": args.a, "c": args.c, "d": args.d}
-    return suite.run(args.seed, draws, args.dim, **extra)
+    given = {k: v for k in _SUITE_OPTIONS if (v := getattr(args, k)) is not None}
+    unused = sorted(given.keys() - suite.options)
+    if unused:
+        raise SchemaError(f"suite {args.suite} does not take " + ", ".join(f"--{k}" for k in unused))
+    dim = given.get("dim", 2)
+    if dim < 2:
+        raise SchemaError(f"--dim must be >= 2, got {dim}")
+    if dim > projspace.MAX_DIM:
+        # Checked before the suite runs, which would allocate dim-sized arrays first.
+        raise DimensionError(f"dim {dim} outside supported range [2, {projspace.MAX_DIM}]")
+    if given.keys() & {"a", "c", "d"} and not {"a", "c", "d"} <= given.keys():
+        raise SchemaError(f"{args.suite} needs --a, --c and --d together")
+    return suite.run(args.seed, draws, **given)
 
 
 def _read_payload(args) -> dict:
@@ -304,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=tuple(verify.SUITES))
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--out", dest="outfile", help="also write the report JSON here")
     sp.add_argument("--draws", type=int, default=None, help="number of random draws (default: per suite)")
     sp.add_argument("--dim", type=int, default=None, help="ambient dimension")

@@ -21,8 +21,14 @@ from .projspace import GAUGE_TOL, MAX_DIM, Line, canonical_line, quantum_angle
 _HEADER = struct.Struct("<QQQ")
 
 # Largest count * dim of a cloud (256 MB of amplitudes): four times the
-# 1 000 000 lines of dimension 4 that the acceptance criteria sample.
+# 1 000 000 lines of dimension 4 that the acceptance criteria sample.  The
+# cloud path works in row blocks, so generating, loading, saving or
+# filtering a cloud of that size peaks near 256 MB plus one block.
 MAX_CLOUD_ENTRIES = 16_000_000
+
+# Rows per block on the cloud path: every row is computed as in one shot, and
+# each working buffer holds at most this many rows.
+_BLOCK_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -48,8 +54,7 @@ class SampleCloud:
         return Line(self.dim, self.vectors[i].copy())
 
 
-def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
-    """Independent complex-Gaussian lines, normalized and gauged; deterministic per seed."""
+def _check_cloud_shape(dim: int, count: int) -> None:
     if dim < 2:
         raise ParameterError(f"dim must be >= 2, got {dim}")
     if dim > MAX_DIM:
@@ -58,34 +63,67 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
         raise ParameterError(f"count must be >= 1, got {count}")
     if count * dim > MAX_CLOUD_ENTRIES:
         raise ParameterError(f"{count} lines of dimension {dim} exceed {MAX_CLOUD_ENTRIES} amplitudes")
+
+
+def _blocks(count: int):
+    """Row ranges of at most ``_BLOCK_ROWS + 1`` rows covering ``range(count)``.
+
+    A single leftover row joins the block before it: numpy multiplies a
+    one-row matrix through a matrix-vector BLAS call, whose rounding can
+    differ from the matrix-matrix call every other block takes.
+    """
+    start = 0
+    while start < count:
+        stop = min(start + _BLOCK_ROWS, count)
+        if count - stop == 1:
+            stop = count
+        yield start, stop
+        start = stop
+
+
+def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
+    """Independent complex-Gaussian lines, normalized and gauged; deterministic per seed.
+
+    All real parts are drawn first, then all imaginary parts, as one
+    ``standard_normal((count, dim))`` call each would draw them.
+    """
+    _check_cloud_shape(dim, count)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    idx = np.argmax(np.abs(v) > GAUGE_TOL, axis=1)
-    lead = v[np.arange(count), idx]
-    v *= (lead.conj() / np.abs(lead))[:, None]
+    v = np.empty((count, dim), dtype=complex)
+    buf = np.empty((min(count, _BLOCK_ROWS + 1), dim))
+    for part in (v.real, v.imag):
+        for start, stop in _blocks(count):
+            part[start:stop] = rng.standard_normal(out=buf[: stop - start])
+    for start, stop in _blocks(count):
+        w = v[start:stop]
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        idx = np.argmax(np.abs(w) > GAUGE_TOL, axis=1)
+        lead = w[np.arange(stop - start), idx]
+        w *= (lead.conj() / np.abs(lead))[:, None]
     return SampleCloud(dim, v, seed)
 
 
 def save_cloud(cloud: SampleCloud, path) -> None:
     """Persist a cloud: header (dim, count, seed as little-endian uint64), then
     little-endian doubles with re/im interleaved per amplitude."""
-    flat = np.empty(cloud.count * cloud.dim * 2, dtype="<f8")
-    flat[0::2] = cloud.vectors.real.reshape(-1)
-    flat[1::2] = cloud.vectors.imag.reshape(-1)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(cloud.dim, cloud.count, cloud.seed))
-        fh.write(flat.tobytes())
+        cloud.vectors.astype("<c16", copy=False).tofile(fh)
 
 
 def load_cloud(path) -> SampleCloud:
+    """Read a cloud written by :func:`save_cloud`; the header is checked against
+    the bounds of :func:`sample_lines` before the payload is read."""
     with open(path, "rb") as fh:
-        dim, count, seed = _HEADER.unpack(fh.read(_HEADER.size))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    if flat.size != count * dim * 2:
-        raise ParameterError("cloud file payload size does not match its header")
-    vecs = (flat[0::2] + 1j * flat[1::2]).reshape(count, dim)
-    return SampleCloud(int(dim), vecs, int(seed))
+        head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ParameterError("cloud file is shorter than its header")
+        dim, count, seed = _HEADER.unpack(head)
+        _check_cloud_shape(dim, count)
+        vecs = np.fromfile(fh, dtype="<c16", count=count * dim)
+        if vecs.size != count * dim or fh.read(1):
+            raise ParameterError("cloud file payload size does not match its header")
+    return SampleCloud(int(dim), vecs.astype(complex, copy=False).reshape(count, dim), int(seed))
 
 
 @dataclass(frozen=True)
@@ -139,10 +177,15 @@ def _lines_matrix(lines) -> np.ndarray:
 
 def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.ndarray:
     """Per-row maximum of |angle(row, g) - alpha| over the generators."""
-    gens = _lines_matrix(generators)
-    m = np.abs(np.atleast_2d(vectors) @ gens.conj().T)
-    ang = np.arccos(np.clip(m, 0.0, 1.0))
-    return np.max(np.abs(ang - float(cfg.alpha)), axis=1)
+    gens_h = _lines_matrix(generators).conj().T
+    alpha = float(cfg.alpha)
+    vectors = np.atleast_2d(vectors)
+    out = np.empty(vectors.shape[0])
+    for start, stop in _blocks(vectors.shape[0]):
+        m = np.abs(vectors[start:stop] @ gens_h)
+        ang = np.arccos(np.clip(m, 0.0, 1.0))
+        out[start:stop] = np.max(np.abs(ang - alpha), axis=1)
+    return out
 
 
 def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:

@@ -187,10 +187,9 @@ def check_bridges(tally: Tally, rng: np.random.Generator, dim: int, draws: int) 
     return draws
 
 
-def suite_shape(seed: int, draws: int, dim=None) -> OracleReport:
+def suite_shape(seed: int, draws: int, dim: int = 3) -> OracleReport:
     """Cutoff angle and radius profile of the pair alpha-set, and its samples' angles."""
     rng = np.random.default_rng(seed)
-    dim = dim or 3
     tally = Tally(counts={"draws": draws, "samples": 0})
     for k in range(draws):
         cfg = draw_alpha(rng)
@@ -246,7 +245,7 @@ def suite_collin_alpha(seed: int, draws: int, dim=None) -> OracleReport:
     return tally.report()
 
 
-def suite_circle4(seed: int, draws: int, dim=None) -> OracleReport:
+def suite_circle4(seed: int, draws: int) -> OracleReport:
     """Double-alpha-sets of collinear triples in dimension 4 are single circles."""
     rng = np.random.default_rng(seed)
     dim = 4
@@ -273,7 +272,7 @@ def _snap_parameters(a: float, c: float, d: float) -> tuple[float, float, float]
     return a, c / s, d / s
 
 
-def suite_circle3(seed: int, draws: int, dim=None, a=None, c=None, d=None) -> OracleReport:
+def suite_circle3(seed: int, draws: int, a=None, c=None, d=None) -> OracleReport:
     """Dimension-3 double-alpha-sets: the case split and the defining condition, for
     the triple ``(a, c, d)`` if given, else the exceptional triples and ``draws`` random ones."""
     rng = np.random.default_rng(seed)
@@ -299,7 +298,7 @@ def suite_circle3(seed: int, draws: int, dim=None, a=None, c=None, d=None) -> Or
     return tally.report()
 
 
-def suite_infinite_element(seed: int, draws: int, dim=None) -> OracleReport:
+def suite_infinite_element(seed: int, draws: int) -> OracleReport:
     """Disk root counts against the triangle-inequality band, and constructed tangencies."""
     rng = np.random.default_rng(seed)
     tally = Tally(counts={"draws": 0, "agreements": 0, "boundary_cases": 0})
@@ -341,7 +340,7 @@ def suite_infinite_element(seed: int, draws: int, dim=None) -> OracleReport:
     return tally.report()
 
 
-def suite_circle_char(seed: int, draws: int, dim=None) -> OracleReport:
+def suite_circle_char(seed: int, draws: int) -> OracleReport:
     """The circle classifier against the sampled symmetry check, alternating dimensions 3 and 4."""
     rng = np.random.default_rng(seed)
     tally = Tally(counts={"draws": draws, "agreements": 0})
@@ -359,10 +358,9 @@ def suite_circle_char(seed: int, draws: int, dim=None) -> OracleReport:
     return tally.report()
 
 
-def suite_basic(seed: int, draws: int, dim=None) -> OracleReport:
+def suite_basic(seed: int, draws: int, dim: int = 3) -> OracleReport:
     """The elementary alpha-set relations for a one-line and a two-line generator set."""
     rng = np.random.default_rng(seed)
-    dim = dim or 3
     cloud = oracle.sample_lines(dim, 60_000, seed + 5)
     cfg = draw_alpha(rng)
     g = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
@@ -371,10 +369,9 @@ def suite_basic(seed: int, draws: int, dim=None) -> OracleReport:
     return oracle.verify_basic_relations(s1, s2, cfg, cloud)
 
 
-def suite_section5(seed: int, draws: int, dim=None) -> OracleReport:
+def suite_section5(seed: int, draws: int, dim: int = 3) -> OracleReport:
     """Section 5: balanced common lines, the count threshold at 1/6, and ``draws`` bridges."""
     rng = np.random.default_rng(seed)
-    dim = dim or 3
     tally = Tally()
     check_balanced_common_lines(tally, rng, dim, 20)
     check_count_threshold(tally, rng, dim)
@@ -386,15 +383,18 @@ def suite_section5(seed: int, draws: int, dim=None) -> OracleReport:
 class Suite:
     run: Callable[..., OracleReport]
     draws: int = 8  # when the caller names no count
+    options: frozenset = frozenset()  # the keyword arguments of ``run`` beyond seed and draws
 
+
+_DIM = frozenset({"dim"})
 
 SUITES: dict[str, Suite] = {
-    "shape": Suite(suite_shape),
-    "collin-alpha": Suite(suite_collin_alpha),
+    "shape": Suite(suite_shape, options=_DIM),
+    "collin-alpha": Suite(suite_collin_alpha, options=_DIM),
     "circle4": Suite(suite_circle4),
-    "circle3": Suite(suite_circle3),
+    "circle3": Suite(suite_circle3, options=frozenset({"a", "c", "d"})),
     "infinite-element": Suite(suite_infinite_element, draws=1000),
     "circle-char": Suite(suite_circle_char),
-    "basic": Suite(suite_basic),
-    "section5": Suite(suite_section5, draws=100),
+    "basic": Suite(suite_basic, options=_DIM),
+    "section5": Suite(suite_section5, draws=100, options=_DIM),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,8 @@ import pytest
 
 import qangle as qa
 from qangle.cli import main
+from qangle.projspace import MAX_DIM
+from qangle.verify import SUITES
 
 
 def run_cli(args, payload=None, tmp_path=None):
@@ -324,6 +327,48 @@ class TestVerifySuites:
         code, out = run_cli(["verify", "shape", "--draws", draws])
         assert code == 2
         assert out["error"] == "schema"
+
+    def _schema_error(self, args):
+        code, out = run_cli(["verify", *args, "--draws", "1"])
+        assert code == 2
+        assert out["error"] == "schema"
+
+    @pytest.mark.parametrize("suite", ["circle4", "circle3", "circle-char", "infinite-element"])
+    def test_dim_rejected_where_unused(self, suite):
+        self._schema_error([suite, "--dim", "4"])
+
+    @pytest.mark.parametrize("flag", ["--a", "--c", "--d"])
+    @pytest.mark.parametrize("suite", [s for s in SUITES if s != "circle3"])
+    def test_circle_weights_rejected_elsewhere(self, suite, flag):
+        self._schema_error([suite, flag, "0.5"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--c", "0.8"], ["--d", "0.6"], ["--c", "0.8", "--d", "0.6"], ["--a", "0.5"], ["--a", "0.5", "--d", "0.6"]],
+    )
+    def test_circle3_takes_a_c_d_together(self, flags):
+        self._schema_error(["circle3", *flags])
+
+    @pytest.mark.parametrize("dim", ["1", "0", "-3"])
+    @pytest.mark.parametrize("suite", ["shape", "collin-alpha", "basic", "section5"])
+    def test_dim_below_two(self, suite, dim):
+        self._schema_error([suite, "--dim", dim])
+
+    @pytest.mark.parametrize("suite", ["shape", "collin-alpha", "basic", "section5"])
+    def test_dim_above_max_dim_is_refused_before_running(self, suite, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(SUITES, suite, dataclasses.replace(SUITES[suite], run=must_not_run))
+        code, out = run_cli(["verify", suite, "--dim", str(MAX_DIM + 1), "--draws", "1"])
+        assert code == 1
+        assert out["error"] == "dimension-mismatch"
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_tol_is_not_a_verify_flag(self, suite):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", suite, "--tol", "1e-3", "--draws", "1"])
+        assert err.value.code == 2
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import qangle as qa
 from qangle import oracle
 from qangle.errors import DimensionError, ParameterError
-from qangle.projspace import MAX_DIM
+from qangle.projspace import GAUGE_TOL, MAX_DIM
 
 from conftest import random_line
 
@@ -73,6 +75,141 @@ class TestCloudPersistence:
         assert (dim, count, seed) == (2, 4, 9)
         payload = np.frombuffer(raw[24:], dtype="<f8")
         assert payload.size == 2 * 4 * 2
+
+    @staticmethod
+    def _write(path, dim, count, payload_amplitudes):
+        path.write_bytes(struct.pack("<QQQ", dim, count, 0) + bytes(16 * payload_amplitudes))
+        return path
+
+    @pytest.mark.parametrize(
+        "dim, count, error",
+        [(0, 5, ParameterError), (MAX_DIM + 1, 1, DimensionError), (3, 0, ParameterError)],
+    )
+    def test_header_bounds(self, tmp_path, dim, count, error):
+        path = self._write(tmp_path / "c.bin", dim, count, dim * count)
+        with pytest.raises(error):
+            qa.load_cloud(path)
+
+    def test_header_cloud_size_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CLOUD_ENTRIES", 100)
+        assert qa.load_cloud(self._write(tmp_path / "ok.bin", 4, 25, 100)).count == 25
+        with pytest.raises(ParameterError):
+            qa.load_cloud(self._write(tmp_path / "big.bin", 4, 26, 104))
+
+    @pytest.mark.parametrize("amplitudes", [11, 13])
+    def test_payload_must_match_header(self, tmp_path, amplitudes):
+        # 4 lines of dimension 3 carry 12 amplitudes: one short, then one trailing.
+        path = self._write(tmp_path / "c.bin", 3, 4, amplitudes)
+        with pytest.raises(ParameterError):
+            qa.load_cloud(path)
+
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(struct.pack("<QQ", 3, 4))
+        with pytest.raises(ParameterError):
+            qa.load_cloud(path)
+
+
+def one_shot_lines(dim, count, seed):
+    """The cloud of ``sample_lines`` computed on the whole array at once."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    idx = np.argmax(np.abs(v) > GAUGE_TOL, axis=1)
+    lead = v[np.arange(count), idx]
+    v *= (lead.conj() / np.abs(lead))[:, None]
+    return v
+
+
+def one_shot_residuals(generators, alpha, vectors):
+    gens = np.vstack([g.amplitudes for g in generators])
+    ang = np.arccos(np.clip(np.abs(vectors @ gens.conj().T), 0.0, 1.0))
+    return np.max(np.abs(ang - alpha), axis=1)
+
+
+class TestBlockedCloudPath:
+    """The cloud path works in row blocks; every row must come out as in one shot."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("count", [1, 6, 7, 8, 26])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_sample_lines_matches_one_shot(self, monkeypatch, block, count, dim):
+        if block is not None:
+            monkeypatch.setattr(oracle, "_BLOCK_ROWS", block)
+        cloud = qa.sample_lines(dim, count, 10 * dim + count)
+        assert np.array_equal(cloud.vectors, one_shot_lines(dim, count, 10 * dim + count))
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("n_gens", [1, 3])
+    def test_rejection_matches_one_shot(self, monkeypatch, block, n_gens):
+        if block is not None:
+            monkeypatch.setattr(oracle, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(n_gens)
+        cfg = qa.AlphaConfig.from_alpha(1.1)
+        cloud = qa.sample_lines(3, 20_000, 4)  # 20 000 = 7 * 2857 + 1: a one-row remainder
+        gens = [random_line(rng, 3) for _ in range(n_gens)]
+        res = oracle.angle_residuals(gens, cfg, cloud.vectors)
+        ref = one_shot_residuals(gens, float(cfg.alpha), cloud.vectors)
+        assert np.max(np.abs(res - ref)) <= 1e-15
+        tol = 5e-2 if n_gens == 3 else 1e-3
+        rows = np.nonzero(ref <= tol)[0]
+        assert rows.size > 0
+        members = qa.alpha_set_numeric(gens, cfg, cloud, tol)
+        assert np.array_equal(np.vstack([m.amplitudes for m in members]), cloud.vectors[rows])
+
+    def test_save_cloud_writes_interleaved_doubles(self, tmp_path):
+        cloud = qa.sample_lines(3, 40, 12)
+        flat = np.empty(cloud.count * cloud.dim * 2, dtype="<f8")
+        flat[0::2] = cloud.vectors.real.reshape(-1)
+        flat[1::2] = cloud.vectors.imag.reshape(-1)
+        path = tmp_path / "c.bin"
+        qa.save_cloud(cloud, path)
+        assert path.read_bytes() == struct.pack("<QQQ", 3, 40, 12) + flat.tobytes()
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes it allocated above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+class TestMemoryBudget:
+    """Working memory of the cloud path, in units of the cloud's own bytes."""
+
+    DIM, COUNT, SEED = 4, 200_000, 3
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        return qa.sample_lines(self.DIM, self.COUNT, self.SEED)
+
+    def test_sample_lines(self):
+        cloud, peak = traced_peak(lambda: qa.sample_lines(self.DIM, self.COUNT, self.SEED))
+        assert peak <= 1.5 * cloud.vectors.nbytes
+
+    def test_rejection(self, cloud):
+        rng = np.random.default_rng(5)
+        gens = [random_line(rng, self.DIM) for _ in range(3)]
+        cfg = qa.AlphaConfig.from_alpha(1.1)
+        members, peak = traced_peak(lambda: qa.alpha_set_numeric(gens, cfg, cloud, 1e-2))
+        assert members
+        assert peak <= 0.5 * cloud.vectors.nbytes
+
+    def test_save_cloud(self, cloud, tmp_path):
+        _, peak = traced_peak(lambda: qa.save_cloud(cloud, tmp_path / "c.bin"))
+        assert peak <= 0.25 * cloud.vectors.nbytes
+
+    def test_load_cloud(self, cloud, tmp_path):
+        path = tmp_path / "c.bin"
+        qa.save_cloud(cloud, path)
+        again, peak = traced_peak(lambda: qa.load_cloud(path))
+        assert np.array_equal(again.vectors, cloud.vectors)
+        assert peak <= 1.25 * cloud.vectors.nbytes
 
 
 class TestAlphaSetNumeric:
