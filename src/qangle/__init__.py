@@ -9,7 +9,6 @@ cross-checks every closed form.
 from .alphasets import (
     AlphaConfig,
     AlphaSetDescriptor,
-    AthetaComponent,
     AthetaFamily,
     Cardinality,
     Circle,

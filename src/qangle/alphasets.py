@@ -123,34 +123,19 @@ def theta0_and_rho(cfg: AlphaConfig, c: float, d: float):
 
     rho(theta) = sqrt(1 - (a/c)^2 cos^2 theta - (a/d)^2 sin^2 theta) on
     [-theta0, theta0].  If a <= d the cutoff is pi/2; otherwise theta0 is the
-    unique zero of rho in (0, pi/2), found by bisection to 1e-14.
+    unique zero of rho in (0, pi/2), in closed form
+    atan2(sqrt(1 - (a/c)^2), sqrt((a/d)^2 - 1)), which stays well
+    conditioned as a approaches d.
 
     Returns a pair (theta0, rho) where rho accepts scalars or arrays and
     raises DomainError outside [-theta0, theta0].
     """
     a = cfg.a
     _check_profile_weights(a, c, d)
-
-    ac2 = (a / c) ** 2
-    ad2 = (a / d) ** 2
-
     if a <= d:
         theta0 = np.pi / 2
     else:
-        lo, hi = 0.0, np.pi / 2
-
-        def g(t: float) -> float:
-            return ac2 * np.cos(t) ** 2 + ad2 * np.sin(t) ** 2 - 1.0
-
-        # g(0) = (a/c)^2 - 1 < 0 and g(pi/2) = (a/d)^2 - 1 > 0; g is monotone.
-        while hi - lo > 1e-14:
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        theta0 = 0.5 * (lo + hi)
-
+        theta0 = math.atan2(math.sqrt(1.0 - (a / c) ** 2), math.sqrt((a / d) ** 2 - 1.0))
     return float(theta0), partial(_rho, a, c, d, theta0)
 
 
@@ -194,7 +179,8 @@ class AthetaFamily:
     e1 and e2 and ||h|| = rho(theta), where eh2 = e2_phase * e2 is the
     phase-corrected second basis vector inherited from the pair canonical
     form (the family is a different set for a different phase).  The
-    weights must satisfy c >= d > 0, c^2 + d^2 = 1 and c > a.
+    weights must satisfy c >= d > 0, c^2 + d^2 = 1 and c > a.  The family is
+    itself the descriptor component of a pair alpha-set.
     """
 
     e1: Line
@@ -431,23 +417,7 @@ class PointComponent:
         return {"kind": "point", "line": self.line.to_json()}
 
 
-@dataclass(frozen=True)
-class AthetaComponent:
-    """Descriptor component wrapping a full A_theta family."""
-
-    family: AthetaFamily
-
-    def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
-        return self.family.sample(count, rng)
-
-    def distance(self, v: Line) -> float:
-        return self.family.distance(v)
-
-    def to_json(self) -> dict:
-        return self.family.to_json()
-
-
-Component = CircleComponent | SphereSliceComponent | PointComponent | AthetaComponent
+Component = CircleComponent | SphereSliceComponent | PointComponent | AthetaFamily
 
 
 @dataclass(frozen=True)
@@ -495,7 +465,7 @@ def pair_alpha_set(v1: Line, v2: Line, cfg: AlphaConfig) -> AlphaSetDescriptor:
     fam = AthetaFamily(
         pair.e1, pair.e2, pair.c, pair.d, float(cfg.alpha), theta0, v1.dim, pair.e2_phase
     )
-    return AlphaSetDescriptor((AthetaComponent(fam),))
+    return AlphaSetDescriptor((fam,))
 
 
 def _check_distinct_lambdas(lambdas) -> None:
@@ -771,17 +741,15 @@ def descriptor_from_json(obj: dict) -> AlphaSetDescriptor:
         elif kind == "atheta":
             ph = c.get("e2_phase", {"re": 1.0, "im": 0.0})
             comps.append(
-                AthetaComponent(
-                    AthetaFamily(
-                        Line.from_json(c["e1"]),
-                        Line.from_json(c["e2"]),
-                        c["c"],
-                        c["d"],
-                        c["alpha"],
-                        c["theta0"],
-                        c["ambient_dim"],
-                        complex(ph["re"], ph["im"]),
-                    )
+                AthetaFamily(
+                    Line.from_json(c["e1"]),
+                    Line.from_json(c["e2"]),
+                    c["c"],
+                    c["d"],
+                    c["alpha"],
+                    c["theta0"],
+                    c["ambient_dim"],
+                    complex(ph["re"], ph["im"]),
                 )
             )
         else:

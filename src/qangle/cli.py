@@ -18,7 +18,7 @@ import numpy as np
 
 from . import alphasets, oracle, projspace, symmetric_sets, verify, wigner
 from .alphasets import AlphaConfig
-from .errors import DimensionError, NotAWignerMapError, QAngleError
+from .errors import DimensionError, NotAWignerMapError, QAngleError, RangeError
 from .projspace import Line, canonical_line
 
 PAYLOAD_VERBS = (
@@ -95,9 +95,15 @@ def _lines(payload: dict, key: str) -> list[Line]:
 
 def _complex(payload: dict, key: str) -> complex:
     obj = _need(payload, key, dict)
-    if "re" not in obj or "im" not in obj:
-        raise SchemaError(f"field {key!r} must carry re and im")
-    return complex(float(obj["re"]), float(obj["im"]))
+    return complex(_need(obj, "re", float), _need(obj, "im", float))
+
+
+def _symmetry(payload: dict, key: str) -> wigner.WignerSymmetry:
+    obj = _need(payload, key, dict)
+    try:
+        return wigner.WignerSymmetry.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"field {key!r} is not a valid symmetry: {exc}") from exc
 
 
 def _cfg(payload: dict) -> AlphaConfig:
@@ -118,6 +124,8 @@ def _run_canonical(payload, args):
     im = _need(payload, "im", list)
     if len(re) != len(im):
         raise SchemaError("re and im must have the same length")
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in re + im):
+        raise SchemaError("re and im must hold numbers")
     vec = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     return canonical_line(vec).to_json()
 
@@ -162,6 +170,11 @@ def _run_classify_circle(payload, args):
     dim = _need(payload, "dim", int)
     cf = _need(payload, "cfrak", float)
     df = _need(payload, "dfrak", float)
+    # Checked before the default basis allocates dim x dim amplitudes.
+    if dim < 3:
+        raise RangeError("classification needs ambient dimension >= 3")
+    if dim > projspace.MAX_DIM:
+        raise DimensionError(f"dim {dim} outside supported range [3, {projspace.MAX_DIM}]")
     if "e1" in payload:
         e1, e2 = _line(payload, "e1"), _line(payload, "e2")
     else:
@@ -218,7 +231,7 @@ def _run_wigner_fit(payload, args):
 
 def _run_wigner_check(payload, args):
     cfg = _cfg(payload)
-    sym = wigner.WignerSymmetry.from_json(_need(payload, "symmetry", dict))
+    sym = _symmetry(payload, "symmetry")
     n_pairs = _optional(payload, "nPairs", int, 200)
     seed = _optional(payload, "seed", int, args.seed)
     tol = _optional(payload, "tol", float, args.tol if args.tol is not None else 1e-9)

@@ -14,6 +14,7 @@ use to describe alpha-sets in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,14 @@ def random_orthonormal_pair(rng: np.random.Generator, dim: int) -> tuple[Line, L
     return canonical_line(q[:, 0]), canonical_line(q[:, 1])
 
 
+def distinct_unimodular_triple(rng: np.random.Generator, min_gap: float) -> tuple:
+    """Three unimodular numbers, pairwise further apart than ``min_gap``."""
+    while True:
+        lams = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+        if min(abs(lams[i] - lams[j]) for i in range(3) for j in range(i + 1, 3)) > min_gap:
+            return tuple(lams)
+
+
 @dataclass(frozen=True)
 class PairCanonicalForm:
     """Orthonormal pair (e1, e2) and weights c >= d > 0 with c^2 + d^2 = 1.
@@ -297,45 +306,15 @@ def is_collinear(v1: Line, v2: Line, v3: Line) -> bool:
     return bool(s[2] < COLLINEARITY_TOL)
 
 
-def _first_root_bisection(h, lo: float, hi: float, grid: int = 64, tol: float = 1e-12) -> float:
-    """Leftmost root of a continuous scalar function on [lo, hi] via grid + bisection."""
-    ts = np.linspace(lo, hi, grid + 1)
-    vals = np.array([h(t) for t in ts])
-    if np.max(np.abs(vals)) < 1e-15:
-        return lo
-    if abs(vals[0]) < 1e-15:
-        return float(ts[0])
-    idx = None
-    for i in range(grid):
-        if abs(vals[i + 1]) < 1e-15:
-            return float(ts[i + 1])
-        if vals[i] * vals[i + 1] < 0:
-            idx = i
-            break
-    if idx is None:
-        raise ParameterError("no sign change found for bisection")
-    a, b = float(ts[idx]), float(ts[idx + 1])
-    fa = vals[idx]
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = h(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def canonical_triple_form(v1: Line, v2: Line, v3: Line) -> TripleCanonicalForm:
     """Canonical form of three pairwise distinct collinear lines.
 
     Builds the pair form of (v1, v2), rotates the resulting basis by the
-    smallest angle t that equalizes all three overlap moduli (found by
-    bisection to 1e-12), and reads off c >= d > 0 together with the three
-    unimodular factors.  When c and d tie, the basis produced by the
-    construction is kept unchanged.
+    smallest angle t in [0, pi/2) that equalizes all three overlap moduli,
+    and reads off c >= d > 0 together with the three unimodular factors.
+    The equalizing function is a pure sinusoid in 2t, so t has a closed
+    form; when it vanishes identically (within 1e-15) t = 0 is kept.  When
+    c and d tie, the basis produced by the construction is kept unchanged.
     """
     if not is_collinear(v1, v2, v3):
         raise NotCollinearError("input lines are not collinear")
@@ -356,13 +335,12 @@ def canonical_triple_form(v1: Line, v2: Line, v3: Line) -> TripleCanonicalForm:
     p3 = np.vdot(f1, w3)
     q3 = np.vdot(f2, w3)
 
-    cf, df = pair.c, pair.d
-
-    def h(t: float) -> float:
-        ov = abs(p3.conjugate() * np.cos(t) + q3.conjugate() * np.sin(t)) ** 2
-        return float(ov - (cf**2 * np.cos(t) ** 2 + df**2 * np.sin(t) ** 2))
-
-    t = _first_root_bisection(h, 0.0, np.pi / 2, tol=1e-14)
+    # The equalizing function h(t) = |<cos(t) f1 + sin(t) f2, w3>|^2
+    # - (c^2 cos^2 t + d^2 sin^2 t) equals p + q cos 2t + r sin 2t, and
+    # p = (|p3|^2 + |q3|^2 - c^2 - d^2) / 2 vanishes; t is its leftmost zero.
+    q = ((abs(p3) ** 2 - pair.c**2) - (abs(q3) ** 2 - pair.d**2)) / 2.0
+    r = float((p3.conjugate() * q3).real)
+    t = 0.0 if math.hypot(q, r) < 1e-15 else ((math.atan2(r, q) + np.pi / 2) % np.pi) / 2.0
     e1 = canonical_line(np.cos(t) * f1 + np.sin(t) * f2)
     e2 = canonical_line(-np.sin(t) * f1 + np.cos(t) * f2)
 

@@ -35,7 +35,7 @@ from .oracle import (
     sample_lines,
     worst_angle_residual,
 )
-from .projspace import canonical_triple_form
+from .projspace import canonical_triple_form, distinct_unimodular_triple
 
 #: Enumerated verdict reasons.
 REASON_DIM_GE_4 = "dim-at-least-4"
@@ -111,18 +111,6 @@ def classify_circle(circle: CircleComponent, cfg: AlphaConfig, ambient_dim: int)
     return SymmetryVerdict(HIGHLY_SYMMETRIC, REASON_SINGLE_CIRCLE, margins)
 
 
-def _distinct_phases(rng: np.random.Generator) -> np.ndarray:
-    for _ in range(64):
-        phis = rng.uniform(0.0, 2.0 * np.pi, 3)
-        if min(
-            abs(np.exp(1j * phis[i]) - np.exp(1j * phis[j]))
-            for i in range(3)
-            for j in range(i + 1, 3)
-        ) > 1e-3:
-            return phis
-    raise ParameterError("could not draw three distinct circle points")
-
-
 def empirical_high_symmetry_check(
     circle: CircleComponent,
     cfg: AlphaConfig,
@@ -157,8 +145,7 @@ def empirical_high_symmetry_check(
     double_descr: AlphaSetDescriptor | None = None
 
     for _ in range(n_triples):
-        phis = _distinct_phases(rng)
-        v1, v2, v3 = (circle.member(np.exp(1j * p)) for p in phis)
+        v1, v2, v3 = (circle.member(lam) for lam in distinct_unimodular_triple(rng, 1e-3))
         form = canonical_triple_form(v1, v2, v3)
         descr = double_alpha_set_classify(form, cfg, ambient_dim)
         first = collinear_triple_alpha_set(form, cfg, ambient_dim)

@@ -18,7 +18,7 @@ from . import alphasets, oracle, projspace, symmetric_sets, wigner
 from .alphasets import AlphaConfig, AthetaFamily
 from .errors import QAngleError
 from .oracle import OracleReport, SampleCloud, Tally, worst_angle_residual
-from .projspace import Line, canonical_line, random_orthonormal_pair
+from .projspace import Line, canonical_line, distinct_unimodular_triple, random_orthonormal_pair
 
 SOUNDNESS_TOL = 1e-9  # |angle - alpha| of a descriptor sample, to every generator
 COMPLETENESS_TOL = 1e-5  # distance of a refined oracle member to the descriptor
@@ -42,14 +42,6 @@ def random_cd(rng: np.random.Generator, a: float, margin: float = 1e-3) -> tuple
             continue
         return c, d
     raise QAngleError("failed to draw circle weights away from the boundaries")
-
-
-def distinct_unimodular_triple(rng: np.random.Generator, min_gap: float) -> tuple:
-    """Three unimodular numbers, pairwise further apart than ``min_gap``."""
-    while True:
-        lams = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        if min(abs(lams[i] - lams[j]) for i in range(3) for j in range(i + 1, 3)) > min_gap:
-            return tuple(lams)
 
 
 def rotated_basis(e1: Line, e2: Line, afr: float, mu: complex) -> tuple[Line, Line]:
@@ -229,13 +221,17 @@ def _random_triple(rng: np.random.Generator, dim: int):
 
 
 def suite_collin_alpha(seed: int, draws: int, dim=None) -> OracleReport:
-    """Collinear-triple alpha-sets against the oracle in dimensions 3 and 4."""
+    """Collinear-triple alpha-sets against the oracle in dimensions 3 and 4; the
+    draws are split over the dimensions in order, the first ones taking the remainder."""
     rng = np.random.default_rng(seed)
     dims = [dim] if dim else [3, 4]
     tally = Tally(counts={"draws": 0, "oracle_members": 0})
-    for dim in dims:
+    for i, dim in enumerate(dims):
+        n = draws // len(dims) + (i < draws % len(dims))
+        if n == 0:
+            continue
         cloud = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, seed + dim)
-        for _ in range(max(2, draws // len(dims))):
+        for _ in range(n):
             cfg, form = _random_triple(rng, dim)
             descr = alphasets.collinear_triple_alpha_set(form, cfg, dim)
             tally.counts["oracle_members"] += check_alpha_set(

@@ -456,6 +456,16 @@ class TestDescriptorJson:
         p = descr.sample(5, 1)[0]
         assert again.distance(p) < 1e-8
 
+    def test_atheta_family_is_the_component(self):
+        rng = np.random.default_rng(22)
+        v1, v2 = random_line(rng, 4), random_line(rng, 4)
+        descr = qa.pair_alpha_set(v1, v2, qa.AlphaConfig.from_alpha(1.1))
+        assert type(descr.components[0]) is AthetaFamily
+        again = descriptor_from_json(json.loads(json.dumps(descr.to_json())))
+        assert type(again.components[0]) is AthetaFamily
+        v = random_line(rng, 4)
+        assert again.distance(v) == descr.distance(v)
+
     def test_circle_round_trip(self):
         basis = std_basis(4)
         descr = qa.AlphaSetDescriptor((qa.Circle(basis[0], basis[2], 0.8, 0.6),))

@@ -68,6 +68,11 @@ class TestCanonicalVerb:
         assert code == 1
         assert out["error"] == "degenerate-vector"
 
+    def test_non_numeric_amplitude_is_schema_error(self, tmp_path):
+        code, out = run_cli(["canonical"], {"re": ["a"], "im": [0]}, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
 
 class TestAlphaSetVerbs:
     def test_pair_descriptor(self, tmp_path):
@@ -130,6 +135,20 @@ class TestCardinalityVerb:
         assert code == 0
         assert out["tag"] == "infinite"
 
+    def test_non_numeric_coefficient_is_schema_error(self, tmp_path):
+        payload = {
+            "alpha": 1.0,
+            "c": 0.9,
+            "d": math.sqrt(1 - 0.81),
+            "theta": 0.0,
+            "c1": {"re": "x", "im": 0},
+            "c2": {"re": 0.0, "im": 0.5},
+            "c3": 0.5,
+        }
+        code, out = run_cli(["cardinality"], payload, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
 
 class TestClassifyCircleVerb:
     def test_default_basis(self, tmp_path):
@@ -143,6 +162,19 @@ class TestClassifyCircleVerb:
         code, out = run_cli(["classify-circle"], payload, tmp_path)
         assert code == 1
         assert out["error"] == "range"
+
+    @pytest.mark.parametrize(
+        "dim, error", [(1, "range"), (2, "range"), (MAX_DIM + 1, "dimension-mismatch"), (100_000_000, "dimension-mismatch")]
+    )
+    def test_dim_bound_before_allocation(self, tmp_path, monkeypatch, dim, error):
+        def allocate(*args, **kwargs):
+            raise AssertionError("dim-sized allocation before the dimension check")
+
+        monkeypatch.setattr(np, "eye", allocate)
+        payload = {"alpha": 1.0, "dim": dim, "cfrak": 0.8, "dfrak": 0.6}
+        code, out = run_cli(["classify-circle"], payload, tmp_path)
+        assert code == 1
+        assert out["error"] == error
 
 
 class TestWitnessVerb:
@@ -227,6 +259,19 @@ class TestWignerVerbs:
         )
         assert code == 1
         assert out["error"] == "parameter"
+
+    def test_check_needs_the_antiunitary_flag(self, tmp_path):
+        code, sym = run_cli(["wigner-generate"], {"dim": 3}, tmp_path)
+        assert code == 0
+        del sym["antiunitary"]
+        code, out = run_cli(["wigner-check"], {"symmetry": sym, "alpha": 1.0}, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
+    def test_generate_dim_bound(self, tmp_path):
+        code, out = run_cli(["wigner-generate"], {"dim": MAX_DIM + 1}, tmp_path)
+        assert code == 1
+        assert out["error"] == "dimension-mismatch"
 
     @pytest.mark.parametrize("seed", ["x", 1.5])
     def test_bad_seed_is_schema_error(self, tmp_path, seed):
@@ -315,7 +360,9 @@ class TestVerifySuites:
         assert set(out["counts"]) == keys
         assert all(v > 0 for v in out["counts"].values())
 
-    @pytest.mark.parametrize("suite, key", [("infinite-element", "draws"), ("section5", "bridged")])
+    @pytest.mark.parametrize(
+        "suite, key", [("infinite-element", "draws"), ("section5", "bridged"), ("collin-alpha", "draws")]
+    )
     def test_explicit_draws_are_honoured(self, suite, key):
         code, out = run_cli(["verify", suite, "--seed", "0", "--draws", "2"])
         assert code == 0

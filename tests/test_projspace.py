@@ -249,6 +249,100 @@ class TestTripleCanonicalForm:
             qa.canonical_triple_form(v1, v2, qa.canonical_line([1j, 0, 0]))
 
 
+def first_root_bisection(h, lo: float, hi: float, grid: int = 64, tol: float = 1e-12) -> float:
+    """Reference root-finder: leftmost root of h on [lo, hi] by a grid scan, then bisection."""
+    ts = np.linspace(lo, hi, grid + 1)
+    vals = np.array([h(t) for t in ts])
+    if np.max(np.abs(vals)) < 1e-15:
+        return lo
+    if abs(vals[0]) < 1e-15:
+        return float(ts[0])
+    idx = None
+    for i in range(grid):
+        if abs(vals[i + 1]) < 1e-15:
+            return float(ts[i + 1])
+        if vals[i] * vals[i + 1] < 0:
+            idx = i
+            break
+    assert idx is not None, "no sign change found for bisection"
+    a, b = float(ts[idx]), float(ts[idx + 1])
+    fa = vals[idx]
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        fm = h(mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0:
+            b = mid
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def reference_triple_form(v1, v2, v3):
+    """Canonical triple form with the equalizing rotation found numerically.
+
+    Returns (form, t).  Independent of the closed-form rotation: the angle
+    is the leftmost root of h on [0, pi/2], located by grid plus bisection.
+    """
+    pair = qa.canonical_pair_form(v1, v2)
+    f1, f2 = pair.e1.amplitudes, pair.e2_vector
+    p3 = np.vdot(f1, v3.amplitudes)
+    q3 = np.vdot(f2, v3.amplitudes)
+    w3 = p3 * f1 + q3 * f2
+    w3 = w3 / np.linalg.norm(w3)
+    p3 = np.vdot(f1, w3)
+    q3 = np.vdot(f2, w3)
+    cf, df = pair.c, pair.d
+
+    def h(t):
+        ov = abs(p3.conjugate() * np.cos(t) + q3.conjugate() * np.sin(t)) ** 2
+        return float(ov - (cf**2 * np.cos(t) ** 2 + df**2 * np.sin(t) ** 2))
+
+    t = first_root_bisection(h, 0.0, np.pi / 2, tol=1e-14)
+    e1 = qa.canonical_line(np.cos(t) * f1 + np.sin(t) * f2)
+    e2 = qa.canonical_line(-np.sin(t) * f1 + np.cos(t) * f2)
+    reps = [v1.amplitudes, v2.amplitudes, w3]
+    ps = [np.vdot(e1.amplitudes, r) for r in reps]
+    qs = [np.vdot(e2.amplitudes, r) for r in reps]
+    c = float(np.mean([abs(p) for p in ps]))
+    d = float(np.mean([abs(q) for q in qs]))
+    if c < d:
+        e1, e2 = e2, e1
+        ps, qs = qs, ps
+        c, d = d, c
+    lambdas = tuple(complex((q / abs(q)) * (p.conjugate() / abs(p))) for p, q in zip(ps, qs))
+    return qa.TripleCanonicalForm(e1, e2, c, d, lambdas), t
+
+
+class TestClosedFormRotation:
+    def test_matches_grid_bisection(self):
+        rng = np.random.default_rng(31)
+        for _ in range(240):
+            dim = int(rng.integers(3, 6))
+            vs = random_collinear_triple(rng, dim)
+            form = qa.canonical_triple_form(*vs)
+            ref, _ = reference_triple_form(*vs)
+            assert form.c == pytest.approx(ref.c, abs=1e-10)
+            assert form.d == pytest.approx(ref.d, abs=1e-10)
+            for s, r in zip(form.synthesize(), ref.synthesize()):
+                assert float(qa.quantum_angle(s, r)) < 1e-13
+            overlaps = [abs(qa.inner(v, form.e1)) for v in vs]
+            assert max(overlaps) - min(overlaps) < 1e-14
+
+    def test_equalized_triple_is_not_rotated(self):
+        # [c e1 +- i d e2] fix the pair basis, and every third line
+        # [c e1 + lambda d e2] already has overlap c with e1, so t = 0.
+        c, d = 0.8, 0.6
+        vs = [qa.canonical_line([c, lam * d, 0]) for lam in (1j, -1j, 1.0)]
+        _, t_ref = reference_triple_form(*vs)
+        assert t_ref == 0.0
+        pair = qa.canonical_pair_form(vs[0], vs[1])
+        form = qa.canonical_triple_form(*vs)
+        assert np.array_equal(form.e1.amplitudes, qa.canonical_line(pair.e1.amplitudes).amplitudes)
+        assert np.array_equal(form.e2.amplitudes, qa.canonical_line(pair.e2_vector).amplitudes)
+
+
 class TestLineJson:
     def test_round_trip(self):
         rng = np.random.default_rng(11)

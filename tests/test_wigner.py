@@ -11,6 +11,7 @@ from qangle.errors import (
     SpanError,
 )
 
+from qangle.projspace import MAX_DIM
 from qangle.verify import rotated_basis
 
 from conftest import random_line, random_orthonormal_pair
@@ -36,6 +37,21 @@ class TestRandomWigner:
         v = random_line(rng, 2)
         direct = qa.apply_symmetry(w, qa.apply_symmetry(w, v))
         assert qa.lines_equal(direct, qa.apply_symmetry(square, v))
+
+
+    def test_dimension_bound_before_allocation(self, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("dim-sized allocation before the dimension check")
+
+        monkeypatch.setattr(np.random, "default_rng", allocate)
+        monkeypatch.setattr(np, "eye", allocate)
+        for dim in (MAX_DIM + 1, 100_000):
+            with pytest.raises(DimensionError):
+                qa.random_wigner(dim, 0)
+            with pytest.raises(DimensionError):
+                qa.probe_set(dim)
+            with pytest.raises(DimensionError):
+                qa.fit_from_probes(dim, [])
 
 
 class TestApplySymmetry:
