@@ -2,8 +2,8 @@
 
 Core objects: lines with a canonical phase gauge, the quantum angle
 (arccos of the overlap modulus), closed-form alpha-set descriptors, circle
-classification, Wigner symmetries, and a brute-force numerical oracle that
-cross-checks every closed form.
+classification, Wigner symmetries, a brute-force numerical oracle, and the
+verification checks that judge every closed form against it.
 """
 
 from .alphasets import (
@@ -38,7 +38,6 @@ from .errors import (
     WitnessRangeError,
 )
 from .oracle import (
-    OracleReport,
     SampleCloud,
     alpha_set_numeric,
     discover_alpha_set,
@@ -49,7 +48,6 @@ from .oracle import (
     root_count_on_disk,
     sample_lines,
     save_cloud,
-    verify_basic_relations,
 )
 from .projspace import (
     Angle,
@@ -64,11 +62,8 @@ from .projspace import (
     lines_equal,
     quantum_angle,
 )
-from .symmetric_sets import (
-    SymmetryVerdict,
-    classify_circle,
-    empirical_high_symmetry_check,
-)
+from .symmetric_sets import SymmetryVerdict, classify_circle
+from .verify import empirical_high_symmetry_check, verify_basic_relations
 from .wigner import (
     PreservationReport,
     WignerSymmetry,

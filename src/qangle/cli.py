@@ -21,23 +21,6 @@ from .alphasets import AlphaConfig
 from .errors import DimensionError, NotAWignerMapError, QAngleError, RangeError
 from .projspace import Line, canonical_line
 
-PAYLOAD_VERBS = (
-    "angle",
-    "canonical",
-    "alphaset",
-    "double-alphaset",
-    "cardinality",
-    "classify-circle",
-    "witness",
-    "oracle",
-    "wigner-generate",
-    "wigner-fit",
-    "wigner-check",
-    "intersect",
-    "bridge",
-)
-
-
 # Suite parameters of ``verify``; a suite takes only those in its ``Suite.options``.
 _SUITE_OPTIONS = ("dim", "a", "c", "d")
 
@@ -279,7 +262,7 @@ _PAYLOAD_HANDLERS = {
 }
 
 
-def _run_suite(args) -> oracle.OracleReport:
+def _run_suite(args) -> verify.Tally:
     suite = verify.SUITES[args.suite]
     draws = suite.draws if args.draws is None else args.draws
     if draws < 1:
@@ -291,9 +274,8 @@ def _run_suite(args) -> oracle.OracleReport:
     dim = given.get("dim", 2)
     if dim < 2:
         raise SchemaError(f"--dim must be >= 2, got {dim}")
-    if dim > projspace.MAX_DIM:
-        # Checked before the suite runs, which would allocate dim-sized arrays first.
-        raise DimensionError(f"dim {dim} outside supported range [2, {projspace.MAX_DIM}]")
+    # Checked before the suite runs, which would allocate dim-sized arrays first.
+    projspace.check_dim(dim)
     if given.keys() & {"a", "c", "d"} and not {"a", "c", "d"} <= given.keys():
         raise SchemaError(f"{args.suite} needs --a, --c and --d together")
     return suite.run(args.seed, draws, **given)
@@ -319,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-angle geometry toolkit: alpha-sets, circles, Wigner symmetries",
     )
     sub = p.add_subparsers(dest="verb", required=True)
-    for verb in PAYLOAD_VERBS:
+    for verb in _PAYLOAD_HANDLERS:
         sp = sub.add_parser(verb, help=f"run the {verb} operation on a JSON payload")
         sp.add_argument("--in", dest="infile", help="payload file (default: stdin)")
         sp.add_argument("--seed", type=int, default=0, help="seed for any randomness")

@@ -1,22 +1,24 @@
-"""Independent brute-force verification of alpha-set claims.
+"""Brute-force primitives for checking alpha-set claims independently.
 
 Everything here avoids the closed-form descriptors on purpose: lines are
-found by rejection sampling on seeded clouds and polished by projected
-gradient descent on the angle-residual sum, so the results can be compared
-against the symbolic machinery as an independent check.
+found by rejection sampling on seeded clouds and polished by damped
+Gauss-Newton on the angle residuals, clusters are thinned by dedup, and
+cardinalities are counted by grid sign changes on circles and disks.  The
+checks that judge the closed forms against these primitives live in
+:mod:`qangle.verify`.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .alphasets import AlphaConfig
 from .errors import DimensionError, ParameterError
-from .projspace import GAUGE_TOL, MAX_DIM, Line, canonical_line, quantum_angle
+from .projspace import GAUGE_TOL, Line, canonical_line, check_dim, quantum_angle
 
 _HEADER = struct.Struct("<QQQ")
 
@@ -55,10 +57,7 @@ class SampleCloud:
 
 
 def _check_cloud_shape(dim: int, count: int) -> None:
-    if dim < 2:
-        raise ParameterError(f"dim must be >= 2, got {dim}")
-    if dim > MAX_DIM:
-        raise DimensionError(f"dim {dim} outside supported range [2, {MAX_DIM}]")
+    check_dim(dim)
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     if count * dim > MAX_CLOUD_ENTRIES:
@@ -124,51 +123,6 @@ def load_cloud(path) -> SampleCloud:
         if vecs.size != count * dim or fh.read(1):
             raise ParameterError("cloud file payload size does not match its header")
     return SampleCloud(int(dim), vecs.astype(complex, copy=False).reshape(count, dim), int(seed))
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Outcome of a numeric verification run."""
-
-    verdict: bool
-    max_residual: float
-    counts: dict[str, int] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.max_residual < 0:
-            raise ParameterError("max_residual must be non-negative")
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": bool(self.verdict),
-            "maxResidual": float(self.max_residual),
-            "counts": {k: int(v) for k, v in sorted(self.counts.items())},
-            "notes": list(self.notes),
-        }
-
-
-@dataclass
-class Tally:
-    """Running verdict, worst residual, counts and notes of one verification run."""
-
-    verdict: bool = True
-    worst: float = 0.0
-    counts: dict[str, int] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-
-    def fail(self, note: str) -> None:
-        self.verdict = False
-        self.notes.append(note)
-
-    def bound(self, value: float, tol: float, note: str) -> None:
-        """Record a residual; it fails the run when it exceeds ``tol``."""
-        self.worst = max(self.worst, value)
-        if value > tol:
-            self.fail(note)
-
-    def report(self) -> OracleReport:
-        return OracleReport(self.verdict, self.worst, dict(self.counts), tuple(self.notes))
 
 
 def _lines_matrix(lines) -> np.ndarray:
@@ -282,13 +236,15 @@ def discover_alpha_set(
     max_candidates: int = 4000,
     max_iter: int = 600,
 ) -> list[Line]:
-    """Two-stage numeric alpha-set: wide rejection sampling, then refinement.
+    """Numeric alpha-set of a few generators: :func:`funnel_alpha_set` with
+    every generator in both stages.
 
     Raw rejection alone cannot reach tight tolerances at desk-scale budgets,
     so hits at ``discovery_tol`` are polished down to ``confirm_tol``.
     """
-    rough = alpha_set_numeric(generators, cfg, cloud, discovery_tol)
-    return refine_alpha_members(generators, cfg, rough[:max_candidates], confirm_tol, max_iter)
+    return funnel_alpha_set(
+        generators, cfg, cloud, discovery_tol, confirm_tol, max_candidates, len(generators), max_iter
+    )
 
 
 def funnel_alpha_set(
@@ -310,8 +266,6 @@ def funnel_alpha_set(
     survive.
     """
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
-    if not pool:
-        return []
     return refine_alpha_members(constraints, cfg, pool[:max_pool], confirm_tol, max_iter)
 
 
@@ -367,72 +321,3 @@ def root_count_on_disk(
             return math.inf
         total += c
     return total
-
-
-def verify_basic_relations(
-    S1,
-    S2,
-    cfg: AlphaConfig,
-    cloud: SampleCloud,
-    discovery_tol: float = 1e-2,
-    confirm_tol: float = 1e-7,
-    inclusion_tol: float = 1e-5,
-) -> OracleReport:
-    """Sampled check of the elementary alpha-set relations.
-
-    Clause 1: every generator is at angle alpha from every numeric member of
-    its alpha-set.  Clause 2 (monotonicity, requires S1 as a subset of S2):
-    the numeric alpha-set of S2 satisfies the S1 constraints.  Clause 3:
-    members of the numeric double-alpha-set of the alpha-set of S1 satisfy
-    the original S1 constraints, and alpha-set members satisfy the
-    constraints from sampled double-alpha-set members.
-    """
-    for s in S1:
-        if not any(quantum_angle(s, t) < 1e-9 for t in S2):
-            raise ParameterError("S1 must be a subset of S2")
-
-    tally = Tally()
-    n1 = discover_alpha_set(S1, cfg, cloud, discovery_tol, confirm_tol, max_candidates=800)
-    n2 = discover_alpha_set(S2, cfg, cloud, discovery_tol, confirm_tol, max_candidates=800)
-    tally.counts["alpha_set_S1"] = len(n1)
-    tally.counts["alpha_set_S2"] = len(n2)
-
-    # Clause 1: definitional, so the refined members must satisfy it exactly
-    # at the confirmation tolerance.
-    if n1:
-        res1 = worst_angle_residual(S1, cfg, n1)
-        tally.bound(res1, confirm_tol, "clause1: generator/alpha-set residual above tolerance")
-
-    # Clause 2: alpha-sets shrink as the generating set grows.
-    if n2:
-        res2 = worst_angle_residual(S1, cfg, n2)
-        tally.bound(res2, inclusion_tol, "clause2: alpha-set of S2 escapes the alpha-set of S1")
-
-    # Clause 3: the alpha-set is fixed by taking its own double-alpha-set.
-    first = dedup_lines(n1, 1e-3)
-    if len(first) >= 3:
-        gen_a = first[: min(25, len(first))]
-        holdout = first[min(25, len(first)) : min(45, len(first))]
-        second = funnel_alpha_set(gen_a, cfg, cloud, confirm_tol=confirm_tol)
-        if holdout:
-            second = [
-                q
-                for q in second
-                if worst_angle_residual(holdout, cfg, [q]) <= 1e-4
-            ]
-        tally.counts["double_alpha_set"] = len(second)
-        if second:
-            gen_b = dedup_lines(second, 1e-3)[: min(25, len(second))]
-            third = funnel_alpha_set(gen_b, cfg, cloud, confirm_tol=confirm_tol)
-            tally.counts["triple_alpha_set"] = len(third)
-            if third:
-                res3 = worst_angle_residual(S1, cfg, third)
-                tally.bound(res3, inclusion_tol, "clause3: triple alpha-set escapes the alpha-set of S1")
-            resb = worst_angle_residual(gen_b, cfg, first)
-            tally.bound(resb, inclusion_tol, "clause3: alpha-set members miss the double-alpha-set constraints")
-        else:
-            tally.notes.append("clause3: no numeric double-alpha-set members found")
-    else:
-        tally.notes.append("clause3: not enough alpha-set members found to test")
-
-    return tally.report()

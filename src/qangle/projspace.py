@@ -37,6 +37,22 @@ COLLINEARITY_TOL = 1e-9
 MAX_DIM = 16
 
 
+def check_dim(dim: int) -> None:
+    """Refuse a dimension below 2 or above MAX_DIM before anything dim-sized is allocated."""
+    if dim < 2:
+        raise ParameterError(f"dim must be >= 2, got {dim}")
+    if dim > MAX_DIM:
+        raise DimensionError(f"dim {dim} outside supported range [2, {MAX_DIM}]")
+
+
+def json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer; a TypeError for anything else, a bool included."""
+    val = obj[key]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise TypeError(f"{key} must be an integer, got {val!r}")
+    return val
+
+
 class Angle(float):
     """A quantum angle in radians, clamped to [0, pi/2]."""
 
@@ -89,7 +105,7 @@ class Line:
     @staticmethod
     def from_json(obj: dict) -> "Line":
         amps = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return Line(int(obj["dim"]), amps)
+        return Line(json_int(obj, "dim"), amps)
 
 
 def gauge(vector: np.ndarray) -> np.ndarray:

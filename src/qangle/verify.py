@@ -1,29 +1,75 @@
 """Verification engine: each numeric check of the paper's claims, written once.
 
-The ``qangle verify`` suites and the acceptance tests run the same checks;
-each caller picks its own seeds, draw counts, sample sizes and clouds.  A
-check records residuals and failures on the caller's :class:`Tally`, draws
-only from the caller's generator, and returns the count the caller reports.
+This is the one module that judges results.  The ``qangle verify`` suites
+and the acceptance tests run the same checks; each caller picks its own
+seeds, draw counts, sample sizes and clouds.  A check records residuals and
+failures on the caller's :class:`Tally`, draws only from the caller's
+generator, and returns the count the caller reports.  The brute-force
+primitives the checks stand on (clouds, rejection, refinement, dedup, root
+counting) live in :mod:`qangle.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import alphasets, oracle, projspace, symmetric_sets, wigner
+from . import alphasets, oracle, projspace, wigner
 from .alphasets import AlphaConfig, AthetaFamily
-from .errors import QAngleError
-from .oracle import OracleReport, SampleCloud, Tally, worst_angle_residual
-from .projspace import Line, canonical_line, distinct_unimodular_triple, random_orthonormal_pair
+from .errors import ParameterError, QAngleError
+from .oracle import SampleCloud, worst_angle_residual
+from .projspace import (
+    Line,
+    canonical_line,
+    canonical_triple_form,
+    distinct_unimodular_triple,
+    quantum_angle,
+    random_orthonormal_pair,
+)
+from .symmetric_sets import HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC, classify_circle
 
 SOUNDNESS_TOL = 1e-9  # |angle - alpha| of a descriptor sample, to every generator
 COMPLETENESS_TOL = 1e-5  # distance of a refined oracle member to the descriptor
 _FIRST_SAMPLES = 40  # alpha-set samples standing in for a double-alpha-set's generators
 _SECTION5_C0 = math.sqrt(7.0 / 12.0)  # circle weight of the Section 5 count and bridge
+
+
+@dataclass
+class Tally:
+    """Verdict, largest residual, counts and notes of one verification run.
+
+    Checks record into it as they run, and a suite returns it as its report.
+    """
+
+    verdict: bool = True
+    max_residual: float = 0.0
+    counts: dict[str, int] = field(default_factory=dict)
+    notes: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.max_residual < 0:
+            raise ParameterError("max_residual must be non-negative")
+
+    def fail(self, note: str) -> None:
+        self.verdict = False
+        self.notes.append(note)
+
+    def bound(self, value: float, tol: float, note: str) -> None:
+        """Record a residual; it fails the run when it exceeds ``tol``."""
+        self.max_residual = max(self.max_residual, value)
+        if value > tol:
+            self.fail(note)
+
+    def to_json(self) -> dict:
+        return {
+            "verdict": bool(self.verdict),
+            "maxResidual": float(self.max_residual),
+            "counts": {k: int(v) for k, v in sorted(self.counts.items())},
+            "notes": list(self.notes),
+        }
 
 
 def draw_alpha(rng: np.random.Generator) -> AlphaConfig:
@@ -98,15 +144,182 @@ def check_double_alpha_set(
     return len(survivors)
 
 
+def verify_basic_relations(
+    S1,
+    S2,
+    cfg: AlphaConfig,
+    cloud: SampleCloud,
+    discovery_tol: float = 1e-2,
+    confirm_tol: float = 1e-7,
+    inclusion_tol: float = 1e-5,
+) -> Tally:
+    """Sampled check of the elementary alpha-set relations.
+
+    Clause 1: every generator is at angle alpha from every numeric member of
+    its alpha-set.  Clause 2 (monotonicity, requires S1 as a subset of S2):
+    the numeric alpha-set of S2 satisfies the S1 constraints.  Clause 3:
+    members of the numeric double-alpha-set of the alpha-set of S1 satisfy
+    the original S1 constraints, and alpha-set members satisfy the
+    constraints from sampled double-alpha-set members.
+    """
+    for s in S1:
+        if not any(quantum_angle(s, t) < 1e-9 for t in S2):
+            raise ParameterError("S1 must be a subset of S2")
+
+    tally = Tally()
+    n1 = oracle.discover_alpha_set(S1, cfg, cloud, discovery_tol, confirm_tol, max_candidates=800)
+    n2 = oracle.discover_alpha_set(S2, cfg, cloud, discovery_tol, confirm_tol, max_candidates=800)
+    tally.counts["alpha_set_S1"] = len(n1)
+    tally.counts["alpha_set_S2"] = len(n2)
+
+    # Clause 1: definitional, so the refined members must satisfy it exactly
+    # at the confirmation tolerance.
+    if n1:
+        res1 = worst_angle_residual(S1, cfg, n1)
+        tally.bound(res1, confirm_tol, "clause1: generator/alpha-set residual above tolerance")
+
+    # Clause 2: alpha-sets shrink as the generating set grows.
+    if n2:
+        res2 = worst_angle_residual(S1, cfg, n2)
+        tally.bound(res2, inclusion_tol, "clause2: alpha-set of S2 escapes the alpha-set of S1")
+
+    # Clause 3: the alpha-set is fixed by taking its own double-alpha-set.
+    first = oracle.dedup_lines(n1, 1e-3)
+    if len(first) >= 3:
+        gen_a = first[: min(25, len(first))]
+        holdout = first[min(25, len(first)) : min(45, len(first))]
+        second = oracle.funnel_alpha_set(gen_a, cfg, cloud, confirm_tol=confirm_tol)
+        if holdout:
+            second = [
+                q
+                for q in second
+                if worst_angle_residual(holdout, cfg, [q]) <= 1e-4
+            ]
+        tally.counts["double_alpha_set"] = len(second)
+        if second:
+            gen_b = oracle.dedup_lines(second, 1e-3)[: min(25, len(second))]
+            third = oracle.funnel_alpha_set(gen_b, cfg, cloud, confirm_tol=confirm_tol)
+            tally.counts["triple_alpha_set"] = len(third)
+            if third:
+                res3 = worst_angle_residual(S1, cfg, third)
+                tally.bound(res3, inclusion_tol, "clause3: triple alpha-set escapes the alpha-set of S1")
+            resb = worst_angle_residual(gen_b, cfg, first)
+            tally.bound(resb, inclusion_tol, "clause3: alpha-set members miss the double-alpha-set constraints")
+        else:
+            tally.notes.append("clause3: no numeric double-alpha-set members found")
+    else:
+        tally.notes.append("clause3: not enough alpha-set members found to test")
+
+    return tally
+
+
+def empirical_high_symmetry_check(
+    circle: alphasets.CircleComponent,
+    cfg: AlphaConfig,
+    ambient_dim: int,
+    n_triples: int = 10,
+    n_alpha_samples: int = 40,
+    seed: int = 0,
+    cloud: SampleCloud | None = None,
+) -> Tally:
+    """Sampled test of the highly-symmetric property, independent of the classifier.
+
+    Draws random 3-subsets of the circle, forms their double-alpha-set
+    descriptors through the generic canonical-form machinery, checks that the
+    circle is contained in each, and hunts numerically for double-alpha-set
+    members off the circle.  For two-component descriptors it additionally
+    builds an explicit four-line witness breaking the symmetry property.
+    The report records agreement with :func:`classify_circle`.
+    """
+    if n_alpha_samples < 3:
+        raise ParameterError("need at least 3 samples per check")
+    if n_triples < 1:
+        raise ParameterError("need at least one triple")
+    expected = classify_circle(circle, cfg, ambient_dim)
+
+    rng = np.random.default_rng(seed)
+    tally = Tally(
+        counts={"triples": n_triples, "components_max": 0, "off_circle_members": 0, "witnesses": 0}
+    )
+    two_component = False
+
+    first_descr: alphasets.AlphaSetDescriptor | None = None
+    double_descr: alphasets.AlphaSetDescriptor | None = None
+
+    for _ in range(n_triples):
+        v1, v2, v3 = (circle.member(lam) for lam in distinct_unimodular_triple(rng, 1e-3))
+        form = canonical_triple_form(v1, v2, v3)
+        descr = alphasets.double_alpha_set_classify(form, cfg, ambient_dim)
+        first = alphasets.collinear_triple_alpha_set(form, cfg, ambient_dim)
+        if first_descr is None:
+            first_descr, double_descr = first, descr
+        tally.counts["components_max"] = max(tally.counts["components_max"], len(descr.components))
+        if len(descr.components) >= 2:
+            two_component = True
+
+        # The circle must sit inside the double-alpha-set of each triple.
+        circ_samples = circle.sample(n_alpha_samples, rng)
+        for s in circ_samples:
+            tally.max_residual = max(tally.max_residual, descr.distance(s))
+        first_samples = first.sample(max(n_alpha_samples, 24), rng)
+        res = worst_angle_residual(first_samples, cfg, circ_samples)
+        tally.bound(res, 1e-8, "circle samples miss the sampled alpha-set at angle alpha")
+
+        # Descriptor members must be at angle alpha from the sampled alpha-set.
+        res = worst_angle_residual(first_samples, cfg, descr.sample(n_alpha_samples, rng))
+        tally.bound(res, 1e-8, "double-alpha-set samples violate the defining condition")
+
+    # Independent numeric hunt for double-alpha-set members, seeded only by
+    # the defining angle conditions.
+    assert first_descr is not None and double_descr is not None
+    hunt_cloud = cloud or oracle.sample_lines(
+        ambient_dim, 40_000 if ambient_dim == 3 else 80_000, seed + 1
+    )
+    constraints = first_descr.sample(40, rng)
+    survivors = oracle.funnel_alpha_set(constraints, cfg, hunt_cloud)
+    tally.counts["survivors"] = len(survivors)
+    for s in survivors:
+        dist_circle = circle.distance(s)
+        dist = double_descr.distance(s)
+        tally.bound(dist, 1e-5, "numeric double-alpha-set member escapes the descriptor")
+        if dist_circle > 1e-3:
+            tally.counts["off_circle_members"] += 1
+
+    witness_ok = False
+    if two_component and ambient_dim == 3:
+        c, d = max(circle.c, circle.d), min(circle.c, circle.d)
+        t = 0.05
+        for _ in range(12):
+            try:
+                alphasets.counterexample_witness(cfg, c, d, t)
+                witness_ok = True
+                tally.counts["witnesses"] += 1
+                break
+            except QAngleError:
+                t *= 0.5
+        if not witness_ok:
+            tally.fail("two-component case but no witness construction succeeded")
+
+    empirical_tag = (
+        NOT_HIGHLY_SYMMETRIC
+        if (two_component or tally.counts["off_circle_members"] > 0)
+        else HIGHLY_SYMMETRIC
+    )
+    agreement = empirical_tag == expected.tag
+    tally.notes += [f"empirical={empirical_tag}", f"classifier={expected.tag}", f"agreement={agreement}"]
+    tally.verdict = tally.verdict and agreement
+    return tally
+
+
 def check_circle_classification(
     tally: Tally, circle, cfg: AlphaConfig, dim: int, n_alpha_samples: int, seed: int,
     cloud: SampleCloud,
 ) -> int:
     """Compare the circle classifier with the sampled symmetry check; returns 1 on agreement."""
-    rep = symmetric_sets.empirical_high_symmetry_check(
+    rep = empirical_high_symmetry_check(
         circle, cfg, dim, n_triples=3, n_alpha_samples=n_alpha_samples, seed=seed, cloud=cloud
     )
-    tally.worst = max(tally.worst, rep.max_residual)
+    tally.max_residual = max(tally.max_residual, rep.max_residual)
     if not rep.verdict:
         tally.verdict = False
         tally.notes.extend(rep.notes)
@@ -179,7 +392,7 @@ def check_bridges(tally: Tally, rng: np.random.Generator, dim: int, draws: int) 
     return draws
 
 
-def suite_shape(seed: int, draws: int, dim: int = 3) -> OracleReport:
+def suite_shape(seed: int, draws: int, dim: int = 3) -> Tally:
     """Cutoff angle and radius profile of the pair alpha-set, and its samples' angles."""
     rng = np.random.default_rng(seed)
     tally = Tally(counts={"draws": draws, "samples": 0})
@@ -209,7 +422,7 @@ def suite_shape(seed: int, draws: int, dim: int = 3) -> OracleReport:
         pts = alphasets.pair_alpha_set(v1, v2, cfg).sample(30, rng)
         tally.counts["samples"] += len(pts)
         tally.bound(worst_angle_residual([v1, v2], cfg, pts), SOUNDNESS_TOL, "sampled member misses angle alpha")
-    return tally.report()
+    return tally
 
 
 def _random_triple(rng: np.random.Generator, dim: int):
@@ -220,7 +433,7 @@ def _random_triple(rng: np.random.Generator, dim: int):
     return cfg, projspace.TripleCanonicalForm(e1, e2, c, d, distinct_unimodular_triple(rng, 1e-2))
 
 
-def suite_collin_alpha(seed: int, draws: int, dim=None) -> OracleReport:
+def suite_collin_alpha(seed: int, draws: int, dim=None) -> Tally:
     """Collinear-triple alpha-sets against the oracle in dimensions 3 and 4; the
     draws are split over the dimensions in order, the first ones taking the remainder."""
     rng = np.random.default_rng(seed)
@@ -238,10 +451,10 @@ def suite_collin_alpha(seed: int, draws: int, dim=None) -> OracleReport:
                 tally, list(form.synthesize()), cfg, descr, rng, 40, cloud, 3e-2, 4000
             )
             tally.counts["draws"] += 1
-    return tally.report()
+    return tally
 
 
-def suite_circle4(seed: int, draws: int) -> OracleReport:
+def suite_circle4(seed: int, draws: int) -> Tally:
     """Double-alpha-sets of collinear triples in dimension 4 are single circles."""
     rng = np.random.default_rng(seed)
     dim = 4
@@ -253,7 +466,7 @@ def suite_circle4(seed: int, draws: int) -> OracleReport:
         double = alphasets.double_alpha_set_classify(form, cfg, dim)
         tally.counts["survivors"] += check_double_alpha_set(tally, first, double, cfg, rng, 30, cloud, 2000)
         tally.counts["draws"] += 1
-    return tally.report()
+    return tally
 
 
 def _snap_parameters(a: float, c: float, d: float) -> tuple[float, float, float]:
@@ -268,7 +481,7 @@ def _snap_parameters(a: float, c: float, d: float) -> tuple[float, float, float]
     return a, c / s, d / s
 
 
-def suite_circle3(seed: int, draws: int, a=None, c=None, d=None) -> OracleReport:
+def suite_circle3(seed: int, draws: int, a=None, c=None, d=None) -> Tally:
     """Dimension-3 double-alpha-sets: the case split and the defining condition, for
     the triple ``(a, c, d)`` if given, else the exceptional triples and ``draws`` random ones."""
     rng = np.random.default_rng(seed)
@@ -291,10 +504,10 @@ def suite_circle3(seed: int, draws: int, a=None, c=None, d=None) -> OracleReport
         res = worst_angle_residual(f_samples, cfg, descr.sample(30, rng))
         tally.bound(res, 1e-8, "double-alpha-set sample violates the defining condition")
         tally.counts["cases"] += 1
-    return tally.report()
+    return tally
 
 
-def suite_infinite_element(seed: int, draws: int) -> OracleReport:
+def suite_infinite_element(seed: int, draws: int) -> Tally:
     """Disk root counts against the triangle-inequality band, and constructed tangencies."""
     rng = np.random.default_rng(seed)
     tally = Tally(counts={"draws": 0, "agreements": 0, "boundary_cases": 0})
@@ -329,14 +542,14 @@ def suite_infinite_element(seed: int, draws: int) -> OracleReport:
             continue
         cfg = AlphaConfig.from_alpha(math.acos(a))
         card = alphasets.atheta_cardinality(standard_family(cfg, c, d), theta, (c1, c2, c3), cfg)
-        tally.worst = max(tally.worst, card.margin)
+        tally.max_residual = max(tally.max_residual, card.margin)
         if card.tag != "one":
             tally.fail(f"constructed boundary case classified as {card.tag}")
         tally.counts["boundary_cases"] += 1
-    return tally.report()
+    return tally
 
 
-def suite_circle_char(seed: int, draws: int) -> OracleReport:
+def suite_circle_char(seed: int, draws: int) -> Tally:
     """The circle classifier against the sampled symmetry check, alternating dimensions 3 and 4."""
     rng = np.random.default_rng(seed)
     tally = Tally(counts={"draws": draws, "agreements": 0})
@@ -351,10 +564,10 @@ def suite_circle_char(seed: int, draws: int) -> OracleReport:
         tally.counts["agreements"] += check_circle_classification(
             tally, alphasets.CircleComponent(e1, e2, c, d), cfg, dim, 16, seed + k, clouds[dim]
         )
-    return tally.report()
+    return tally
 
 
-def suite_basic(seed: int, draws: int, dim: int = 3) -> OracleReport:
+def suite_basic(seed: int, draws: int, dim: int = 3) -> Tally:
     """The elementary alpha-set relations for a one-line and a two-line generator set."""
     rng = np.random.default_rng(seed)
     cloud = oracle.sample_lines(dim, 60_000, seed + 5)
@@ -362,22 +575,22 @@ def suite_basic(seed: int, draws: int, dim: int = 3) -> OracleReport:
     g = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
     s1 = [canonical_line(g[0])]
     s2 = [canonical_line(g[0]), canonical_line(g[1])]
-    return oracle.verify_basic_relations(s1, s2, cfg, cloud)
+    return verify_basic_relations(s1, s2, cfg, cloud)
 
 
-def suite_section5(seed: int, draws: int, dim: int = 3) -> OracleReport:
+def suite_section5(seed: int, draws: int, dim: int = 3) -> Tally:
     """Section 5: balanced common lines, the count threshold at 1/6, and ``draws`` bridges."""
     rng = np.random.default_rng(seed)
     tally = Tally()
     check_balanced_common_lines(tally, rng, dim, 20)
     check_count_threshold(tally, rng, dim)
     tally.counts["bridged"] = check_bridges(tally, rng, dim, draws)
-    return tally.report()
+    return tally
 
 
 @dataclass(frozen=True)
 class Suite:
-    run: Callable[..., OracleReport]
+    run: Callable[..., Tally]
     draws: int = 8  # when the caller names no count
     options: frozenset = frozenset()  # the keyword arguments of ``run`` beyond seed and draws
 

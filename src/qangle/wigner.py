@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     SpanError,
 )
-from .projspace import MAX_DIM, Line, canonical_line, lines_equal, quantum_angle, random_line
+from .projspace import Line, canonical_line, check_dim, json_int, lines_equal, quantum_angle, random_line
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,17 @@ class WignerSymmetry:
 
     @staticmethod
     def from_json(obj: dict) -> "WignerSymmetry":
+        anti = obj["antiunitary"]
+        if not isinstance(anti, bool):
+            raise TypeError(f"antiunitary must be a boolean, got {anti!r}")
         m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return WignerSymmetry(int(obj["dim"]), m, bool(obj["antiunitary"]))
-
-
-def _check_dim(dim: int) -> None:
-    """Refuse a dimension below 2 or above MAX_DIM before anything dim-sized is allocated."""
-    if dim < 2:
-        raise ParameterError(f"dim must be >= 2, got {dim}")
-    if dim > MAX_DIM:
-        raise DimensionError(f"dim {dim} outside supported range [2, {MAX_DIM}]")
+        return WignerSymmetry(json_int(obj, "dim"), m, anti)
 
 
 def random_wigner(dim: int, seed: int, antiunitary: bool = False) -> WignerSymmetry:
     """Haar-distributed symmetry: QR of a seeded complex-Gaussian matrix with
     the triangular factor's diagonal normalized to be real positive."""
-    _check_dim(dim)
+    check_dim(dim)
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(g)
@@ -131,7 +126,7 @@ def probe_set(dim: int) -> list[Line]:
     First the basis lines [e_j] for j = 1..n, then [(e_1 + e_j)/sqrt2] for
     j = 2..n, then [(e_1 + i e_j)/sqrt2] for j = 2..n.
     """
-    _check_dim(dim)
+    check_dim(dim)
     eye = np.eye(dim, dtype=complex)
     probes = [canonical_line(eye[j]) for j in range(dim)]
     probes += [canonical_line((eye[0] + eye[j]) / np.sqrt(2)) for j in range(1, dim)]

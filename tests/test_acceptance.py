@@ -40,7 +40,7 @@ def report(label: str, ok: bool, detail: str = ""):
 
 def summary(tally: Tally) -> str:
     """The tally's worst residual, followed on failure by its distinct notes."""
-    text = f"worst {tally.worst:.2e}"
+    text = f"worst {tally.max_residual:.2e}"
     return text if tally.verdict else text + ": " + "; ".join(dict.fromkeys(tally.notes))
 
 

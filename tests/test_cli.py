@@ -55,6 +55,13 @@ class TestAngleVerb:
         assert code == 2
         assert out["error"] == "schema"
 
+    @pytest.mark.parametrize("dim", [2.9, "2"])
+    def test_non_integer_dim_is_schema_error(self, tmp_path, dim):
+        payload = {"u": {**line_json([1, 0]), "dim": dim}, "v": line_json([0, 1])}
+        code, out = run_cli(["angle"], payload, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
 
 class TestCanonicalVerb:
     def test_phase_removal(self, tmp_path):
@@ -267,6 +274,23 @@ class TestWignerVerbs:
         code, out = run_cli(["wigner-check"], {"symmetry": sym, "alpha": 1.0}, tmp_path)
         assert code == 2
         assert out["error"] == "schema"
+
+    @pytest.mark.parametrize("key, value", [("antiunitary", "no"), ("dim", 3.0)])
+    def test_check_refuses_mistyped_symmetry_fields(self, tmp_path, key, value):
+        code, sym = run_cli(["wigner-generate"], {"dim": 3}, tmp_path)
+        assert code == 0
+        sym[key] = value
+        code, out = run_cli(["wigner-check"], {"symmetry": sym, "alpha": 1.0, "nPairs": 60}, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
+    def test_check_refuses_a_non_unitary_matrix(self, tmp_path):
+        code, sym = run_cli(["wigner-generate"], {"dim": 3}, tmp_path)
+        assert code == 0
+        sym["re"] = [[2 * x for x in row] for row in sym["re"]]
+        code, out = run_cli(["wigner-check"], {"symmetry": sym, "alpha": 1.0}, tmp_path)
+        assert code == 1
+        assert out["error"] == "parameter"
 
     def test_generate_dim_bound(self, tmp_path):
         code, out = run_cli(["wigner-generate"], {"dim": MAX_DIM + 1}, tmp_path)

@@ -19,7 +19,7 @@ CFG = qa.AlphaConfig.from_alpha(1.1)
 
 def assert_detects(tally, wrong, notes):
     assert tally.verdict is not wrong, tally.notes
-    assert (tally.worst > COMPLETENESS_TOL) is wrong
+    assert (tally.max_residual > COMPLETENESS_TOL) is wrong
     assert set(notes) <= set(tally.notes) if wrong else not tally.notes
 
 
