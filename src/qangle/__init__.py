@@ -34,6 +34,7 @@ from .errors import (
     ParameterError,
     QAngleError,
     RangeError,
+    SchemaError,
     SpanError,
     WitnessRangeError,
 )

@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     ParameterError,
     RangeError,
+    SchemaError,
     WitnessRangeError,
 )
 from .projspace import (
@@ -42,6 +43,8 @@ from .projspace import (
     canonical_pair_form,
     check_weighted_basis,
     inner,
+    json_complex,
+    json_field,
     orthonormal_complement,
     quantum_angle,
 )
@@ -717,41 +720,44 @@ def counterexample_witness(
 
 
 def descriptor_from_json(obj: dict) -> AlphaSetDescriptor:
-    """Inverse of AlphaSetDescriptor.to_json."""
+    """Inverse of AlphaSetDescriptor.to_json; a mistyped or missing field is a SchemaError."""
+
+    def line(c: dict, key: str) -> Line:
+        return Line.from_json(json_field(c, key, dict))
+
+    def num(c: dict, key: str) -> float:
+        return json_field(c, key, float)
+
     comps: list[Component] = []
-    for c in obj["components"]:
-        kind = c["kind"]
+    for c in json_field(obj, "components", list):
+        kind = json_field(c, "kind", str)
         if kind == "circle":
-            comps.append(
-                CircleComponent(
-                    Line.from_json(c["e1"]), Line.from_json(c["e2"]), c["c"], c["d"]
-                )
-            )
+            comps.append(CircleComponent(line(c, "e1"), line(c, "e2"), num(c, "c"), num(c, "d")))
         elif kind == "slice":
             comps.append(
                 SphereSliceComponent(
-                    Line.from_json(c["axis"]),
-                    c["coefficient"],
-                    c["radius"],
-                    tuple(Line.from_json(l) for l in c["orthogonal_to"]),
+                    line(c, "axis"),
+                    num(c, "coefficient"),
+                    num(c, "radius"),
+                    tuple(Line.from_json(l) for l in json_field(c, "orthogonal_to", list)),
                 )
             )
         elif kind == "point":
-            comps.append(PointComponent(Line.from_json(c["line"])))
+            comps.append(PointComponent(line(c, "line")))
         elif kind == "atheta":
-            ph = c.get("e2_phase", {"re": 1.0, "im": 0.0})
+            phase = json_complex(json_field(c, "e2_phase", dict, {"re": 1.0, "im": 0.0}), 0)
             comps.append(
                 AthetaFamily(
-                    Line.from_json(c["e1"]),
-                    Line.from_json(c["e2"]),
-                    c["c"],
-                    c["d"],
-                    c["alpha"],
-                    c["theta0"],
-                    c["ambient_dim"],
-                    complex(ph["re"], ph["im"]),
+                    line(c, "e1"),
+                    line(c, "e2"),
+                    num(c, "c"),
+                    num(c, "d"),
+                    num(c, "alpha"),
+                    num(c, "theta0"),
+                    json_field(c, "ambient_dim", int),
+                    complex(phase),
                 )
             )
         else:
-            raise ParameterError(f"unknown component kind {kind!r}")
+            raise SchemaError(f"unknown component kind {kind!r}")
     return AlphaSetDescriptor(tuple(comps))

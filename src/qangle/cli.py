@@ -1,10 +1,12 @@
 """Command-line front end: every operation exposed with JSON input/output.
 
 Payload-driven verbs read a JSON document from ``--in FILE`` or standard
-input and print a JSON result; ``verify`` is flag-driven and runs one of the
-named verification suites, emitting a report.  All randomness funnels
-through ``--seed`` (default 0), so output bytes are reproducible.  Exit
-codes: 0 success, 1 domain error, 2 schema or usage error.
+input and print a JSON result; every setting, the seed and tolerance
+included, is a payload field (there is no ``--seed`` or ``--tol`` flag).
+``verify`` is flag-driven and runs one of the named verification suites,
+emitting a report; its randomness funnels through ``--seed`` (default 0).
+Output bytes are reproducible.  Exit codes: 0 success, 1 domain error,
+2 schema or usage error.
 """
 
 from __future__ import annotations
@@ -18,15 +20,11 @@ import numpy as np
 
 from . import alphasets, oracle, projspace, symmetric_sets, verify, wigner
 from .alphasets import AlphaConfig
-from .errors import DimensionError, NotAWignerMapError, QAngleError, RangeError
-from .projspace import Line, canonical_line
+from .errors import DimensionError, NotAWignerMapError, QAngleError, RangeError, SchemaError
+from .projspace import Line, canonical_line, json_complex, json_field
 
 # Suite parameters of ``verify``; a suite takes only those in its ``Suite.options``.
 _SUITE_OPTIONS = ("dim", "a", "c", "d")
-
-
-class SchemaError(Exception):
-    pass
 
 
 def _emit(obj: dict, out_path: str | None) -> None:
@@ -37,83 +35,32 @@ def _emit(obj: dict, out_path: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _need(payload: dict, key: str, kind):
-    if key not in payload:
-        raise SchemaError(f"missing field {key!r}")
-    val = payload[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if kind is bool and isinstance(val, bool):
-        return val
-    if kind in (dict, list) and isinstance(val, kind):
-        return val
-    raise SchemaError(f"field {key!r} must be {kind.__name__}")
-
-
-def _optional(payload: dict, key: str, kind, default):
-    """An optional field, type-checked like a required one when present."""
-    return _need(payload, key, kind) if key in payload else default
-
-
 def _line(payload: dict, key: str) -> Line:
-    obj = _need(payload, key, dict)
-    try:
-        return Line.from_json(obj)
-    except (QAngleError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"field {key!r} is not a valid line: {exc}") from exc
+    return Line.from_json(json_field(payload, key, dict))
 
 
 def _lines(payload: dict, key: str) -> list[Line]:
-    objs = _need(payload, key, list)
-    out = []
-    for i, obj in enumerate(objs):
-        try:
-            out.append(Line.from_json(obj))
-        except (QAngleError, KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"entry {i} of {key!r} is not a valid line: {exc}") from exc
-    return out
-
-
-def _complex(payload: dict, key: str) -> complex:
-    obj = _need(payload, key, dict)
-    return complex(_need(obj, "re", float), _need(obj, "im", float))
-
-
-def _symmetry(payload: dict, key: str) -> wigner.WignerSymmetry:
-    obj = _need(payload, key, dict)
-    try:
-        return wigner.WignerSymmetry.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"field {key!r} is not a valid symmetry: {exc}") from exc
+    return [Line.from_json(obj) for obj in json_field(payload, key, list)]
 
 
 def _cfg(payload: dict) -> AlphaConfig:
-    return AlphaConfig.from_alpha(_need(payload, "alpha", float))
+    return AlphaConfig.from_alpha(json_field(payload, "alpha", float))
 
 
 # ---------------------------------------------------------------------------
 # payload verbs
 
 
-def _run_angle(payload, args):
+def _run_angle(payload):
     u, v = _line(payload, "u"), _line(payload, "v")
     return {"radians": float(projspace.quantum_angle(u, v))}
 
 
-def _run_canonical(payload, args):
-    re = _need(payload, "re", list)
-    im = _need(payload, "im", list)
-    if len(re) != len(im):
-        raise SchemaError("re and im must have the same length")
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in re + im):
-        raise SchemaError("re and im must hold numbers")
-    vec = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    return canonical_line(vec).to_json()
+def _run_canonical(payload):
+    return canonical_line(json_complex(payload, 1)).to_json()
 
 
-def _run_alphaset(payload, args):
+def _run_alphaset(payload):
     cfg = _cfg(payload)
     gens = _lines(payload, "generators")
     if len(gens) == 2:
@@ -126,7 +73,7 @@ def _run_alphaset(payload, args):
     return descr.to_json()
 
 
-def _run_double_alphaset(payload, args):
+def _run_double_alphaset(payload):
     cfg = _cfg(payload)
     gens = _lines(payload, "generators")
     if len(gens) != 3:
@@ -135,24 +82,19 @@ def _run_double_alphaset(payload, args):
     return alphasets.double_alpha_set_classify(form, cfg, gens[0].dim).to_json()
 
 
-def _run_cardinality(payload, args):
+def _run_cardinality(payload):
     cfg = _cfg(payload)
-    c = _need(payload, "c", float)
-    d = _need(payload, "d", float)
-    theta = _need(payload, "theta", float)
-    c1 = _complex(payload, "c1")
-    c2 = _complex(payload, "c2")
-    c3 = _need(payload, "c3", float)
+    c, d, theta, c3 = (json_field(payload, k, float) for k in ("c", "d", "theta", "c3"))
+    c1, c2 = (complex(json_complex(json_field(payload, k, dict), 0)) for k in ("c1", "c2"))
     fam = verify.standard_family(cfg, c, d)
     card = alphasets.atheta_cardinality(fam, theta, (c1, c2, c3), cfg)
     return {"tag": card.tag, "margin": card.margin}
 
 
-def _run_classify_circle(payload, args):
+def _run_classify_circle(payload):
     cfg = _cfg(payload)
-    dim = _need(payload, "dim", int)
-    cf = _need(payload, "cfrak", float)
-    df = _need(payload, "dfrak", float)
+    dim = json_field(payload, "dim", int)
+    cf, df = (json_field(payload, k, float) for k in ("cfrak", "dfrak"))
     # Checked before the default basis allocates dim x dim amplitudes.
     if dim < 3:
         raise RangeError("classification needs ambient dimension >= 3")
@@ -167,11 +109,9 @@ def _run_classify_circle(payload, args):
     return symmetric_sets.classify_circle(circle, cfg, dim).to_json()
 
 
-def _run_witness(payload, args):
+def _run_witness(payload):
     cfg = _cfg(payload)
-    c = _need(payload, "c", float)
-    d = _need(payload, "d", float)
-    t = _need(payload, "t", float)
+    c, d, t = (json_field(payload, k, float) for k in ("c", "d", "t"))
     u1, u2, u3, w = alphasets.counterexample_witness(cfg, c, d, t)
     return {
         "u1": u1.to_json(),
@@ -182,15 +122,15 @@ def _run_witness(payload, args):
     }
 
 
-def _run_oracle(payload, args):
+def _run_oracle(payload):
     cfg = _cfg(payload)
     gens = _lines(payload, "generators")
-    dim = _need(payload, "dim", int)
-    count = _need(payload, "count", int)
-    seed = _optional(payload, "seed", int, args.seed)
-    tol = _optional(payload, "tol", float, args.tol if args.tol is not None else 1e-3)
-    refine = _optional(payload, "refine", bool, False)
-    confirm_tol = _optional(payload, "confirmTol", float, 1e-7)
+    dim = json_field(payload, "dim", int)
+    count = json_field(payload, "count", int)
+    seed = json_field(payload, "seed", int, 0)
+    tol = json_field(payload, "tol", float, 1e-3)
+    refine = json_field(payload, "refine", bool, False)
+    confirm_tol = json_field(payload, "confirmTol", float, 1e-7)
     cloud = oracle.sample_lines(dim, count, seed)
     if refine:
         members = oracle.discover_alpha_set(gens, cfg, cloud, tol, confirm_tol)
@@ -199,25 +139,25 @@ def _run_oracle(payload, args):
     return {"count": len(members), "members": [m.to_json() for m in members]}
 
 
-def _run_wigner_generate(payload, args):
-    dim = _need(payload, "dim", int)
-    seed = _optional(payload, "seed", int, args.seed)
-    anti = _optional(payload, "antiunitary", bool, False)
+def _run_wigner_generate(payload):
+    dim = json_field(payload, "dim", int)
+    seed = json_field(payload, "seed", int, 0)
+    anti = json_field(payload, "antiunitary", bool, False)
     return wigner.random_wigner(dim, seed, anti).to_json()
 
 
-def _run_wigner_fit(payload, args):
-    dim = _need(payload, "dim", int)
+def _run_wigner_fit(payload):
+    dim = json_field(payload, "dim", int)
     images = _lines(payload, "images")
     return wigner.fit_from_probes(dim, images).to_json()
 
 
-def _run_wigner_check(payload, args):
+def _run_wigner_check(payload):
     cfg = _cfg(payload)
-    sym = _symmetry(payload, "symmetry")
-    n_pairs = _optional(payload, "nPairs", int, 200)
-    seed = _optional(payload, "seed", int, args.seed)
-    tol = _optional(payload, "tol", float, args.tol if args.tol is not None else 1e-9)
+    sym = wigner.WignerSymmetry.from_json(json_field(payload, "symmetry", dict))
+    n_pairs = json_field(payload, "nPairs", int, 200)
+    seed = json_field(payload, "seed", int, 0)
+    tol = json_field(payload, "tol", float, 1e-9)
     inv = wigner.inverse_symmetry(sym)
     report = wigner.preservation_report(
         lambda v: wigner.apply_symmetry(sym, v),
@@ -231,14 +171,14 @@ def _run_wigner_check(payload, args):
     return report.to_json()
 
 
-def _run_intersect(payload, args):
+def _run_intersect(payload):
     lines = [_line(payload, k) for k in ("e1", "e2", "f1", "f2")]
-    c0 = _need(payload, "c0", float)
+    c0 = json_field(payload, "c0", float)
     out = wigner.circle_intersection(*lines, c0)
     return {"count": len(out), "lines": [l.to_json() for l in out]}
 
 
-def _run_bridge(payload, args):
+def _run_bridge(payload):
     cfg = _cfg(payload)
     lines = [_line(payload, k) for k in ("e1", "e2", "f1", "f2")]
     g1, g2 = wigner.bridge_basis(*lines, cfg)
@@ -290,8 +230,6 @@ def _read_payload(args) -> dict:
             payload = json.load(sys.stdin)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read payload: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError("payload must be a JSON object")
     return payload
 
 
@@ -304,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in _PAYLOAD_HANDLERS:
         sp = sub.add_parser(verb, help=f"run the {verb} operation on a JSON payload")
         sp.add_argument("--in", dest="infile", help="payload file (default: stdin)")
-        sp.add_argument("--seed", type=int, default=0, help="seed for any randomness")
-        sp.add_argument("--tol", type=float, default=None, help="tolerance override")
         sp.add_argument("--out", dest="outfile", help="also write the result JSON here")
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", choices=tuple(verify.SUITES))
@@ -331,12 +267,9 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report.to_json(), args.outfile)
         else:
             payload = _read_payload(args)
-            result = _PAYLOAD_HANDLERS[args.verb](payload, args)
+            result = _PAYLOAD_HANDLERS[args.verb](payload)
             _emit(result, args.outfile)
         return 0
-    except SchemaError as exc:
-        _emit({"error": "schema", "detail": str(exc)}, None)
-        return 2
     except NotAWignerMapError as exc:
         _emit(
             {
@@ -350,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except QAngleError as exc:
         _emit({"error": exc.code, "detail": str(exc)}, None)
-        return 1
+        return 2 if isinstance(exc, SchemaError) else 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,12 @@ class QAngleError(Exception):
     code = "error"
 
 
+class SchemaError(QAngleError):
+    """A JSON value has the wrong type or shape for its field, or is missing."""
+
+    code = "schema"
+
+
 class DimensionError(QAngleError):
     """Operands live in spaces of different (or unsupported) dimensions."""
 

@@ -26,6 +26,8 @@ from .errors import (
     DimensionError,
     NotCollinearError,
     ParameterError,
+    QAngleError,
+    SchemaError,
 )
 
 NORM_TOL = 1e-12
@@ -45,12 +47,57 @@ def check_dim(dim: int) -> None:
         raise DimensionError(f"dim {dim} outside supported range [2, {MAX_DIM}]")
 
 
-def json_int(obj: dict, key: str) -> int:
-    """``obj[key]`` if it is a JSON integer; a TypeError for anything else, a bool included."""
+_REQUIRED = object()
+
+
+def _is_number(val) -> bool:
+    """True for a JSON number (an int or float, never a boolean) that is a finite float."""
+    try:
+        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """``obj[key]`` as a JSON value of ``kind`` (int, float, bool, str, list or dict), else SchemaError.
+
+    An int is never a boolean; a float is any finite JSON number, returned as
+    a float.  A missing key gives ``default`` if one is passed.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"expected an object holding {key!r}, got {type(obj).__name__}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise SchemaError(f"missing field {key!r}")
+        return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise TypeError(f"{key} must be an integer, got {val!r}")
-    return val
+    if kind is float and _is_number(val):
+        return float(val)
+    if kind is not float and isinstance(val, kind) and not (kind is int and isinstance(val, bool)):
+        return val
+    raise SchemaError(f"field {key!r} must be {kind.__name__}, got {val!r}")
+
+
+def _json_numbers(obj: dict, key: str, ndim: int) -> np.ndarray:
+    """``obj[key]`` as a float array: finite JSON numbers nested exactly ``ndim`` deep, rectangular."""
+    arr = np.array(json_field(obj, key, list if ndim else float), dtype=object)
+    if arr.ndim != ndim or not all(_is_number(x) for x in arr.flat):
+        raise SchemaError(f"field {key!r} must be a rectangular {ndim}-deep nesting of finite numbers")
+    return arr.astype(float)
+
+
+def json_complex(obj: dict, ndim: int) -> np.ndarray:
+    """``obj["re"] + i obj["im"]``, each part copied bit for bit, else SchemaError.
+
+    Both parts must be finite JSON numbers nested exactly ``ndim`` deep (0 for
+    plain numbers), rectangular and of equal shape.
+    """
+    re, im = _json_numbers(obj, "re", ndim), _json_numbers(obj, "im", ndim)
+    if re.shape != im.shape:
+        raise SchemaError(f"re and im must have the same shape, got {re.shape} and {im.shape}")
+    out = re.astype(complex)
+    out.imag = im
+    return out
 
 
 class Angle(float):
@@ -104,8 +151,12 @@ class Line:
 
     @staticmethod
     def from_json(obj: dict) -> "Line":
-        amps = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return Line(json_int(obj, "dim"), amps)
+        """Inverse of to_json.  A wire line that is not a valid Line is a SchemaError."""
+        dim, amps = json_field(obj, "dim", int), json_complex(obj, 1)
+        try:
+            return Line(dim, amps)
+        except QAngleError as exc:
+            raise SchemaError(f"not a valid line: {exc}") from exc
 
 
 def gauge(vector: np.ndarray) -> np.ndarray:

@@ -58,9 +58,9 @@ class Tally:
         self.notes.append(note)
 
     def bound(self, value: float, tol: float, note: str) -> None:
-        """Record a residual; it fails the run when it exceeds ``tol``."""
+        """Record a residual; it fails the run when it exceeds ``tol`` or is NaN (kept out of the max)."""
         self.max_residual = max(self.max_residual, value)
-        if value > tol:
+        if not value <= tol:
             self.fail(note)
 
     def to_json(self) -> dict:
@@ -259,8 +259,8 @@ def empirical_high_symmetry_check(
 
         # The circle must sit inside the double-alpha-set of each triple.
         circ_samples = circle.sample(n_alpha_samples, rng)
-        for s in circ_samples:
-            tally.max_residual = max(tally.max_residual, descr.distance(s))
+        res = float(np.max([descr.distance(s) for s in circ_samples]))
+        tally.bound(res, 1e-8, "circle samples lie off the double-alpha-set of their triple")
         first_samples = first.sample(max(n_alpha_samples, 24), rng)
         res = worst_angle_residual(first_samples, cfg, circ_samples)
         tally.bound(res, 1e-8, "circle samples miss the sampled alpha-set at angle alpha")

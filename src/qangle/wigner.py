@@ -25,7 +25,9 @@ from .errors import (
     ParameterError,
     SpanError,
 )
-from .projspace import Line, canonical_line, check_dim, json_int, lines_equal, quantum_angle, random_line
+from .projspace import (
+    Line, canonical_line, check_dim, json_complex, json_field, lines_equal, quantum_angle, random_line
+)
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,9 @@ class WignerSymmetry:
 
     @staticmethod
     def from_json(obj: dict) -> "WignerSymmetry":
-        anti = obj["antiunitary"]
-        if not isinstance(anti, bool):
-            raise TypeError(f"antiunitary must be a boolean, got {anti!r}")
-        m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return WignerSymmetry(json_int(obj, "dim"), m, anti)
+        return WignerSymmetry(
+            json_field(obj, "dim", int), json_complex(obj, 2), json_field(obj, "antiunitary", bool)
+        )
 
 
 def random_wigner(dim: int, seed: int, antiunitary: bool = False) -> WignerSymmetry:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qangle as qa
-from qangle.cli import main
+from qangle.cli import _PAYLOAD_HANDLERS, main
 from qangle.projspace import MAX_DIM
 from qangle.verify import SUITES
 
@@ -61,6 +61,42 @@ class TestAngleVerb:
         code, out = run_cli(["angle"], payload, tmp_path)
         assert code == 2
         assert out["error"] == "schema"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("re", ["1", 0]),
+            ("im", [False, False]),
+            ("im", [0]),
+            ("im", 0),
+            ("re", [[1], [0]]),
+            ("re", [1, float("nan")]),
+            ("re", [10**400, 0]),
+        ],
+    )
+    def test_amplitudes_must_be_finite_numbers_of_equal_shape(self, tmp_path, key, value):
+        payload = {"u": {**line_json([1, 0]), key: value}, "v": line_json([0, 1])}
+        code, out = run_cli(["angle"], payload, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
+    @pytest.mark.parametrize(
+        "re, im", [([2, 0], [0, 0]), ([0, 1], [1, 0]), ([1, 0, 0], [0, 0, 0])], ids=["norm", "gauge", "length"]
+    )
+    def test_well_typed_invalid_line_is_schema_error(self, tmp_path, re, im):
+        payload = {"u": {"dim": 2, "re": re, "im": im}, "v": line_json([0, 1])}
+        code, out = run_cli(["angle"], payload, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
+
+class TestPayloadVerbFlags:
+    @pytest.mark.parametrize("flag", ["--seed", "--tol"])
+    @pytest.mark.parametrize("verb", list(_PAYLOAD_HANDLERS))
+    def test_settings_live_only_in_the_payload(self, verb, flag):
+        with pytest.raises(SystemExit) as err:
+            main([verb, flag, "3"])
+        assert err.value.code == 2
 
 
 class TestCanonicalVerb:
@@ -283,6 +319,19 @@ class TestWignerVerbs:
         code, out = run_cli(["wigner-check"], {"symmetry": sym, "alpha": 1.0, "nPairs": 60}, tmp_path)
         assert code == 2
         assert out["error"] == "schema"
+
+    @pytest.mark.parametrize("key, value", [("re", [["1", 0], [0, 1]]), ("im", [0])])
+    def test_check_refuses_mistyped_matrix_entries(self, tmp_path, key, value):
+        sym = {"dim": 2, "antiunitary": False, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]], key: value}
+        code, out = run_cli(["wigner-check"], {"symmetry": sym, "alpha": 1.0, "nPairs": 60}, tmp_path)
+        assert code == 2
+        assert out["error"] == "schema"
+
+    def test_check_refuses_a_matrix_of_the_wrong_size(self, tmp_path):
+        sym = {"dim": 3, "antiunitary": False, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        code, out = run_cli(["wigner-check"], {"symmetry": sym, "alpha": 1.0}, tmp_path)
+        assert code == 1
+        assert out["error"] == "dimension-mismatch"
 
     def test_check_refuses_a_non_unitary_matrix(self, tmp_path):
         code, sym = run_cli(["wigner-generate"], {"dim": 3}, tmp_path)

@@ -4,12 +4,14 @@ The acceptance criteria and the ``qangle verify`` suites pass only through
 these checks, so a check that cannot fail would let both pass vacuously.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import qangle as qa
+from qangle import verify
 from qangle.verify import COMPLETENESS_TOL, Tally, check_alpha_set, check_double_alpha_set
 
 from conftest import random_line, random_orthonormal_pair
@@ -58,3 +60,33 @@ def test_check_double_alpha_set(wrong):
         wrong,
         ["circle sample misses the sampled alpha-set", "numeric double-alpha-set member off the circle"],
     )
+
+
+def test_nan_residual_fails_the_run():
+    tally = Tally()
+    tally.bound(0.5, 1.0, "finite")
+    tally.bound(float("nan"), 1e-9, "nan residual")
+    assert tally.verdict is False
+    assert tally.notes == ["nan residual"]
+    assert tally.max_residual == 0.5
+    json.dumps(tally.to_json(), allow_nan=False)
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_high_symmetry_check_holds_the_circle_to_the_double_alpha_set(monkeypatch, wrong):
+    # A double-alpha-set whose circle has perturbed weights misses the
+    # circle it was built from; the check must say so.
+    classify = qa.double_alpha_set_classify
+
+    def perturbed(form, cfg, dim):
+        d = form.d + 0.02
+        return qa.AlphaSetDescriptor((qa.Circle(form.e1, form.e2, math.sqrt(1 - d * d), d),))
+
+    monkeypatch.setattr(verify.alphasets, "double_alpha_set_classify", perturbed if wrong else classify)
+    rng = np.random.default_rng(31)
+    e1, e2 = random_orthonormal_pair(rng, 4)
+    tally = verify.empirical_high_symmetry_check(
+        qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, n_triples=2, n_alpha_samples=12, seed=5,
+        cloud=qa.sample_lines(4, 5_000, 32),
+    )
+    assert ("circle samples lie off the double-alpha-set of their triple" in tally.notes) is wrong
