@@ -2,11 +2,10 @@
 
 Payload-driven verbs read a JSON document from ``--in FILE`` or standard
 input and print a JSON result; every setting, the seed and tolerance
-included, is a payload field (there is no ``--seed`` or ``--tol`` flag).
-``verify`` is flag-driven and runs one of the named verification suites,
-emitting a report; its randomness funnels through ``--seed`` (default 0).
-Output bytes are reproducible.  Exit codes: 0 success, 1 domain error,
-2 schema or usage error.
+included, is a payload field, so these verbs take no ``--seed`` or ``--tol``.
+``verify`` runs a named verification suite from flags, with its randomness
+from ``--seed`` (default 0).  Output bytes are reproducible.  Exit codes:
+0 success, 1 domain error, 2 schema or usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import alphasets, oracle, projspace, symmetric_sets, verify, wigner
 from .alphasets import AlphaConfig
-from .errors import DimensionError, NotAWignerMapError, QAngleError, RangeError, SchemaError
+from .errors import DimensionError, NotAWignerMapError, ParameterError, QAngleError, RangeError, SchemaError
 from .projspace import Line, canonical_line, json_complex, json_field
 
 # Suite parameters of ``verify``; a suite takes only those in its ``Suite.options``.
@@ -41,6 +40,13 @@ def _line(payload: dict, key: str) -> Line:
 
 def _lines(payload: dict, key: str) -> list[Line]:
     return [Line.from_json(obj) for obj in json_field(payload, key, list)]
+
+
+def _seed(payload: dict) -> int:
+    seed = json_field(payload, "seed", int, 0)
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _cfg(payload: dict) -> AlphaConfig:
@@ -84,8 +90,12 @@ def _run_double_alphaset(payload):
 
 def _run_cardinality(payload):
     cfg = _cfg(payload)
-    c, d, theta, c3 = (json_field(payload, k, float) for k in ("c", "d", "theta", "c3"))
-    c1, c2 = (complex(json_complex(json_field(payload, k, dict), 0)) for k in ("c1", "c2"))
+    c = json_field(payload, "c", float)
+    d = json_field(payload, "d", float)
+    theta = json_field(payload, "theta", float)
+    c1 = complex(json_complex(json_field(payload, "c1", dict), 0))
+    c2 = complex(json_complex(json_field(payload, "c2", dict), 0))
+    c3 = json_field(payload, "c3", float)
     fam = verify.standard_family(cfg, c, d)
     card = alphasets.atheta_cardinality(fam, theta, (c1, c2, c3), cfg)
     return {"tag": card.tag, "margin": card.margin}
@@ -94,7 +104,8 @@ def _run_cardinality(payload):
 def _run_classify_circle(payload):
     cfg = _cfg(payload)
     dim = json_field(payload, "dim", int)
-    cf, df = (json_field(payload, k, float) for k in ("cfrak", "dfrak"))
+    cf = json_field(payload, "cfrak", float)
+    df = json_field(payload, "dfrak", float)
     # Checked before the default basis allocates dim x dim amplitudes.
     if dim < 3:
         raise RangeError("classification needs ambient dimension >= 3")
@@ -111,7 +122,9 @@ def _run_classify_circle(payload):
 
 def _run_witness(payload):
     cfg = _cfg(payload)
-    c, d, t = (json_field(payload, k, float) for k in ("c", "d", "t"))
+    c = json_field(payload, "c", float)
+    d = json_field(payload, "d", float)
+    t = json_field(payload, "t", float)
     u1, u2, u3, w = alphasets.counterexample_witness(cfg, c, d, t)
     return {
         "u1": u1.to_json(),
@@ -127,7 +140,7 @@ def _run_oracle(payload):
     gens = _lines(payload, "generators")
     dim = json_field(payload, "dim", int)
     count = json_field(payload, "count", int)
-    seed = json_field(payload, "seed", int, 0)
+    seed = _seed(payload)
     tol = json_field(payload, "tol", float, 1e-3)
     refine = json_field(payload, "refine", bool, False)
     confirm_tol = json_field(payload, "confirmTol", float, 1e-7)
@@ -141,7 +154,7 @@ def _run_oracle(payload):
 
 def _run_wigner_generate(payload):
     dim = json_field(payload, "dim", int)
-    seed = json_field(payload, "seed", int, 0)
+    seed = _seed(payload)
     anti = json_field(payload, "antiunitary", bool, False)
     return wigner.random_wigner(dim, seed, anti).to_json()
 
@@ -156,7 +169,7 @@ def _run_wigner_check(payload):
     cfg = _cfg(payload)
     sym = wigner.WignerSymmetry.from_json(json_field(payload, "symmetry", dict))
     n_pairs = json_field(payload, "nPairs", int, 200)
-    seed = json_field(payload, "seed", int, 0)
+    seed = _seed(payload)
     tol = json_field(payload, "tol", float, 1e-9)
     inv = wigner.inverse_symmetry(sym)
     report = wigner.preservation_report(
@@ -207,6 +220,8 @@ def _run_suite(args) -> verify.Tally:
     draws = suite.draws if args.draws is None else args.draws
     if draws < 1:
         raise SchemaError(f"--draws must be >= 1, got {draws}")
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be >= 0, got {args.seed}")
     given = {k: v for k in _SUITE_OPTIONS if (v := getattr(args, k)) is not None}
     unused = sorted(given.keys() - suite.options)
     if unused:
@@ -225,12 +240,10 @@ def _read_payload(args) -> dict:
     try:
         if args.infile:
             with open(args.infile) as fh:
-                payload = json.load(fh)
-        else:
-            payload = json.load(sys.stdin)
+                return json.load(fh)
+        return json.load(sys.stdin)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read payload: {exc}") from exc
-    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,19 +283,11 @@ def main(argv: list[str] | None = None) -> int:
             result = _PAYLOAD_HANDLERS[args.verb](payload)
             _emit(result, args.outfile)
         return 0
-    except NotAWignerMapError as exc:
-        _emit(
-            {
-                "error": exc.code,
-                "detail": str(exc),
-                "probeIndex": exc.probe_index,
-                "residual": exc.residual,
-            },
-            None,
-        )
-        return 1
     except QAngleError as exc:
-        _emit({"error": exc.code, "detail": str(exc)}, None)
+        error = {"error": exc.code, "detail": str(exc)}
+        if isinstance(exc, NotAWignerMapError):
+            error.update(probeIndex=exc.probe_index, residual=exc.residual)
+        _emit(error, None)
         return 2 if isinstance(exc, SchemaError) else 1
 
 

@@ -15,6 +15,7 @@ use to describe alpha-sets in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,8 @@ _REQUIRED = object()
 
 
 def _is_number(val) -> bool:
-    """True for a JSON number (an int or float, never a boolean) that is a finite float."""
-    try:
-        return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
-    except OverflowError:  # an integer beyond the float range
-        return False
+    """True for a JSON number (an int or float, never a boolean) within the finite float range."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= sys.float_info.max
 
 
 def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
@@ -152,7 +150,8 @@ class Line:
     @staticmethod
     def from_json(obj: dict) -> "Line":
         """Inverse of to_json.  A wire line that is not a valid Line is a SchemaError."""
-        dim, amps = json_field(obj, "dim", int), json_complex(obj, 1)
+        dim = json_field(obj, "dim", int)
+        amps = json_complex(obj, 1)
         try:
             return Line(dim, amps)
         except QAngleError as exc:

@@ -352,6 +352,21 @@ class TestWignerVerbs:
         assert code == 2
         assert out["error"] == "schema"
 
+    @pytest.mark.parametrize(
+        "verb, payload",
+        [
+            ("wigner-generate", {"dim": 3}),
+            ("oracle", {"alpha": 1.1, "generators": [line_json([1, 0, 0]), line_json([1, 2j, 0])], "dim": 3,
+                        "count": 10}),
+            ("wigner-check", {"alpha": 1.0, "symmetry": {"dim": 2, "antiunitary": False, "re": [[1, 0], [0, 1]],
+                                                         "im": [[0, 0], [0, 0]]}}),
+        ],
+    )
+    def test_negative_seed_is_parameter_error(self, tmp_path, verb, payload):
+        code, out = run_cli([verb], {**payload, "seed": -1}, tmp_path)
+        assert code == 1
+        assert out["error"] == "parameter"
+
     def test_fit_rejects_garbage(self, tmp_path):
         images = [line_json([1, 0, 0]).copy() for _ in range(7)]
         code, out = run_cli(["wigner-fit"], {"dim": 3, "images": images}, tmp_path)
@@ -445,6 +460,11 @@ class TestVerifySuites:
     @pytest.mark.parametrize("draws", ["0", "-1"])
     def test_draws_below_one_exit_2(self, draws):
         code, out = run_cli(["verify", "shape", "--draws", draws])
+        assert code == 2
+        assert out["error"] == "schema"
+
+    def test_negative_seed_exit_2(self):
+        code, out = run_cli(["verify", "shape", "--seed", "-1", "--draws", "1"])
         assert code == 2
         assert out["error"] == "schema"
 

@@ -1,11 +1,12 @@
 """Capture and compare the CLI's golden runs: the stdout and exit code of fixed commands.
 
-    python tools/goldens.py capture --src SRC OUT [--jobs N]
+    python tools/goldens.py capture --src SRC OUT
     python tools/goldens.py compare A B
 
 ``capture`` runs ``python -m qangle.cli`` with ``SRC`` (a checkout's ``src/``
 directory) first on ``PYTHONPATH``, once per golden run, in an empty working
 directory, and writes ``OUT/<run>.stdout`` and ``OUT/<run>.exit`` for each.
+``OUT`` must be new or empty, so a capture never mixes with an older one.
 The runs are the 24 ``qangle verify`` goldens (each suite at seeds 0 and 1
 with two draws, the default-draws runs of ``infinite-element``, ``section5``
 and ``collin-alpha``, and three runs with explicit parameters), one valid
@@ -28,7 +29,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 TWO_DRAW_SUITES = ("shape", "collin-alpha", "circle4", "circle3", "circle-char", "basic")
@@ -108,13 +108,13 @@ def all_runs() -> dict[str, tuple[list[str], dict | None]]:
     return runs
 
 
-def capture(src: Path, out: Path, jobs: int) -> int:
+def capture(src: Path, out: Path) -> int:
+    if out.exists() and any(out.iterdir()):
+        raise SystemExit(f"capture: {out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src.resolve()), os.environ.get("PYTHONPATH")]))}
     env["COLUMNS"] = "80"  # argparse wraps --help text to the terminal width
-
-    def run(item):
-        name, (argv, payload) = item
+    for name, (argv, payload) in sorted(all_runs().items()):
         stdin = None if payload is None else json.dumps(payload)
         with tempfile.TemporaryDirectory() as cwd:
             proc = subprocess.run(
@@ -125,9 +125,6 @@ def capture(src: Path, out: Path, jobs: int) -> int:
         (out / f"{name}.stdout").write_text(proc.stdout)
         (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}", file=sys.stderr)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(run, sorted(all_runs().items())))
     return 0
 
 
@@ -153,15 +150,12 @@ def main(argv: list[str] | None = None) -> int:
     cap = sub.add_parser("capture", help="run every golden against SRC and write the results to OUT")
     cap.add_argument("--src", type=Path, required=True, help="the src/ directory of a checkout")
     cap.add_argument("out", type=Path)
-    cap.add_argument("--jobs", type=int, default=2, help="runs in flight at once (default 2)")
     cmp_ = sub.add_parser("compare", help="list the runs that differ between two captures")
     cmp_.add_argument("a", type=Path)
     cmp_.add_argument("b", type=Path)
     args = p.parse_args(argv)
     if args.cmd == "capture":
-        if args.jobs < 1:
-            p.error("--jobs must be >= 1")
-        return capture(args.src, args.out, args.jobs)
+        return capture(args.src, args.out)
     return compare(args.a, args.b)
 
 
