@@ -7,7 +7,6 @@ verification checks that judge every closed form against it.
 """
 
 from .alphasets import (
-    AlphaConfig,
     AlphaSetDescriptor,
     AthetaFamily,
     Cardinality,
@@ -51,7 +50,7 @@ from .oracle import (
     save_cloud,
 )
 from .projspace import (
-    Angle,
+    AlphaConfig,
     Line,
     PairCanonicalForm,
     TripleCanonicalForm,

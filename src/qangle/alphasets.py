@@ -20,7 +20,7 @@ operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -31,12 +31,11 @@ from .errors import (
     DimensionError,
     DomainError,
     ParameterError,
-    RangeError,
     SchemaError,
     WitnessRangeError,
 )
 from .projspace import (
-    Angle,
+    AlphaConfig,
     Line,
     TripleCanonicalForm,
     canonical_line,
@@ -67,38 +66,6 @@ EXCEPTIONAL_TRIPLES = (
     (_SQ3, math.sqrt(2.0 / 3.0), _SQ3),
     (_SQ3, _SQ2, _SQ2),
 )
-
-
-@dataclass(frozen=True)
-class AlphaConfig:
-    """The fixed quantum angle alpha and its cosine a.
-
-    Membership-style operations accept any 0 < alpha < pi/2; classification
-    operations additionally require pi/4 < alpha < pi/2 (i.e. 0 < a < 1/sqrt 2).
-    """
-
-    alpha: Angle
-    a: float = field(init=False)
-
-    def __post_init__(self):
-        r = float(self.alpha)
-        if not (0.0 < r < np.pi / 2):
-            raise ParameterError(f"alpha {r} outside (0, pi/2)")
-        object.__setattr__(self, "a", float(np.cos(r)))
-
-    @staticmethod
-    def from_alpha(radians: float) -> "AlphaConfig":
-        return AlphaConfig(Angle(radians))
-
-    @property
-    def in_classification_range(self) -> bool:
-        return np.pi / 4 < float(self.alpha) < np.pi / 2
-
-    def require_classification_range(self):
-        if not self.in_classification_range:
-            raise RangeError(
-                f"alpha {float(self.alpha)} outside classification range (pi/4, pi/2)"
-            )
 
 
 def _check_profile_weights(a: float, c: float, d: float) -> None:
@@ -170,7 +137,7 @@ def _sphere_distance(
         hdir = (coords @ comp) / pnorm if pnorm > 1e-15 else comp[0]
         phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
         center = center + phase * radius * hdir
-    return float(quantum_angle(v, canonical_line(center)))
+    return quantum_angle(v, canonical_line(center))
 
 
 @dataclass(frozen=True)
@@ -351,7 +318,7 @@ class CircleComponent:
             lam = p * np.conj(q) / (abs(p) * abs(q))
         else:
             lam = 1.0
-        return float(quantum_angle(v, self.member(lam)))
+        return quantum_angle(v, self.member(lam))
 
     def to_json(self) -> dict:
         return {
@@ -414,7 +381,7 @@ class PointComponent:
         return [self.line] * count
 
     def distance(self, v: Line) -> float:
-        return float(quantum_angle(v, self.line))
+        return quantum_angle(v, self.line)
 
     def to_json(self) -> dict:
         return {"kind": "point", "line": self.line.to_json()}
@@ -433,13 +400,8 @@ class AlphaSetDescriptor:
 
     components: tuple[Component, ...]
 
-    def sample(self, count: int, seed_or_rng) -> list[Line]:
+    def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
         """Draw roughly ``count`` member lines, spread across components."""
-        rng = (
-            seed_or_rng
-            if isinstance(seed_or_rng, np.random.Generator)
-            else np.random.default_rng(seed_or_rng)
-        )
         k = len(self.components)
         base, extra = divmod(count, k)
         out = []
@@ -466,7 +428,7 @@ def pair_alpha_set(v1: Line, v2: Line, cfg: AlphaConfig) -> AlphaSetDescriptor:
     pair = canonical_pair_form(v1, v2)
     theta0, _ = theta0_and_rho(cfg, pair.c, pair.d)
     fam = AthetaFamily(
-        pair.e1, pair.e2, pair.c, pair.d, float(cfg.alpha), theta0, v1.dim, pair.e2_phase
+        pair.e1, pair.e2, pair.c, pair.d, cfg.alpha, theta0, v1.dim, pair.e2_phase
     )
     return AlphaSetDescriptor((fam,))
 
@@ -712,7 +674,7 @@ def counterexample_witness(
     for u in (u1, u2, u3):
         if double.distance(u) > 1e-9:
             raise ParameterError("witness construction failed a membership post-check")
-        if abs(float(quantum_angle(w, u)) - float(cfg.alpha)) > 1e-9:
+        if abs(quantum_angle(w, u) - cfg.alpha) > 1e-9:
             raise ParameterError("witness construction failed an angle post-check")
     if first.distance(w) <= 1e-6:
         raise ParameterError("witness line unexpectedly close to the alpha-set")

@@ -18,9 +18,8 @@ import time
 import numpy as np
 
 from . import alphasets, oracle, projspace, symmetric_sets, verify, wigner
-from .alphasets import AlphaConfig
 from .errors import DimensionError, NotAWignerMapError, ParameterError, QAngleError, RangeError, SchemaError
-from .projspace import Line, canonical_line, json_complex, json_field
+from .projspace import AlphaConfig, Line, canonical_line, json_complex, json_field
 
 # Suite parameters of ``verify``; a suite takes only those in its ``Suite.options``.
 _SUITE_OPTIONS = ("dim", "a", "c", "d")
@@ -59,7 +58,7 @@ def _cfg(payload: dict) -> AlphaConfig:
 
 def _run_angle(payload):
     u, v = _line(payload, "u"), _line(payload, "v")
-    return {"radians": float(projspace.quantum_angle(u, v))}
+    return {"radians": projspace.quantum_angle(u, v)}
 
 
 def _run_canonical(payload):
@@ -131,7 +130,7 @@ def _run_witness(payload):
         "u2": u2.to_json(),
         "u3": u3.to_json(),
         "w": w.to_json(),
-        "angles": [float(projspace.quantum_angle(w, u)) for u in (u1, u2, u3)],
+        "angles": [projspace.quantum_angle(w, u) for u in (u1, u2, u3)],
     }
 
 
@@ -148,7 +147,7 @@ def _run_oracle(payload):
     if refine:
         members = oracle.discover_alpha_set(gens, cfg, cloud, tol, confirm_tol)
     else:
-        members = oracle.alpha_set_numeric(gens, cfg, cloud, tol)
+        members = [Line(dim, row) for row in oracle.alpha_set_numeric(gens, cfg, cloud, tol)]
     return {"count": len(members), "members": [m.to_json() for m in members]}
 
 

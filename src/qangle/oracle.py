@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphasets import AlphaConfig
 from .errors import DimensionError, ParameterError
-from .projspace import GAUGE_TOL, Line, canonical_line, check_dim, quantum_angle
+from .projspace import GAUGE_TOL, AlphaConfig, Line, canonical_line, check_dim, quantum_angle
 
 _HEADER = struct.Struct("<QQQ")
 
@@ -32,14 +31,13 @@ MAX_CLOUD_ENTRIES = 16_000_000
 # each working buffer holds at most this many rows.
 _BLOCK_ROWS = 16_384
 
+# Gauss-Newton steps a refined candidate may take before it is dropped.
+_MAX_ITER = 600
+
 
 @dataclass(frozen=True)
 class SampleCloud:
-    """A reproducible batch of canonical-gauged random lines.
-
-    The representatives are stored as the rows of ``vectors``; ``line(i)``
-    materializes a single row as a :class:`Line`.
-    """
+    """A reproducible batch of canonical-gauged random lines, stored as the rows of ``vectors``."""
 
     dim: int
     vectors: np.ndarray
@@ -51,9 +49,6 @@ class SampleCloud:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
-
-    def line(self, i: int) -> Line:
-        return Line(self.dim, self.vectors[i].copy())
 
 
 def _check_cloud_shape(dim: int, count: int) -> None:
@@ -132,7 +127,7 @@ def _lines_matrix(lines) -> np.ndarray:
 def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.ndarray:
     """Per-row maximum of |angle(row, g) - alpha| over the generators."""
     gens_h = _lines_matrix(generators).conj().T
-    alpha = float(cfg.alpha)
+    alpha = cfg.alpha
     vectors = np.atleast_2d(vectors)
     out = np.empty(vectors.shape[0])
     for start, stop in _blocks(vectors.shape[0]):
@@ -147,37 +142,35 @@ def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:
     return float(np.max(angle_residuals(generators, cfg, _lines_matrix(lines))))
 
 
-def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: float) -> list[Line]:
-    """Cloud members whose angle to every generator is within ``tol`` of alpha."""
+def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: float) -> np.ndarray:
+    """The ``(H, dim)`` cloud rows whose angle to every generator is within ``tol`` of alpha."""
     if not generators:
         raise ParameterError("generator set must be non-empty")
     dims = {g.dim for g in generators}
     if dims != {cloud.dim}:
         raise DimensionError("generators and cloud live in different dimensions")
     res = angle_residuals(generators, cfg, cloud.vectors)
-    return [cloud.line(int(i)) for i in np.nonzero(res <= tol)[0]]
+    return cloud.vectors[res <= tol]
 
 
 def refine_alpha_members(
     generators,
     cfg: AlphaConfig,
-    candidates,
+    candidates: np.ndarray,
     tol: float = 1e-7,
-    max_iter: int = 40,
 ) -> list[Line]:
-    """Polish candidate lines onto the constraint set angle(v, s_j) = alpha.
+    """Polish candidate rows onto the constraint set angle(v, s_j) = alpha.
 
     Runs a damped Gauss-Newton iteration on the residual vector per
     candidate, renormalizing after every step.  (Plain projected gradient
     descent converges only linearly and stalls on ill-conditioned constraint
-    sets, e.g. nearly coincident generators.)  Candidates whose final
-    maximum residual exceeds ``tol`` are dropped.
+    sets, e.g. nearly coincident generators.)  A candidate whose maximum
+    residual is still above ``tol`` after ``_MAX_ITER`` steps, or when no
+    step lowers it, is dropped; the others are returned as lines.
     """
-    if not candidates:
-        return []
     gens = _lines_matrix(generators)
     n = gens.shape[1]
-    alpha = float(cfg.alpha)
+    alpha = cfg.alpha
     out: list[Line] = []
 
     def residual(v: np.ndarray):
@@ -186,11 +179,10 @@ def refine_alpha_members(
         ang = np.arccos(np.clip(m, 0.0, 1.0 - 1e-15))
         return g, m, ang - alpha
 
-    for cand in candidates:
-        v = cand.amplitudes.copy()
+    for v in candidates:
         g, m, r = residual(v)
         converged = bool(np.max(np.abs(r)) <= tol)
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             if converged:
                 break
             denom = np.maximum(m * np.sqrt(np.clip(1.0 - m * m, 1e-18, None)), 1e-12)
@@ -234,7 +226,6 @@ def discover_alpha_set(
     discovery_tol: float = 1e-3,
     confirm_tol: float = 1e-7,
     max_candidates: int = 4000,
-    max_iter: int = 600,
 ) -> list[Line]:
     """Numeric alpha-set of a few generators: :func:`funnel_alpha_set` with
     every generator in both stages.
@@ -243,7 +234,7 @@ def discover_alpha_set(
     so hits at ``discovery_tol`` are polished down to ``confirm_tol``.
     """
     return funnel_alpha_set(
-        generators, cfg, cloud, discovery_tol, confirm_tol, max_candidates, len(generators), max_iter
+        generators, cfg, cloud, discovery_tol, confirm_tol, max_candidates, len(generators)
     )
 
 
@@ -255,7 +246,6 @@ def funnel_alpha_set(
     confirm_tol: float = 1e-7,
     max_pool: int = 2000,
     n_seed_constraints: int = 3,
-    max_iter: int = 600,
 ) -> list[Line]:
     """Numeric alpha-set of a large constraint family via a two-stage funnel.
 
@@ -266,7 +256,7 @@ def funnel_alpha_set(
     survive.
     """
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
-    return refine_alpha_members(constraints, cfg, pool[:max_pool], confirm_tol, max_iter)
+    return refine_alpha_members(constraints, cfg, pool[:max_pool], confirm_tol)
 
 
 def root_count_on_circle(z: complex, r: float, a: float, grid_size: int = 10_000):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     NotCollinearError,
     ParameterError,
     QAngleError,
+    RangeError,
     SchemaError,
 )
 
@@ -38,6 +39,14 @@ COLLINEARITY_TOL = 1e-9
 
 #: Hard cap on ambient dimension; infinite-dimensional spaces are out of scope.
 MAX_DIM = 16
+
+
+def _check_finite(amps: np.ndarray) -> None:
+    """Refuse a NaN or infinite amplitude, naming the first one, before any norm is taken."""
+    finite = np.isfinite(amps)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ParameterError(f"amplitude {k} is not finite: {amps[k]}")
 
 
 def check_dim(dim: int) -> None:
@@ -98,27 +107,44 @@ def json_complex(obj: dict, ndim: int) -> np.ndarray:
     return out
 
 
-class Angle(float):
-    """A quantum angle in radians, clamped to [0, pi/2]."""
+@dataclass(frozen=True)
+class AlphaConfig:
+    """The fixed quantum angle alpha (radians) and its cosine a.
 
-    def __new__(cls, radians: float) -> "Angle":
-        r = float(radians)
-        if r < -1e-12 or r > np.pi / 2 + 1e-12:
-            raise ParameterError(f"angle {r} outside [0, pi/2]")
-        return super().__new__(cls, min(max(r, 0.0), np.pi / 2))
+    Membership-style operations accept any 0 < alpha < pi/2; classification
+    operations additionally require pi/4 < alpha < pi/2 (i.e. 0 < a < 1/sqrt 2).
+    """
+
+    alpha: float
+    a: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", float(self.alpha))
+        if not (0.0 < self.alpha < np.pi / 2):
+            raise ParameterError(f"alpha {self.alpha} outside (0, pi/2)")
+        object.__setattr__(self, "a", float(np.cos(self.alpha)))
+
+    @staticmethod
+    def from_alpha(radians: float) -> "AlphaConfig":
+        return AlphaConfig(radians)
 
     @property
-    def radians(self) -> float:
-        return float(self)
+    def in_classification_range(self) -> bool:
+        return np.pi / 4 < self.alpha < np.pi / 2
+
+    def require_classification_range(self):
+        if not self.in_classification_range:
+            raise RangeError(f"alpha {self.alpha} outside classification range (pi/4, pi/2)")
 
 
 @dataclass(frozen=True, eq=False)
 class Line:
     """A point of P(C^n): a unit vector in canonical phase gauge.
 
-    Invariants: the amplitudes have Euclidean norm 1 within 1e-12, and the
-    first amplitude of modulus > 1e-12 is real and strictly positive.  Use
-    :func:`canonical_line` to build a Line from an arbitrary vector.
+    Invariants: the amplitudes are finite, their Euclidean norm is 1 within
+    1e-12, and the first amplitude of modulus > 1e-12 is real and strictly
+    positive.  Use :func:`canonical_line` to build a Line from an arbitrary
+    vector.
     """
 
     dim: int
@@ -130,6 +156,7 @@ class Line:
             raise DimensionError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
         if self.dim < 1 or self.dim > MAX_DIM:
             raise DimensionError(f"dim {self.dim} outside supported range [1, {MAX_DIM}]")
+        _check_finite(amps)
         if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ParameterError(f"amplitudes not normalized: |v| = {np.linalg.norm(amps)}")
         big = np.abs(amps) > GAUGE_TOL
@@ -171,11 +198,12 @@ def gauge(vector: np.ndarray) -> np.ndarray:
 def canonical_line(vector) -> Line:
     """Normalize and phase-gauge a raw complex vector into a Line.
 
-    Raises DegenerateVectorError when the vector norm is below 1e-9.  For any
-    unimodular lambda, ``canonical_line(lambda * v)`` equals
-    ``canonical_line(v)`` as a line.
+    Raises ParameterError for a non-finite amplitude and DegenerateVectorError
+    when the vector norm is below 1e-9.  For any unimodular lambda,
+    ``canonical_line(lambda * v)`` equals ``canonical_line(v)`` as a line.
     """
     v = np.asarray(vector, dtype=complex).reshape(-1)
+    _check_finite(v)
     n = np.linalg.norm(v)
     if n <= 1e-9:
         raise DegenerateVectorError(f"vector norm {n} too small")
@@ -189,7 +217,7 @@ def inner(u: Line, v: Line) -> complex:
     return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
-def quantum_angle(u: Line, v: Line) -> Angle:
+def quantum_angle(u: Line, v: Line) -> float:
     """Quantum angle arccos|<u, v>| between two lines; symmetric and gauge-invariant.
 
     Near-identical lines are handled through the orthogonal residual
@@ -199,7 +227,7 @@ def quantum_angle(u: Line, v: Line) -> Angle:
     """
     m = abs(inner(u, v))
     if m < 0.999:
-        return Angle(np.arccos(m))
+        return float(np.arccos(m))
     a, b = (
         (u, v)
         if u.amplitudes.tobytes() <= v.amplitudes.tobytes()
@@ -207,7 +235,7 @@ def quantum_angle(u: Line, v: Line) -> Angle:
     )
     z = np.vdot(a.amplitudes, b.amplitudes)
     perp = b.amplitudes - z * a.amplitudes
-    return Angle(np.arcsin(min(1.0, float(np.linalg.norm(perp)))))
+    return float(np.arcsin(min(1.0, float(np.linalg.norm(perp)))))
 
 
 def lines_equal(u: Line, v: Line, tol: float = LINE_EQUALITY_TOL) -> bool:

@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 from .alphasets import (
-    AlphaConfig,
     CircleComponent,
     has_second_double_component,
     matches_exceptional_triple,
 )
 from .errors import DimensionError, ParameterError, RangeError
+from .projspace import AlphaConfig
 
 #: Enumerated verdict reasons.
 REASON_DIM_GE_4 = "dim-at-least-4"

@@ -11,6 +11,7 @@ counting) live in :mod:`qangle.oracle`.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -18,10 +19,11 @@ from typing import Callable
 import numpy as np
 
 from . import alphasets, oracle, projspace, wigner
-from .alphasets import AlphaConfig, AthetaFamily
+from .alphasets import AthetaFamily
 from .errors import ParameterError, QAngleError
 from .oracle import SampleCloud, worst_angle_residual
 from .projspace import (
+    AlphaConfig,
     Line,
     canonical_line,
     canonical_triple_form,
@@ -35,6 +37,11 @@ SOUNDNESS_TOL = 1e-9  # |angle - alpha| of a descriptor sample, to every generat
 COMPLETENESS_TOL = 1e-5  # distance of a refined oracle member to the descriptor
 _FIRST_SAMPLES = 40  # alpha-set samples standing in for a double-alpha-set's generators
 _SECTION5_C0 = math.sqrt(7.0 / 12.0)  # circle weight of the Section 5 count and bridge
+# Tolerances of verify_basic_relations: rejection, refinement (also clause 1's
+# bound), and the bound of the inclusion clauses 2 and 3.
+_DISCOVERY_TOL = 1e-2
+_CONFIRM_TOL = 1e-7
+_INCLUSION_TOL = 1e-5
 
 
 @dataclass
@@ -108,7 +115,7 @@ def standard_family(cfg: AlphaConfig, c: float, d: float) -> AthetaFamily:
     theta0, _ = alphasets.theta0_and_rho(cfg, c, d)
     eye = np.eye(4, dtype=complex)
     return AthetaFamily(
-        canonical_line(eye[0]), canonical_line(eye[1]), c, d, float(cfg.alpha), theta0, 4
+        canonical_line(eye[0]), canonical_line(eye[1]), c, d, cfg.alpha, theta0, 4
     )
 
 
@@ -149,9 +156,6 @@ def verify_basic_relations(
     S2,
     cfg: AlphaConfig,
     cloud: SampleCloud,
-    discovery_tol: float = 1e-2,
-    confirm_tol: float = 1e-7,
-    inclusion_tol: float = 1e-5,
 ) -> Tally:
     """Sampled check of the elementary alpha-set relations.
 
@@ -167,8 +171,8 @@ def verify_basic_relations(
             raise ParameterError("S1 must be a subset of S2")
 
     tally = Tally()
-    n1 = oracle.discover_alpha_set(S1, cfg, cloud, discovery_tol, confirm_tol, max_candidates=800)
-    n2 = oracle.discover_alpha_set(S2, cfg, cloud, discovery_tol, confirm_tol, max_candidates=800)
+    n1 = oracle.discover_alpha_set(S1, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, max_candidates=800)
+    n2 = oracle.discover_alpha_set(S2, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, max_candidates=800)
     tally.counts["alpha_set_S1"] = len(n1)
     tally.counts["alpha_set_S2"] = len(n2)
 
@@ -176,19 +180,19 @@ def verify_basic_relations(
     # at the confirmation tolerance.
     if n1:
         res1 = worst_angle_residual(S1, cfg, n1)
-        tally.bound(res1, confirm_tol, "clause1: generator/alpha-set residual above tolerance")
+        tally.bound(res1, _CONFIRM_TOL, "clause1: generator/alpha-set residual above tolerance")
 
     # Clause 2: alpha-sets shrink as the generating set grows.
     if n2:
         res2 = worst_angle_residual(S1, cfg, n2)
-        tally.bound(res2, inclusion_tol, "clause2: alpha-set of S2 escapes the alpha-set of S1")
+        tally.bound(res2, _INCLUSION_TOL, "clause2: alpha-set of S2 escapes the alpha-set of S1")
 
     # Clause 3: the alpha-set is fixed by taking its own double-alpha-set.
     first = oracle.dedup_lines(n1, 1e-3)
     if len(first) >= 3:
         gen_a = first[: min(25, len(first))]
         holdout = first[min(25, len(first)) : min(45, len(first))]
-        second = oracle.funnel_alpha_set(gen_a, cfg, cloud, confirm_tol=confirm_tol)
+        second = oracle.funnel_alpha_set(gen_a, cfg, cloud, confirm_tol=_CONFIRM_TOL)
         if holdout:
             second = [
                 q
@@ -198,13 +202,13 @@ def verify_basic_relations(
         tally.counts["double_alpha_set"] = len(second)
         if second:
             gen_b = oracle.dedup_lines(second, 1e-3)[: min(25, len(second))]
-            third = oracle.funnel_alpha_set(gen_b, cfg, cloud, confirm_tol=confirm_tol)
+            third = oracle.funnel_alpha_set(gen_b, cfg, cloud, confirm_tol=_CONFIRM_TOL)
             tally.counts["triple_alpha_set"] = len(third)
             if third:
                 res3 = worst_angle_residual(S1, cfg, third)
-                tally.bound(res3, inclusion_tol, "clause3: triple alpha-set escapes the alpha-set of S1")
+                tally.bound(res3, _INCLUSION_TOL, "clause3: triple alpha-set escapes the alpha-set of S1")
             resb = worst_angle_residual(gen_b, cfg, first)
-            tally.bound(resb, inclusion_tol, "clause3: alpha-set members miss the double-alpha-set constraints")
+            tally.bound(resb, _INCLUSION_TOL, "clause3: alpha-set members miss the double-alpha-set constraints")
         else:
             tally.notes.append("clause3: no numeric double-alpha-set members found")
     else:
@@ -342,7 +346,7 @@ def check_balanced_common_lines(tally: Tally, rng: np.random.Generator, dim: int
             tally.fail("balanced circles must always meet twice")
             continue
         for w in want:
-            dist = min(float(projspace.quantum_angle(w, g)) for g in got)
+            dist = min(projspace.quantum_angle(w, g) for g in got)
             tally.bound(dist, 1e-10, "explicit common line not recovered")
 
 
@@ -591,19 +595,22 @@ def suite_section5(seed: int, draws: int, dim: int = 3) -> Tally:
 @dataclass(frozen=True)
 class Suite:
     run: Callable[..., Tally]
-    draws: int = 8  # when the caller names no count
-    options: frozenset = frozenset()  # the keyword arguments of ``run`` beyond seed and draws
+    draws: int  # when the caller names no count
+    options: frozenset  # the keyword arguments of ``run`` beyond seed and draws
 
 
-_DIM = frozenset({"dim"})
+def _suite(run: Callable[..., Tally], draws: int = 8) -> Suite:
+    """A suite whose options are read off the signature of ``run``."""
+    return Suite(run, draws, frozenset(inspect.signature(run).parameters) - {"seed", "draws"})
+
 
 SUITES: dict[str, Suite] = {
-    "shape": Suite(suite_shape, options=_DIM),
-    "collin-alpha": Suite(suite_collin_alpha, options=_DIM),
-    "circle4": Suite(suite_circle4),
-    "circle3": Suite(suite_circle3, options=frozenset({"a", "c", "d"})),
-    "infinite-element": Suite(suite_infinite_element, draws=1000),
-    "circle-char": Suite(suite_circle_char),
-    "basic": Suite(suite_basic, options=_DIM),
-    "section5": Suite(suite_section5, draws=100, options=_DIM),
+    "shape": _suite(suite_shape),
+    "collin-alpha": _suite(suite_collin_alpha),
+    "circle4": _suite(suite_circle4),
+    "circle3": _suite(suite_circle3),
+    "infinite-element": _suite(suite_infinite_element, 1000),
+    "circle-char": _suite(suite_circle_char),
+    "basic": _suite(suite_basic),
+    "section5": _suite(suite_section5, 100),
 }

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphasets import AlphaConfig
 from .errors import (
     DimensionError,
     NotAWignerMapError,
@@ -26,7 +25,8 @@ from .errors import (
     SpanError,
 )
 from .projspace import (
-    Line, canonical_line, check_dim, json_complex, json_field, lines_equal, quantum_angle, random_line
+    AlphaConfig, Line, canonical_line, check_dim, json_complex, json_field, lines_equal, quantum_angle,
+    random_line,
 )
 
 
@@ -175,7 +175,7 @@ def fit_from_probes(dim: int, images: list[Line]) -> WignerSymmetry:
     for anti in (False, True):
         cand = WignerSymmetry(dim, cols, anti)
         residuals = [
-            float(quantum_angle(apply_symmetry(cand, p), img))
+            quantum_angle(apply_symmetry(cand, p), img)
             for p, img in zip(probes, images)
         ]
         worst = int(np.argmax(residuals))
@@ -245,7 +245,7 @@ def preservation_report(
     if n_pairs < 1:
         raise ParameterError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = np.random.default_rng(seed)
-    alpha = float(cfg.alpha)
+    alpha = cfg.alpha
     fwd = 0
     bwd = 0
     max_dev = 0.0
@@ -254,7 +254,7 @@ def preservation_report(
     for _ in range(n_pairs):
         v1 = random_line(rng, dim)
         v2 = _partner_at_angle(v1, alpha, rng)
-        dev = abs(float(quantum_angle(map_fn(v1), map_fn(v2))) - alpha)
+        dev = abs(quantum_angle(map_fn(v1), map_fn(v2)) - alpha)
         max_dev = max(max_dev, dev)
         tested += 1
         if dev > tol:
@@ -265,8 +265,8 @@ def preservation_report(
         for _ in range(n_pairs):
             v1 = random_line(rng, dim)
             v2 = _partner_at_angle(v1, beta, rng)
-            img_dev = abs(float(quantum_angle(map_fn(v1), map_fn(v2))) - alpha)
-            src_dev = abs(float(quantum_angle(v1, v2)) - alpha)
+            img_dev = abs(quantum_angle(map_fn(v1), map_fn(v2)) - alpha)
+            src_dev = abs(quantum_angle(v1, v2) - alpha)
             tested += 1
             if img_dev <= tol and src_dev > 10 * tol:
                 bwd += 1
@@ -280,7 +280,7 @@ def preservation_report(
             w2 = inverse_fn(x2)
             if not lines_equal(map_fn(w2), x2, 1e-6):
                 continue  # x2 happens to fall outside the image of the map
-            dev = abs(float(quantum_angle(w1, w2)) - alpha)
+            dev = abs(quantum_angle(w1, w2) - alpha)
             max_dev = max(max_dev, dev)
             tested += 1
             if dev > tol:

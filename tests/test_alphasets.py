@@ -453,7 +453,7 @@ class TestDescriptorJson:
         blob = json.dumps(descr.to_json(), sort_keys=True)
         again = descriptor_from_json(json.loads(blob))
         assert json.dumps(again.to_json(), sort_keys=True) == blob
-        p = descr.sample(5, 1)[0]
+        p = descr.sample(5, np.random.default_rng(1))[0]
         assert again.distance(p) < 1e-8
 
     def test_atheta_family_is_the_component(self):

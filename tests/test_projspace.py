@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qangle.errors import (
     DegenerateVectorError,
     DimensionError,
     NotCollinearError,
+    ParameterError,
 )
 
 from conftest import random_collinear_triple, random_line, random_orthonormal_pair
@@ -42,6 +44,19 @@ class TestCanonicalLine:
     def test_near_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
             qa.canonical_line([1e-10, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_line_refuses_non_finite_amplitude(self, bad):
+        # Refused before the norm check, which a NaN norm would slip through.
+        with pytest.raises(ParameterError, match="amplitude 1 is not finite"):
+            qa.Line(2, np.array([1, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1)])
+    def test_canonical_line_names_non_finite_amplitude(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning from normalizing first
+            with pytest.raises(ParameterError, match="amplitude 1 is not finite"):
+                qa.canonical_line([1, bad])
 
 
 class TestQuantumAngle:

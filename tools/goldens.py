@@ -7,10 +7,11 @@
 directory) first on ``PYTHONPATH``, once per golden run, in an empty working
 directory, and writes ``OUT/<run>.stdout`` and ``OUT/<run>.exit`` for each.
 ``OUT`` must be new or empty, so a capture never mixes with an older one.
-The runs are the 24 ``qangle verify`` goldens (each suite at seeds 0 and 1
-with two draws, the default-draws runs of ``infinite-element``, ``section5``
-and ``collin-alpha``, and three runs with explicit parameters), one valid
-payload per payload verb, and the ``--help`` text of ``qangle``, of
+The 53 runs are the 24 ``qangle verify`` goldens (each suite at seeds 0 and
+1 with two draws, the default-draws runs of ``infinite-element``,
+``section5`` and ``collin-alpha``, and three runs with explicit parameters),
+one valid payload per payload verb, a second ``oracle`` payload without
+``refine`` (plain rejection), and the ``--help`` text of ``qangle``, of
 ``qangle verify`` and of each payload verb.
 
 ``compare`` lists every run whose stdout bytes or exit code differ between
@@ -102,6 +103,7 @@ def payloads() -> dict[str, dict]:
 def all_runs() -> dict[str, tuple[list[str], dict | None]]:
     runs = {name: (argv, None) for name, argv in verify_runs().items()}
     runs.update({f"payload-{verb}": ([verb], body) for verb, body in payloads().items()})
+    runs["payload-oracle-reject"] = (["oracle"], {k: v for k, v in payloads()["oracle"].items() if k != "refine"})
     runs["help"] = (["--help"], None)
     for verb in ("verify", *payloads()):
         runs[f"help-{verb}"] = ([verb, "--help"], None)
