@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .projspace import GAUGE_TOL, AlphaConfig, Line, canonical_line, check_dim, quantum_angle
+from .projspace import GAUGE_TOL, AlphaConfig, Line, canonical_line, check_dim, check_tol, quantum_angle
 
 _HEADER = struct.Struct("<QQQ")
 
@@ -124,16 +124,20 @@ def _lines_matrix(lines) -> np.ndarray:
     return np.vstack([l.amplitudes for l in lines])
 
 
+def _block_residuals(block: np.ndarray, gens_h: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-row maximum of |angle(row, g) - alpha| over the columns g of ``gens_h``."""
+    m = np.abs(block @ gens_h)
+    ang = np.arccos(np.clip(m, 0.0, 1.0))
+    return np.max(np.abs(ang - alpha), axis=1)
+
+
 def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.ndarray:
     """Per-row maximum of |angle(row, g) - alpha| over the generators."""
     gens_h = _lines_matrix(generators).conj().T
-    alpha = cfg.alpha
     vectors = np.atleast_2d(vectors)
     out = np.empty(vectors.shape[0])
     for start, stop in _blocks(vectors.shape[0]):
-        m = np.abs(vectors[start:stop] @ gens_h)
-        ang = np.arccos(np.clip(m, 0.0, 1.0))
-        out[start:stop] = np.max(np.abs(ang - alpha), axis=1)
+        out[start:stop] = _block_residuals(vectors[start:stop], gens_h, cfg.alpha)
     return out
 
 
@@ -143,14 +147,25 @@ def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:
 
 
 def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: float) -> np.ndarray:
-    """The ``(H, dim)`` cloud rows whose angle to every generator is within ``tol`` of alpha."""
+    """The ``(H, dim)`` cloud rows whose angle to every generator is within ``tol`` of alpha.
+
+    Rejection streams through the cloud's row blocks and keeps each block's
+    hits, so its working memory is one block plus the hits; no per-row
+    residual vector of the whole cloud is built.  The result is a fresh
+    array, of shape ``(0, dim)`` when no row hits.  ``tol`` must be >= 0.
+    """
     if not generators:
         raise ParameterError("generator set must be non-empty")
     dims = {g.dim for g in generators}
     if dims != {cloud.dim}:
         raise DimensionError("generators and cloud live in different dimensions")
-    res = angle_residuals(generators, cfg, cloud.vectors)
-    return cloud.vectors[res <= tol]
+    check_tol(tol)
+    gens_h = _lines_matrix(generators).conj().T
+    hits = []
+    for start, stop in _blocks(cloud.count):
+        block = cloud.vectors[start:stop]
+        hits.append(block[_block_residuals(block, gens_h, cfg.alpha) <= tol])
+    return np.concatenate(hits)
 
 
 def refine_alpha_members(
@@ -166,8 +181,10 @@ def refine_alpha_members(
     descent converges only linearly and stalls on ill-conditioned constraint
     sets, e.g. nearly coincident generators.)  A candidate whose maximum
     residual is still above ``tol`` after ``_MAX_ITER`` steps, or when no
-    step lowers it, is dropped; the others are returned as lines.
+    step lowers it, is dropped; the others are returned as lines.  ``tol``
+    must be >= 0.
     """
+    check_tol(tol)
     gens = _lines_matrix(generators)
     n = gens.shape[1]
     alpha = cfg.alpha
@@ -232,6 +249,7 @@ def discover_alpha_set(
 
     Raw rejection alone cannot reach tight tolerances at desk-scale budgets,
     so hits at ``discovery_tol`` are polished down to ``confirm_tol``.
+    ``max_candidates`` must be at least 1.
     """
     return funnel_alpha_set(
         generators, cfg, cloud, discovery_tol, confirm_tol, max_candidates, len(generators)
@@ -253,8 +271,13 @@ def funnel_alpha_set(
     sampling, so the cloud is first filtered against a few of the constraints
     at a loose tolerance and the resulting pool is refined against the full
     family; only candidates meeting every constraint at ``confirm_tol``
-    survive.
+    survive.  ``max_pool`` caps the candidates refined and, like
+    ``n_seed_constraints``, must be at least 1.
     """
+    if max_pool < 1 or n_seed_constraints < 1:
+        raise ParameterError(
+            f"need max_pool >= 1 and n_seed_constraints >= 1, got {max_pool} and {n_seed_constraints}"
+        )
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
     return refine_alpha_members(constraints, cfg, pool[:max_pool], confirm_tol)
 

@@ -57,6 +57,12 @@ def check_dim(dim: int) -> None:
         raise DimensionError(f"dim {dim} outside supported range [2, {MAX_DIM}]")
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is negative or NaN; zero is allowed."""
+    if not tol >= 0:
+        raise ParameterError(f"tol must be >= 0, got {tol}")
+
+
 _REQUIRED = object()
 
 

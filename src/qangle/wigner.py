@@ -25,7 +25,7 @@ from .errors import (
     SpanError,
 )
 from .projspace import (
-    AlphaConfig, Line, canonical_line, check_dim, json_complex, json_field, lines_equal, quantum_angle,
+    AlphaConfig, Line, canonical_line, check_dim, check_tol, json_complex, json_field, lines_equal, quantum_angle,
     random_line,
 )
 
@@ -240,10 +240,12 @@ def preservation_report(
     when available; independently, pairs constructed at the complementary
     angle pi/2 - alpha probe for images landing at alpha without the sources
     being at alpha.  Finite sampling can refute but not certify, and
-    ``n_pairs`` must be at least 1 so that a report always rests on a sample.
+    ``n_pairs`` must be at least 1 so that a report always rests on a sample,
+    and ``tol`` must be >= 0.
     """
     if n_pairs < 1:
         raise ParameterError(f"n_pairs must be >= 1, got {n_pairs}")
+    check_tol(tol)
     rng = np.random.default_rng(seed)
     alpha = cfg.alpha
     fwd = 0

@@ -37,6 +37,13 @@ def line_json(vec):
     return l.to_json()
 
 
+ORACLE_PAYLOAD = {"alpha": 1.1, "generators": [line_json([1, 0, 0]), line_json([1, 2j, 0])], "dim": 3, "count": 10}
+IDENTITY_CHECK_PAYLOAD = {
+    "alpha": 1.0,
+    "symmetry": {"dim": 2, "antiunitary": False, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+}
+
+
 class TestAngleVerb:
     def test_matches_library(self, tmp_path):
         payload = {"u": line_json([1, 0]), "v": line_json([1, 1])}
@@ -356,14 +363,25 @@ class TestWignerVerbs:
         "verb, payload",
         [
             ("wigner-generate", {"dim": 3}),
-            ("oracle", {"alpha": 1.1, "generators": [line_json([1, 0, 0]), line_json([1, 2j, 0])], "dim": 3,
-                        "count": 10}),
-            ("wigner-check", {"alpha": 1.0, "symmetry": {"dim": 2, "antiunitary": False, "re": [[1, 0], [0, 1]],
-                                                         "im": [[0, 0], [0, 0]]}}),
+            ("oracle", ORACLE_PAYLOAD),
+            ("wigner-check", IDENTITY_CHECK_PAYLOAD),
         ],
     )
     def test_negative_seed_is_parameter_error(self, tmp_path, verb, payload):
         code, out = run_cli([verb], {**payload, "seed": -1}, tmp_path)
+        assert code == 1
+        assert out["error"] == "parameter"
+
+    @pytest.mark.parametrize(
+        "verb, payload",
+        [
+            ("oracle", {**ORACLE_PAYLOAD, "tol": -1}),
+            ("oracle", {**ORACLE_PAYLOAD, "refine": True, "confirmTol": -1}),
+            ("wigner-check", {**IDENTITY_CHECK_PAYLOAD, "tol": -1}),
+        ],
+    )
+    def test_negative_tolerance_is_parameter_error(self, tmp_path, verb, payload):
+        code, out = run_cli([verb], payload, tmp_path)
         assert code == 1
         assert out["error"] == "parameter"
 

@@ -222,6 +222,18 @@ class TestMemoryBudget:
         assert len(members)
         assert peak <= 0.5 * cloud.vectors.nbytes
 
+    def test_rejection_does_not_grow_with_cloud(self, cloud):
+        # Rejection holds one block plus its hits, never a per-row array of the cloud.
+        rng = np.random.default_rng(5)
+        gens = [random_line(rng, self.DIM) for _ in range(3)]
+        cfg = qa.AlphaConfig.from_alpha(1.1)
+        big = qa.sample_lines(self.DIM, 2 * self.COUNT, self.SEED + 1)
+        _, small_peak = traced_peak(lambda: qa.alpha_set_numeric(gens, cfg, cloud, 1e-2))
+        members, big_peak = traced_peak(lambda: qa.alpha_set_numeric(gens, cfg, big, 1e-2))
+        assert len(members)
+        assert big_peak <= 1.1 * small_peak
+        assert big_peak <= 0.1 * big.vectors.nbytes
+
     def test_save_cloud(self, cloud, tmp_path):
         _, peak = traced_peak(lambda: qa.save_cloud(cloud, tmp_path / "c.bin"))
         assert peak <= 0.25 * cloud.vectors.nbytes
@@ -248,7 +260,7 @@ class TestAlphaSetNumeric:
         cfg = qa.AlphaConfig.from_alpha(1.0)
         cloud = qa.sample_lines(3, 20_000, 5)
         e1 = qa.canonical_line([1, 0, 0])
-        assert len(qa.alpha_set_numeric([e1], cfg, cloud, 0.0)) == 0
+        assert qa.alpha_set_numeric([e1], cfg, cloud, 0.0).shape == (0, 3)
 
     def test_monotone_filtering(self):
         # Shrinking the tolerance tenfold never adds members.
@@ -266,6 +278,13 @@ class TestAlphaSetNumeric:
         with pytest.raises(ParameterError):
             qa.alpha_set_numeric([], cfg, cloud, 1e-3)
 
+    @pytest.mark.parametrize("tol", [-1e-3, -1.0, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        cloud = qa.sample_lines(3, 100, 0)
+        with pytest.raises(ParameterError):
+            qa.alpha_set_numeric([qa.canonical_line([1, 0, 0])], cfg, cloud, tol)
+
 
 class TestRefinement:
     def test_refinement_reaches_confirmation_tolerance(self):
@@ -281,6 +300,17 @@ class TestRefinement:
         res = angle_residuals(gens, cfg, np.vstack([m.amplitudes for m in refined]))
         assert float(np.max(res)) <= 1e-9
 
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        cfg = qa.AlphaConfig.from_alpha(1.05)
+        gens = [qa.canonical_line([1, 0, 0]), qa.canonical_line([0, 1, 0])]
+        candidates = qa.sample_lines(3, 10, 1).vectors
+        with pytest.raises(ParameterError):
+            qa.refine_alpha_members(gens, cfg, candidates, tol)
+        with pytest.raises(ParameterError):
+            oracle.discover_alpha_set(gens, cfg, qa.sample_lines(3, 2000, 1), 1e-1, tol)
+        assert isinstance(qa.refine_alpha_members(gens, cfg, candidates, 0.0), list)  # zero stays valid
+
     def test_dedup(self):
         from qangle.oracle import dedup_lines
 
@@ -289,6 +319,29 @@ class TestRefinement:
         far = qa.canonical_line([0, 1])
         kept = dedup_lines([e1, near, far], 1e-4)
         assert len(kept) == 2
+
+
+class TestCandidateCaps:
+    """A cap below 1 is refused rather than silently dropping candidates."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(6)
+        gens = [random_line(rng, 3), random_line(rng, 3)]
+        return gens, qa.AlphaConfig.from_alpha(1.1), qa.sample_lines(3, 50_000, 8)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_candidates_below_one(self, problem, cap):
+        gens, cfg, cloud = problem
+        assert len(qa.alpha_set_numeric(gens, cfg, cloud, 1e-2)) > 1
+        with pytest.raises(ParameterError):
+            oracle.discover_alpha_set(gens, cfg, cloud, 1e-2, 1e-7, cap)
+
+    @pytest.mark.parametrize("max_pool, n_seed", [(0, 2), (-1, 2), (10, -1)])
+    def test_funnel_caps_below_one(self, problem, max_pool, n_seed):
+        gens, cfg, cloud = problem
+        with pytest.raises(ParameterError):
+            oracle.funnel_alpha_set(gens, cfg, cloud, 1e-2, 1e-7, max_pool, n_seed)
 
 
 class TestRootCounting:

@@ -216,6 +216,15 @@ class TestPreservation:
         with pytest.raises(ParameterError):
             qa.preservation_report(lambda v: qa.apply_symmetry(w, v), cfg, 3, n_pairs, 1, 1e-9)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        w = qa.random_wigner(3, 2, False)
+        with pytest.raises(ParameterError):
+            qa.preservation_report(lambda v: qa.apply_symmetry(w, v), cfg, 3, 5, 1, tol)
+        rep = qa.preservation_report(lambda v: qa.apply_symmetry(w, v), cfg, 3, 5, 1, 0.0)  # zero stays valid
+        assert rep.pairs_tested == 10  # forward and backward pairs
+
     def test_json_shape(self):
         cfg = qa.AlphaConfig.from_alpha(1.0)
         w = qa.random_wigner(3, 2, False)
