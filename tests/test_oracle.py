@@ -10,9 +10,9 @@ import pytest
 import qangle as qa
 from qangle import oracle
 from qangle.errors import DimensionError, ParameterError
-from qangle.projspace import GAUGE_TOL, MAX_DIM
+from qangle.projspace import GAUGE_TOL, MAX_DIM, distinct_unimodular_triple
 
-from conftest import random_line
+from conftest import random_line, random_orthonormal_pair
 
 
 def imported_siblings(path: Path) -> set[str]:
@@ -234,6 +234,16 @@ class TestMemoryBudget:
         assert big_peak <= 1.1 * small_peak
         assert big_peak <= 0.1 * big.vectors.nbytes
 
+    def test_refinement_working_set_is_bounded(self):
+        # 800 rows against 40 constraints: stacking every row at once would take
+        # several MB of Jacobians and SVD factors per pass.
+        rng = np.random.default_rng(4)
+        gens = [random_line(rng, self.DIM) for _ in range(40)]
+        cfg = qa.AlphaConfig.from_alpha(1.1)
+        candidates = qa.sample_lines(self.DIM, 800, self.SEED).vectors
+        _, peak = traced_peak(lambda: qa.refine_alpha_members(gens, cfg, candidates))
+        assert peak <= 4_000_000
+
     def test_save_cloud(self, cloud, tmp_path):
         _, peak = traced_peak(lambda: qa.save_cloud(cloud, tmp_path / "c.bin"))
         assert peak <= 0.25 * cloud.vectors.nbytes
@@ -310,6 +320,65 @@ class TestRefinement:
         with pytest.raises(ParameterError):
             oracle.discover_alpha_set(gens, cfg, qa.sample_lines(3, 2000, 1), 1e-1, tol)
         assert isinstance(qa.refine_alpha_members(gens, cfg, candidates, 0.0), list)  # zero stays valid
+
+    @pytest.mark.parametrize(
+        "candidates",
+        [np.zeros((2, 2), complex), np.zeros((2, 4), complex), np.ones(3, complex), np.ones((1, 2, 3), complex)],
+    )
+    def test_candidates_of_wrong_shape_rejected(self, candidates):
+        gens = [qa.canonical_line([1, 0, 0])]
+        with pytest.raises(DimensionError):
+            qa.refine_alpha_members(gens, qa.AlphaConfig.from_alpha(1.0), candidates)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0, 0], [math.inf, 1, 0], [0, 0, 0]])
+    def test_non_finite_or_zero_row_rejected(self, bad, capfd):
+        # One such row would sink a whole stacked solve, so the call refuses it
+        # before any LAPACK routine sees it and prints its complaint to stderr.
+        gens = [qa.canonical_line([1, 0, 0]), qa.canonical_line([0, 1, 0])]
+        candidates = np.vstack([qa.sample_lines(3, 5, 1).vectors, np.array(bad, dtype=complex)])
+        with pytest.raises(ParameterError):
+            qa.refine_alpha_members(gens, qa.AlphaConfig.from_alpha(1.05), candidates)
+        assert capfd.readouterr().err == ""
+
+    def test_no_candidates(self):
+        gens = [qa.canonical_line([1, 0, 0])]
+        assert qa.refine_alpha_members(gens, qa.AlphaConfig.from_alpha(1.0), np.zeros((0, 3), complex)) == []
+
+    def test_result_does_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(7)
+        cfg = qa.AlphaConfig.from_alpha(1.05)
+        gens = [random_line(rng, 3), random_line(rng, 3)]
+        rough = qa.alpha_set_numeric(gens, cfg, qa.sample_lines(3, 100_000, 9), 3e-2)[:300]
+        assert len(rough) == 300  # more than one block of rows
+
+        def rows(lines):
+            return np.array([l.amplitudes for l in lines])
+
+        together = rows(qa.refine_alpha_members(gens, cfg, rough, 1e-9))
+        singly = rows([m for row in rough for m in qa.refine_alpha_members(gens, cfg, row[None], 1e-9)])
+        backwards = rows(qa.refine_alpha_members(gens, cfg, rough[::-1], 1e-9)[::-1])
+        assert len(together) >= 250
+        for other in (singly, backwards):
+            assert other.shape == together.shape
+            assert np.max(np.abs(other - together)) <= 1e-12
+
+    def test_tangent_step_converges_a_thin_double_alpha_cell(self, cloud4):
+        # Forty constraints sampled from a collinear triple's alpha-set cut out
+        # its double-alpha-set, a circle.  A Gauss-Newton step with a radial part
+        # crawls or stalls on most of the funnel pool here (48 of 300 converge);
+        # the tangent step converges nearly all of it, and onto the circle.
+        rng = np.random.default_rng(1)
+        e1, e2 = random_orthonormal_pair(rng, 4)
+        d = 0.61
+        form = qa.TripleCanonicalForm(e1, e2, math.sqrt(1 - d * d), d, distinct_unimodular_triple(rng, 5e-2))
+        cfg = qa.AlphaConfig.from_alpha(1.435)
+        constraints = qa.collinear_triple_alpha_set(form, cfg, 4).sample(40, rng)
+        pool = qa.alpha_set_numeric(constraints[:3], cfg, cloud4, 5e-2)
+        assert len(pool) >= 300
+        survivors = qa.funnel_alpha_set(constraints, cfg, cloud4, max_pool=300)
+        assert len(survivors) >= 240
+        circle = qa.double_alpha_set_classify(form, cfg, 4)
+        assert max(circle.distance(s) for s in survivors) < 1e-5
 
     def test_dedup(self):
         from qangle.oracle import dedup_lines
