@@ -15,6 +15,11 @@ of S.  This module describes these sets symbolically:
 Descriptors are immutable and never enumerated; sampling members and
 measuring the angular distance from a line to a descriptor are explicit
 operations.
+
+Distances need no search: the nearest member of a pair alpha-set is the best of
++-theta0 and at most six stationary points of the fidelity F, the roots of the
+degree-3 trigonometric polynomial G that squaring F' = 0 leaves.  G's roots are
+near-double when c ~ d, so each is polished by Newton steps on F' itself.
 """
 
 from __future__ import annotations
@@ -140,6 +145,38 @@ def _sphere_distance(
     return quantum_angle(v, canonical_line(center))
 
 
+def _argmax_theta(x1: complex, x2: complex, p: float, ca: float, cb: float, theta0: float) -> float:
+    """The theta in [-theta0, theta0] maximising |x1 cos theta + x2 sin theta| + p rho(theta),
+    where rho(theta)^2 = 1 - ca^2 cos^2 theta - cb^2 sin^2 theta."""
+    n1, n2 = abs(x1) ** 2, abs(x2) ** 2
+    s0, sc, ss = (n1 + n2) / 2, (n1 - n2) / 2, (x1.conjugate() * x2).real
+    t0, tc = 1.0 - (ca * ca + cb * cb) / 2, (cb * cb - ca * ca) / 2
+    # S1 = |x|^2 and S2 = rho^2 as Laurent coefficients (z^-1, 1, z), z = exp(i phi).
+    s1, s2 = np.array([sc + 1j * ss, 2 * s0, sc - 1j * ss]) / 2, np.array([tc, 2 * t0, tc]) / 2
+    ds1, ds2 = s1 * [-1j, 0, 1j], s2 * [-1j, 0, 1j]
+    g = np.convolve(np.convolve(ds1, ds1), s2) - p * p * np.convolve(np.convolve(ds2, ds2), s1)
+    g[np.abs(g) < 1e-13 * np.abs(g).max()] = 0.0
+
+    def newton(phi: np.ndarray, steps: int) -> np.ndarray:
+        """Newton steps on F'(phi), taken where F'' < 0 and clipped to 0.1; returns theta."""
+        for _ in range(steps):
+            cos, sin = np.cos(phi), np.sin(phi)
+            u1, d1 = s0 + sc * cos + ss * sin, ss * cos - sc * sin
+            u2, d2 = t0 + tc * cos, -tc * sin
+            r1, r2 = np.sqrt(np.maximum([u1, u2], 1e-30))
+            q1, q2 = d1 / (2 * r1), d2 / (2 * r2)
+            fpp = ((s0 - u1) / 2 - q1 * q1) / r1 + p * ((t0 - u2) / 2 - q2 * q2) / r2
+            step = np.divide(q1 + p * q2, fpp, out=np.zeros_like(phi), where=fpp < 0)
+            phi = phi - np.clip(step, -0.1, 0.1)
+        return np.clip(np.angle(np.exp(1j * phi)) / 2, -theta0, theta0)
+
+    thetas = np.concatenate([[-theta0, theta0, 0.0], newton(np.angle(np.roots(g[::-1])), 3)])
+    cos = np.cos(2 * thetas)
+    r1, r2 = np.sqrt(np.maximum([s0 + sc * cos + ss * np.sin(2 * thetas), t0 + tc * cos], 0.0))
+    best = float(thetas[np.argmax(r1 + p * r2)])
+    return float(newton(np.array([2 * best]), 2)[0]) if abs(best) < theta0 else best
+
+
 @dataclass(frozen=True)
 class AthetaFamily:
     """The family of spheres A_theta making up the alpha-set of a line pair.
@@ -202,16 +239,6 @@ class AthetaFamily:
             np.vstack([self.e1.amplitudes, self.e2.amplitudes]), self.ambient_dim
         )
 
-    def member(self, theta: float, h_direction: np.ndarray | None = None) -> Line:
-        """The member of A_theta along a given unit direction in the complement."""
-        r = self.rho(theta)
-        vec = self._center(theta)
-        if r > 0:
-            if h_direction is None:
-                h_direction = self._complement()[0]
-            vec = vec + r * np.asarray(h_direction)
-        return canonical_line(vec)
-
     def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
         comp = self._complement()
         thetas = rng.uniform(-self.theta0, self.theta0, size=count)
@@ -219,55 +246,24 @@ class AthetaFamily:
         return [_sphere_point(self._center(th), r, comp, rng) for th, r in zip(thetas, radii)]
 
     def distance(self, v: Line) -> float:
-        """Angular distance from a line to the nearest member of the family."""
+        """Angular distance from a line to the nearest member of the family.
+
+        The nearest member maximises F = |x| + p rho, x(theta) being v's overlap
+        with A_theta's center and p the norm of v's part off e1 and e2.  Squared,
+        F' = 0 is a degree-3 trigonometric polynomial G in 2 theta: the candidates
+        are +-theta0, 0 and at most six stationary points.  G's roots are near-double
+        when c ~ d, losing half their digits, so each is polished on F' instead.
+        """
         if v.dim != self.ambient_dim:
             raise DimensionError("line dimension does not match the family")
         a = math.cos(self.alpha)
-        a1 = inner(v, self.e1)
-        a2 = complex(np.vdot(v.amplitudes, self.e2_vector))
+        x1 = inner(v, self.e1) * (a / self.c)
+        x2 = complex(np.vdot(v.amplitudes, self.e2_vector)) * (a / self.d)
         comp = self._complement()
         pnorm = float(np.linalg.norm(comp.conj() @ v.amplitudes)) if comp.size else 0.0
-        rho = partial(_rho, self.cfg.a, self.c, self.d, self.theta0)
-
-        def fidelity(th):
-            th = np.asarray(th, dtype=float)
-            x = a1 * (a / self.c) * np.cos(th) + a2 * (a / self.d) * np.sin(th)
-            return np.abs(x) + rho(th) * pnorm
-
-        grid = np.linspace(-self.theta0, self.theta0, 1025)
-        vals = fidelity(grid)
-        last = len(grid) - 1
-        # The profile is generally bimodal (and the two domain endpoints
-        # describe the same sphere), so refine every leading local maximum
-        # rather than a single global argmax.
-        local = [
-            i
-            for i in range(len(grid))
-            if (i == 0 or vals[i] >= vals[i - 1])
-            and (i == last or vals[i] >= vals[i + 1])
-        ]
-        local.sort(key=lambda i: -vals[i])
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        candidates = []
-        for i in local[:3]:
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, last)]
-            x1 = hi - gr * (hi - lo)
-            x2 = lo + gr * (hi - lo)
-            f1, f2 = fidelity(x1), fidelity(x2)
-            for _ in range(80):
-                if f1 < f2:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + gr * (hi - lo)
-                    f2 = fidelity(x2)
-                else:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - gr * (hi - lo)
-                    f1 = fidelity(x1)
-            candidates.extend([float(x1), float(x2), float(grid[i])])
-        th = candidates[int(np.argmax([fidelity(t) for t in candidates]))]
-        overlap = a1 * (a / self.c) * math.cos(th) + a2 * (a / self.d) * math.sin(th)
-        return _sphere_distance(v, self._center(th), rho(th), comp, overlap)
+        th = _argmax_theta(x1, x2, pnorm, a / self.c, a / self.d, self.theta0)
+        overlap = x1 * math.cos(th) + x2 * math.sin(th)
+        return _sphere_distance(v, self._center(th), self.rho(th), comp, overlap)
 
     def to_json(self) -> dict:
         return {
@@ -722,4 +718,6 @@ def descriptor_from_json(obj: dict) -> AlphaSetDescriptor:
             )
         else:
             raise SchemaError(f"unknown component kind {kind!r}")
+    if not comps:
+        raise SchemaError("field 'components' must hold at least one component")
     return AlphaSetDescriptor(tuple(comps))

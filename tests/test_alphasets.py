@@ -18,12 +18,13 @@ from qangle.errors import (
     DomainError,
     ParameterError,
     RangeError,
+    SchemaError,
     WitnessRangeError,
 )
 
 from qangle.verify import draw_alpha
 
-from conftest import random_line
+from conftest import random_line, random_orthonormal_pair
 
 SQ3 = 1 / math.sqrt(3)
 
@@ -34,6 +35,46 @@ def closed_form_theta0(a: float, c: float, d: float) -> float:
         return np.pi / 2
     s2 = (1 - (a / c) ** 2) / ((a / d) ** 2 - (a / c) ** 2)
     return math.asin(math.sqrt(s2))
+
+
+def dense_reference_distance(fam: AthetaFamily, v: qa.Line) -> float:
+    """An upper bound on ``fam.distance(v)`` that shares no search code with it.
+
+    Each sphere A_theta's nearest member to v is built explicitly; the
+    fidelity |x(theta)| + p rho(theta) is scanned on a 2001-point grid, and the
+    distance itself is minimised by golden-section search around the five
+    highest local maxima of the scan; the endpoints are candidates too.
+    """
+    a = math.cos(fam.alpha)
+    e1, e2 = fam.e1.amplitudes, fam.e2_vector
+    w = v.amplitudes - np.vdot(e1, v.amplitudes) * e1 - np.vdot(e2, v.amplitudes) * e2
+    p = float(np.linalg.norm(w))
+    # With no part of v off span{e1, e2}, any unit vector orthogonal to it will do.
+    what = w / p if p > 1e-15 else np.linalg.svd(np.vstack([e1, e2]).conj())[2][2].conj()
+
+    def centers(th):
+        return np.multiply.outer((a / fam.c) * np.cos(th), e1) + np.multiply.outer((a / fam.d) * np.sin(th), e2)
+
+    def dist(th: float) -> float:
+        center = centers(np.array([th]))[0]
+        x = np.vdot(v.amplitudes, center)
+        phase = x / abs(x) if abs(x) > 1e-15 else 1.0
+        return qa.quantum_angle(v, qa.canonical_line(center + phase * fam.rho(th) * what))
+
+    grid = np.linspace(-fam.theta0, fam.theta0, 2001)
+    fid = np.abs(centers(grid) @ v.amplitudes.conj()) + p * fam.rho(grid)
+    padded = np.concatenate([[-np.inf], fid, [-np.inf]])
+    peaks = np.flatnonzero((fid >= padded[:-2]) & (fid >= padded[2:]))
+    peaks = peaks[np.argsort(-fid[peaks])][:5]  # a flat scan has a peak at every point
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    best = min(dist(t) for t in (-fam.theta0, fam.theta0))
+    for i in peaks:
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        for _ in range(70):
+            x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
+            lo, hi = (lo, x2) if dist(x1) < dist(x2) else (x1, hi)
+        best = min(best, dist(lo), dist(hi), dist(grid[i]))
+    return best
 
 
 def std_basis(dim: int):
@@ -123,15 +164,23 @@ class TestThetaZeroAndRho:
 
 class TestPairAlphaSet:
     def test_members_at_angle_alpha_from_both(self):
+        # Samples lie at alpha from both generators and on the descriptor, on
+        # both sides of the cutoff: a <= d (theta0 = pi/2) and a > d.
         rng = np.random.default_rng(14)
-        cfg = qa.AlphaConfig.from_alpha(1.1)
-        alpha = float(cfg.alpha)
+        sides = set()
         for dim in (3, 4, 5):
-            v1, v2 = random_line(rng, dim), random_line(rng, dim)
-            descr = qa.pair_alpha_set(v1, v2, cfg)
-            for p in descr.sample(200, rng):
-                assert abs(float(qa.quantum_angle(p, v1)) - alpha) < 1e-10
-                assert abs(float(qa.quantum_angle(p, v2)) - alpha) < 1e-10
+            for k in range(8):
+                v1, v2 = random_line(rng, dim), random_line(rng, dim)
+                pair = qa.canonical_pair_form(v1, v2)
+                lo, hi = (pair.d, pair.c) if k % 2 else (0.05, pair.d)
+                cfg = qa.AlphaConfig.from_alpha(math.acos(rng.uniform(lo, hi)))
+                sides.add(cfg.a > pair.d)
+                descr = qa.pair_alpha_set(v1, v2, cfg)
+                for p in descr.sample(50, rng):
+                    assert abs(float(qa.quantum_angle(p, v1)) - cfg.alpha) < 1e-10
+                    assert abs(float(qa.quantum_angle(p, v2)) - cfg.alpha) < 1e-10
+                    assert descr.distance(p) < 1e-12
+        assert sides == {True, False}
 
     def test_cutoff_sphere_degenerates_when_a_exceeds_d(self):
         # rho(theta0) = 0 exactly when a >= d: the extremal sphere is one line.
@@ -141,6 +190,43 @@ class TestPairAlphaSet:
         theta0, rho = theta0_and_rho(cfg, c, d)
         assert cfg.a > d
         assert rho(theta0) == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "alpha, d",
+        [
+            (1.1, 1 / math.sqrt(2)),  # c and d one ulp apart
+            (1.1, 1 / math.sqrt(2) - 1e-9),
+            (1.1, 0.7071067811865476),  # c = d exactly
+            (0.9, 0.45),  # a > d: the cutoff sphere is a single line
+        ],
+        ids=["one-ulp", "near-tie", "tie", "a-above-d"],
+    )
+    def test_distance_never_exceeds_a_dense_reference(self, alpha, d):
+        rng = np.random.default_rng(17)
+        cfg = qa.AlphaConfig.from_alpha(alpha)
+        c = max(d, math.sqrt(1 - d * d))  # at the tie, sqrt(1 - d^2) rounds one ulp below d
+        theta0, _ = theta0_and_rho(cfg, c, d)
+        for dim in (3, 4):
+            e1, e2 = random_orthonormal_pair(rng, dim)
+            phase = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            fam = AthetaFamily(e1, e2, c, d, cfg.alpha, theta0, dim, phase)
+            eh2 = fam.e2_vector
+            z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            off_span = z - np.vdot(e1.amplitudes, z) * e1.amplitudes - np.vdot(eh2, z) * eh2
+            rows = [
+                e1,  # p = 0
+                qa.canonical_line(off_span),  # |x| = 0
+                qa.canonical_line(e1.amplitudes + 1j * eh2),  # G = 0 when c = d
+                *(random_line(rng, dim) for _ in range(3)),
+            ]
+            for m in fam.sample(4, rng):
+                rows.append(m)
+                rows.append(qa.canonical_line(m.amplitudes + 1e-6 * random_line(rng, dim).amplitudes))
+            for v in rows:
+                got = fam.distance(v)
+                assert math.isfinite(got)
+                assert got <= dense_reference_distance(fam, v) + 1e-12
 
     def test_oracle_members_lie_in_descriptor(self, cloud4):
         rng = np.random.default_rng(15)
@@ -475,6 +561,10 @@ class TestDescriptorJson:
         assert json.dumps(again.to_json(), sort_keys=True) == blob
         v = qa.canonical_line([0.3, 0.5j, 0.4, 0.2])
         assert again.distance(v) == descr.distance(v)
+
+    def test_empty_descriptor_refused(self):
+        with pytest.raises(SchemaError):
+            descriptor_from_json({"components": []})
 
     def test_all_component_kinds_round_trip(self):
         a, c, d = EXCEPTIONAL_TRIPLES[1]
