@@ -566,6 +566,46 @@ class TestDescriptorJson:
         with pytest.raises(SchemaError):
             descriptor_from_json({"components": []})
 
+    @staticmethod
+    def pair_wire() -> dict:
+        rng = np.random.default_rng(23)
+        descr = qa.pair_alpha_set(random_line(rng, 4), random_line(rng, 4), qa.AlphaConfig.from_alpha(1.1))
+        return json.loads(json.dumps(descr.to_json()))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("kind", "sphere"),
+            ("c", "0.8"),
+            ("ambient_dim", True),
+        ],
+    )
+    def test_mistyped_field_is_schema_error(self, key, value):
+        wire = self.pair_wire()
+        wire["components"][0][key] = value
+        with pytest.raises(SchemaError):
+            descriptor_from_json(wire)
+
+    def test_missing_field_is_schema_error(self):
+        wire = self.pair_wire()
+        del wire["components"][0]["theta0"]
+        with pytest.raises(SchemaError, match="theta0"):
+            descriptor_from_json(wire)
+
+    def test_non_list_orthogonal_to_is_schema_error(self):
+        basis = std_basis(3)
+        descr = qa.AlphaSetDescriptor((qa.SphereSliceComponent(basis[0], 0.6, 0.8, (basis[0], basis[1])),))
+        wire = json.loads(json.dumps(descr.to_json()))
+        wire["components"][0]["orthogonal_to"] = wire["components"][0]["orthogonal_to"][0]
+        with pytest.raises(SchemaError):
+            descriptor_from_json(wire)
+
+    def test_omitted_e2_phase_is_one(self):
+        wire = self.pair_wire()
+        del wire["components"][0]["e2_phase"]
+        fam = descriptor_from_json(wire).components[0]
+        assert type(fam.e2_phase) is complex and fam.e2_phase == 1 + 0j
+
     def test_all_component_kinds_round_trip(self):
         a, c, d = EXCEPTIONAL_TRIPLES[1]
         cfg = qa.AlphaConfig.from_alpha(math.acos(a))
