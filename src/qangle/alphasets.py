@@ -25,8 +25,8 @@ near-double when c ~ d, so each is polished by Newton steps on F' itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import MISSING, dataclass, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -206,7 +206,7 @@ class AthetaFamily:
         _check_profile_weights(self.cfg.a, self.c, self.d)
         if abs(abs(self.e2_phase) - 1.0) > 1e-12:
             raise ParameterError("e2_phase must be unimodular")
-        a = math.cos(self.alpha)
+        a = self.cfg.a
         if a > self.d:
             res = (a / self.c) ** 2 * math.cos(self.theta0) ** 2 + (
                 a / self.d
@@ -216,7 +216,7 @@ class AthetaFamily:
         elif abs(self.theta0 - np.pi / 2) > 1e-12:
             raise ParameterError("theta0 must be pi/2 when a <= d")
 
-    @property
+    @cached_property
     def cfg(self) -> AlphaConfig:
         return AlphaConfig.from_alpha(self.alpha)
 
@@ -229,18 +229,19 @@ class AthetaFamily:
 
     def _center(self, theta: float) -> np.ndarray:
         """Center (a/c) cos(theta) e1 + (a/d) sin(theta) eh2 of the sphere A_theta."""
-        a = math.cos(self.alpha)
+        a = self.cfg.a
         return (a / self.c) * math.cos(theta) * self.e1.amplitudes + (
             a / self.d
         ) * math.sin(theta) * self.e2_vector
 
+    @cached_property
     def _complement(self) -> np.ndarray:
         return orthonormal_complement(
             np.vstack([self.e1.amplitudes, self.e2.amplitudes]), self.ambient_dim
         )
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
-        comp = self._complement()
+        comp = self._complement
         thetas = rng.uniform(-self.theta0, self.theta0, size=count)
         radii = self.rho(thetas)
         return [_sphere_point(self._center(th), r, comp, rng) for th, r in zip(thetas, radii)]
@@ -256,27 +257,14 @@ class AthetaFamily:
         """
         if v.dim != self.ambient_dim:
             raise DimensionError("line dimension does not match the family")
-        a = math.cos(self.alpha)
+        a = self.cfg.a
         x1 = inner(v, self.e1) * (a / self.c)
         x2 = complex(np.vdot(v.amplitudes, self.e2_vector)) * (a / self.d)
-        comp = self._complement()
+        comp = self._complement
         pnorm = float(np.linalg.norm(comp.conj() @ v.amplitudes)) if comp.size else 0.0
         th = _argmax_theta(x1, x2, pnorm, a / self.c, a / self.d, self.theta0)
         overlap = x1 * math.cos(th) + x2 * math.sin(th)
         return _sphere_distance(v, self._center(th), self.rho(th), comp, overlap)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "atheta",
-            "e1": self.e1.to_json(),
-            "e2": self.e2.to_json(),
-            "c": self.c,
-            "d": self.d,
-            "alpha": self.alpha,
-            "theta0": self.theta0,
-            "ambient_dim": self.ambient_dim,
-            "e2_phase": {"re": float(self.e2_phase.real), "im": float(self.e2_phase.imag)},
-        }
 
 
 @dataclass(frozen=True)
@@ -316,15 +304,6 @@ class CircleComponent:
             lam = 1.0
         return quantum_angle(v, self.member(lam))
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "circle",
-            "e1": self.e1.to_json(),
-            "e2": self.e2.to_json(),
-            "c": self.c,
-            "d": self.d,
-        }
-
 
 Circle = CircleComponent
 
@@ -342,29 +321,20 @@ class SphereSliceComponent:
         if abs(self.coefficient**2 + self.radius**2 - 1.0) > 1e-10:
             raise ParameterError("coefficient^2 + radius^2 != 1")
 
+    @cached_property
     def _complement(self) -> np.ndarray:
         rows = [self.axis.amplitudes] + [l.amplitudes for l in self.orthogonal_to]
         return orthonormal_complement(np.vstack(rows), self.axis.dim)
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
-        comp = self._complement()
         center = self.coefficient * self.axis.amplitudes
-        return [_sphere_point(center, self.radius, comp, rng) for _ in range(count)]
+        return [_sphere_point(center, self.radius, self._complement, rng) for _ in range(count)]
 
     def distance(self, v: Line) -> float:
         overlap = self.coefficient * inner(v, self.axis)
         return _sphere_distance(
-            v, self.coefficient * self.axis.amplitudes, self.radius, self._complement(), overlap
+            v, self.coefficient * self.axis.amplitudes, self.radius, self._complement, overlap
         )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "slice",
-            "axis": self.axis.to_json(),
-            "coefficient": self.coefficient,
-            "radius": self.radius,
-            "orthogonal_to": [l.to_json() for l in self.orthogonal_to],
-        }
 
 
 @dataclass(frozen=True)
@@ -379,11 +349,40 @@ class PointComponent:
     def distance(self, v: Line) -> float:
         return quantum_angle(v, self.line)
 
-    def to_json(self) -> dict:
-        return {"kind": "point", "line": self.line.to_json()}
-
 
 Component = CircleComponent | SphereSliceComponent | PointComponent | AthetaFamily
+
+#: The wire name of each component class.
+_KINDS = {"atheta": AthetaFamily, "circle": CircleComponent, "slice": SphereSliceComponent, "point": PointComponent}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+#: Per annotated field type (a string: annotations are postponed), the JSON
+#: kind of the wire value, its encoder and its decoder.
+_WIRE = {
+    "Line": (dict, Line.to_json, Line.from_json),
+    "float": (float, float, float),
+    "int": (int, int, int),
+    "complex": (dict, lambda z: {"re": float(z.real), "im": float(z.imag)}, lambda o: complex(json_complex(o, 0))),
+    "tuple[Line, ...]": (list, lambda ls: [l.to_json() for l in ls], lambda objs: tuple(map(Line.from_json, objs))),
+}
+
+
+def _component_to_json(comp: Component) -> dict:
+    """``{"kind": ...}``, then each dataclass field under its own name, in declaration order."""
+    return {"kind": _KIND_OF[type(comp)], **{f.name: _WIRE[f.type][1](getattr(comp, f.name)) for f in fields(comp)}}
+
+
+def _component_from_json(obj: dict) -> Component:
+    """Inverse of _component_to_json; a field with a default may be omitted."""
+    kind = json_field(obj, "kind", str)
+    if kind not in _KINDS:
+        raise SchemaError(f"unknown component kind {kind!r}")
+    args = {}
+    for f in fields(_KINDS[kind]):
+        if f.name in obj or f.default is MISSING:
+            wire, _, decode = _WIRE[f.type]
+            args[f.name] = decode(json_field(obj, f.name, wire))
+    return _KINDS[kind](**args)
 
 
 @dataclass(frozen=True)
@@ -410,7 +409,7 @@ class AlphaSetDescriptor:
         return min(comp.distance(v) for comp in self.components)
 
     def to_json(self) -> dict:
-        return {"components": [comp.to_json() for comp in self.components]}
+        return {"components": [_component_to_json(comp) for comp in self.components]}
 
 
 def pair_alpha_set(v1: Line, v2: Line, cfg: AlphaConfig) -> AlphaSetDescriptor:
@@ -679,45 +678,7 @@ def counterexample_witness(
 
 def descriptor_from_json(obj: dict) -> AlphaSetDescriptor:
     """Inverse of AlphaSetDescriptor.to_json; a mistyped or missing field is a SchemaError."""
-
-    def line(c: dict, key: str) -> Line:
-        return Line.from_json(json_field(c, key, dict))
-
-    def num(c: dict, key: str) -> float:
-        return json_field(c, key, float)
-
-    comps: list[Component] = []
-    for c in json_field(obj, "components", list):
-        kind = json_field(c, "kind", str)
-        if kind == "circle":
-            comps.append(CircleComponent(line(c, "e1"), line(c, "e2"), num(c, "c"), num(c, "d")))
-        elif kind == "slice":
-            comps.append(
-                SphereSliceComponent(
-                    line(c, "axis"),
-                    num(c, "coefficient"),
-                    num(c, "radius"),
-                    tuple(Line.from_json(l) for l in json_field(c, "orthogonal_to", list)),
-                )
-            )
-        elif kind == "point":
-            comps.append(PointComponent(line(c, "line")))
-        elif kind == "atheta":
-            phase = json_complex(json_field(c, "e2_phase", dict, {"re": 1.0, "im": 0.0}), 0)
-            comps.append(
-                AthetaFamily(
-                    line(c, "e1"),
-                    line(c, "e2"),
-                    num(c, "c"),
-                    num(c, "d"),
-                    num(c, "alpha"),
-                    num(c, "theta0"),
-                    json_field(c, "ambient_dim", int),
-                    complex(phase),
-                )
-            )
-        else:
-            raise SchemaError(f"unknown component kind {kind!r}")
+    comps = tuple(_component_from_json(c) for c in json_field(obj, "components", list))
     if not comps:
         raise SchemaError("field 'components' must hold at least one component")
-    return AlphaSetDescriptor(tuple(comps))
+    return AlphaSetDescriptor(comps)
