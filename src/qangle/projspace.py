@@ -397,13 +397,13 @@ def is_collinear(v1: Line, v2: Line, v3: Line) -> bool:
     """True iff the three lines span a subspace of dimension at most two.
 
     Decided by the third singular value of the stacked representatives
-    (threshold 1e-9).
+    (threshold 1e-9); lines of C^2 have no third one and are always collinear.
     """
     if not (v1.dim == v2.dim == v3.dim):
         raise DimensionError("lines live in different dimensions")
     mat = np.vstack([v1.amplitudes, v2.amplitudes, v3.amplitudes])
     s = np.linalg.svd(mat, compute_uv=False)
-    return bool(s[2] < COLLINEARITY_TOL)
+    return bool(s.size < 3 or s[2] < COLLINEARITY_TOL)
 
 
 def canonical_triple_form(v1: Line, v2: Line, v3: Line) -> TripleCanonicalForm:

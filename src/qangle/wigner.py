@@ -39,6 +39,7 @@ class WignerSymmetry:
     antiunitary: bool
 
     def __post_init__(self):
+        check_dim(self.dim)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"matrix shape {m.shape} does not match dim {self.dim}")
@@ -321,6 +322,8 @@ _C0_VALUES = (1.0 / math.sqrt(2.0), math.sqrt(7.0 / 12.0))
 
 
 def _check_same_span(e1: Line, e2: Line, f1: Line, f2: Line) -> None:
+    if len({l.dim for l in (e1, e2, f1, f2)}) != 1:
+        raise DimensionError("the four basis lines live in different dimensions")
     for pair in ((e1, e2), (f1, f2)):
         if abs(np.vdot(pair[0].amplitudes, pair[1].amplitudes)) > 1e-9:
             raise ParameterError("basis pair is not orthonormal")

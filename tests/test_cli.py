@@ -163,6 +163,14 @@ class TestAlphaSetVerbs:
         assert code == 0
         assert [comp["kind"] for comp in out["components"]] == ["circle"]
 
+    @pytest.mark.parametrize("verb", ["alphaset", "double-alphaset"])
+    def test_three_lines_of_c2_are_refused(self, tmp_path, verb):
+        # Any three lines of C^2 are collinear; the descriptors need dimension >= 3.
+        gens = [line_json([1, 0]), line_json([0.6, 0.8]), line_json([0.8, 0.6j])]
+        code, out = run_cli([verb], {"alpha": 1.1, "generators": gens}, tmp_path)
+        assert code == 1
+        assert out["error"] == "dimension-mismatch"
+
 
 class TestCardinalityVerb:
     def test_strict_band(self, tmp_path):
@@ -348,6 +356,12 @@ class TestWignerVerbs:
         assert code == 1
         assert out["error"] == "parameter"
 
+    def test_check_refuses_dimension_one(self, tmp_path):
+        sym = {"dim": 1, "antiunitary": False, "re": [[1]], "im": [[0]]}
+        code, out = run_cli(["wigner-check"], {"symmetry": sym, "alpha": 1.0, "nPairs": 3}, tmp_path)
+        assert code == 1
+        assert out["error"] == "parameter"
+
     def test_generate_dim_bound(self, tmp_path):
         code, out = run_cli(["wigner-generate"], {"dim": MAX_DIM + 1}, tmp_path)
         assert code == 1
@@ -423,6 +437,20 @@ class TestIntersectAndBridge:
         assert code == 0
         g1 = qa.Line.from_json(out["g1"])
         assert abs(g1.amplitudes[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+    @pytest.mark.parametrize("verb", ["intersect", "bridge"])
+    def test_bases_of_mixed_dimension_are_refused(self, tmp_path, verb):
+        payload = {
+            "alpha": math.acos(1 / math.sqrt(3)),
+            "e1": line_json([1, 0, 0]),
+            "e2": line_json([0, 1, 0]),
+            "f1": line_json([1, 0]),
+            "f2": line_json([0, 1]),
+            "c0": 1 / math.sqrt(2),
+        }
+        code, out = run_cli([verb], payload, tmp_path)
+        assert code == 1
+        assert out["error"] == "dimension-mismatch"
 
 
 class TestVerifySuites:

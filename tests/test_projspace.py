@@ -182,6 +182,10 @@ class TestCollinearity:
         v3 = qa.canonical_line([0, 0, 1])
         assert not qa.is_collinear(v1, v2, v3)
 
+    def test_any_three_lines_of_c2_are_collinear(self):
+        rng = np.random.default_rng(9)
+        assert qa.is_collinear(*(random_line(rng, 2) for _ in range(3)))
+
     def test_random_combinations_are_collinear(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
