@@ -35,6 +35,11 @@ _BLOCK_ROWS = 16_384
 # Gauss-Newton steps a refined candidate may take before it is dropped.
 _MAX_ITER = 600
 
+# A row already within ``tol`` keeps stepping down to this fraction of it:
+# where the constraints meet nearly tangentially, a residual of ``tol`` can
+# leave a row hundreds of times ``tol`` away from the set.
+_POLISH = 1e-4
+
 # Candidate rows refined together.  Caps the working set: 800 candidates
 # against 40 constraints in dimension 4 peak at 1.6 MB of allocations in blocks
 # of this size, and at 9.5 MB when every row is stacked at once.
@@ -208,14 +213,15 @@ def _tangent_steps(v, g, r, gens_c) -> np.ndarray:
 def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -> np.ndarray:
     """Refine the unit rows of ``v`` in place; the mask of the rows that end within ``tol``.
 
-    A row stays live until its maximum residual is within ``tol``, no step
-    length lowers it, or it has taken ``_MAX_ITER`` steps.  Each pass tries
-    the full step on every live row, then half of it on the rows it did not
-    improve, and so on down to 1/256.
+    A row stays live until its maximum residual is within ``_POLISH * tol``,
+    no step length lowers it, or it has taken ``_MAX_ITER`` steps.  Each pass
+    tries the full step on every live row, then half of it on the rows it did
+    not improve, and so on down to 1/256.
     """
     g, r = _overlaps(v, gens_c, alpha)
     worst = np.max(np.abs(r), axis=1)
-    live = np.flatnonzero(worst > tol)
+    polished = _POLISH * tol
+    live = np.flatnonzero(worst > polished)
     for _ in range(_MAX_ITER):
         if not live.size:
             break
@@ -236,7 +242,7 @@ def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -
             trying = trying[~ok]
             step /= 2.0
         live = live[moved]
-        live = live[worst[live] > tol]
+        live = live[worst[live] > polished]
     return worst <= tol
 
 
@@ -256,7 +262,10 @@ def refine_alpha_members(
     1/2, ..., 1/256 that strictly lowers the maximum residual.  A candidate
     whose maximum residual is still above ``tol`` after ``_MAX_ITER`` steps,
     or when no step length lowers it, is dropped; the others are returned as
-    lines, in input order.
+    lines, in input order.  A candidate within ``tol`` keeps stepping until
+    its residual is at most ``_POLISH * tol`` (1e-4 of it) or no step length
+    lowers it, so that a near-tangent meeting of the constraints does not
+    leave it far from the set.
 
     The rows are refined as stacked arrays, ``_REFINE_ROWS`` at a time, so
     the working memory is bounded whatever the number of candidates, and

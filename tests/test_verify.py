@@ -62,6 +62,15 @@ def test_check_double_alpha_set(wrong):
     )
 
 
+@pytest.mark.parametrize("seed, draws, dim", [(11, 8, None), (0, 4, 5), (1, 4, 5)])
+def test_collinear_triple_suite_passes_where_constraints_meet_nearly_tangentially(seed, draws, dim):
+    # These draws hold oracle members whose angle residual is within the
+    # refinement tolerance while the member itself is 1e-5 or more from the set.
+    tally = verify.suite_collin_alpha(seed, draws, dim)
+    assert tally.verdict, tally.notes
+    assert tally.max_residual < 1e-7
+
+
 def test_nan_residual_fails_the_run():
     tally = Tally()
     tally.bound(0.5, 1.0, "finite")
