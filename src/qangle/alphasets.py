@@ -84,11 +84,19 @@ def _check_profile_weights(a: float, c: float, d: float) -> None:
 
 
 def _rho(a: float, c: float, d: float, theta0: float, theta):
-    """rho(theta) = sqrt(1 - (a/c)^2 cos^2 theta - (a/d)^2 sin^2 theta) on [-theta0, theta0]."""
+    """rho(theta) = sqrt(1 - (a/c)^2 cos^2 theta - (a/d)^2 sin^2 theta) on [-theta0, theta0].
+
+    When a > d, theta0 is a zero of the radicand, which then factors as
+    ((a/d)^2 - (a/c)^2) sin(theta0 - theta) sin(theta0 + theta); that form
+    has no cancellation, so rho(+-theta0) is exactly 0.
+    """
     th = np.asarray(theta, dtype=float)
     if np.any(np.abs(th) > theta0 + 1e-12):
         raise DomainError(f"theta outside [-{theta0}, {theta0}]")
-    val = 1.0 - (a / c) ** 2 * np.cos(th) ** 2 - (a / d) ** 2 * np.sin(th) ** 2
+    if a > d:
+        val = ((a / d) ** 2 - (a / c) ** 2) * np.sin(theta0 - th) * np.sin(theta0 + th)
+    else:
+        val = 1.0 - (a / c) ** 2 * np.cos(th) ** 2 - (a / d) ** 2 * np.sin(th) ** 2
     out = np.sqrt(np.clip(val, 0.0, None))
     return float(out) if np.isscalar(theta) else out
 

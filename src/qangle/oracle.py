@@ -5,8 +5,10 @@ found by rejection sampling on seeded clouds and polished by Riemannian
 Gauss-Newton on the angle residuals (a minimum-norm step tangent to the unit
 sphere, then renormalisation as the retraction, over stacked blocks of
 candidate rows), clusters are thinned by dedup, and cardinalities are
-counted by grid sign changes on circles and disks.  The checks that judge
-the closed forms against these primitives live in :mod:`qangle.verify`.
+counted by grid sign changes on circles and disks.  Where the rejection hits
+outnumber the refinement cap, the hits nearest the full constraint family
+are the ones refined.  The checks that judge the closed forms against these
+primitives live in :mod:`qangle.verify`.
 """
 
 from __future__ import annotations
@@ -70,16 +72,17 @@ def _check_cloud_shape(dim: int, count: int) -> None:
         raise ParameterError(f"{count} lines of dimension {dim} exceed {MAX_CLOUD_ENTRIES} amplitudes")
 
 
-def _blocks(count: int):
-    """Row ranges of at most ``_BLOCK_ROWS + 1`` rows covering ``range(count)``.
+def _blocks(count: int, rows: int | None = None):
+    """Row ranges of at most ``rows + 1`` rows (default ``_BLOCK_ROWS``) covering ``range(count)``.
 
     A single leftover row joins the block before it: numpy multiplies a
     one-row matrix through a matrix-vector BLAS call, whose rounding can
     differ from the matrix-matrix call every other block takes.
     """
+    rows = rows or _BLOCK_ROWS
     start = 0
     while start < count:
-        stop = min(start + _BLOCK_ROWS, count)
+        stop = min(start + rows, count)
         if count - stop == 1:
             stop = count
         yield start, stop
@@ -143,11 +146,17 @@ def _block_residuals(block: np.ndarray, gens_h: np.ndarray, alpha: float) -> np.
 
 
 def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.ndarray:
-    """Per-row maximum of |angle(row, g) - alpha| over the generators."""
+    """Per-row maximum of |angle(row, g) - alpha| over the generators.
+
+    A block holds about as many row-generator entries as a rejection block
+    against three generators, so a wide family takes proportionally fewer
+    rows at a time and the working set does not grow with rows x generators.
+    """
     gens_h = _lines_matrix(generators).conj().T
     vectors = np.atleast_2d(vectors)
     out = np.empty(vectors.shape[0])
-    for start, stop in _blocks(vectors.shape[0]):
+    rows = max(1, 3 * _BLOCK_ROWS // gens_h.shape[1])
+    for start, stop in _blocks(vectors.shape[0], rows):
         out[start:stop] = _block_residuals(vectors[start:stop], gens_h, cfg.alpha)
     return out
 
@@ -316,7 +325,9 @@ def discover_alpha_set(
 
     Raw rejection alone cannot reach tight tolerances at desk-scale budgets,
     so hits at ``discovery_tol`` are polished down to ``confirm_tol``.
-    ``max_candidates`` must be at least 1.
+    ``max_candidates`` must be at least 1; above it, the ``max_candidates``
+    hits with the smallest maximum residual are refined, in cloud order, and
+    the rest are dropped.
     """
     return funnel_alpha_set(
         generators, cfg, cloud, discovery_tol, confirm_tol, max_candidates, len(generators)
@@ -338,15 +349,23 @@ def funnel_alpha_set(
     sampling, so the cloud is first filtered against a few of the constraints
     at a loose tolerance and the resulting pool is refined against the full
     family; only candidates meeting every constraint at ``confirm_tol``
-    survive.  ``max_pool`` caps the candidates refined and, like
-    ``n_seed_constraints``, must be at least 1.
+    survive.
+
+    ``max_pool`` caps the candidates refined and, like ``n_seed_constraints``,
+    must be at least 1.  A pool above the cap is ranked by its maximum angle
+    residual over the *whole* family, and the ``max_pool`` nearest hits are
+    refined, in cloud order (ties keep cloud order); the farthest hits are
+    dropped.  A pool within the cap is refined whole.
     """
     if max_pool < 1 or n_seed_constraints < 1:
         raise ParameterError(
             f"need max_pool >= 1 and n_seed_constraints >= 1, got {max_pool} and {n_seed_constraints}"
         )
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
-    return refine_alpha_members(constraints, cfg, pool[:max_pool], confirm_tol)
+    if len(pool) > max_pool:
+        nearest = np.argsort(angle_residuals(constraints, cfg, pool), kind="stable")[:max_pool]
+        pool = pool[np.sort(nearest)]
+    return refine_alpha_members(constraints, cfg, pool, confirm_tol)
 
 
 def root_count_on_circle(z: complex, r: float, a: float, grid_size: int = 10_000):
@@ -383,9 +402,12 @@ def root_count_on_disk(
     Besides the uniform radii, the sweep adds samples inside the window of
     radii where a circle of radius a around -z can meet circles around the
     origin at all (plain triangle-inequality geometry); without those, thin
-    windows (tiny |z|) would slip between uniform samples.
+    windows (tiny |z|) would slip between uniform samples.  ``r = 0`` is the
+    point disk; ``radial < 1``, ``r < 0`` and ``a <= 0`` are refused.
     """
-    if r <= 0:
+    if radial < 1 or r < 0 or a <= 0:
+        raise ParameterError(f"need radial >= 1, r >= 0 and a > 0, got {radial}, {r} and {a}")
+    if r == 0:
         return 0 if abs(abs(z) - a) > 1e-12 else math.inf
     radii = list(np.linspace(r / radial, r, radial))
     win_lo, win_hi = abs(abs(z) - a), abs(z) + a

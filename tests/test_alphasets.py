@@ -183,13 +183,19 @@ class TestPairAlphaSet:
         assert sides == {True, False}
 
     def test_cutoff_sphere_degenerates_when_a_exceeds_d(self):
-        # rho(theta0) = 0 exactly when a >= d: the extremal sphere is one line.
-        cfg = qa.AlphaConfig.from_alpha(0.9)
-        d = 0.45
-        c = math.sqrt(1 - d * d)
-        theta0, rho = theta0_and_rho(cfg, c, d)
-        assert cfg.a > d
-        assert rho(theta0) == pytest.approx(0.0, abs=1e-7)
+        # rho(+-theta0) = 0 exactly when a > d: the extremal sphere is one line.
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 2000:
+            cfg = draw_alpha(rng)
+            d = rng.uniform(0.15, 1 / math.sqrt(2))
+            c = math.sqrt(1 - d * d)
+            if not c > cfg.a > d:
+                continue
+            theta0, rho = theta0_and_rho(cfg, c, d)
+            assert rho(theta0) == 0.0 and rho(-theta0) == 0.0
+            assert np.all(rho(np.array([-theta0, theta0])) == 0.0)
+            checked += 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

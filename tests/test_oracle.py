@@ -189,6 +189,16 @@ class TestBlockedCloudPath:
         assert path.read_bytes() == struct.pack("<QQQ", 3, 40, 12) + flat.tobytes()
 
 
+def double_alpha_cell(seed, d, alpha):
+    """A collinear triple in C^4 and 40 constraints sampled from its alpha-set,
+    whose double-alpha-set is one circle."""
+    rng = np.random.default_rng(seed)
+    e1, e2 = random_orthonormal_pair(rng, 4)
+    form = qa.TripleCanonicalForm(e1, e2, math.sqrt(1 - d * d), d, distinct_unimodular_triple(rng, 5e-2))
+    cfg = qa.AlphaConfig.from_alpha(alpha)
+    return form, cfg, qa.collinear_triple_alpha_set(form, cfg, 4).sample(40, rng)
+
+
 def traced_peak(fn):
     """``fn()`` and the peak bytes it allocated above what was live before it."""
     tracemalloc.start()
@@ -243,6 +253,24 @@ class TestMemoryBudget:
         candidates = qa.sample_lines(self.DIM, 800, self.SEED).vectors
         _, peak = traced_peak(lambda: qa.refine_alpha_members(gens, cfg, candidates))
         assert peak <= 4_000_000
+
+    def test_funnel_ranking_does_not_grow_with_pool_times_constraints(self, cloud):
+        # Ranking a pool far above the cap against 40 constraints works in row
+        # blocks: the peak grows by a few pool rows' bytes per extra pool row,
+        # where one overlap per constraint would add 40 * 16 bytes.
+        rng = np.random.default_rng(5)
+        gens = [random_line(rng, self.DIM) for _ in range(40)]
+        cfg = qa.AlphaConfig.from_alpha(1.1)
+        big = qa.sample_lines(self.DIM, 2 * self.COUNT, self.SEED + 1)
+        pools, peaks = [], []
+        for c in (cloud, big):
+            pools.append(len(qa.alpha_set_numeric(gens[:3], cfg, c, 0.2)))
+            _, peak = traced_peak(lambda: qa.funnel_alpha_set(gens, cfg, c, 0.2, 1e-7, 16))
+            peaks.append(peak)
+        assert pools[0] >= 1000 * 16
+        assert pools[1] >= 1.5 * pools[0]
+        row = self.DIM * 16
+        assert peaks[1] - peaks[0] <= 3 * row * (pools[1] - pools[0])
 
     def test_save_cloud(self, cloud, tmp_path):
         _, peak = traced_peak(lambda: qa.save_cloud(cloud, tmp_path / "c.bin"))
@@ -367,16 +395,23 @@ class TestRefinement:
         # its double-alpha-set, a circle.  A Gauss-Newton step with a radial part
         # crawls or stalls on most of the funnel pool here (48 of 300 converge);
         # the tangent step converges nearly all of it, and onto the circle.
-        rng = np.random.default_rng(1)
-        e1, e2 = random_orthonormal_pair(rng, 4)
-        d = 0.61
-        form = qa.TripleCanonicalForm(e1, e2, math.sqrt(1 - d * d), d, distinct_unimodular_triple(rng, 5e-2))
-        cfg = qa.AlphaConfig.from_alpha(1.435)
-        constraints = qa.collinear_triple_alpha_set(form, cfg, 4).sample(40, rng)
+        form, cfg, constraints = double_alpha_cell(1, 0.61, 1.435)
         pool = qa.alpha_set_numeric(constraints[:3], cfg, cloud4, 5e-2)
         assert len(pool) >= 300
         survivors = qa.funnel_alpha_set(constraints, cfg, cloud4, max_pool=300)
         assert len(survivors) >= 240
+        circle = qa.double_alpha_set_classify(form, cfg, 4)
+        assert max(circle.distance(s) for s in survivors) < 1e-5
+
+    def test_funnel_refines_the_nearest_pool_rows(self, cloud4):
+        # The pool here is twelve times the cap.  Its first 200 rows in cloud
+        # order converge only 78 times; the 200 nearest the whole family
+        # converge nearly all, and onto the circle.
+        form, cfg, constraints = double_alpha_cell(4, 0.3, 1.0)
+        pool = qa.alpha_set_numeric(constraints[:3], cfg, cloud4, 5e-2)
+        assert len(pool) >= 2000
+        survivors = qa.funnel_alpha_set(constraints, cfg, cloud4, max_pool=200)
+        assert len(survivors) >= 180
         circle = qa.double_alpha_set_classify(form, cfg, 4)
         assert max(circle.distance(s) for s in survivors) < 1e-5
 
@@ -388,6 +423,52 @@ class TestRefinement:
         far = qa.canonical_line([0, 1])
         kept = dedup_lines([e1, near, far], 1e-4)
         assert len(kept) == 2
+
+
+class TestFunnelRanking:
+    """Above its cap, the funnel refines the pool rows nearest the whole family."""
+
+    @pytest.fixture(scope="class")
+    def cell(self, cloud4):
+        _, cfg, constraints = double_alpha_cell(4, 0.3, 1.0)
+        pool = qa.alpha_set_numeric(constraints[:3], cfg, cloud4, 5e-2)
+        return cfg, constraints, pool
+
+    @staticmethod
+    def refined_candidates(monkeypatch, call):
+        seen = []
+
+        def capture(generators, cfg, candidates, tol=1e-7):
+            seen.append(np.array(candidates))
+            return []
+
+        monkeypatch.setattr(oracle, "refine_alpha_members", capture)
+        call()
+        assert len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("max_pool", [1, 37, 800, None])
+    def test_funnel_keeps_the_nearest_rows_in_cloud_order(self, monkeypatch, cloud4, cell, max_pool):
+        cfg, constraints, pool = cell
+        max_pool = max_pool or len(pool)  # None: the whole pool fits under the cap
+        got = self.refined_candidates(
+            monkeypatch, lambda: qa.funnel_alpha_set(constraints, cfg, cloud4, max_pool=max_pool)
+        )
+        res = one_shot_residuals(constraints, float(cfg.alpha), pool)
+        kept = np.sort(np.argsort(res, kind="stable")[:max_pool])
+        assert np.array_equal(got, pool[kept])
+        assert np.max(res[kept]) <= np.min(np.delete(res, kept), initial=np.inf)
+
+    def test_discovery_ranks_by_every_generator(self, monkeypatch, cloud4, cell):
+        cfg, constraints, _ = cell
+        gens = constraints[:2]
+        hits = qa.alpha_set_numeric(gens, cfg, cloud4, 2e-2)
+        assert len(hits) > 50
+        got = self.refined_candidates(
+            monkeypatch, lambda: qa.discover_alpha_set(gens, cfg, cloud4, 2e-2, 1e-7, 50)
+        )
+        res = one_shot_residuals(gens, float(cfg.alpha), hits)
+        assert np.array_equal(got, hits[np.sort(np.argsort(res, kind="stable")[:50])])
 
 
 class TestCandidateCaps:
@@ -437,6 +518,19 @@ class TestRootCounting:
     def test_grid_size_guard(self):
         with pytest.raises(ParameterError):
             qa.root_count_on_circle(0.5, 0.3, 0.6, 100)
+
+    @pytest.mark.parametrize(
+        "r, a, radial",
+        [(0.3, 0.6, 0), (0.3, 0.6, -3), (-0.3, 0.6, 64), (0.3, 0.0, 64), (0.3, -0.6, 64), (0.0, 0.0, 64)],
+    )
+    def test_disk_parameter_guards(self, r, a, radial):
+        with pytest.raises(ParameterError):
+            qa.root_count_on_disk(0.5, r, a, 4096, radial)
+
+    def test_point_disk(self):
+        assert qa.root_count_on_disk(0.6, 0.0, 0.6) is math.inf
+        assert qa.root_count_on_disk(0.5, 0.0, 0.6) == 0
+        assert qa.root_count_on_disk(0.5, 0.3, 0.6, 4096, 1) > 0
 
     def test_disk_sweep_detects_interior_solutions(self):
         # Solution circle strictly inside the disk: no boundary roots, but
