@@ -46,6 +46,7 @@ from .projspace import (
     canonical_line,
     canonical_pair_form,
     check_weighted_basis,
+    complex_json,
     inner,
     json_complex,
     json_field,
@@ -303,14 +304,10 @@ class CircleComponent:
         return [self.member(np.exp(1j * p)) for p in phis]
 
     def distance(self, v: Line) -> float:
-        # Build the nearest member explicitly so tiny distances stay resolvable.
-        p = inner(v, self.e1)
-        q = inner(v, self.e2)
-        if abs(p) > 1e-15 and abs(q) > 1e-15:
-            lam = p * np.conj(q) / (abs(p) * abs(q))
-        else:
-            lam = 1.0
-        return quantum_angle(v, self.member(lam))
+        """The circle is the sphere of radius d about c e1 inside span{e2}."""
+        return _sphere_distance(
+            v, self.c * self.e1.amplitudes, self.d, self.e2.amplitudes[None], self.c * inner(v, self.e1)
+        )
 
 
 Circle = CircleComponent
@@ -370,7 +367,7 @@ _WIRE = {
     "Line": (dict, Line.to_json, Line.from_json),
     "float": (float, float, float),
     "int": (int, int, int),
-    "complex": (dict, lambda z: {"re": float(z.real), "im": float(z.imag)}, lambda o: complex(json_complex(o, 0))),
+    "complex": (dict, complex_json, lambda o: complex(json_complex(o, 0))),
     "tuple[Line, ...]": (list, lambda ls: [l.to_json() for l in ls], lambda objs: tuple(map(Line.from_json, objs))),
 }
 
@@ -653,27 +650,23 @@ def counterexample_witness(
     cos_phi = (a * a - big_a * big_a - big_b * big_b) / (2.0 * big_a * big_b)
     phi = math.acos(min(max(cos_phi, -1.0), 1.0))
     lam = np.exp(-1j * phi)
-    u1 = canonical_line(c * e1.amplitudes + lam * d * e2.amplitudes)
-    u2 = canonical_line(c * e1.amplitudes + np.conj(lam) * d * e2.amplitudes)
+    circle = CircleComponent(e1, e2, c, d)
+    u1, u2 = circle.member(lam), circle.member(np.conj(lam))
 
-    cprime_sq = 1.0 - a * a / (r1 * r1)
-    if cprime_sq <= CASE_MARGIN:
-        u3 = e3
+    second = _second_double_component(e1, e2, e3, cfg, c)
+    if isinstance(second, PointComponent):
+        u3 = second.line
     else:
-        cprime = math.sqrt(cprime_sq)
-        bp = cprime * (a / c) * math.sin(t)
+        bp = second.c * (a / c) * math.sin(t)
         if not (0.0 < a - bp):
             raise WitnessRangeError("offset t violates the second-component guard")
-        cos_psi = -bp / (2.0 * a)
-        psi = math.acos(min(max(cos_psi, -1.0), 1.0))
-        mu = np.exp(-1j * psi)
-        dprime = a / r1
-        u3 = canonical_line(cprime * e2.amplitudes + mu * dprime * e3.amplitudes)
+        psi = math.acos(min(max(-bp / (2.0 * a), -1.0), 1.0))
+        u3 = second.member(np.exp(-1j * psi))
 
     # Post-conditions: verified here so a returned witness is always valid.
     pseudo = TripleCanonicalForm(e1, e2, c, d, (1.0 + 0j, 1j, -1j))
     double = double_alpha_set_classify(pseudo, cfg, 3)
-    first = AlphaSetDescriptor(_triple_alpha_components(e1, e2, c, d, cfg))
+    first = collinear_triple_alpha_set(pseudo, cfg, 3)
     for u in (u1, u2, u3):
         if double.distance(u) > 1e-9:
             raise ParameterError("witness construction failed a membership post-check")

@@ -5,10 +5,11 @@ found by rejection sampling on seeded clouds and polished by Riemannian
 Gauss-Newton on the angle residuals (a minimum-norm step tangent to the unit
 sphere, then renormalisation as the retraction, over stacked blocks of
 candidate rows), clusters are thinned by dedup, and cardinalities are
-counted by grid sign changes on circles and disks.  Where the rejection hits
-outnumber the refinement cap, the hits nearest the full constraint family
-are the ones refined.  The checks that judge the closed forms against these
-primitives live in :mod:`qangle.verify`.
+counted by grid sign changes on circles, a disk being its concentric
+circles on one shared grid.  Where the rejection hits outnumber the
+refinement cap, the hits nearest the full constraint family are the ones
+refined.  The checks that judge the closed forms against these primitives
+live in :mod:`qangle.verify`.
 """
 
 from __future__ import annotations
@@ -368,25 +369,38 @@ def funnel_alpha_set(
     return refine_alpha_members(constraints, cfg, pool, confirm_tol)
 
 
+def _grid_root_count(z: complex, radii, a: float, grid_size: int):
+    """Grid root count of |z + r'*lambda| = a over |lambda| = 1, summed over the radii r'.
+
+    One exp(i phi) row serves every radius, taken one at a time; ``math.inf``
+    at the first circle whose residual is identically zero within 1e-12.
+    """
+    if grid_size < 1000:
+        raise ParameterError(f"grid_size must be >= 1000, got {grid_size}")
+    if not np.all(np.isfinite([z, a])):
+        raise ParameterError(f"need finite z and a, got {z} and {a}")
+    unit = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False))
+    total = 0
+    for rp in radii:
+        f = np.abs(z + rp * unit) - a
+        if np.max(np.abs(f)) < 1e-12:
+            return math.inf
+        s = np.sign(f)
+        total += int(np.sum(s * np.roll(s, -1) < 0)) + int(np.sum(s == 0))
+    return total
+
+
 def root_count_on_circle(z: complex, r: float, a: float, grid_size: int = 10_000):
     """Number of unimodular lambda with |z + r*lambda| = a, by grid sign counting.
 
     Returns ``math.inf`` when |z + r*lambda| - a vanishes identically within
     1e-12 on the grid (the z = 0, r = a configuration).  The count only
-    depends on |z|, r and a.
+    depends on |z|, r and a.  Non-finite arguments, ``r < 0`` and
+    ``a <= 0`` are refused.
     """
-    if grid_size < 1000:
-        raise ParameterError(f"grid_size must be >= 1000, got {grid_size}")
-    if r < 0 or a <= 0:
-        raise ParameterError("need r >= 0 and a > 0")
-    phis = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-    f = np.abs(z + r * np.exp(1j * phis)) - a
-    if np.max(np.abs(f)) < 1e-12:
-        return math.inf
-    s = np.sign(f)
-    changes = int(np.sum(s * np.roll(s, -1) < 0))
-    exact = int(np.sum(s == 0))
-    return changes + exact
+    if not 0 <= r < math.inf or a <= 0:
+        raise ParameterError(f"need finite r >= 0 and a > 0, got {r} and {a}")
+    return _grid_root_count(z, [r], a, grid_size)
 
 
 def root_count_on_disk(
@@ -403,12 +417,11 @@ def root_count_on_disk(
     radii where a circle of radius a around -z can meet circles around the
     origin at all (plain triangle-inequality geometry); without those, thin
     windows (tiny |z|) would slip between uniform samples.  ``r = 0`` is the
-    point disk; ``radial < 1``, ``r < 0`` and ``a <= 0`` are refused.
+    point disk, its circle of radius 0; non-finite arguments, ``radial < 1``,
+    ``r < 0`` and ``a <= 0`` are refused.
     """
-    if radial < 1 or r < 0 or a <= 0:
-        raise ParameterError(f"need radial >= 1, r >= 0 and a > 0, got {radial}, {r} and {a}")
-    if r == 0:
-        return 0 if abs(abs(z) - a) > 1e-12 else math.inf
+    if radial < 1 or not 0 <= r < math.inf or a <= 0:
+        raise ParameterError(f"need radial >= 1, finite r >= 0 and a > 0, got {radial}, {r} and {a}")
     radii = list(np.linspace(r / radial, r, radial))
     win_lo, win_hi = abs(abs(z) - a), abs(z) + a
     if win_lo <= r:
@@ -416,10 +429,4 @@ def root_count_on_disk(
         hi = min(win_hi, r)
         if hi >= lo:
             radii.extend(np.linspace(lo, hi, max(radial // 2, 16)))
-    total = 0
-    for rp in sorted(set(float(x) for x in radii)):
-        c = root_count_on_circle(z, rp, a, grid_size)
-        if c is math.inf:
-            return math.inf
-        total += c
-    return total
+    return _grid_root_count(z, sorted(set(float(x) for x in radii)), a, grid_size)

@@ -99,6 +99,12 @@ def _json_numbers(obj: dict, key: str, ndim: int) -> np.ndarray:
     return arr.astype(float)
 
 
+def complex_json(values) -> dict:
+    """``{"re": ..., "im": ...}`` of a complex number or array, as deep as ``values``; inverse of json_complex."""
+    values = np.asarray(values, dtype=complex)
+    return {"re": values.real.tolist(), "im": values.imag.tolist()}
+
+
 def json_complex(obj: dict, ndim: int) -> np.ndarray:
     """``obj["re"] + i obj["im"]``, each part copied bit for bit, else SchemaError.
 
@@ -174,11 +180,7 @@ class Line:
         object.__setattr__(self, "amplitudes", amps)
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": [float(x) for x in self.amplitudes.real],
-            "im": [float(x) for x in self.amplitudes.imag],
-        }
+        return {"dim": self.dim, **complex_json(self.amplitudes)}
 
     @staticmethod
     def from_json(obj: dict) -> "Line":

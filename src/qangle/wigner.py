@@ -25,8 +25,8 @@ from .errors import (
     SpanError,
 )
 from .projspace import (
-    AlphaConfig, Line, canonical_line, check_dim, check_tol, json_complex, json_field, lines_equal, quantum_angle,
-    random_line,
+    AlphaConfig, Line, canonical_line, check_dim, check_tol, complex_json, json_complex, json_field, lines_equal,
+    quantum_angle, random_line,
 )
 
 
@@ -50,12 +50,7 @@ class WignerSymmetry:
         object.__setattr__(self, "matrix", m)
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "antiunitary": bool(self.antiunitary),
-            "re": [[float(x) for x in row] for row in self.matrix.real],
-            "im": [[float(x) for x in row] for row in self.matrix.imag],
-        }
+        return {"dim": self.dim, "antiunitary": bool(self.antiunitary), **complex_json(self.matrix)}
 
     @staticmethod
     def from_json(obj: dict) -> "WignerSymmetry":

@@ -22,6 +22,7 @@ from qangle.errors import (
     WitnessRangeError,
 )
 
+from qangle.projspace import orthonormal_complement
 from qangle.verify import draw_alpha
 
 from conftest import random_line, random_orthonormal_pair
@@ -492,6 +493,29 @@ class TestCardinality:
             qa.atheta_cardinality(
                 fam, fam.theta0 + 0.1, (0.6 + 0j, 0j, 0.8), cfg
             )
+
+
+def scanned_circle_distance(circle, v: qa.Line, grid: int = 20_000) -> float:
+    """Smallest angle from v to the members c e1 + lambda d e2 on a dense grid of phases lambda."""
+    lams = np.exp(2j * np.pi * np.arange(grid) / grid)
+    members = circle.c * circle.e1.amplitudes + np.multiply.outer(lams * circle.d, circle.e2.amplitudes)
+    return float(np.arccos(min(np.max(np.abs(members.conj() @ v.amplitudes)), 1.0)))
+
+
+class TestCircleDistance:
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_never_exceeds_a_dense_phase_scan(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(20):
+            e1, e2 = random_orthonormal_pair(rng, dim)
+            c = float(rng.uniform(math.sqrt(0.5), 0.99))
+            circle = qa.CircleComponent(e1, e2, c, math.sqrt(1 - c * c))
+            span = np.vstack([e1.amplitudes, e2.amplitudes])
+            off = qa.canonical_line(orthonormal_complement(span, dim)[0])
+            for v in [random_line(rng, dim) for _ in range(5)] + [e1, e2, off]:
+                dist, scan = circle.distance(v), scanned_circle_distance(circle, v)
+                assert dist <= scan + 1e-12
+                assert scan - dist <= 1e-6
 
 
 class TestCounterexampleWitness:

@@ -283,6 +283,13 @@ class TestMemoryBudget:
         assert np.array_equal(again.vectors, cloud.vectors)
         assert peak <= 1.25 * cloud.vectors.nbytes
 
+    def test_disk_root_count_takes_one_radius_at_a_time(self):
+        # One grid row per radius: evaluating every radius at once would hold
+        # about 100 MB of (radii, grid) arrays at this grid size.
+        total, peak = traced_peak(lambda: qa.root_count_on_disk(0.1, 0.9, 0.3, 4096, 1024))
+        assert total is math.inf or total > 2
+        assert peak <= 1_000_000
+
 
 class TestAlphaSetNumeric:
     def test_single_generator_overlap(self):
@@ -494,7 +501,78 @@ class TestCandidateCaps:
             oracle.funnel_alpha_set(gens, cfg, cloud, 1e-2, 1e-7, max_pool, n_seed)
 
 
+def reference_circle_count(z, r, a, grid_size):
+    """The per-circle grid count, written out on its own grid."""
+    phis = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
+    f = np.abs(z + r * np.exp(1j * phis)) - a
+    if np.max(np.abs(f)) < 1e-12:
+        return math.inf
+    s = np.sign(f)
+    return int(np.sum(s * np.roll(s, -1) < 0)) + int(np.sum(s == 0))
+
+
+def reference_disk_count(z, r, a, grid_size, radial):
+    """The disk count as a sum of per-circle counts over the uniform and window radii."""
+    radii = list(np.linspace(r / radial, r, radial))
+    win_lo, win_hi = abs(abs(z) - a), abs(z) + a
+    if win_lo <= r:
+        lo, hi = max(win_lo, r * 1e-9), min(win_hi, r)
+        if hi >= lo:
+            radii.extend(np.linspace(lo, hi, max(radial // 2, 16)))
+    total = 0
+    for rp in sorted(set(float(x) for x in radii)):
+        c = reference_circle_count(z, rp, a, grid_size)
+        if c is math.inf:
+            return math.inf
+        total += c
+    return total
+
+
+def root_count_cases(seed, count):
+    """Seeded (z, r, a): generic draws, point disks (some with |z| = a), z = 0 with r = a, and tiny |z|."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        a = float(rng.uniform(0.05, 1.0))
+        z = complex(rng.standard_normal(), rng.standard_normal()) * float(rng.uniform(0.0, 1.2))
+        r = float(rng.uniform(0.0, 1.2))
+        if k % 4 == 1:
+            r = 0.0
+            if k % 8 == 1:
+                z = a * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        elif k % 4 == 2:
+            z, r = 0j, a
+        elif k % 4 == 3:
+            z *= 1e-9
+        yield z, r, a
+
+
 class TestRootCounting:
+    @pytest.mark.parametrize("grid_size, radial", [(2048, 48), (4096, 64)])
+    def test_disk_count_is_the_sum_of_circle_counts(self, grid_size, radial):
+        # Window radii included: tiny |z| opens a thin window near r' = a.
+        for z, r, a in root_count_cases(21, 60):
+            assert qa.root_count_on_disk(z, r, a, grid_size, radial) == reference_disk_count(
+                z, r, a, grid_size, radial
+            )
+
+    def test_circle_count_matches_the_reference(self):
+        for z, r, a in root_count_cases(22, 200):
+            for rp in (r, a):
+                assert qa.root_count_on_circle(z, rp, a, 2048) == reference_circle_count(z, rp, a, 2048)
+
+    @pytest.mark.parametrize("count", [qa.root_count_on_circle, qa.root_count_on_disk])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", ["z", "r", "a"])
+    def test_non_finite_arguments_are_refused(self, count, bad, slot):
+        args = {"z": 0.5, "r": 0.3, "a": 0.6}
+        args[slot] = complex(0.1, bad) if slot == "z" else bad
+        with pytest.raises(ParameterError):
+            count(args["z"], args["r"], args["a"], 4096)
+
+    def test_point_disk_needs_a_grid(self):
+        with pytest.raises(ParameterError):
+            qa.root_count_on_disk(0.5, 0.0, 0.6, 100)
+
     def test_degenerate_circle_is_infinite(self):
         assert qa.root_count_on_circle(0.0, 0.6, 0.6, 10_000) is math.inf
 

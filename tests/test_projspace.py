@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from qangle.errors import (
     NotCollinearError,
     ParameterError,
 )
+from qangle.projspace import complex_json, json_complex
 
 from conftest import random_collinear_triple, random_line, random_orthonormal_pair
 
@@ -368,3 +370,18 @@ class TestLineJson:
         l = random_line(rng, 4)
         again = qa.Line.from_json(l.to_json())
         assert np.array_equal(l.amplitudes, again.amplitudes)
+
+
+class TestComplexJson:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            complex(-0.0, 5e-324),
+            np.array([complex(1e308, -0.0), complex(-0.0, 1e308), complex(5e-324, -5e-324)]),
+            np.array([[0.1 + 0.2j, complex(-0.0, -0.0)], [complex(1e308, 5e-324), complex(-1e308, -1e-308)]]),
+        ],
+    )
+    def test_round_trip_is_bit_exact(self, values):
+        again = json_complex(json.loads(json.dumps(complex_json(values))), np.ndim(values))
+        assert again.shape == np.shape(values)
+        assert again.tobytes() == np.asarray(values, dtype=complex).tobytes()
