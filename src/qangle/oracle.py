@@ -7,9 +7,9 @@ sphere, then renormalisation as the retraction, over stacked blocks of
 candidate rows), clusters are thinned by dedup, and cardinalities are
 counted by grid sign changes on circles, a disk being its concentric
 circles on one shared grid.  Where the rejection hits outnumber the
-refinement cap, the hits nearest the full constraint family are the ones
-refined.  The checks that judge the closed forms against these primitives
-live in :mod:`qangle.verify`.
+refinement cap, the hits that two undamped Gauss-Newton steps bring nearest
+the full constraint family are the ones refined.  The checks that judge the
+closed forms against these primitives live in :mod:`qangle.verify`.
 """
 
 from __future__ import annotations
@@ -44,9 +44,14 @@ _MAX_ITER = 600
 _POLISH = 1e-4
 
 # Candidate rows refined together.  Caps the working set: 800 candidates
-# against 40 constraints in dimension 4 peak at 1.6 MB of allocations in blocks
-# of this size, and at 9.5 MB when every row is stacked at once.
+# against 40 constraints in dimension 4 peak at 1.5 MB of allocations in blocks
+# of this size, and at 8.8 MB when every row is stacked at once.
 _REFINE_ROWS = 128
+
+# Undamped Gauss-Newton steps that rank a funnel pool above its cap: a row's
+# residual after two steps predicts whether it converges far better than its
+# residual where rejection found it.
+_LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,15 @@ def _lines_matrix(lines) -> np.ndarray:
     return np.vstack([l.amplitudes for l in lines])
 
 
+def _generators_matrix(generators) -> np.ndarray:
+    """The generators' amplitudes as the rows of one array; an empty or mixed-dimension set is refused."""
+    if not generators:
+        raise ParameterError("generator set must be non-empty")
+    if len({g.dim for g in generators}) != 1:
+        raise DimensionError("generators live in different dimensions")
+    return _lines_matrix(generators)
+
+
 def _block_residuals(block: np.ndarray, gens_h: np.ndarray, alpha: float) -> np.ndarray:
     """Per-row maximum of |angle(row, g) - alpha| over the columns g of ``gens_h``."""
     m = np.abs(block @ gens_h)
@@ -153,7 +167,7 @@ def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.nda
     against three generators, so a wide family takes proportionally fewer
     rows at a time and the working set does not grow with rows x generators.
     """
-    gens_h = _lines_matrix(generators).conj().T
+    gens_h = _generators_matrix(generators).conj().T
     vectors = np.atleast_2d(vectors)
     out = np.empty(vectors.shape[0])
     rows = max(1, 3 * _BLOCK_ROWS // gens_h.shape[1])
@@ -175,13 +189,10 @@ def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: flo
     residual vector of the whole cloud is built.  The result is a fresh
     array, of shape ``(0, dim)`` when no row hits.  ``tol`` must be >= 0.
     """
-    if not generators:
-        raise ParameterError("generator set must be non-empty")
-    dims = {g.dim for g in generators}
-    if dims != {cloud.dim}:
+    gens_h = _generators_matrix(generators).conj().T
+    if gens_h.shape[0] != cloud.dim:
         raise DimensionError("generators and cloud live in different dimensions")
     check_tol(tol)
-    gens_h = _lines_matrix(generators).conj().T
     hits = []
     for start, stop in _blocks(cloud.count):
         block = cloud.vectors[start:stop]
@@ -198,12 +209,17 @@ def _overlaps(v: np.ndarray, gens_c: np.ndarray, alpha: float):
 def _tangent_steps(v, g, r, gens_c) -> np.ndarray:
     """Minimum-norm Gauss-Newton step of every row of ``v``, tangent to the unit sphere.
 
-    The Jacobian of the residuals in the real coordinates ``[Re v, Im v]``
-    loses its radial direction before the solve, so the step has no part
-    that the renormalisation would throw away.  The solve is ``lstsq``'s:
-    an SVD whose singular values at or below ``eps * max(k, 2n) * s_max``
-    count as zero, since the Jacobian is rank-deficient (the phase direction
-    is always null).
+    The Jacobian J of the residuals in the real coordinates ``[Re v, Im v]``
+    loses its radial direction u before the solve, so the step has no part
+    that the renormalisation would throw away.  J then annihilates u, and
+    the phase direction w = i v too, since the residuals are phase-invariant.
+    With k residuals in dimension n, a row with k >= 2n - 2 solves
+    ``(J^T J + u u^T + w w^T) step = -J^T r``, whose matrix is regular when
+    J has its full rank 2n - 2, and whose solution is then the minimum-norm
+    least-squares step; a row with fewer residuals takes
+    ``step = -J^T (J J^T)^-1 r`` from the k x k system.  Either system gets
+    1e-13 of its trace added to its diagonal, so a rank loss beyond u and w
+    gives a finite step rather than a singular solve.
     """
     n = v.shape[1]
     m = np.abs(g)
@@ -212,12 +228,21 @@ def _tangent_steps(v, g, r, gens_c) -> np.ndarray:
     jac = np.concatenate([-c.real, c.imag], axis=2)
     u = np.concatenate([v.real, v.imag], axis=1)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    jac -= np.einsum("bkj,bj->bk", jac, u)[:, :, None] * u[:, None, :]
-    left, s, right = np.linalg.svd(jac, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(jac.shape[1:]) * s[:, :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    delta = np.einsum("bi,bij->bj", inv * np.einsum("bk,bki->bi", -r, left), right)
-    return delta[:, :n] + 1j * delta[:, n:]
+    jac = jac @ (np.eye(2 * n) - u[:, :, None] * u[:, None, :])
+    jac_t = jac.transpose(0, 2, 1)
+    few = jac.shape[1] < 2 * n - 2
+    if few:
+        gram, rhs = jac @ jac_t, -r[:, :, None]
+    else:
+        w = np.concatenate([-u[:, n:], u[:, :n]], axis=1)
+        gram = jac_t @ jac + u[:, :, None] * u[:, None, :] + w[:, :, None] * w[:, None, :]
+        rhs = -(jac_t @ r[:, :, None])
+    i = np.arange(gram.shape[1])
+    gram[:, i, i] += 1e-13 * np.trace(gram, axis1=1, axis2=2)[:, None]
+    delta = np.linalg.solve(gram, rhs)
+    if few:
+        delta = jac_t @ delta
+    return delta[:, :n, 0] + 1j * delta[:, n:, 0]
 
 
 def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -> np.ndarray:
@@ -256,6 +281,27 @@ def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -
     return worst <= tol
 
 
+def _lookahead_scores(gens_c: np.ndarray, alpha: float, pool: np.ndarray) -> np.ndarray:
+    """Per unit row of ``pool``: the smaller of its maximum residual and that after ``_LOOKAHEAD`` steps.
+
+    Each step is the full tangent step followed by renormalisation, with no
+    line search; ``np.fmin`` keeps the starting residual should a step give
+    NaN.  The rows are stepped ``_REFINE_ROWS`` at a time, so the working set
+    does not grow with the pool.
+    """
+    scores = np.empty(len(pool))
+    for start, stop in _blocks(len(pool), _REFINE_ROWS):
+        v = pool[start:stop]
+        g, r = _overlaps(v, gens_c, alpha)
+        first = np.max(np.abs(r), axis=1)
+        for _ in range(_LOOKAHEAD):
+            v = v + _tangent_steps(v, g, r, gens_c)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            g, r = _overlaps(v, gens_c, alpha)
+        scores[start:stop] = np.fmin(first, np.max(np.abs(r), axis=1))
+    return scores
+
+
 def refine_alpha_members(
     generators,
     cfg: AlphaConfig,
@@ -287,7 +333,7 @@ def refine_alpha_members(
     has zero norm is a ``ParameterError``.  ``tol`` must be >= 0.
     """
     check_tol(tol)
-    gens_c = _lines_matrix(generators).conj()
+    gens_c = _generators_matrix(generators).conj()
     n = gens_c.shape[1]
     v = np.asarray(candidates, dtype=complex)
     if v.ndim != 2 or v.shape[1] != n:
@@ -326,9 +372,11 @@ def discover_alpha_set(
 
     Raw rejection alone cannot reach tight tolerances at desk-scale budgets,
     so hits at ``discovery_tol`` are polished down to ``confirm_tol``.
-    ``max_candidates`` must be at least 1; above it, the ``max_candidates``
-    hits with the smallest maximum residual are refined, in cloud order, and
-    the rest are dropped.
+    ``max_candidates`` must be at least 1 and caps the hits refined to
+    convergence; above it, the hits are ranked by the look-ahead of
+    :func:`funnel_alpha_set`, which costs two Gauss-Newton steps per hit, the
+    ``max_candidates`` best are refined, in cloud order, and the rest are
+    dropped.
     """
     return funnel_alpha_set(
         generators, cfg, cloud, discovery_tol, confirm_tol, max_candidates, len(generators)
@@ -352,11 +400,15 @@ def funnel_alpha_set(
     family; only candidates meeting every constraint at ``confirm_tol``
     survive.
 
-    ``max_pool`` caps the candidates refined and, like ``n_seed_constraints``,
-    must be at least 1.  A pool above the cap is ranked by its maximum angle
-    residual over the *whole* family, and the ``max_pool`` nearest hits are
-    refined, in cloud order (ties keep cloud order); the farthest hits are
-    dropped.  A pool within the cap is refined whole.
+    ``max_pool`` caps the candidates refined to convergence and, like
+    ``n_seed_constraints``, must be at least 1.  A pool above the cap is
+    ranked by a look-ahead against the *whole* family: each hit takes two
+    undamped tangent steps, each renormalised, and scores the smaller of its
+    maximum angle residual before and after them.  That costs two
+    Gauss-Newton steps per pool row, and predicts convergence far better
+    than the residual alone.  The ``max_pool`` best-scoring hits are refined
+    from their original rows, in cloud order (ties keep cloud order); the
+    rest are dropped.  A pool within the cap is refined whole.
     """
     if max_pool < 1 or n_seed_constraints < 1:
         raise ParameterError(
@@ -364,8 +416,9 @@ def funnel_alpha_set(
         )
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
     if len(pool) > max_pool:
-        nearest = np.argsort(angle_residuals(constraints, cfg, pool), kind="stable")[:max_pool]
-        pool = pool[np.sort(nearest)]
+        gens_c = _generators_matrix(constraints).conj()
+        best = np.argsort(_lookahead_scores(gens_c, cfg.alpha, pool), kind="stable")[:max_pool]
+        pool = pool[np.sort(best)]
     return refine_alpha_members(constraints, cfg, pool, confirm_tol)
 
 

@@ -246,7 +246,7 @@ class TestMemoryBudget:
 
     def test_refinement_working_set_is_bounded(self):
         # 800 rows against 40 constraints: stacking every row at once would take
-        # several MB of Jacobians and SVD factors per pass.
+        # several MB of Jacobians and their products per pass.
         rng = np.random.default_rng(4)
         gens = [random_line(rng, self.DIM) for _ in range(40)]
         cfg = qa.AlphaConfig.from_alpha(1.1)
@@ -412,8 +412,8 @@ class TestRefinement:
 
     def test_funnel_refines_the_nearest_pool_rows(self, cloud4):
         # The pool here is twelve times the cap.  Its first 200 rows in cloud
-        # order converge only 78 times; the 200 nearest the whole family
-        # converge nearly all, and onto the circle.
+        # order converge only 78 times; the 200 the funnel ranks best against
+        # the whole family converge nearly all, and onto the circle.
         form, cfg, constraints = double_alpha_cell(4, 0.3, 1.0)
         pool = qa.alpha_set_numeric(constraints[:3], cfg, cloud4, 5e-2)
         assert len(pool) >= 2000
@@ -432,8 +432,101 @@ class TestRefinement:
         assert len(kept) == 2
 
 
+def lstsq_steps(generators, alpha, rows):
+    """Per row: the residuals r, the Jacobian J of the residuals in ``[Re v, Im v]``
+    with the row's radial direction projected out, and lstsq's step for J step = -r."""
+    gens = np.vstack([g.amplitudes for g in generators])
+    out = []
+    for v in rows:
+        g = gens.conj() @ v
+        m = np.abs(g)
+        r = np.arccos(m) - alpha
+        # d|g_j| = Re(conj(g_j) <s_j, dv>) / |g_j| and d arccos(x) = -dx / sqrt(1 - x^2).
+        z = (g.conj() / (m * np.sqrt(1 - m * m)))[:, None] * gens.conj()
+        jac = np.hstack([-z.real, z.imag])
+        u = np.concatenate([v.real, v.imag])
+        jac = jac @ (np.eye(len(u)) - np.outer(u, u))
+        out.append((r, jac, np.linalg.lstsq(jac, -r, rcond=None)[0]))
+    return out
+
+
+class TestTangentStep:
+    """The stacked Gram-system step against lstsq on each row's projected Jacobian."""
+
+    @staticmethod
+    def steps(generators, alpha, rows):
+        gens_c = np.vstack([g.amplitudes for g in generators]).conj()
+        g, r = oracle._overlaps(rows, gens_c, alpha)
+        step = oracle._tangent_steps(rows, g, r, gens_c)
+        return np.hstack([step.real, step.imag])
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 40])
+    def test_full_rank_step_is_the_minimum_norm_step(self, dim, k):
+        rng = np.random.default_rng(10 * dim + k)
+        gens = [random_line(rng, dim) for _ in range(k)]
+        rows = qa.sample_lines(dim, 50, k).vectors
+        got = self.steps(gens, 1.1, rows)
+        for step, (_, _, ref) in zip(got, lstsq_steps(gens, 1.1, rows)):
+            assert np.linalg.norm(step - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("copies, distinct", [(40, 3), (7, 1), (2, 1)])
+    def test_rank_deficient_step_is_finite_and_least_squares(self, dim, copies, distinct):
+        # Repeated constraints leave J short of rank 2n - 2; the guarded solve
+        # may then differ from lstsq's step, but not in the residual it leaves.
+        rng = np.random.default_rng(copies + distinct + dim)
+        gens = [random_line(rng, dim) for _ in range(distinct)] * copies
+        rows = qa.sample_lines(dim, 50, dim).vectors
+        got = self.steps(gens, 1.1, rows)
+        assert np.all(np.isfinite(got))
+        for step, (r, jac, ref) in zip(got, lstsq_steps(gens, 1.1, rows)):
+            best = np.linalg.norm(jac @ ref + r)
+            assert np.linalg.norm(jac @ step + r) <= best + 1e-9 * np.linalg.norm(r)
+
+
+class TestMalformedGenerators:
+    """An empty or mixed-dimension generator set is refused before any array work."""
+
+    @pytest.mark.parametrize(
+        "gens, error",
+        [([], ParameterError), ([qa.canonical_line([1, 0, 0]), qa.canonical_line([1, 0])], DimensionError)],
+        ids=["empty", "mixed"],
+    )
+    @pytest.mark.parametrize("call", ["refine", "residuals", "worst"])
+    def test_refused(self, gens, error, call):
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        rows = qa.sample_lines(3, 4, 1).vectors
+        fn = {
+            "refine": lambda: qa.refine_alpha_members(gens, cfg, rows),
+            "residuals": lambda: oracle.angle_residuals(gens, cfg, rows),
+            "worst": lambda: oracle.worst_angle_residual(gens, cfg, [qa.canonical_line(rows[0])]),
+        }[call]
+        with pytest.raises(error):
+            fn()
+
+
+def lookahead_reference(generators, alpha, rows):
+    """Each row's maximum residual, or its maximum residual after two full
+    tangent steps, each renormalised, whichever is smaller; all rows at once."""
+    gens_c = np.vstack([g.amplitudes for g in generators]).conj()
+
+    def overlaps(v):
+        g = v @ gens_c.T
+        return g, np.arccos(np.clip(np.abs(g), 0.0, 1.0 - 1e-15)) - alpha
+
+    g, r = overlaps(rows)
+    first = np.max(np.abs(r), axis=1)
+    v = rows
+    for _ in range(2):
+        v = v + oracle._tangent_steps(v, g, r, gens_c)
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        g, r = overlaps(v)
+    return np.fmin(first, np.max(np.abs(r), axis=1))
+
+
 class TestFunnelRanking:
-    """Above its cap, the funnel refines the pool rows nearest the whole family."""
+    """Above its cap, the funnel refines the pool rows with the best two-step look-ahead."""
 
     @pytest.fixture(scope="class")
     def cell(self, cloud4):
@@ -454,28 +547,52 @@ class TestFunnelRanking:
         assert len(seen) == 1
         return seen[0]
 
+    @staticmethod
+    def assert_best_rows_in_cloud_order(got, rows, scores, cap):
+        # Rounding may only swap rows whose scores tie with the cut within 1e-9.
+        where = {row.tobytes(): i for i, row in enumerate(rows)}
+        kept = np.array([where[row.tobytes()] for row in got])
+        assert len(kept) == cap
+        assert np.all(np.diff(kept) > 0)  # cloud order, each row once
+        best = np.argsort(scores, kind="stable")[:cap]
+        cut = scores[best[-1]]
+        assert np.all(np.abs(scores[np.setxor1d(kept, best)] - cut) <= 1e-9)
+
     @pytest.mark.parametrize("max_pool", [1, 37, 800, None])
     def test_funnel_keeps_the_nearest_rows_in_cloud_order(self, monkeypatch, cloud4, cell, max_pool):
+        # Nearest after the look-ahead; None: the whole pool fits under the cap
+        # and is refined as it is.
         cfg, constraints, pool = cell
-        max_pool = max_pool or len(pool)  # None: the whole pool fits under the cap
+        cap = max_pool or len(pool)
         got = self.refined_candidates(
-            monkeypatch, lambda: qa.funnel_alpha_set(constraints, cfg, cloud4, max_pool=max_pool)
+            monkeypatch, lambda: qa.funnel_alpha_set(constraints, cfg, cloud4, max_pool=cap)
         )
-        res = one_shot_residuals(constraints, float(cfg.alpha), pool)
-        kept = np.sort(np.argsort(res, kind="stable")[:max_pool])
-        assert np.array_equal(got, pool[kept])
-        assert np.max(res[kept]) <= np.min(np.delete(res, kept), initial=np.inf)
+        if max_pool is None:
+            assert np.array_equal(got, pool)
+        else:
+            scores = lookahead_reference(constraints, float(cfg.alpha), pool)
+            self.assert_best_rows_in_cloud_order(got, pool, scores, cap)
 
     def test_discovery_ranks_by_every_generator(self, monkeypatch, cloud4, cell):
-        cfg, constraints, _ = cell
-        gens = constraints[:2]
-        hits = qa.alpha_set_numeric(gens, cfg, cloud4, 2e-2)
-        assert len(hits) > 50
+        # Three generators at a loose tolerance: two steps leave the scores
+        # spread over 1e-11 to 5e-2 rather than tied near rounding.
+        cfg, constraints, pool = cell
+        gens = constraints[:3]
         got = self.refined_candidates(
-            monkeypatch, lambda: qa.discover_alpha_set(gens, cfg, cloud4, 2e-2, 1e-7, 50)
+            monkeypatch, lambda: qa.discover_alpha_set(gens, cfg, cloud4, 5e-2, 1e-7, 50)
         )
-        res = one_shot_residuals(gens, float(cfg.alpha), hits)
-        assert np.array_equal(got, hits[np.sort(np.argsort(res, kind="stable")[:50])])
+        scores = lookahead_reference(gens, float(cfg.alpha), pool)
+        self.assert_best_rows_in_cloud_order(got, pool, scores, 50)
+
+    def test_lookahead_converges_every_kept_row_of_a_thin_cell(self, cloud4):
+        # 600 of this cell's 2749 pool rows are refined.  Ranked by their raw
+        # maximum residual, 548 of them converged; ranked by the look-ahead,
+        # all 600 do, and onto the circle.
+        form, cfg, constraints = double_alpha_cell(1, 0.61, 1.435)
+        survivors = qa.funnel_alpha_set(constraints, cfg, cloud4, max_pool=600)
+        assert len(survivors) >= 590
+        circle = qa.double_alpha_set_classify(form, cfg, 4)
+        assert max(circle.distance(s) for s in survivors) < 1e-5
 
 
 class TestCandidateCaps:
