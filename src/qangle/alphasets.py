@@ -12,14 +12,14 @@ of S.  This module describes these sets symbolically:
   a circle together with a second component (a second circle, degenerating
   to a single line at the case boundary).
 
-Descriptors are immutable and never enumerated; sampling members and
-measuring the angular distance from a line to a descriptor are explicit
-operations.
-
-Distances need no search: the nearest member of a pair alpha-set is the best of
-+-theta0 and at most six stationary points of the fidelity F, the roots of the
-degree-3 trigonometric polynomial G that squaring F' = 0 leaves.  G's roots are
-near-double when c ~ d, so each is polished by Newton steps on F' itself.
+Descriptors are immutable and never enumerated.  Distances need no search and
+build no member: every infinite component is a sphere {[center + r h]} (a
+circle, a slice, one A_theta of a pair alpha-set), and the distance to one is
+atan2 of closed-form sums of products, exact near 0 and near pi/2.  The
+nearest A_theta is the best of +-theta0 and at most six stationary points of
+the fidelity F: the roots of the degree-3 trigonometric polynomial G that
+squaring F' = 0 leaves, each polished by Newton steps on F' as G's roots are
+near-double when c ~ d.
 """
 
 from __future__ import annotations
@@ -137,21 +137,27 @@ def _sphere_point(center: np.ndarray, radius: float, comp: np.ndarray, rng) -> L
     return canonical_line(center)
 
 
-def _sphere_distance(
-    v: Line, center: np.ndarray, radius: float, comp: np.ndarray, overlap: complex
-) -> float:
+def _sphere_distance(v: Line, center: np.ndarray, radius: float, comp: np.ndarray) -> float:
     """Angular distance from v to the nearest [center + radius h], h a unit vector in the row span of comp.
 
-    ``overlap`` is <v, center>.  The nearest line is built explicitly so that
-    near-zero distances are not lost to arccos round-off.
+    The span is orthogonal to the center and ||center||^2 + radius^2 = 1.
+    Split v into s = |<u, v>| along u = center / k (k = ||center||), its part
+    of norm p in the span and the rest, of norm q.  The nearest member's
+    fidelity is k s + radius p, and as s^2 + p^2 + q^2 = 1, Lagrange's
+    identity gives the sine of the distance as hypot(q, radius s - k p).
+    Both are sums of products, so the distance is exact near 0 and near
+    pi/2.  An empty span leaves the angle to the center line.
     """
-    if comp.size and radius > 0:
-        coords = comp.conj() @ v.amplitudes
-        pnorm = float(np.linalg.norm(coords))
-        hdir = (coords @ comp) / pnorm if pnorm > 1e-15 else comp[0]
-        phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
-        center = center + phase * radius * hdir
-    return quantum_angle(v, canonical_line(center))
+    x = v.amplitudes
+    k = float(np.linalg.norm(center))
+    u = center / k if k else center
+    if not comp.size:
+        k, radius = 1.0, 0.0
+    z = np.vdot(u, x)
+    coords = comp.conj() @ x
+    p = float(np.linalg.norm(coords))
+    q = float(np.linalg.norm(x - z * u - coords @ comp))
+    return math.atan2(math.hypot(q, radius * abs(z) - k * p), k * abs(z) + radius * p)
 
 
 def _argmax_theta(x1: complex, x2: complex, p: float, ca: float, cb: float, theta0: float) -> float:
@@ -272,8 +278,7 @@ class AthetaFamily:
         comp = self._complement
         pnorm = float(np.linalg.norm(comp.conj() @ v.amplitudes)) if comp.size else 0.0
         th = _argmax_theta(x1, x2, pnorm, a / self.c, a / self.d, self.theta0)
-        overlap = x1 * math.cos(th) + x2 * math.sin(th)
-        return _sphere_distance(v, self._center(th), self.rho(th), comp, overlap)
+        return _sphere_distance(v, self._center(th), self.rho(th), comp)
 
 
 @dataclass(frozen=True)
@@ -305,9 +310,7 @@ class CircleComponent:
 
     def distance(self, v: Line) -> float:
         """The circle is the sphere of radius d about c e1 inside span{e2}."""
-        return _sphere_distance(
-            v, self.c * self.e1.amplitudes, self.d, self.e2.amplitudes[None], self.c * inner(v, self.e1)
-        )
+        return _sphere_distance(v, self.c * self.e1.amplitudes, self.d, self.e2.amplitudes[None])
 
 
 Circle = CircleComponent
@@ -336,10 +339,7 @@ class SphereSliceComponent:
         return [_sphere_point(center, self.radius, self._complement, rng) for _ in range(count)]
 
     def distance(self, v: Line) -> float:
-        overlap = self.coefficient * inner(v, self.axis)
-        return _sphere_distance(
-            v, self.coefficient * self.axis.amplitudes, self.radius, self._complement, overlap
-        )
+        return _sphere_distance(v, self.coefficient * self.axis.amplitudes, self.radius, self._complement)
 
 
 @dataclass(frozen=True)

@@ -153,51 +153,45 @@ def _generators_matrix(generators) -> np.ndarray:
     return _lines_matrix(generators)
 
 
-def _block_residuals(block: np.ndarray, gens_h: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-row maximum of |angle(row, g) - alpha| over the columns g of ``gens_h``."""
-    m = np.abs(block @ gens_h)
-    ang = np.arccos(np.clip(m, 0.0, 1.0))
-    return np.max(np.abs(ang - alpha), axis=1)
-
-
 def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.ndarray:
     """Per-row maximum of |angle(row, g) - alpha| over the generators.
 
-    A block holds about as many row-generator entries as a rejection block
+    Rows of another width than the generators are a ``DimensionError``.  A
+    block holds about as many row-generator entries as a rejection block
     against three generators, so a wide family takes proportionally fewer
     rows at a time and the working set does not grow with rows x generators.
     """
     gens_h = _generators_matrix(generators).conj().T
     vectors = np.atleast_2d(vectors)
+    if vectors.shape[1] != gens_h.shape[0]:
+        raise DimensionError(f"rows of width {vectors.shape[1]}, generators of dimension {gens_h.shape[0]}")
     out = np.empty(vectors.shape[0])
     rows = max(1, 3 * _BLOCK_ROWS // gens_h.shape[1])
     for start, stop in _blocks(vectors.shape[0], rows):
-        out[start:stop] = _block_residuals(vectors[start:stop], gens_h, cfg.alpha)
+        m = np.abs(vectors[start:stop] @ gens_h)
+        out[start:stop] = np.max(np.abs(np.arccos(np.clip(m, 0.0, 1.0)) - cfg.alpha), axis=1)
     return out
 
 
 def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:
-    """Largest |angle(line, g) - alpha| over the lines and the generators."""
+    """Largest |angle(line, g) - alpha| over the lines and the generators; no line is a ``ParameterError``."""
+    if not lines:
+        raise ParameterError("need at least one line")
     return float(np.max(angle_residuals(generators, cfg, _lines_matrix(lines))))
 
 
 def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: float) -> np.ndarray:
     """The ``(H, dim)`` cloud rows whose angle to every generator is within ``tol`` of alpha.
 
-    Rejection streams through the cloud's row blocks and keeps each block's
-    hits, so its working memory is one block plus the hits; no per-row
-    residual vector of the whole cloud is built.  The result is a fresh
-    array, of shape ``(0, dim)`` when no row hits.  ``tol`` must be >= 0.
+    Rejection takes :func:`angle_residuals` of one cloud block at a time and
+    keeps that block's hits, so its working memory is one block plus the
+    hits; no per-row residual vector of the whole cloud is built.  The
+    result is a fresh array, of shape ``(0, dim)`` when no row hits.
+    ``tol`` must be >= 0.
     """
-    gens_h = _generators_matrix(generators).conj().T
-    if gens_h.shape[0] != cloud.dim:
-        raise DimensionError("generators and cloud live in different dimensions")
     check_tol(tol)
-    hits = []
-    for start, stop in _blocks(cloud.count):
-        block = cloud.vectors[start:stop]
-        hits.append(block[_block_residuals(block, gens_h, cfg.alpha) <= tol])
-    return np.concatenate(hits)
+    blocks = (cloud.vectors[start:stop] for start, stop in _blocks(cloud.count))
+    return np.concatenate([block[angle_residuals(generators, cfg, block) <= tol] for block in blocks])
 
 
 def _overlaps(v: np.ndarray, gens_c: np.ndarray, alpha: float):
@@ -351,7 +345,8 @@ def refine_alpha_members(
 
 
 def dedup_lines(lines, min_angle: float = 1e-4) -> list[Line]:
-    """Keep one representative per cluster of lines closer than ``min_angle``."""
+    """Keep one representative per cluster of lines closer than ``min_angle``, which must be >= 0."""
+    check_tol(min_angle)
     kept: list[Line] = []
     for l in lines:
         if all(quantum_angle(l, other) >= min_angle for other in kept):
@@ -406,9 +401,11 @@ def funnel_alpha_set(
     undamped tangent steps, each renormalised, and scores the smaller of its
     maximum angle residual before and after them.  That costs two
     Gauss-Newton steps per pool row, and predicts convergence far better
-    than the residual alone.  The ``max_pool`` best-scoring hits are refined
-    from their original rows, in cloud order (ties keep cloud order); the
-    rest are dropped.  A pool within the cap is refined whole.
+    than the residual alone.  Scores are floored at ``confirm_tol``, so hits
+    the look-ahead already brings within it tie rather than rank by rounding
+    noise.  The ``max_pool`` best-scoring hits are refined from their
+    original rows, in cloud order (ties keep cloud order); the rest are
+    dropped.  A pool within the cap is refined whole.
     """
     if max_pool < 1 or n_seed_constraints < 1:
         raise ParameterError(
@@ -417,7 +414,8 @@ def funnel_alpha_set(
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
     if len(pool) > max_pool:
         gens_c = _generators_matrix(constraints).conj()
-        best = np.argsort(_lookahead_scores(gens_c, cfg.alpha, pool), kind="stable")[:max_pool]
+        scores = np.fmax(_lookahead_scores(gens_c, cfg.alpha, pool), confirm_tol)
+        best = np.argsort(scores, kind="stable")[:max_pool]
         pool = pool[np.sort(best)]
     return refine_alpha_members(constraints, cfg, pool, confirm_tol)
 

@@ -128,8 +128,8 @@ def check_alpha_set(
     res = worst_angle_residual(generators, cfg, descr.sample(n_samples, rng))
     tally.bound(res, SOUNDNESS_TOL, "descriptor sample misses a generator angle")
     found = oracle.discover_alpha_set(generators, cfg, cloud, discovery_tol, 1e-7, max_candidates)
-    for m in found:
-        tally.bound(descr.distance(m), COMPLETENESS_TOL, "oracle member escapes the descriptor")
+    worst = np.max([descr.distance(m) for m in found], initial=0.0)
+    tally.bound(float(worst), COMPLETENESS_TOL, "oracle member escapes the descriptor")
     return len(found)
 
 
@@ -146,8 +146,8 @@ def check_double_alpha_set(
     res = worst_angle_residual(f_samples, cfg, double.sample(n_samples, rng))
     tally.bound(res, SOUNDNESS_TOL, "circle sample misses the sampled alpha-set")
     survivors = oracle.funnel_alpha_set(f_samples, cfg, cloud, max_pool=max_pool)
-    for s in survivors:
-        tally.bound(double.distance(s), COMPLETENESS_TOL, "numeric double-alpha-set member off the circle")
+    worst = np.max([double.distance(s) for s in survivors], initial=0.0)
+    tally.bound(float(worst), COMPLETENESS_TOL, "numeric double-alpha-set member off the circle")
     return len(survivors)
 
 
@@ -282,12 +282,9 @@ def empirical_high_symmetry_check(
     constraints = first_descr.sample(40, rng)
     survivors = oracle.funnel_alpha_set(constraints, cfg, hunt_cloud)
     tally.counts["survivors"] = len(survivors)
-    for s in survivors:
-        dist_circle = circle.distance(s)
-        dist = double_descr.distance(s)
-        tally.bound(dist, 1e-5, "numeric double-alpha-set member escapes the descriptor")
-        if dist_circle > 1e-3:
-            tally.counts["off_circle_members"] += 1
+    worst = np.max([double_descr.distance(s) for s in survivors], initial=0.0)
+    tally.bound(float(worst), 1e-5, "numeric double-alpha-set member escapes the descriptor")
+    tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)
 
     witness_ok = False
     if two_component and ambient_dim == 3:

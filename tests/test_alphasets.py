@@ -518,6 +518,32 @@ class TestCircleDistance:
                 assert scan - dist <= 1e-6
 
 
+class TestSphereDistancePrecision:
+    """A line eps off a circle or a slice, orthogonally to the sphere's span, reads eps.
+
+    The nearest member's fidelity is cos(eps), so an arccos of it alone would
+    read 0 at eps = 1e-10; the bounds above only catch a distance too large.
+    """
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-10, 1e-6, 1e-2, 0.3])
+    @pytest.mark.parametrize("kind", ["circle", "slice", "centerless-slice"])
+    def test_distance_reads_the_offset(self, kind, eps):
+        rng = np.random.default_rng(7)
+        frame, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        lines = [qa.canonical_line(col) for col in frame.T]
+        e1, e2, e3, e4 = (l.amplitudes for l in lines)
+        if kind == "circle":
+            comp = qa.CircleComponent(lines[0], lines[1], 0.8, 0.6)
+            member, off = comp.member(np.exp(0.4j)).amplitudes, e3
+        else:
+            # A slice of coefficient 0 is the unit sphere of its span.
+            q, r = (math.cos(0.7), math.sin(0.7)) if kind == "slice" else (0.0, 1.0)
+            comp = qa.SphereSliceComponent(lines[0], q, r, (lines[0], lines[1]))
+            member, off = q * e1 + r * (e3 + 1j * e4) / math.sqrt(2), e2
+        v = qa.canonical_line(math.cos(eps) * member + math.sin(eps) * off)
+        assert abs(comp.distance(v) - eps) <= 2e-15
+
+
 class TestCounterexampleWitness:
     def test_exceptional_witness_passes_post_checks(self):
         a, c, d = EXCEPTIONAL_TRIPLES[0]

@@ -431,6 +431,12 @@ class TestRefinement:
         kept = dedup_lines([e1, near, far], 1e-4)
         assert len(kept) == 2
 
+    @pytest.mark.parametrize("min_angle", [math.nan, -1e-4])
+    def test_dedup_refuses_a_nan_or_negative_bound(self, min_angle):
+        # A NaN bound would keep only the first line, a negative one every line.
+        with pytest.raises(ParameterError):
+            oracle.dedup_lines([qa.canonical_line([1, 0]), qa.canonical_line([0, 1])], min_angle)
+
 
 def lstsq_steps(generators, alpha, rows):
     """Per row: the residuals r, the Jacobian J of the residuals in ``[Re v, Im v]``
@@ -485,22 +491,34 @@ class TestTangentStep:
             assert np.linalg.norm(jac @ step + r) <= best + 1e-9 * np.linalg.norm(r)
 
 
+_LINE3 = qa.canonical_line([1, 0, 0])
+_MALFORMED = {
+    # case: (generators, width of the rows, error); "no-lines" takes valid generators and rows
+    "empty": ([], 3, ParameterError),
+    "mixed": ([_LINE3, qa.canonical_line([1, 0])], 3, DimensionError),
+    "width": ([_LINE3], 4, DimensionError),
+}
+
+
 class TestMalformedGenerators:
-    """An empty or mixed-dimension generator set is refused before any array work."""
+    """An empty or mixed-dimension generator set, or rows of another width, are
+    refused before any array work; so is a worst residual over no lines."""
 
     @pytest.mark.parametrize(
-        "gens, error",
-        [([], ParameterError), ([qa.canonical_line([1, 0, 0]), qa.canonical_line([1, 0])], DimensionError)],
-        ids=["empty", "mixed"],
+        "call, case",
+        [(call, case) for call in ("refine", "residuals", "worst") for case in _MALFORMED]
+        + [("worst", "no-lines")],
+        ids=lambda x: x,
     )
-    @pytest.mark.parametrize("call", ["refine", "residuals", "worst"])
-    def test_refused(self, gens, error, call):
+    def test_refused(self, call, case):
         cfg = qa.AlphaConfig.from_alpha(1.0)
-        rows = qa.sample_lines(3, 4, 1).vectors
+        gens, width, error = _MALFORMED.get(case, ([_LINE3], 3, ParameterError))
+        rows = qa.sample_lines(width, 4, 1).vectors
+        lines = [] if case == "no-lines" else [qa.canonical_line(rows[0])]
         fn = {
             "refine": lambda: qa.refine_alpha_members(gens, cfg, rows),
             "residuals": lambda: oracle.angle_residuals(gens, cfg, rows),
-            "worst": lambda: oracle.worst_angle_residual(gens, cfg, [qa.canonical_line(rows[0])]),
+            "worst": lambda: oracle.worst_angle_residual(gens, cfg, lines),
         }[call]
         with pytest.raises(error):
             fn()
@@ -575,14 +593,28 @@ class TestFunnelRanking:
 
     def test_discovery_ranks_by_every_generator(self, monkeypatch, cloud4, cell):
         # Three generators at a loose tolerance: two steps leave the scores
-        # spread over 1e-11 to 5e-2 rather than tied near rounding.
+        # spread over 1e-11 to 5e-2; those within confirm_tol tie at it.
         cfg, constraints, pool = cell
         gens = constraints[:3]
         got = self.refined_candidates(
             monkeypatch, lambda: qa.discover_alpha_set(gens, cfg, cloud4, 5e-2, 1e-7, 50)
         )
-        scores = lookahead_reference(gens, float(cfg.alpha), pool)
+        scores = np.fmax(lookahead_reference(gens, float(cfg.alpha), pool), 1e-7)
         self.assert_best_rows_in_cloud_order(got, pool, scores, 50)
+
+    def test_scores_within_confirm_tol_keep_cloud_order(self, monkeypatch, cloud4, cell):
+        # Two generators at a tight tolerance: two steps bring every hit within
+        # confirm_tol, so no score ranks by rounding noise and the first hits
+        # in cloud order are the ones refined.
+        cfg, constraints, _ = cell
+        gens = constraints[:2]
+        pool = qa.alpha_set_numeric(gens, cfg, cloud4, 5e-3)
+        assert len(pool) > 20
+        assert np.all(lookahead_reference(gens, float(cfg.alpha), pool) < 1e-7)
+        got = self.refined_candidates(
+            monkeypatch, lambda: qa.discover_alpha_set(gens, cfg, cloud4, 5e-3, 1e-7, 20)
+        )
+        assert np.array_equal(got, pool[:20])
 
     def test_lookahead_converges_every_kept_row_of_a_thin_cell(self, cloud4):
         # 600 of this cell's 2749 pool rows are refined.  Ranked by their raw

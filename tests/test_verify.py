@@ -25,21 +25,18 @@ def assert_detects(tally, wrong, notes):
     assert set(notes) <= set(tally.notes) if wrong else not tally.notes
 
 
-@pytest.mark.parametrize("wrong", [False, True])
-def test_check_alpha_set(wrong):
+def pair_check(wrong):
+    """The tally and member count of ``check_alpha_set`` on a pair, with a descriptor for another alpha if ``wrong``."""
     rng = np.random.default_rng(11)
     v1, v2 = random_line(rng, 3), random_line(rng, 3)
     descr = qa.pair_alpha_set(v1, v2, qa.AlphaConfig.from_alpha(1.1 + 0.05 * wrong))
     tally = Tally()
     found = check_alpha_set(tally, [v1, v2], CFG, descr, rng, 50, qa.sample_lines(3, 20_000, 12), 1e-2, 30)
-    assert found > 0
-    assert_detects(
-        tally, wrong, ["descriptor sample misses a generator angle", "oracle member escapes the descriptor"]
-    )
+    return tally, found
 
 
-@pytest.mark.parametrize("wrong", [False, True])
-def test_check_double_alpha_set(wrong):
+def double_check(wrong):
+    """The tally and survivor count of ``check_double_alpha_set``, with a circle of other weights if ``wrong``."""
     # The double-alpha-set of a collinear triple is the circle through it for
     # every alpha, so the wrong descriptor comes from perturbed weights instead.
     rng = np.random.default_rng(21)
@@ -54,12 +51,36 @@ def test_check_double_alpha_set(wrong):
     survivors = check_double_alpha_set(
         tally, first, double, CFG, rng, 30, qa.sample_lines(4, 60_000, 22), 40
     )
+    return tally, survivors
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_check_alpha_set(wrong):
+    tally, found = pair_check(wrong)
+    assert found > 0
+    assert_detects(
+        tally, wrong, ["descriptor sample misses a generator angle", "oracle member escapes the descriptor"]
+    )
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_check_double_alpha_set(wrong):
+    tally, survivors = double_check(wrong)
     assert survivors > 0
     assert_detects(
         tally,
         wrong,
         ["circle sample misses the sampled alpha-set", "numeric double-alpha-set member off the circle"],
     )
+
+
+@pytest.mark.parametrize("check", [pair_check, double_check], ids=["pair", "double"])
+def test_a_failed_check_notes_once(check):
+    # Many members escape a wrong descriptor; the check bounds their worst
+    # distance once, so its note appears once.
+    tally, members = check(True)
+    assert members > 1
+    assert len(tally.notes) == len(set(tally.notes)) == 2, tally.notes
 
 
 @pytest.mark.parametrize("seed, draws, dim", [(11, 8, None), (0, 4, 5), (1, 4, 5)])
