@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,10 @@ _HEADER = struct.Struct("<QQQ")
 
 # Largest count * dim of a cloud (256 MB of amplitudes): four times the
 # 1 000 000 lines of dimension 4 that the acceptance criteria sample.  The
-# cloud path works in row blocks, so generating, loading, saving or
-# filtering a cloud of that size peaks near 256 MB plus one block.
+# cloud path works in row blocks, so loading, saving or filtering a cloud of
+# that size peaks near 256 MB plus one block, and generating it near 256 MB
+# plus two imaginary-part blocks and one complex work block: its real parts
+# are drawn into the cloud's own buffer.
 MAX_CLOUD_ENTRIES = 16_000_000
 
 # Rows per block on the cloud path: every row is computed as in one shot, and
@@ -95,25 +98,98 @@ def _blocks(count: int, rows: int | None = None):
         start = stop
 
 
+def _gauge_rows(w: np.ndarray) -> None:
+    """Normalise the rows of the C-contiguous complex array ``w`` in place and gauge each row.
+
+    The gauge turns a row's first amplitude above ``GAUGE_TOL`` real positive.
+    The bits are those of ``w /= norm``, ``lead = w[i, argmax(|w[i]| >
+    GAUGE_TOL)]`` and ``w *= conj(lead) / |lead|``: numpy divides a complex by
+    a real as Smith's rule with a zero imaginary part, which is ``re * (1/n)``
+    and ``im * (1/n)``, so one float multiply over the re/im pairs replaces
+    the complex division; and the ``argmax`` only runs on the rows whose
+    first amplitude is not above ``GAUGE_TOL``, every other row's lead being
+    its first amplitude.  The norm, ``abs`` and the phase multiply stay
+    numpy's complex ufuncs, whose rounding a float expansion does not repeat.
+    """
+    pairs = w.view(np.float64)
+    pairs *= (1.0 / np.linalg.norm(w, axis=1))[:, None]
+    lead = w[:, 0].copy()
+    size = np.abs(lead)
+    low = np.flatnonzero(size <= GAUGE_TOL)
+    if low.size:
+        rows = w[low]
+        lead[low] = rows[np.arange(low.size), np.argmax(np.abs(rows) > GAUGE_TOL, axis=1)]
+        size[low] = np.abs(lead[low])
+    w *= (lead.conj() / size)[:, None]
+
+
 def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     """Independent complex-Gaussian lines, normalized and gauged; deterministic per seed.
 
     All real parts are drawn first, then all imaginary parts, as one
-    ``standard_normal((count, dim))`` call each would draw them.
+    ``standard_normal((count, dim))`` call each would draw them.  The real
+    parts go in one fill into the back half of the cloud's own buffer, read
+    as ``2 * count * dim`` doubles.  Each block of rows ``[a, b)`` is then
+    assembled in a complex work block from its real parts and its imaginary
+    parts, gauged by :func:`_gauge_rows`, and written back to doubles
+    ``[2 dim a, 2 dim b)``; the real parts of the rows after it start at
+    double ``count dim + dim b >= 2 dim b``, so no write reaches a draw not
+    yet read.  While one block is gauged, a helper thread draws the
+    imaginary parts of the next into the other of two buffers (numpy's
+    generator fills with the GIL released), and a buffer goes back to the
+    helper once its block is in the work block; a one-block cloud starts no
+    thread.  An error in the helper is raised again in the caller, and the
+    helper is joined on every path.  The generator is used by one thread at a time, in block
+    order, so the cloud is the same bytes as the one-shot computation.
+    Working memory beyond the cloud is two imaginary-part buffers and one
+    complex work block.
     """
     _check_cloud_shape(dim, count)
     rng = np.random.default_rng(seed)
     v = np.empty((count, dim), dtype=complex)
-    buf = np.empty((min(count, _BLOCK_ROWS + 1), dim))
-    for part in (v.real, v.imag):
-        for start, stop in _blocks(count):
-            part[start:stop] = rng.standard_normal(out=buf[: stop - start])
-    for start, stop in _blocks(count):
-        w = v[start:stop]
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        idx = np.argmax(np.abs(w) > GAUGE_TOL, axis=1)
-        lead = w[np.arange(stop - start), idx]
-        w *= (lead.conj() / np.abs(lead))[:, None]
+    real = v.view(np.float64).reshape(-1)[count * dim :].reshape(count, dim)
+    rng.standard_normal(out=real)
+    blocks = list(_blocks(count))
+    rows = max(stop - start for start, stop in blocks)
+    imag = np.empty((2, rows, dim))
+    work = np.empty((rows, dim), dtype=complex)
+    rng.standard_normal(out=imag[0, : blocks[0][1]])
+    drawn, free = threading.Semaphore(0), threading.Semaphore(1)
+    failure: list[BaseException] = []
+    halt = False
+
+    def draw_ahead():
+        try:
+            for k, (start, stop) in enumerate(blocks[1:], 1):
+                free.acquire()
+                if halt:
+                    return
+                rng.standard_normal(out=imag[k % 2, : stop - start])
+                drawn.release()
+        except BaseException as exc:  # raised again by the caller, which would otherwise wait forever
+            failure.append(exc)
+            drawn.release()
+
+    helper = threading.Thread(target=draw_ahead, daemon=True) if len(blocks) > 1 else None
+    if helper:
+        helper.start()
+    try:
+        for k, (start, stop) in enumerate(blocks):
+            if k:
+                drawn.acquire()
+                if failure:
+                    raise failure[0]
+            w = work[: stop - start]
+            w.real = real[start:stop]
+            w.imag = imag[k % 2, : stop - start]
+            free.release()
+            _gauge_rows(w)
+            v[start:stop] = w
+    finally:
+        if helper:
+            halt = True
+            free.release()
+            helper.join()
     return SampleCloud(dim, v, seed)
 
 
@@ -127,7 +203,8 @@ def save_cloud(cloud: SampleCloud, path) -> None:
 
 def load_cloud(path) -> SampleCloud:
     """Read a cloud written by :func:`save_cloud`; the header is checked against
-    the bounds of :func:`sample_lines` before the payload is read."""
+    the bounds of :func:`sample_lines` before the payload is read, and a
+    payload with a non-finite amplitude is refused."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -137,6 +214,8 @@ def load_cloud(path) -> SampleCloud:
         vecs = np.fromfile(fh, dtype="<c16", count=count * dim)
         if vecs.size != count * dim or fh.read(1):
             raise ParameterError("cloud file payload size does not match its header")
+    if not np.isfinite(vecs).all():
+        raise ParameterError("cloud file holds a non-finite amplitude")
     return SampleCloud(int(dim), vecs.astype(complex, copy=False).reshape(count, dim), int(seed))
 
 

@@ -1,6 +1,10 @@
 import ast
 import math
+import os
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +29,23 @@ def imported_siblings(path: Path) -> set[str]:
             base = "qangle" + (f".{node.module}" if node.module else "") if node.level else node.module
             names |= {base} if base != "qangle" else {f"qangle.{a.name}" for a in node.names}
     return {n.split(".")[1] if "." in n else n for n in names if n.split(".")[0] == "qangle"}
+
+
+def test_import_loads_no_worker_pool_modules():
+    # The cloud's helper thread is a plain threading.Thread: a pool or queue
+    # module would add its import time to every fresh `import qangle`.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, qangle; print(sorted({'concurrent.futures', 'queue', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", ["oracle", "wigner"])
@@ -131,16 +152,30 @@ class TestCloudPersistence:
         with pytest.raises(ParameterError):
             qa.load_cloud(path)
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0.5, np.inf), complex(-np.inf, 0)])
+    def test_non_finite_payload(self, tmp_path, bad):
+        path = tmp_path / "c.bin"
+        qa.save_cloud(qa.sample_lines(3, 8, 5), path)
+        raw = bytearray(path.read_bytes())
+        raw[24 + 16 * 13 : 24 + 16 * 14] = np.array([bad], dtype="<c16").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParameterError):
+            qa.load_cloud(path)
+
+
+def one_shot_gauge(v):
+    """The rows of ``v`` normalised, each with its first amplitude above ``GAUGE_TOL`` real positive."""
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    idx = np.argmax(np.abs(v) > GAUGE_TOL, axis=1)
+    lead = v[np.arange(len(v)), idx]
+    v *= (lead.conj() / np.abs(lead))[:, None]
+    return v
+
 
 def one_shot_lines(dim, count, seed):
     """The cloud of ``sample_lines`` computed on the whole array at once."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    idx = np.argmax(np.abs(v) > GAUGE_TOL, axis=1)
-    lead = v[np.arange(count), idx]
-    v *= (lead.conj() / np.abs(lead))[:, None]
-    return v
+    return one_shot_gauge(rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim)))
 
 
 def one_shot_residuals(generators, alpha, vectors):
@@ -153,13 +188,16 @@ class TestBlockedCloudPath:
     """The cloud path works in row blocks; every row must come out as in one shot."""
 
     @pytest.mark.parametrize("block", [None, 7])
-    @pytest.mark.parametrize("count", [1, 6, 7, 8, 26])
+    @pytest.mark.parametrize("count", [1, 6, 7, 8, 26, 16_385, 16_386, 32_769])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_sample_lines_matches_one_shot(self, monkeypatch, block, count, dim):
+        # 16 385 rows are one default block with its leftover row, 16 386 are
+        # two blocks, 32 769 two blocks with a leftover row.  Bytes, not
+        # values, so that a signed zero or a NaN would show.
         if block is not None:
             monkeypatch.setattr(oracle, "_BLOCK_ROWS", block)
         cloud = qa.sample_lines(dim, count, 10 * dim + count)
-        assert np.array_equal(cloud.vectors, one_shot_lines(dim, count, 10 * dim + count))
+        assert cloud.vectors.tobytes() == one_shot_lines(dim, count, 10 * dim + count).tobytes()
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("n_gens", [1, 3])
@@ -187,6 +225,142 @@ class TestBlockedCloudPath:
         path = tmp_path / "c.bin"
         qa.save_cloud(cloud, path)
         assert path.read_bytes() == struct.pack("<QQQ", 3, 40, 12) + flat.tobytes()
+
+
+class TestGaugeRows:
+    """The per-block gauge of ``sample_lines`` against the whole-row ``argmax`` formula."""
+
+    @staticmethod
+    def crafted_rows():
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v[0, 0] = 0.0
+        v[1, 0] = 1e-13 * (0.6 + 0.8j)
+        v[2, 0] = 2e-12 * (0.6 - 0.8j)
+        v[3] = [0.0, 0.0, 0.0, 0.6 - 0.8j]
+        v[4, :2] = [0.0, 1e-13j]
+        return v
+
+    def test_matches_the_argmax_formula(self):
+        v = self.crafted_rows()
+        w = v.copy()
+        oracle._gauge_rows(w)
+        assert w.tobytes() == one_shot_gauge(v).tobytes()
+
+    def test_crafted_rows_take_the_fallback_lead(self):
+        w = self.crafted_rows()
+        oracle._gauge_rows(w)
+        lead_col = np.argmax(np.abs(w) > GAUGE_TOL, axis=1)
+        assert list(lead_col[:5]) == [1, 1, 0, 3, 2]
+        for row in w:
+            qa.Line(4, row)  # the constructor validates the gauge and the norm
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+class TestCloudHelperThread:
+    """``sample_lines`` draws the next block's imaginary parts on one helper thread."""
+
+    @staticmethod
+    def started_threads(monkeypatch):
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(oracle.threading, "Thread", Spy)
+        return started
+
+    @pytest.mark.parametrize("count, threads", [(1, 0), (16_385, 0), (16_386, 1), (40_000, 1)])
+    def test_one_helper_and_none_for_one_block(self, monkeypatch, count, threads):
+        started = self.started_threads(monkeypatch)
+        before = threading.active_count()
+        cloud = qa.sample_lines(2, count, 3)
+        assert len(started) == threads
+        assert threading.active_count() == before
+        assert cloud.vectors.tobytes() == one_shot_lines(2, count, 3).tobytes()
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 6])
+    def test_a_failed_draw_leaves_with_its_own_type(self, monkeypatch, fail_at):
+        # Call 1 draws every real part, call 2 the first block's imaginary
+        # parts, and the helper thread makes the calls after them.
+        make_rng = np.random.default_rng
+
+        class FailingGenerator:
+            def __init__(self, seed):
+                self.gen, self.calls = make_rng(seed), 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == fail_at:
+                    raise _DrawFailed(f"draw {fail_at}")
+                return self.gen.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(oracle.np.random, "default_rng", FailingGenerator)
+        before = threading.active_count()
+        raised = []
+
+        def run():
+            try:
+                qa.sample_lines(3, 40, 9)
+            except Exception as exc:
+                raised.append(exc)
+
+        # A caller that missed the helper's error would wait for its draw forever.
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [type(e) for e in raised] == [_DrawFailed] and str(raised[0]) == f"draw {fail_at}"
+        assert threading.active_count() == before
+
+    def test_concurrent_clouds_under_fast_switching(self, monkeypatch):
+        # Four callers on 1000-row blocks, whose copies release the GIL,
+        # switching threads every microsecond: a buffer handed back to the
+        # helper before its block was copied out would change some cloud's bytes.
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1000)
+        seeds = range(20, 24)
+        clouds = {}
+
+        def run(seed):
+            clouds[seed] = qa.sample_lines(3, 60_500, seed).vectors.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for seed in seeds:
+            assert clouds[seed] == one_shot_lines(3, 60_500, seed).tobytes()
+
+    def test_a_failed_gauge_joins_the_helper(self, monkeypatch):
+        gauge = oracle._gauge_rows
+        calls = []
+
+        def failing_gauge(w):
+            calls.append(len(w))
+            if len(calls) == 2:
+                raise _DrawFailed("gauge")
+            gauge(w)
+
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(oracle, "_gauge_rows", failing_gauge)
+        before = threading.active_count()
+        with pytest.raises(_DrawFailed):
+            qa.sample_lines(3, 40, 9)
+        assert threading.active_count() == before
 
 
 def double_alpha_cell(seed, d, alpha):
