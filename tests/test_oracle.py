@@ -247,17 +247,13 @@ class TestGaugeRows:
         w = v.copy()
         oracle._gauge_rows(w)
         assert w.tobytes() == one_shot_gauge(v).tobytes()
-
-    def test_crafted_rows_take_the_fallback_lead(self):
-        w = self.crafted_rows()
-        oracle._gauge_rows(w)
-        lead_col = np.argmax(np.abs(w) > GAUGE_TOL, axis=1)
-        assert list(lead_col[:5]) == [1, 1, 0, 3, 2]
+        # Rows 0, 1, 3 and 4 take their lead from a later column.
+        assert list(np.argmax(np.abs(w) > GAUGE_TOL, axis=1)[:5]) == [1, 1, 0, 3, 2]
         for row in w:
             qa.Line(4, row)  # the constructor validates the gauge and the norm
 
 
-class _DrawFailed(Exception):
+class _InjectedError(Exception):
     pass
 
 
@@ -298,7 +294,7 @@ class TestCloudHelperThread:
             def standard_normal(self, *args, **kwargs):
                 self.calls += 1
                 if self.calls == fail_at:
-                    raise _DrawFailed(f"draw {fail_at}")
+                    raise _InjectedError(f"draw {fail_at}")
                 return self.gen.standard_normal(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", 7)
@@ -317,7 +313,7 @@ class TestCloudHelperThread:
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
-        assert [type(e) for e in raised] == [_DrawFailed] and str(raised[0]) == f"draw {fail_at}"
+        assert [type(e) for e in raised] == [_InjectedError] and str(raised[0]) == f"draw {fail_at}"
         assert threading.active_count() == before
 
     def test_concurrent_clouds_under_fast_switching(self, monkeypatch):
@@ -352,13 +348,13 @@ class TestCloudHelperThread:
         def failing_gauge(w):
             calls.append(len(w))
             if len(calls) == 2:
-                raise _DrawFailed("gauge")
+                raise _InjectedError("gauge")
             gauge(w)
 
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", 7)
         monkeypatch.setattr(oracle, "_gauge_rows", failing_gauge)
         before = threading.active_count()
-        with pytest.raises(_DrawFailed):
+        with pytest.raises(_InjectedError):
             qa.sample_lines(3, 40, 9)
         assert threading.active_count() == before
 
