@@ -22,21 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .projspace import GAUGE_TOL, AlphaConfig, Line, canonical_line, check_dim, check_tol, quantum_angle
+from .projspace import GAUGE_TOL, NORM_TOL, AlphaConfig, Line, canonical_line, check_dim, check_tol, quantum_angle
 
 _HEADER = struct.Struct("<QQQ")
 
 # Largest count * dim of a cloud (256 MB of amplitudes): four times the
 # 1 000 000 lines of dimension 4 that the acceptance criteria sample.  The
-# cloud path works in row blocks, so loading, saving or filtering a cloud of
-# that size peaks near 256 MB plus one block, and generating it near 256 MB
-# plus two imaginary-part blocks and one complex work block: its real parts
-# are drawn into the cloud's own buffer.
+# cloud path allocates a few row-block buffers once per call, so loading,
+# saving, filtering or generating a cloud of that size peaks near 256 MB plus
+# those (about 1 MB in dimension 4): the real parts are drawn into the cloud's
+# own buffer, and the gauged rows are written straight into it.
 MAX_CLOUD_ENTRIES = 16_000_000
 
-# Rows per block on the cloud path: every row is computed as in one shot, and
-# each working buffer holds at most this many rows.
-_BLOCK_ROWS = 16_384
+# Rows per block on the cloud path (3 * _BLOCK_ROWS // k against k
+# generators): every row is computed as in one shot.  Larger blocks only add
+# to the heap the allocator keeps after the cloud path is done.
+_BLOCK_ROWS = 4_096
 
 # Gauss-Newton steps a refined candidate may take before it is dropped.
 _MAX_ITER = 600
@@ -98,29 +99,39 @@ def _blocks(count: int, rows: int | None = None):
         start = stop
 
 
-def _gauge_rows(w: np.ndarray) -> None:
-    """Normalise the rows of the C-contiguous complex array ``w`` in place and gauge each row.
+def _gauge_rows(w: np.ndarray, out: np.ndarray, t: np.ndarray, n: np.ndarray, lead: np.ndarray) -> None:
+    """Write the rows of the C-contiguous complex block ``w`` to ``out``, normalised and gauged.
 
     The gauge turns a row's first amplitude above ``GAUGE_TOL`` real positive.
-    The bits are those of ``w /= norm``, ``lead = w[i, argmax(|w[i]| >
-    GAUGE_TOL)]`` and ``w *= conj(lead) / |lead|``: numpy divides a complex by
-    a real as Smith's rule with a zero imaginary part, which is ``re * (1/n)``
-    and ``im * (1/n)``, so one float multiply over the re/im pairs replaces
-    the complex division; and the ``argmax`` only runs on the rows whose
-    first amplitude is not above ``GAUGE_TOL``, every other row's lead being
-    its first amplitude.  The norm, ``abs`` and the phase multiply stay
-    numpy's complex ufuncs, whose rounding a float expansion does not repeat.
+    ``w`` is overwritten; ``t``, ``n`` and ``lead`` are scratch of ``w``'s
+    shape, of ``len(w)`` doubles and of ``len(w)`` complexes.  The bits are
+    those of ``w /= norm``, ``lead = w[i, argmax(|w[i]| > GAUGE_TOL)]`` and
+    ``w * conj(lead) / |lead|``, with the norm computed in ``t`` as
+    ``np.linalg.norm`` does.  numpy divides a complex by a real as Smith's
+    rule with a zero imaginary part, which is ``re * (1/n)`` and ``im *
+    (1/n)``, so one float multiply over the re/im pairs replaces the complex
+    division; and the ``argmax`` only runs on the rows whose first amplitude
+    is not above ``GAUGE_TOL``, every other row's lead being its first
+    amplitude.  ``abs`` and the phase multiply stay numpy's complex ufuncs,
+    whose rounding a float expansion does not repeat.
     """
+    np.conjugate(w, out=t)
+    np.multiply(t, w, out=t)
+    np.add.reduce(t.real, axis=1, out=n)
+    np.sqrt(n, out=n)
+    np.divide(1.0, n, out=n)
     pairs = w.view(np.float64)
-    pairs *= (1.0 / np.linalg.norm(w, axis=1))[:, None]
-    lead = w[:, 0].copy()
-    size = np.abs(lead)
+    pairs *= n[:, None]
+    np.copyto(lead, w[:, 0])
+    size = np.abs(lead, out=n)
     low = np.flatnonzero(size <= GAUGE_TOL)
     if low.size:
         rows = w[low]
         lead[low] = rows[np.arange(low.size), np.argmax(np.abs(rows) > GAUGE_TOL, axis=1)]
         size[low] = np.abs(lead[low])
-    w *= (lead.conj() / size)[:, None]
+    np.conjugate(lead, out=lead)
+    np.divide(lead, size, out=lead)
+    np.multiply(w, lead[:, None], out=out)
 
 
 def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
@@ -131,7 +142,7 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     parts go in one fill into the back half of the cloud's own buffer, read
     as ``2 * count * dim`` doubles.  Each block of rows ``[a, b)`` is then
     assembled in a complex work block from its real parts and its imaginary
-    parts, gauged by :func:`_gauge_rows`, and written back to doubles
+    parts, and :func:`_gauge_rows` writes it gauged to doubles
     ``[2 dim a, 2 dim b)``; the real parts of the rows after it start at
     double ``count dim + dim b >= 2 dim b``, so no write reaches a draw not
     yet read.  While one block is gauged, a helper thread draws the
@@ -139,10 +150,11 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     generator fills with the GIL released), and a buffer goes back to the
     helper once its block is in the work block; a one-block cloud starts no
     thread.  An error in the helper is raised again in the caller, and the
-    helper is joined on every path.  The generator is used by one thread at a time, in block
-    order, so the cloud is the same bytes as the one-shot computation.
-    Working memory beyond the cloud is two imaginary-part buffers and one
-    complex work block.
+    helper is joined on every path.  The generator is used by one thread at
+    a time, in block order, so the cloud is the same bytes as the one-shot
+    computation.  Every buffer is allocated once per call: working memory
+    beyond the cloud is two imaginary-part blocks, the complex work block
+    and the gauge's scratch.
     """
     _check_cloud_shape(dim, count)
     rng = np.random.default_rng(seed)
@@ -152,7 +164,8 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     blocks = list(_blocks(count))
     rows = max(stop - start for start, stop in blocks)
     imag = np.empty((2, rows, dim))
-    work = np.empty((rows, dim), dtype=complex)
+    work, t = np.empty((2, rows, dim), dtype=complex)
+    n, lead = np.empty(rows), np.empty(rows, dtype=complex)
     rng.standard_normal(out=imag[0, : blocks[0][1]])
     drawn, free = threading.Semaphore(0), threading.Semaphore(1)
     failure: list[BaseException] = []
@@ -179,12 +192,12 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
                 drawn.acquire()
                 if failure:
                     raise failure[0]
-            w = work[: stop - start]
+            m = stop - start
+            w = work[:m]
             w.real = real[start:stop]
-            w.imag = imag[k % 2, : stop - start]
+            w.imag = imag[k % 2, :m]
             free.release()
-            _gauge_rows(w)
-            v[start:stop] = w
+            _gauge_rows(w, v[start:stop], t[:m], n[:m], lead[:m])
     finally:
         if helper:
             halt = True
@@ -202,9 +215,13 @@ def save_cloud(cloud: SampleCloud, path) -> None:
 
 
 def load_cloud(path) -> SampleCloud:
-    """Read a cloud written by :func:`save_cloud`; the header is checked against
-    the bounds of :func:`sample_lines` before the payload is read, and a
-    payload with a non-finite amplitude is refused."""
+    """Read a cloud written by :func:`save_cloud`.
+
+    The header is checked against the bounds of :func:`sample_lines` before
+    the payload is read.  Rejection needs unit rows, so a block at a time
+    each row must be finite, of norm 1 within ``NORM_TOL`` and gauged as a
+    :class:`Line`; a ``ParameterError`` names a row that is not.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -214,9 +231,18 @@ def load_cloud(path) -> SampleCloud:
         vecs = np.fromfile(fh, dtype="<c16", count=count * dim)
         if vecs.size != count * dim or fh.read(1):
             raise ParameterError("cloud file payload size does not match its header")
-    if not np.isfinite(vecs).all():
-        raise ParameterError("cloud file holds a non-finite amplitude")
-    return SampleCloud(int(dim), vecs.astype(complex, copy=False).reshape(count, dim), int(seed))
+    vecs = vecs.astype(complex, copy=False).reshape(count, dim)
+    for start, stop in _blocks(count):
+        block = vecs[start:stop]
+        bad, what = ~np.isfinite(block).all(axis=1), "holds a non-finite amplitude"
+        if not bad.any():
+            bad, what = np.abs(np.linalg.norm(block, axis=1) - 1.0) > NORM_TOL, "is not of norm 1"
+        if not bad.any():
+            lead = block[np.arange(stop - start), np.argmax(np.abs(block) > GAUGE_TOL, axis=1)]
+            bad, what = (np.abs(lead.imag) > GAUGE_TOL) | ~(lead.real > 0), "is not in the canonical gauge"
+        if bad.any():
+            raise ParameterError(f"cloud row {start + int(np.argmax(bad))} {what}")
+    return SampleCloud(int(dim), vecs, int(seed))
 
 
 def _lines_matrix(lines) -> np.ndarray:
@@ -232,23 +258,34 @@ def _generators_matrix(generators) -> np.ndarray:
     return _lines_matrix(generators)
 
 
+def _overlap_setup(generators, vectors: np.ndarray):
+    """The generators' conjugate transpose, and rows per block so that the
+    working set does not grow with rows x generators; rows of another width
+    than the generators are a ``DimensionError``."""
+    gens_h = _generators_matrix(generators).conj().T
+    if vectors.shape[1] != gens_h.shape[0]:
+        raise DimensionError(f"rows of width {vectors.shape[1]}, generators of dimension {gens_h.shape[0]}")
+    return gens_h, max(1, 3 * _BLOCK_ROWS // gens_h.shape[1])
+
+
+def _residuals(g: np.ndarray, alpha: float) -> np.ndarray:
+    """Per row of the overlaps ``g``: the largest |angle - alpha| over its columns."""
+    return np.max(np.abs(np.arccos(np.clip(np.abs(g), 0.0, 1.0)) - alpha), axis=1)
+
+
 def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.ndarray:
     """Per-row maximum of |angle(row, g) - alpha| over the generators.
 
-    Rows of another width than the generators are a ``DimensionError``.  A
-    block holds about as many row-generator entries as a rejection block
-    against three generators, so a wide family takes proportionally fewer
-    rows at a time and the working set does not grow with rows x generators.
+    Rows of another width than the generators are a ``DimensionError``.  The
+    rows go in blocks of about ``3 * _BLOCK_ROWS`` row-generator entries
+    (4 096 rows against three generators, 307 against 40), each row's
+    residual computed as on the whole array at once.
     """
-    gens_h = _generators_matrix(generators).conj().T
     vectors = np.atleast_2d(vectors)
-    if vectors.shape[1] != gens_h.shape[0]:
-        raise DimensionError(f"rows of width {vectors.shape[1]}, generators of dimension {gens_h.shape[0]}")
+    gens_h, rows = _overlap_setup(generators, vectors)
     out = np.empty(vectors.shape[0])
-    rows = max(1, 3 * _BLOCK_ROWS // gens_h.shape[1])
     for start, stop in _blocks(vectors.shape[0], rows):
-        m = np.abs(vectors[start:stop] @ gens_h)
-        out[start:stop] = np.max(np.abs(np.arccos(np.clip(m, 0.0, 1.0)) - cfg.alpha), axis=1)
+        out[start:stop] = _residuals(vectors[start:stop] @ gens_h, cfg.alpha)
     return out
 
 
@@ -262,15 +299,38 @@ def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:
 def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: float) -> np.ndarray:
     """The ``(H, dim)`` cloud rows whose angle to every generator is within ``tol`` of alpha.
 
-    Rejection takes :func:`angle_residuals` of one cloud block at a time and
-    keeps that block's hits, so its working memory is one block plus the
-    hits; no per-row residual vector of the whole cloud is built.  The
-    result is a fresh array, of shape ``(0, dim)`` when no row hits.
-    ``tol`` must be >= 0.
+    The cloud's row blocks, as in :func:`angle_residuals`, are multiplied
+    into one reused overlap buffer.  For unit rows, |angle - alpha| <= tol
+    exactly when each overlap re + i im has cos^2(alpha + tol) <= re^2 +
+    im^2 <= cos^2(alpha - tol) (no lower bound once alpha + tol >= pi/2, an
+    upper bound of 1 once alpha - tol <= 0).  Rows are screened on that
+    window widened by 1e-12, far beyond the rounding of either side, and
+    only the screened rows get the exact residual, from the block's own
+    overlaps (a product re-taken on fewer rows could round differently).
+    So the hits are the rows that ``angle_residuals(...) <= tol`` picks, in
+    cloud order, in a fresh array, ``(0, dim)`` when no row hits; working
+    memory is a few block-sized buffers.  ``tol`` must be >= 0.
     """
     check_tol(tol)
-    blocks = (cloud.vectors[start:stop] for start, stop in _blocks(cloud.count))
-    return np.concatenate([block[angle_residuals(generators, cfg, block) <= tol] for block in blocks])
+    vectors = cloud.vectors
+    gens_h, rows = _overlap_setup(generators, vectors)
+    lo = math.cos(min(cfg.alpha + tol, math.pi / 2)) ** 2 - 1e-12
+    hi = math.cos(max(cfg.alpha - tol, 0.0)) ** 2 + 1e-12
+    g = np.empty((min(rows + 1, len(vectors)), gens_h.shape[1]), dtype=complex)
+    sq = np.empty(g.shape + (2,))
+    # One generator per row: reducing over each short row of ``sq`` instead
+    # would take several times as long as the product.
+    cols = np.empty(g.shape[::-1])
+    hits = []
+    for start, stop in _blocks(len(vectors), rows):
+        m = stop - start
+        block = np.matmul(vectors[start:stop], gens_h, out=g[:m])
+        s = np.square(block.view(np.float64).reshape(sq[:m].shape), out=sq[:m])
+        s = np.add(s[:, :, 0], s[:, :, 1], out=s[:, :, 0])
+        np.copyto(cols[:, :m], s.T)
+        keep = np.flatnonzero((np.min(cols[:, :m], axis=0) >= lo) & (np.max(cols[:, :m], axis=0) <= hi))
+        hits.append(vectors[start + keep[_residuals(block[keep], cfg.alpha) <= tol]])
+    return np.concatenate(hits)
 
 
 def _overlaps(v: np.ndarray, gens_c: np.ndarray, alpha: float):
