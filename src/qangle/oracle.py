@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .projspace import GAUGE_TOL, NORM_TOL, AlphaConfig, Line, canonical_line, check_dim, check_tol, quantum_angle
+from .projspace import GAUGE_TOL, NORM_TOL, AlphaConfig, Line, canonical_line, check_dim, check_tol
 
 _HEADER = struct.Struct("<QQQ")
 
@@ -245,32 +245,28 @@ def load_cloud(path) -> SampleCloud:
     return SampleCloud(int(dim), vecs, int(seed))
 
 
-def _lines_matrix(lines) -> np.ndarray:
-    return np.vstack([l.amplitudes for l in lines])
-
-
-def _generators_matrix(generators) -> np.ndarray:
-    """The generators' amplitudes as the rows of one array; an empty or mixed-dimension set is refused."""
+def _generators_matrix(generators, width: int | None = None) -> np.ndarray:
+    """The generators' conjugated amplitudes as ``(k, n)`` rows, so that ``rows @ gens_c.T``
+    holds the overlaps <s_j, row>; an empty or mixed-dimension set, or rows of another ``width``, is refused."""
     if not generators:
         raise ParameterError("generator set must be non-empty")
     if len({g.dim for g in generators}) != 1:
         raise DimensionError("generators live in different dimensions")
-    return _lines_matrix(generators)
+    gens_c = np.vstack([g.amplitudes for g in generators]).conj()
+    if width is not None and width != gens_c.shape[1]:
+        raise DimensionError(f"rows of width {width}, generators of dimension {gens_c.shape[1]}")
+    return gens_c
 
 
-def _overlap_setup(generators, vectors: np.ndarray):
-    """The generators' conjugate transpose, and rows per block so that the
-    working set does not grow with rows x generators; rows of another width
-    than the generators are a ``DimensionError``."""
-    gens_h = _generators_matrix(generators).conj().T
-    if vectors.shape[1] != gens_h.shape[0]:
-        raise DimensionError(f"rows of width {vectors.shape[1]}, generators of dimension {gens_h.shape[0]}")
-    return gens_h, max(1, 3 * _BLOCK_ROWS // gens_h.shape[1])
+def _offsets(g: np.ndarray, alpha: float) -> np.ndarray:
+    """angle - alpha for each overlap in ``g``."""
+    return np.arccos(np.clip(np.abs(g), 0.0, 1.0)) - alpha
 
 
-def _residuals(g: np.ndarray, alpha: float) -> np.ndarray:
-    """Per row of the overlaps ``g``: the largest |angle - alpha| over its columns."""
-    return np.max(np.abs(np.arccos(np.clip(np.abs(g), 0.0, 1.0)) - alpha), axis=1)
+def _worst(r: np.ndarray) -> np.ndarray:
+    """Each row's largest |r|, reduced across a generator-major copy (numpy reduces short
+    rows element by element); a maximum rounds nothing, so every bit is kept."""
+    return np.max(np.abs(r).T.copy(), axis=0)
 
 
 def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.ndarray:
@@ -282,10 +278,10 @@ def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.nda
     residual computed as on the whole array at once.
     """
     vectors = np.atleast_2d(vectors)
-    gens_h, rows = _overlap_setup(generators, vectors)
+    gens_c = _generators_matrix(generators, vectors.shape[1])
     out = np.empty(vectors.shape[0])
-    for start, stop in _blocks(vectors.shape[0], rows):
-        out[start:stop] = _residuals(vectors[start:stop] @ gens_h, cfg.alpha)
+    for start, stop in _blocks(vectors.shape[0], max(1, 3 * _BLOCK_ROWS // len(gens_c))):
+        out[start:stop] = _worst(_offsets(vectors[start:stop] @ gens_c.T, cfg.alpha))
     return out
 
 
@@ -293,7 +289,7 @@ def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:
     """Largest |angle(line, g) - alpha| over the lines and the generators; no line is a ``ParameterError``."""
     if not lines:
         raise ParameterError("need at least one line")
-    return float(np.max(angle_residuals(generators, cfg, _lines_matrix(lines))))
+    return float(np.max(angle_residuals(generators, cfg, np.vstack([l.amplitudes for l in lines]))))
 
 
 def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: float) -> np.ndarray:
@@ -313,10 +309,11 @@ def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: flo
     """
     check_tol(tol)
     vectors = cloud.vectors
-    gens_h, rows = _overlap_setup(generators, vectors)
+    gens_c = _generators_matrix(generators, vectors.shape[1])
+    rows = max(1, 3 * _BLOCK_ROWS // len(gens_c))
     lo = math.cos(min(cfg.alpha + tol, math.pi / 2)) ** 2 - 1e-12
     hi = math.cos(max(cfg.alpha - tol, 0.0)) ** 2 + 1e-12
-    g = np.empty((min(rows + 1, len(vectors)), gens_h.shape[1]), dtype=complex)
+    g = np.empty((min(rows + 1, len(vectors)), len(gens_c)), dtype=complex)
     sq = np.empty(g.shape + (2,))
     # One generator per row: reducing over each short row of ``sq`` instead
     # would take several times as long as the product.
@@ -324,19 +321,19 @@ def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: flo
     hits = []
     for start, stop in _blocks(len(vectors), rows):
         m = stop - start
-        block = np.matmul(vectors[start:stop], gens_h, out=g[:m])
+        block = np.matmul(vectors[start:stop], gens_c.T, out=g[:m])
         s = np.square(block.view(np.float64).reshape(sq[:m].shape), out=sq[:m])
         s = np.add(s[:, :, 0], s[:, :, 1], out=s[:, :, 0])
         np.copyto(cols[:, :m], s.T)
         keep = np.flatnonzero((np.min(cols[:, :m], axis=0) >= lo) & (np.max(cols[:, :m], axis=0) <= hi))
-        hits.append(vectors[start + keep[_residuals(block[keep], cfg.alpha) <= tol]])
+        hits.append(vectors[start + keep[_worst(_offsets(block[keep], cfg.alpha)) <= tol]])
     return np.concatenate(hits)
 
 
 def _overlaps(v: np.ndarray, gens_c: np.ndarray, alpha: float):
     """Per row of ``v``: the overlaps g_j = <s_j, v> and the residuals angle(v, s_j) - alpha."""
     g = v @ gens_c.T
-    return g, np.arccos(np.clip(np.abs(g), 0.0, 1.0 - 1e-15)) - alpha
+    return g, _offsets(g, alpha)
 
 
 def _tangent_steps(v, g, r, gens_c) -> np.ndarray:
@@ -387,7 +384,7 @@ def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -
     not improve, and so on down to 1/256.
     """
     g, r = _overlaps(v, gens_c, alpha)
-    worst = np.max(np.abs(r), axis=1)
+    worst = _worst(r)
     polished = _POLISH * tol
     live = np.flatnonzero(worst > polished)
     for _ in range(_MAX_ITER):
@@ -402,7 +399,7 @@ def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -
             trial = v[rows] + step * dv[trying]
             trial /= np.linalg.norm(trial, axis=1, keepdims=True)
             g_t, r_t = _overlaps(trial, gens_c, alpha)
-            w_t = np.max(np.abs(r_t), axis=1)
+            w_t = _worst(r_t)
             ok = w_t < worst[rows]
             won = rows[ok]
             v[won], g[won], r[won], worst[won] = trial[ok], g_t[ok], r_t[ok], w_t[ok]
@@ -426,12 +423,12 @@ def _lookahead_scores(gens_c: np.ndarray, alpha: float, pool: np.ndarray) -> np.
     for start, stop in _blocks(len(pool), _REFINE_ROWS):
         v = pool[start:stop]
         g, r = _overlaps(v, gens_c, alpha)
-        first = np.max(np.abs(r), axis=1)
+        first = _worst(r)
         for _ in range(_LOOKAHEAD):
             v = v + _tangent_steps(v, g, r, gens_c)
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             g, r = _overlaps(v, gens_c, alpha)
-        scores[start:stop] = np.fmin(first, np.max(np.abs(r), axis=1))
+        scores[start:stop] = np.fmin(first, _worst(r))
     return scores
 
 
@@ -466,7 +463,7 @@ def refine_alpha_members(
     has zero norm is a ``ParameterError``.  ``tol`` must be >= 0.
     """
     check_tol(tol)
-    gens_c = _generators_matrix(generators).conj()
+    gens_c = _generators_matrix(generators)
     n = gens_c.shape[1]
     v = np.asarray(candidates, dtype=complex)
     if v.ndim != 2 or v.shape[1] != n:
@@ -476,21 +473,22 @@ def refine_alpha_members(
     if not np.all(np.isfinite(norms) & (norms > 0)):
         raise ParameterError("every candidate row must be finite with a nonzero norm")
     v = v / norms
-    out: list[Line] = []
-    for start in range(0, v.shape[0], _REFINE_ROWS):
-        block = v[start : start + _REFINE_ROWS]
-        out.extend(canonical_line(row) for row in block[_refine_block(block, gens_c, cfg.alpha, tol)])
-    return out
+    blocks = [v[start:stop] for start, stop in _blocks(len(v), _REFINE_ROWS)]
+    return [canonical_line(row) for b in blocks for row in b[_refine_block(b, gens_c, cfg.alpha, tol)]]
 
 
 def dedup_lines(lines, min_angle: float = 1e-4) -> list[Line]:
-    """Keep one representative per cluster of lines closer than ``min_angle``, which must be >= 0."""
+    """Keep each line whose angle to every line kept before it is at least ``min_angle`` (>= 0):
+    a row x takes z = <k, x> against the kept rows k, and the angles atan2(||x - z k||, |z|), exact
+    near 0.  The conjugated rows of :func:`_generators_matrix` meet at the lines' angles."""
     check_tol(min_angle)
-    kept: list[Line] = []
-    for l in lines:
-        if all(quantum_angle(l, other) >= min_angle for other in kept):
-            kept.append(l)
-    return kept
+    lines = list(lines)
+    rows, keep = (_generators_matrix(lines) if lines else []), []
+    for i, x in enumerate(rows):
+        z = rows[keep].conj() @ x
+        if np.all(np.arctan2(np.linalg.norm(x - z[:, None] * rows[keep], axis=1), np.abs(z)) >= min_angle):
+            keep.append(i)
+    return [lines[i] for i in keep]
 
 
 def discover_alpha_set(
@@ -552,8 +550,7 @@ def funnel_alpha_set(
         )
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
     if len(pool) > max_pool:
-        gens_c = _generators_matrix(constraints).conj()
-        scores = np.fmax(_lookahead_scores(gens_c, cfg.alpha, pool), confirm_tol)
+        scores = np.fmax(_lookahead_scores(_generators_matrix(constraints), cfg.alpha, pool), confirm_tol)
         best = np.argsort(scores, kind="stable")[:max_pool]
         pool = pool[np.sort(best)]
     return refine_alpha_members(constraints, cfg, pool, confirm_tol)

@@ -193,12 +193,9 @@ def verify_basic_relations(
         gen_a = first[: min(25, len(first))]
         holdout = first[min(25, len(first)) : min(45, len(first))]
         second = oracle.funnel_alpha_set(gen_a, cfg, cloud, confirm_tol=_CONFIRM_TOL)
-        if holdout:
-            second = [
-                q
-                for q in second
-                if worst_angle_residual(holdout, cfg, [q]) <= 1e-4
-            ]
+        if holdout and second:
+            res = oracle.angle_residuals(holdout, cfg, np.vstack([q.amplitudes for q in second]))
+            second = [q for q, r in zip(second, res) if r <= 1e-4]
         tally.counts["double_alpha_set"] = len(second)
         if second:
             gen_b = oracle.dedup_lines(second, 1e-3)[: min(25, len(second))]

@@ -246,13 +246,13 @@ class TestBlockedCloudPath:
         assert np.max(np.abs(res - ref)) <= 1e-15
         rows = np.nonzero(ref <= tol)[0]
         assert rows.size > 0 or tol == 0
-        residuals, screened = oracle._residuals, []
+        offsets, screened = oracle._offsets, []
 
         def spy(g, a):
             screened.append(len(g))
-            return residuals(g, a)
+            return offsets(g, a)
 
-        monkeypatch.setattr(oracle, "_residuals", spy)
+        monkeypatch.setattr(oracle, "_offsets", spy)
         members = qa.alpha_set_numeric(gens, cfg, cloud, tol)
         assert np.array_equal(members, cloud.vectors[rows])
         # The screen spares the exact residual almost every row, and keeps every hit.
@@ -744,7 +744,7 @@ def lookahead_reference(generators, alpha, rows):
 
     def overlaps(v):
         g = v @ gens_c.T
-        return g, np.arccos(np.clip(np.abs(g), 0.0, 1.0 - 1e-15)) - alpha
+        return g, np.arccos(np.clip(np.abs(g), 0.0, 1.0)) - alpha
 
     g, r = overlaps(rows)
     first = np.max(np.abs(r), axis=1)
