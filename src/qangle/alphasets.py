@@ -146,8 +146,11 @@ def _sphere_distance(v: Line, center: np.ndarray, radius: float, comp: np.ndarra
     fidelity is k s + radius p, and as s^2 + p^2 + q^2 = 1, Lagrange's
     identity gives the sine of the distance as hypot(q, radius s - k p).
     Both are sums of products, so the distance is exact near 0 and near
-    pi/2.  An empty span leaves the angle to the center line.
+    pi/2.  An empty span leaves the angle to the center line.  A line of
+    another dimension than the center is a ``DimensionError``.
     """
+    if v.dim != len(center):
+        raise DimensionError(f"line of dimension {v.dim}, component of dimension {len(center)}")
     x = v.amplitudes
     k = float(np.linalg.norm(center))
     u = center / k if k else center
@@ -270,8 +273,6 @@ class AthetaFamily:
         are +-theta0, 0 and at most six stationary points.  G's roots are near-double
         when c ~ d, losing half their digits, so each is polished on F' instead.
         """
-        if v.dim != self.ambient_dim:
-            raise DimensionError("line dimension does not match the family")
         a = self.cfg.a
         x1 = inner(v, self.e1) * (a / self.c)
         x2 = complex(np.vdot(v.amplitudes, self.e2_vector)) * (a / self.d)
@@ -328,6 +329,8 @@ class SphereSliceComponent:
     def __post_init__(self):
         if abs(self.coefficient**2 + self.radius**2 - 1.0) > 1e-10:
             raise ParameterError("coefficient^2 + radius^2 != 1")
+        if any(l.dim != self.axis.dim for l in self.orthogonal_to):
+            raise DimensionError("orthogonal_to lines do not match the axis dimension")
 
     @cached_property
     def _complement(self) -> np.ndarray:
@@ -584,8 +587,10 @@ def atheta_cardinality(
     r = c3 rho(theta), the intersection is infinite iff |z| - r < a < |z| + r
     or (z = 0 and rho = a/c3), a single line iff z != 0 and a coincides with
     |z| +- r, and empty otherwise; all comparisons use the declared band
-    1e-9.
+    1e-9.  ``cfg`` must hold the family's own alpha, else a ``ParameterError``.
     """
+    if cfg.alpha != fam.alpha:
+        raise ParameterError(f"cfg alpha {cfg.alpha} differs from the family's alpha {fam.alpha}")
     c1, c2, c3 = complex(v3coeffs[0]), complex(v3coeffs[1]), float(v3coeffs[2])
     if c3 <= 0:
         raise ParameterError("c3 must be strictly positive")

@@ -15,6 +15,7 @@ from qangle.alphasets import (
 from qangle.errors import (
     CaseError,
     DegenerateTripleError,
+    DimensionError,
     DomainError,
     ParameterError,
     RangeError,
@@ -23,7 +24,7 @@ from qangle.errors import (
 )
 
 from qangle.projspace import orthonormal_complement
-from qangle.verify import draw_alpha
+from qangle.verify import draw_alpha, standard_family
 
 from conftest import random_line, random_orthonormal_pair
 
@@ -494,12 +495,46 @@ class TestCardinality:
                 fam, fam.theta0 + 0.1, (0.6 + 0j, 0j, 0.8), cfg
             )
 
+    def test_cfg_of_another_alpha_refused(self):
+        # z would take cos(alpha) from cfg and rho from the family, mixing two angles.
+        fam = standard_family(qa.AlphaConfig.from_alpha(1.0), 0.8, 0.6)
+        coeffs = (0.5 + 0j, 0.5j, math.sqrt(0.5))
+        with pytest.raises(ParameterError):
+            qa.atheta_cardinality(fam, 0.0, coeffs, qa.AlphaConfig.from_alpha(1.2))
+        assert qa.atheta_cardinality(fam, 0.0, coeffs, qa.AlphaConfig.from_alpha(1.0)).tag in ("zero", "one", "infinite")
+
 
 def scanned_circle_distance(circle, v: qa.Line, grid: int = 20_000) -> float:
     """Smallest angle from v to the members c e1 + lambda d e2 on a dense grid of phases lambda."""
     lams = np.exp(2j * np.pi * np.arange(grid) / grid)
     members = circle.c * circle.e1.amplitudes + np.multiply.outer(lams * circle.d, circle.e2.amplitudes)
     return float(np.arccos(min(np.max(np.abs(members.conj() @ v.amplitudes)), 1.0)))
+
+
+def components_of_dim4() -> dict:
+    basis = std_basis(4)
+    return {
+        "atheta": standard_family(qa.AlphaConfig.from_alpha(1.1), 0.8, 0.6),
+        "circle": qa.CircleComponent(basis[0], basis[1], 0.8, 0.6),
+        "slice": qa.SphereSliceComponent(basis[0], 0.8, 0.6, (basis[1],)),
+        "point": qa.PointComponent(basis[2]),
+    }
+
+
+class TestLineOfAnotherDimension:
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("kind", ["atheta", "circle", "slice", "point"])
+    def test_distance_refuses_it(self, kind, dim):
+        comp = components_of_dim4()[kind]
+        line = qa.canonical_line(np.ones(dim))
+        with pytest.raises(DimensionError):
+            comp.distance(line)
+        with pytest.raises(DimensionError):
+            qa.AlphaSetDescriptor((comp,)).distance(line)
+
+    def test_slice_refuses_orthogonal_lines_of_another_dimension(self):
+        with pytest.raises(DimensionError):
+            qa.SphereSliceComponent(std_basis(4)[0], 0.8, 0.6, (std_basis(3)[1],))
 
 
 class TestCircleDistance:
