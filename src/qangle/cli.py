@@ -24,6 +24,10 @@ from .projspace import AlphaConfig, Line, canonical_line, json_complex, json_fie
 # Suite parameters of ``verify``; a suite takes only those in its ``Suite.options``.
 _SUITE_OPTIONS = ("dim", "a", "c", "d")
 
+#: Largest ``verify --draws``: a hundred times the largest default (1000
+#: draws of ``infinite-element``), and still minutes of work, not days.
+MAX_DRAWS = 100_000
+
 
 def _emit(obj: dict, out_path: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -217,8 +221,8 @@ _PAYLOAD_HANDLERS = {
 def _run_suite(args) -> verify.Tally:
     suite = verify.SUITES[args.suite]
     draws = suite.draws if args.draws is None else args.draws
-    if draws < 1:
-        raise SchemaError(f"--draws must be >= 1, got {draws}")
+    if not 1 <= draws <= MAX_DRAWS:
+        raise SchemaError(f"--draws must be in [1, {MAX_DRAWS}], got {draws}")
     if args.seed < 0:
         raise SchemaError(f"--seed must be >= 0, got {args.seed}")
     given = {k: v for k in _SUITE_OPTIONS if (v := getattr(args, k)) is not None}

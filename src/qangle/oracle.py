@@ -52,6 +52,11 @@ _POLISH = 1e-4
 # of this size, and at 8.8 MB when every row is stacked at once.
 _REFINE_ROWS = 128
 
+# Largest grid of a root count (8 MB of exp(i phi) values per call) and the
+# most uniform radii of a disk; a larger request is refused before any work.
+MAX_GRID_SIZE = 1_000_000
+MAX_RADIAL = 4_096
+
 # Undamped Gauss-Newton steps that rank a funnel pool above its cap: a row's
 # residual after two steps predicts whether it converges far better than its
 # residual where rejection found it.
@@ -562,8 +567,8 @@ def _grid_root_count(z: complex, radii, a: float, grid_size: int):
     One exp(i phi) row serves every radius, taken one at a time; ``math.inf``
     at the first circle whose residual is identically zero within 1e-12.
     """
-    if grid_size < 1000:
-        raise ParameterError(f"grid_size must be >= 1000, got {grid_size}")
+    if not 1000 <= grid_size <= MAX_GRID_SIZE:
+        raise ParameterError(f"grid_size must be in [1000, {MAX_GRID_SIZE}], got {grid_size}")
     if not np.all(np.isfinite([z, a])):
         raise ParameterError(f"need finite z and a, got {z} and {a}")
     unit = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False))
@@ -582,8 +587,8 @@ def root_count_on_circle(z: complex, r: float, a: float, grid_size: int = 10_000
 
     Returns ``math.inf`` when |z + r*lambda| - a vanishes identically within
     1e-12 on the grid (the z = 0, r = a configuration).  The count only
-    depends on |z|, r and a.  Non-finite arguments, ``r < 0`` and
-    ``a <= 0`` are refused.
+    depends on |z|, r and a.  Non-finite arguments, ``r < 0``, ``a <= 0``
+    and a ``grid_size`` outside [1000, ``MAX_GRID_SIZE``] are refused.
     """
     if not 0 <= r < math.inf or a <= 0:
         raise ParameterError(f"need finite r >= 0 and a > 0, got {r} and {a}")
@@ -604,11 +609,12 @@ def root_count_on_disk(
     radii where a circle of radius a around -z can meet circles around the
     origin at all (plain triangle-inequality geometry); without those, thin
     windows (tiny |z|) would slip between uniform samples.  ``r = 0`` is the
-    point disk, its circle of radius 0; non-finite arguments, ``radial < 1``,
-    ``r < 0`` and ``a <= 0`` are refused.
+    point disk, its circle of radius 0; non-finite arguments, a ``radial``
+    outside [1, ``MAX_RADIAL``], a ``grid_size`` outside [1000,
+    ``MAX_GRID_SIZE``], ``r < 0`` and ``a <= 0`` are refused.
     """
-    if radial < 1 or not 0 <= r < math.inf or a <= 0:
-        raise ParameterError(f"need radial >= 1, finite r >= 0 and a > 0, got {radial}, {r} and {a}")
+    if not 1 <= radial <= MAX_RADIAL or not 0 <= r < math.inf or a <= 0:
+        raise ParameterError(f"need 1 <= radial <= {MAX_RADIAL}, finite r >= 0 and a > 0, got {radial}, {r} and {a}")
     radii = list(np.linspace(r / radial, r, radial))
     win_lo, win_hi = abs(abs(z) - a), abs(z) + a
     if win_lo <= r:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import qangle as qa
-from qangle.cli import _PAYLOAD_HANDLERS, main
+from qangle.cli import _PAYLOAD_HANDLERS, MAX_DRAWS, main
 from qangle.projspace import MAX_DIM
-from qangle.verify import SUITES
+from qangle.verify import SUITES, Tally
 
 
 def run_cli(args, payload=None, tmp_path=None):
@@ -508,6 +508,19 @@ class TestVerifySuites:
         code, out = run_cli(["verify", "shape", "--draws", draws])
         assert code == 2
         assert out["error"] == "schema"
+
+    def test_draws_cap(self, monkeypatch):
+        # The suite itself never runs: at the cap it records the draws, above it is refused first.
+        seen = []
+
+        def record(seed, draws, **kwargs):
+            seen.append(draws)
+            return Tally()
+
+        monkeypatch.setitem(SUITES, "shape", dataclasses.replace(SUITES["shape"], run=record))
+        assert run_cli(["verify", "shape", "--draws", str(MAX_DRAWS)])[0] == 0
+        code, out = run_cli(["verify", "shape", "--draws", str(MAX_DRAWS + 1)])
+        assert (code, out["error"], seen) == (2, "schema", [MAX_DRAWS])
 
     def test_negative_seed_exit_2(self):
         code, out = run_cli(["verify", "shape", "--seed", "-1", "--draws", "1"])

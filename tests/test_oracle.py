@@ -644,6 +644,17 @@ class TestRefinement:
         kept = dedup_lines([e1, near, far], 1e-4)
         assert len(kept) == 2
 
+    def test_dedup_edge_cases(self):
+        e1, far = qa.canonical_line([1, 0, 0]), qa.canonical_line([0, 1, 0])
+        near = qa.canonical_line([math.cos(1e-9), math.sin(1e-9) * 1j, 0])
+        assert [l is m for l, m in zip(oracle.dedup_lines(iter([e1, near, far]), 1e-4), [e1, far])] == [True, True]
+        # Lines 1e-9 apart: the angle is resolved well below the square root of epsilon.
+        assert len(oracle.dedup_lines([e1, near], 5e-10)) == 2
+        assert oracle.dedup_lines([e1, near], 2e-9) == [e1]
+        assert oracle.dedup_lines([], 1e-4) == []
+        with pytest.raises(DimensionError):
+            oracle.dedup_lines([e1, qa.canonical_line([1, 0])], 1e-4)
+
     @pytest.mark.parametrize("min_angle", [math.nan, -1e-4])
     def test_dedup_refuses_a_nan_or_negative_bound(self, min_angle):
         # A NaN bound would keep only the first line, a negative one every line.
@@ -958,6 +969,19 @@ class TestRootCounting:
     def test_grid_size_guard(self):
         with pytest.raises(ParameterError):
             qa.root_count_on_circle(0.5, 0.3, 0.6, 100)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: qa.root_count_on_circle(0.5, 0.3, 0.6, oracle.MAX_GRID_SIZE + 1),
+            lambda: qa.root_count_on_disk(0.5, 0.3, 0.6, oracle.MAX_GRID_SIZE + 1),
+            lambda: qa.root_count_on_disk(0.5, 0.3, 0.6, 4096, oracle.MAX_RADIAL + 1),
+        ],
+        ids=["circle-grid", "disk-grid", "disk-radial"],
+    )
+    def test_oversized_requests_are_refused(self, call):
+        with pytest.raises(ParameterError):
+            call()
 
     @pytest.mark.parametrize(
         "r, a, radial",
