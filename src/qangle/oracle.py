@@ -483,15 +483,22 @@ def refine_alpha_members(
 
 
 def dedup_lines(lines, min_angle: float = 1e-4) -> list[Line]:
-    """Keep each line whose angle to every line kept before it is at least ``min_angle`` (>= 0):
-    a row x takes z = <k, x> against the kept rows k, and the angles atan2(||x - z k||, |z|), exact
-    near 0.  The conjugated rows of :func:`_generators_matrix` meet at the lines' angles."""
+    """Keep each line of the iterable ``lines`` whose angle to every line kept before it is at
+    least ``min_angle`` (>= 0).
+
+    A row x takes one product z = <k, x> against the kept rows k, and the angles
+    atan2(||x - z k||, |z|), exact near 0; the conjugated rows of :func:`_generators_matrix`
+    meet at the lines' angles.  Lines of different dimensions are a ``DimensionError``.
+    """
     check_tol(min_angle)
     lines = list(lines)
-    rows, keep = (_generators_matrix(lines) if lines else []), []
+    if not lines:
+        return []
+    rows, keep = _generators_matrix(lines), []
     for i, x in enumerate(rows):
-        z = rows[keep].conj() @ x
-        if np.all(np.arctan2(np.linalg.norm(x - z[:, None] * rows[keep], axis=1), np.abs(z)) >= min_angle):
+        k = rows[keep]
+        z = k.conj() @ x
+        if np.all(np.arctan2(np.linalg.norm(x - z[:, None] * k, axis=1), np.abs(z)) >= min_angle):
             keep.append(i)
     return [lines[i] for i in keep]
 
