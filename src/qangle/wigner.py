@@ -133,11 +133,13 @@ def probe_set(dim: int) -> list[Line]:
 def fit_from_probes(dim: int, images: list[Line]) -> WignerSymmetry:
     """Reconstruct the symmetry from the images of the probe lines.
 
-    Column moduli come from the basis-line images, relative phases from the
-    [(e_1+e_j)/sqrt2] images, and the antiunitary flag from the sign of the
-    relative phase recovered from the [(e_1 + i e_j)/sqrt2] images.  Images
-    inconsistent with every symmetry (residual above 1e-8 on some probe)
-    raise NotAWignerMapError carrying the worst probe.
+    Columns come from the basis-line images, relative phases from the
+    [(e_1+e_j)/sqrt2] images.  Both flags are then fitted: the unitary and
+    the antiunitary candidate on those columns each map every probe, and the
+    one with the smaller worst probe residual is kept (the
+    [(e_1 + i e_j)/sqrt2] probes tell them apart).  Images inconsistent with
+    every symmetry (residual above 1e-8 on some probe under the kept
+    candidate) raise NotAWignerMapError carrying the worst probe.
     """
     probes = probe_set(dim)
     if len(images) != len(probes):
