@@ -24,8 +24,8 @@ from .projspace import AlphaConfig, Line, canonical_line, json_complex, json_fie
 # Suite parameters of ``verify``; a suite takes only those in its ``Suite.options``.
 _SUITE_OPTIONS = ("dim", "a", "c", "d")
 
-#: Largest ``verify --draws``: a hundred times the largest default (1000
-#: draws of ``infinite-element``), and still minutes of work, not days.
+#: Largest ``verify --draws``, a hundred times the largest default (1000
+#: draws of ``infinite-element``); a larger count is refused before the suite starts.
 MAX_DRAWS = 100_000
 
 

@@ -647,7 +647,8 @@ class TestRefinement:
     def test_dedup_edge_cases(self):
         e1, far = qa.canonical_line([1, 0, 0]), qa.canonical_line([0, 1, 0])
         near = qa.canonical_line([math.cos(1e-9), math.sin(1e-9) * 1j, 0])
-        assert [l is m for l, m in zip(oracle.dedup_lines(iter([e1, near, far]), 1e-4), [e1, far])] == [True, True]
+        kept = oracle.dedup_lines(iter([e1, near, far]), 1e-4)
+        assert len(kept) == 2 and kept[0] is e1 and kept[1] is far
         # Lines 1e-9 apart: the angle is resolved well below the square root of epsilon.
         assert len(oracle.dedup_lines([e1, near], 5e-10)) == 2
         assert oracle.dedup_lines([e1, near], 2e-9) == [e1]
@@ -970,22 +971,15 @@ class TestRootCounting:
         with pytest.raises(ParameterError):
             qa.root_count_on_circle(0.5, 0.3, 0.6, 100)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: qa.root_count_on_circle(0.5, 0.3, 0.6, oracle.MAX_GRID_SIZE + 1),
-            lambda: qa.root_count_on_disk(0.5, 0.3, 0.6, oracle.MAX_GRID_SIZE + 1),
-            lambda: qa.root_count_on_disk(0.5, 0.3, 0.6, 4096, oracle.MAX_RADIAL + 1),
-        ],
-        ids=["circle-grid", "disk-grid", "disk-radial"],
-    )
-    def test_oversized_requests_are_refused(self, call):
+    @pytest.mark.parametrize("count", [qa.root_count_on_circle, qa.root_count_on_disk])
+    def test_grid_size_cap(self, count):
         with pytest.raises(ParameterError):
-            call()
+            count(0.5, 0.3, 0.6, oracle.MAX_GRID_SIZE + 1)
 
     @pytest.mark.parametrize(
         "r, a, radial",
-        [(0.3, 0.6, 0), (0.3, 0.6, -3), (-0.3, 0.6, 64), (0.3, 0.0, 64), (0.3, -0.6, 64), (0.0, 0.0, 64)],
+        [(0.3, 0.6, 0), (0.3, 0.6, -3), (-0.3, 0.6, 64), (0.3, 0.0, 64), (0.3, -0.6, 64), (0.0, 0.0, 64),
+         (0.3, 0.6, oracle.MAX_RADIAL + 1)],
     )
     def test_disk_parameter_guards(self, r, a, radial):
         with pytest.raises(ParameterError):
