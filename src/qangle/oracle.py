@@ -52,8 +52,9 @@ _POLISH = 1e-4
 # of this size, and at 8.8 MB when every row is stacked at once.
 _REFINE_ROWS = 128
 
-# Largest grid of a root count (8 MB of exp(i phi) values per call) and the
-# most uniform radii of a disk; a larger request is refused before any work.
+# Largest grid of a root count (16 MB of exp(i phi) values, plus a few
+# grid-sized arrays per radius) and the most uniform radii of a disk; a larger
+# request is refused before any work.
 MAX_GRID_SIZE = 1_000_000
 MAX_RADIAL = 4_096
 
