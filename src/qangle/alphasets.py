@@ -50,6 +50,7 @@ from .projspace import (
     inner,
     json_complex,
     json_field,
+    lambdas_at_modulus,
     orthonormal_complement,
     quantum_angle,
 )
@@ -221,18 +222,11 @@ class AthetaFamily:
         if self.e1.dim != self.ambient_dim or self.e2.dim != self.ambient_dim:
             raise DimensionError("basis lines do not match the ambient dimension")
         check_weighted_basis(self.e1, self.e2, self.c, self.d)
-        _check_profile_weights(self.cfg.a, self.c, self.d)
+        theta0, _ = theta0_and_rho(self.cfg, self.c, self.d)
         if abs(abs(self.e2_phase) - 1.0) > 1e-12:
             raise ParameterError("e2_phase must be unimodular")
-        a = self.cfg.a
-        if a > self.d:
-            res = (a / self.c) ** 2 * math.cos(self.theta0) ** 2 + (
-                a / self.d
-            ) ** 2 * math.sin(self.theta0) ** 2
-            if abs(res - 1.0) > 1e-12:
-                raise ParameterError("theta0 does not solve the cutoff equation")
-        elif abs(self.theta0 - np.pi / 2) > 1e-12:
-            raise ParameterError("theta0 must be pi/2 when a <= d")
+        if abs(self.theta0 - theta0) > 1e-12:
+            raise ParameterError(f"theta0 {self.theta0} is not the cutoff {theta0} of (alpha, c, d)")
 
     @cached_property
     def cfg(self) -> AlphaConfig:
@@ -436,36 +430,15 @@ def pair_alpha_set(v1: Line, v2: Line, cfg: AlphaConfig) -> AlphaSetDescriptor:
     return AlphaSetDescriptor((fam,))
 
 
-def _check_distinct_lambdas(lambdas) -> None:
-    lams = list(lambdas)
-    for i in range(len(lams)):
-        for j in range(i + 1, len(lams)):
-            if abs(lams[i] - lams[j]) < 1e-9:
-                raise DegenerateTripleError("repeated lambda values")
-
-
-def _triple_alpha_components(
-    e1: Line, e2: Line, c: float, d: float, cfg: AlphaConfig
-) -> tuple[Component, ...]:
-    """Components of the alpha-set of {[c e1 + lambda_j d e2]} with >= 3 distinct lambdas."""
-    a = cfg.a
-    if c <= a:
-        raise ParameterError(f"need c > a, got c={c}, a={a}")
-    basis = (e1, e2)
-    r1 = math.sqrt(max(0.0, 1.0 - (a / c) ** 2))
-    comps: list[Component] = [SphereSliceComponent(e1, a / c, r1, basis)]
-    # Ties a = d are resolved inside the exact-matching band: the square root
-    # would otherwise blow representation noise in d up to a spurious thin
-    # slice.
-    if abs(a - d) <= EXCEPTIONAL_TOL:
-        comps.append(PointComponent(e2))
-    elif a < d:
-        r2 = math.sqrt(max(0.0, 1.0 - (a / d) ** 2))
-        if r2 <= 1e-9:
-            comps.append(PointComponent(e2))
-        else:
-            comps.append(SphereSliceComponent(e2, a / d, r2, basis))
-    return tuple(comps)
+def _check_triple(t: TripleCanonicalForm, ambient_dim: int) -> None:
+    """An ambient dimension >= 3 that the canonical form lives in, and pairwise distinct lambdas."""
+    if ambient_dim < 3:
+        raise DimensionError("alpha-sets of a triple need ambient dimension >= 3")
+    if t.e1.dim != ambient_dim:
+        raise DimensionError("canonical form does not match the ambient dimension")
+    lams = list(t.lambdas)
+    if any(abs(x - y) < 1e-9 for i, x in enumerate(lams) for y in lams[i + 1 :]):
+        raise DegenerateTripleError("repeated lambda values")
 
 
 def collinear_triple_alpha_set(
@@ -476,12 +449,25 @@ def collinear_triple_alpha_set(
     One sphere slice along e1 when a > d; an additional slice along e2 when
     a <= d.  A slice of radius zero degenerates to a single line.
     """
-    if ambient_dim < 3:
-        raise DimensionError("triple alpha-sets need ambient dimension >= 3")
-    if t.e1.dim != ambient_dim:
-        raise DimensionError("canonical form does not match the ambient dimension")
-    _check_distinct_lambdas(t.lambdas)
-    return AlphaSetDescriptor(_triple_alpha_components(t.e1, t.e2, t.c, t.d, cfg))
+    _check_triple(t, ambient_dim)
+    a, c, d = cfg.a, t.c, t.d
+    if c <= a:
+        raise ParameterError(f"need c > a, got c={c}, a={a}")
+    basis = (t.e1, t.e2)
+    r1 = math.sqrt(max(0.0, 1.0 - (a / c) ** 2))
+    comps: list[Component] = [SphereSliceComponent(t.e1, a / c, r1, basis)]
+    # Ties a = d are resolved inside the exact-matching band: the square root
+    # would otherwise blow representation noise in d up to a spurious thin
+    # slice.
+    if abs(a - d) <= EXCEPTIONAL_TOL:
+        comps.append(PointComponent(t.e2))
+    elif a < d:
+        r2 = math.sqrt(max(0.0, 1.0 - (a / d) ** 2))
+        if r2 <= 1e-9:
+            comps.append(PointComponent(t.e2))
+        else:
+            comps.append(SphereSliceComponent(t.e2, a / d, r2, basis))
+    return AlphaSetDescriptor(tuple(comps))
 
 
 def matches_exceptional_triple(a: float, c: float, d: float) -> int | None:
@@ -535,24 +521,12 @@ def double_alpha_set_classify(
     :func:`has_second_double_component`.
     """
     cfg.require_classification_range()
-    if ambient_dim < 3:
-        raise DimensionError("double-alpha-sets need ambient dimension >= 3")
-    if t.e1.dim != ambient_dim:
-        raise DimensionError("canonical form does not match the ambient dimension")
-    _check_distinct_lambdas(t.lambdas)
-
+    _check_triple(t, ambient_dim)
     circle = CircleComponent(t.e1, t.e2, t.c, t.d)
-    if ambient_dim >= 4:
+    if ambient_dim >= 4 or not has_second_double_component(cfg, t.c, t.d):
         return AlphaSetDescriptor((circle,))
-    if has_second_double_component(cfg, t.c, t.d):
-        comp = orthonormal_complement(
-            np.vstack([t.e1.amplitudes, t.e2.amplitudes]), 3
-        )
-        e3 = canonical_line(comp[0])
-        return AlphaSetDescriptor(
-            (circle, _second_double_component(t.e1, t.e2, e3, cfg, t.c))
-        )
-    return AlphaSetDescriptor((circle,))
+    e3 = canonical_line(orthonormal_complement(np.vstack([t.e1.amplitudes, t.e2.amplitudes]), 3)[0])
+    return AlphaSetDescriptor((circle, _second_double_component(t.e1, t.e2, e3, cfg, t.c)))
 
 
 @dataclass(frozen=True)
@@ -618,15 +592,20 @@ def atheta_cardinality(
 
 
 def counterexample_witness(
-    cfg: AlphaConfig, c: float, d: float, t: float
+    cfg: AlphaConfig, c: float, d: float, t: float | None = None
 ) -> tuple[Line, Line, Line, Line]:
     """Four dimension-3 lines showing a two-component double-alpha-set is not highly symmetric.
 
     Returns (u1, u2, u3, w): the first three belong to the double-alpha-set
     of the canonical triple with parameters (c, d), all three lie at angle
     alpha from w, yet w does not belong to the triple's alpha-set.  The
-    parameters must fall in the two-component case; the offset t must be
-    small enough for the guard inequalities to hold.
+    parameters must fall in the two-component case.  w lies at the offset t
+    from e1 towards e2.  With cos beta = c and sin beta = d, the circle's
+    guard inequalities hold exactly for 0 < t < min(2 beta, pi/2 - beta),
+    and so does the second component's (sin t < cos beta = c there); t
+    defaults to beta / 2 = arcsin(d) / 2, inside that interval.  A t
+    outside it is a ``WitnessRangeError``; one so small that w comes within
+    1e-6 of the alpha-set fails the post-check, a ``ParameterError``.
     """
     cfg.require_classification_range()
     a = cfg.a
@@ -634,6 +613,8 @@ def counterexample_witness(
         raise ParameterError("invalid (c, d)")
     if not has_second_double_component(cfg, c, d):
         raise CaseError("parameters lie in the single-circle case")
+    if t is None:
+        t = math.asin(d) / 2
     if not (0.0 < t < np.pi / 2):
         raise WitnessRangeError(f"t {t} outside (0, pi/2)")
 
@@ -652,11 +633,8 @@ def counterexample_witness(
     if not (0.0 < big_a - big_b < a < big_a + big_b):
         raise WitnessRangeError("offset t violates the circle guard inequality")
 
-    cos_phi = (a * a - big_a * big_a - big_b * big_b) / (2.0 * big_a * big_b)
-    phi = math.acos(min(max(cos_phi, -1.0), 1.0))
-    lam = np.exp(-1j * phi)
     circle = CircleComponent(e1, e2, c, d)
-    u1, u2 = circle.member(lam), circle.member(np.conj(lam))
+    u2, u1 = (circle.member(lam) for lam in lambdas_at_modulus(big_a, big_b, a))
 
     second = _second_double_component(e1, e2, e3, cfg, c)
     if isinstance(second, PointComponent):

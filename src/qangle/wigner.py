@@ -25,8 +25,8 @@ from .errors import (
     SpanError,
 )
 from .projspace import (
-    AlphaConfig, Line, canonical_line, check_dim, check_tol, complex_json, json_complex, json_field, lines_equal,
-    quantum_angle, random_line,
+    AlphaConfig, Line, canonical_line, check_dim, check_tol, complex_json, json_complex, json_field,
+    lambdas_at_modulus, lines_equal, quantum_angle, random_line,
 )
 
 
@@ -364,13 +364,8 @@ def circle_intersection(
             return [member(1j), member(-1j)]
         return []
 
-    cos_psi = (c0 * c0 - abs(big_a) ** 2 - abs(big_b) ** 2) / (2.0 * abs(big_a) * abs(big_b))
-    if abs(cos_psi) > 1.0 + 1e-12:
-        return []
-    psi = math.acos(min(max(cos_psi, -1.0), 1.0))
-    base = np.conj(big_b * np.conj(big_a)) / abs(big_b * big_a)
-    lams = [base * np.exp(1j * psi), base * np.exp(-1j * psi)]
-    if abs(lams[0] - lams[1]) < 1e-9:
+    lams = lambdas_at_modulus(big_a, big_b, c0)
+    if lams and abs(lams[0] - lams[1]) < 1e-9:
         lams = lams[:1]
 
     out = []

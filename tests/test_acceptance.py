@@ -196,16 +196,7 @@ def test_criterion_4_witness_construction():
         c = math.sqrt(1 - d * d)
         if not (c / math.sqrt(1 + c * c) >= a > d):
             continue
-        t = 0.05
-        quad = None
-        for _ in range(12):
-            try:
-                quad = qa.counterexample_witness(cfg, c, d, t)
-                break
-            except qa.QAngleError:
-                t *= 0.5
-        assert quad is not None, f"witness failed for a={a}, c={c}, d={d}"
-        u1, u2, u3, w = quad
+        u1, u2, u3, w = qa.counterexample_witness(cfg, c, d)
         alpha = float(cfg.alpha)
         form = qa.TripleCanonicalForm(e1, e2, c, d, (1.0 + 0j, 1j, -1j))
         double = qa.double_alpha_set_classify(form, cfg, 3)

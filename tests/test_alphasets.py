@@ -163,6 +163,20 @@ class TestThetaZeroAndRho:
         with pytest.raises(ParameterError):
             AthetaFamily(e1, e2, c, math.sqrt(1 - c * c), float(cfg.alpha), 0.0, 4)
 
+    @pytest.mark.parametrize("a", [0.75, 0.5], ids=["a-above-d", "a-below-d"])
+    def test_family_checks_theta0_against_the_closed_form(self, a):
+        e1, e2 = std_basis(4)[:2]
+        cfg = qa.AlphaConfig.from_alpha(math.acos(a))
+        c, d = 0.8, 0.6
+        theta0, _ = theta0_and_rho(cfg, c, d)
+        assert (theta0 < np.pi / 2) == (a > d)
+        for off in (-1e-13, 1e-13):
+            fam = AthetaFamily(e1, e2, c, d, float(cfg.alpha), theta0 + off, 4)
+            assert fam.theta0 == theta0 + off
+        for off in (-1e-9, 1e-9):
+            with pytest.raises(ParameterError, match="cutoff"):
+                AthetaFamily(e1, e2, c, d, float(cfg.alpha), theta0 + off, 4)
+
 
 class TestPairAlphaSet:
     def test_members_at_angle_alpha_from_both(self):
@@ -614,6 +628,56 @@ class TestCounterexampleWitness:
         cfg = qa.AlphaConfig.from_alpha(math.acos(a))
         with pytest.raises(WitnessRangeError):
             qa.counterexample_witness(cfg, c, d, 1.5)
+
+    @staticmethod
+    def assert_witness(cfg, c, d, quad):
+        u1, u2, u3, w = quad
+        form = qa.TripleCanonicalForm(*std_basis(3)[:2], c, d, (1.0 + 0j, 1j, -1j))
+        double = qa.double_alpha_set_classify(form, cfg, 3)
+        for u in (u1, u2, u3):
+            assert double.distance(u) < 1e-9
+            assert abs(float(qa.quantum_angle(w, u)) - cfg.alpha) < 1e-9
+        assert qa.collinear_triple_alpha_set(form, cfg, 3).distance(w) > 1e-6
+
+    def test_default_offset_over_the_two_component_region(self):
+        # The default t = arcsin(d) / 2 needs no search: it succeeds across the
+        # region, at both exceptional triples and in the band about the
+        # boundary c / sqrt(1 + c^2) = a, where the second circle shrinks to a line.
+        rng = np.random.default_rng(2201)
+        cases = [(math.acos(a), c, d) for a, c, d in EXCEPTIONAL_TRIPLES]
+        while len(cases) < 400:
+            d = rng.uniform(0.02, 0.62)
+            c = math.sqrt(1 - d * d)
+            edge = c / math.sqrt(1 + c * c)
+            if edge <= d + 1e-9:
+                continue
+            a = rng.uniform(d, edge) if len(cases) % 2 else edge - rng.uniform(-5e-11, 1e-9)
+            if a > d + 1e-9:
+                cases.append((math.acos(a), c, d))
+        seen_point = False
+        for alpha, c, d in cases:
+            cfg = qa.AlphaConfig.from_alpha(alpha)
+            assert has_second_double_component(cfg, c, d)
+            quad = qa.counterexample_witness(cfg, c, d)
+            self.assert_witness(cfg, c, d, quad)
+            form = qa.TripleCanonicalForm(*std_basis(3)[:2], c, d, (1.0 + 0j, 1j, -1j))
+            seen_point |= isinstance(qa.double_alpha_set_classify(form, cfg, 3).components[1], qa.PointComponent)
+        assert seen_point
+
+    @pytest.mark.parametrize(
+        "a, c, d",
+        [EXCEPTIONAL_TRIPLES[0], EXCEPTIONAL_TRIPLES[1], (0.6, math.sqrt(1 - 0.55**2), 0.55), (0.622, math.sqrt(0.91), 0.3)],
+        ids=["exceptional-0", "exceptional-1", "upper-end-pi/2-beta", "upper-end-2beta"],
+    )
+    def test_explicit_offset_interval(self, a, c, d):
+        cfg = qa.AlphaConfig.from_alpha(math.acos(a))
+        beta = math.asin(d)
+        hi = min(2 * beta, math.pi / 2 - beta)
+        for t in (hi + 1e-9, 0.0, -1e-9):
+            with pytest.raises(WitnessRangeError):
+                qa.counterexample_witness(cfg, c, d, t)
+        for t in (hi - 1e-9, 1e-4, beta / 2):
+            self.assert_witness(cfg, c, d, qa.counterexample_witness(cfg, c, d, t))
 
     def test_case_guard(self):
         cfg = qa.AlphaConfig.from_alpha(1.2)  # a = 0.362, single-circle case

@@ -14,7 +14,7 @@ from qangle.errors import (
     NotCollinearError,
     ParameterError,
 )
-from qangle.projspace import complex_json, json_complex
+from qangle.projspace import complex_json, json_complex, lambdas_at_modulus
 
 from conftest import random_collinear_triple, random_line, random_orthonormal_pair
 
@@ -362,6 +362,31 @@ class TestClosedFormRotation:
         form = qa.canonical_triple_form(*vs)
         assert np.array_equal(form.e1.amplitudes, qa.canonical_line(pair.e1.amplitudes).amplitudes)
         assert np.array_equal(form.e2.amplitudes, qa.canonical_line(pair.e2_vector).amplitudes)
+
+
+class TestLambdasAtModulus:
+    def test_roots_reach_the_modulus(self):
+        rng = np.random.default_rng(2202)
+        for _ in range(500):
+            p, q = (complex(*rng.standard_normal(2)) for _ in range(2))
+            lo, hi = abs(abs(p) - abs(q)), abs(p) + abs(q)
+            m = rng.uniform(lo, hi)
+            lams = lambdas_at_modulus(p, q, m)
+            assert len(lams) == 2
+            for lam in lams:
+                assert abs(abs(lam) - 1.0) <= 1e-15
+                assert abs(abs(p + lam * q) - m) <= 1e-12
+            # The e^{+i psi} root first: lambda q conj(p) has positive imaginary part.
+            assert (lams[0] * q * p.conjugate()).imag >= 0 >= (lams[1] * q * p.conjugate()).imag
+
+    def test_out_of_reach_gives_none(self):
+        p, q = 0.8 + 0.1j, -0.3j
+        lo, hi = abs(abs(p) - abs(q)), abs(p) + abs(q)
+        for m in (0.0, lo * (1 - 1e-6), hi * (1 + 1e-6), 10.0):
+            assert lambdas_at_modulus(p, q, m) == []
+        for m in (lo, hi):
+            (lam, other) = lambdas_at_modulus(p, q, m)
+            assert abs(abs(p + lam * q) - m) <= 1e-12 and abs(lam - other) <= 1e-7
 
 
 class TestLineJson:
