@@ -66,14 +66,28 @@ _LOOKAHEAD = 2
 
 @dataclass(frozen=True)
 class SampleCloud:
-    """A reproducible batch of canonical-gauged random lines, stored as the rows of ``vectors``."""
+    """A reproducible batch of canonical-gauged random lines, stored as the rows of ``vectors``.
+
+    ``vectors`` must be a 2-D complex array of shape ``(count, dim)``, with
+    ``count >= 1`` and within ``MAX_CLOUD_ENTRIES``; anything else is refused
+    here, in O(1).  Its rows must be unit vectors in the canonical gauge of
+    :class:`Line`, as rejection's cosine-window screen assumes; that takes a
+    scan of every row, which only :func:`load_cloud` makes.
+    """
 
     dim: int
     vectors: np.ndarray
     seed: int
 
     def __post_init__(self):
-        self.vectors.flags.writeable = False
+        v = self.vectors
+        if not (isinstance(v, np.ndarray) and v.dtype == complex and v.ndim == 2):
+            got = f"a {v.ndim}-D {v.dtype} array" if isinstance(v, np.ndarray) else type(v).__name__
+            raise ParameterError(f"cloud vectors must be a 2-D complex array, got {got}")
+        _check_cloud_shape(self.dim, v.shape[0])
+        if v.shape[1] != self.dim:
+            raise DimensionError(f"cloud rows of width {v.shape[1]}, cloud of dimension {self.dim}")
+        v.flags.writeable = False
 
     @property
     def count(self) -> int:
@@ -292,9 +306,12 @@ def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.nda
 
 
 def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:
-    """Largest |angle(line, g) - alpha| over the lines and the generators; no line is a ``ParameterError``."""
+    """Largest |angle(line, g) - alpha| over the lines and the generators; no line is a ``ParameterError``,
+    lines of different dimensions a ``DimensionError``."""
     if not lines:
         raise ParameterError("need at least one line")
+    if len({l.dim for l in lines}) != 1:
+        raise DimensionError("lines live in different dimensions")
     return float(np.max(angle_residuals(generators, cfg, np.vstack([l.amplitudes for l in lines]))))
 
 

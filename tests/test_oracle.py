@@ -183,6 +183,43 @@ class TestCloudPersistence:
             qa.load_cloud(path)
 
 
+class TestSampleCloudShape:
+    """A cloud built directly is refused unless it is a 2-D complex (count >= 1, dim) array
+    within the size cap, so that ``save_cloud`` never writes a file ``load_cloud`` refuses."""
+
+    @pytest.mark.parametrize(
+        "dim, vectors, error",
+        [
+            (3, np.ones((2, 4), complex) / 2, DimensionError),  # rows wider than dim
+            (3, [[1, 0, 0]], ParameterError),  # a list
+            (3, np.eye(3), ParameterError),  # real
+            (3, np.eye(3, dtype=np.complex64), ParameterError),
+            (3, np.ones(3, complex), ParameterError),  # 1-D
+            (3, np.ones((1, 1, 3), complex), ParameterError),  # 3-D
+            (3, np.ones((0, 3), complex), ParameterError),  # no row
+            (1, np.ones((2, 1), complex), ParameterError),  # dim below 2
+            (MAX_DIM + 1, np.ones((1, MAX_DIM + 1), complex), DimensionError),
+        ],
+        ids=["width", "list", "real", "complex64", "1-D", "3-D", "empty", "dim-1", "dim-cap"],
+    )
+    def test_refused(self, dim, vectors, error):
+        with pytest.raises(error):
+            qa.SampleCloud(dim, vectors, 0)
+
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CLOUD_ENTRIES", 100)
+        assert qa.SampleCloud(4, np.eye(25, 4, dtype=complex), 0).count == 25
+        with pytest.raises(ParameterError):
+            qa.SampleCloud(4, np.eye(26, 4, dtype=complex), 0)
+
+    def test_accepted_cloud_round_trips(self, tmp_path):
+        rows = qa.sample_lines(3, 6, 2).vectors.copy()
+        cloud = qa.SampleCloud(3, rows, 2)
+        assert not rows.flags.writeable
+        qa.save_cloud(cloud, tmp_path / "c.bin")
+        assert np.array_equal(qa.load_cloud(tmp_path / "c.bin").vectors, rows)
+
+
 def one_shot_gauge(v):
     """The rows of ``v`` normalised, each with its first amplitude above ``GAUGE_TOL`` real positive."""
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -727,7 +764,13 @@ _MALFORMED = {
 
 class TestMalformedGenerators:
     """An empty or mixed-dimension generator set, or rows of another width, are
-    refused before any array work; so is a worst residual over no lines."""
+    refused before any array work; so is a worst residual over no lines, or over
+    lines of different dimensions."""
+
+    def test_worst_over_lines_of_different_dimensions(self):
+        lines = [qa.canonical_line([1, 1j, 0]), qa.canonical_line([1, 1j])]
+        with pytest.raises(DimensionError, match="different dimensions"):
+            oracle.worst_angle_residual([_LINE3], qa.AlphaConfig.from_alpha(1.0), lines)
 
     @pytest.mark.parametrize(
         "call, case",

@@ -2,9 +2,10 @@
 
 A unitary or antiunitary W preserves every quantum angle, so rejection on
 W(generators) over the W-image of a cloud hits the images of the rows it
-hits, refinement polishes W(candidates) onto the images of the members, and
-dedup keeps the same lines.  Only rounding separates the two sides, so rows
-whose residual ends within rounding of the tolerance are left out.  A
+hits, refinement polishes W(candidates) onto the images of the members, the
+funnel ranks and keeps the images of the rows it keeps, and dedup keeps the
+same lines.  Only rounding separates the two sides, so rows whose residual
+or look-ahead score ends within rounding of its threshold are left out.  A
 permutation of the cloud's rows permutes the hits.  Examples are
 derandomized with a fixed count, so every run checks the same cases.
 """
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qangle as qa
-from qangle import oracle
+from qangle import oracle, wigner
 from qangle.projspace import random_line
 
 ROUNDING = 1e-12  # residuals this close to tol may land on either side of it
@@ -118,6 +119,53 @@ def test_refinement_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, se
     members = np.array([m.amplitudes for m in qa.refine_alpha_members(w_gens, cfg, mapped_rows(w, rows), tol)])
     assert len(members) == np.count_nonzero(w_kept)
     assert not len(members) or np.all(row_angles(members, w_v[w_kept]) <= MEMBER_TOL)
+
+
+def cap_is_clear(scores: np.ndarray, cap: int, floor: float) -> bool:
+    """No look-ahead score lies within ROUNDING of the cap's threshold, the ``cap``-th
+    smallest score floored at ``floor``.  Scores tied at the floor keep cloud order,
+    so there only a score near the floor could move a row across the cap."""
+    cut = np.sort(np.fmax(scores, floor))[cap - 1]
+    near = np.abs(scores - cut) <= ROUNDING
+    return not np.any(near) if cut == floor else np.count_nonzero(near) == 1
+
+
+@EXAMPLES
+@given(**CASE)
+def test_funnel_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, seed, alpha):
+    w = qa.random_wigner(dim, w_seed, antiunitary)
+    rng = np.random.default_rng(seed)
+    cfg = qa.AlphaConfig.from_alpha(alpha)
+    # Constraints at angle alpha from one line, so that the set they cut out is not empty.
+    x = random_line(rng, dim)
+    constraints = [wigner._partner_at_angle(x, alpha, rng) for _ in range(dim)]
+    w_constraints = [qa.apply_symmetry(w, s) for s in constraints]
+    cloud = qa.sample_lines(dim, 20_000, seed % 1000)
+    w_cloud = qa.SampleCloud(dim, mapped_rows(w, cloud.vectors), cloud.seed)
+    pool_tol, tol, cap, seeds = 5e-2, 1e-7, 16, 2
+    pool = qa.alpha_set_numeric(constraints[:seeds], cfg, cloud, pool_tol)
+    w_pool = qa.alpha_set_numeric(w_constraints[:seeds], cfg, w_cloud, pool_tol)
+    # A pool above the cap, so that the look-ahead ranks it; the same pool on both sides.
+    assume(len(pool) > cap)
+    assume(np.array_equal(hit_indices(cloud.vectors, pool), hit_indices(w_cloud.vectors, w_pool)))
+    gens_c, w_gens_c = oracle._generators_matrix(constraints), oracle._generators_matrix(w_constraints)
+    scores = oracle._lookahead_scores(gens_c, cfg.alpha, pool)
+    w_scores = oracle._lookahead_scores(w_gens_c, cfg.alpha, w_pool)
+    assume(cap_is_clear(scores, cap, tol) and cap_is_clear(w_scores, cap, tol))
+    # The kept rows, refined here too, to leave out any that ends within rounding of tol.
+    kept = np.sort(np.argsort(np.fmax(scores, tol), kind="stable")[:cap])
+    v, w_v = pool[kept].copy(), w_pool[kept].copy()
+    oracle._refine_block(v, gens_c, cfg.alpha, tol)
+    oracle._refine_block(w_v, w_gens_c, cfg.alpha, tol)
+    res, w_res = oracle.angle_residuals(constraints, cfg, v), oracle.angle_residuals(w_constraints, cfg, w_v)
+    assume(not np.any((np.abs(res - tol) <= ROUNDING) | (np.abs(w_res - tol) <= ROUNDING)))
+
+    members = qa.funnel_alpha_set(constraints, cfg, cloud, pool_tol, tol, cap, seeds)
+    w_members = qa.funnel_alpha_set(w_constraints, cfg, w_cloud, pool_tol, tol, cap, seeds)
+    assert len(w_members) == len(members)
+    images = mapped_rows(w, np.array([m.amplitudes for m in members]).reshape(-1, dim))
+    for m in w_members:
+        assert np.min(row_angles(images, np.broadcast_to(m.amplitudes, images.shape))) <= MEMBER_TOL
 
 
 @settings(derandomize=True, deadline=None, max_examples=50, database=None)
