@@ -436,7 +436,7 @@ def _check_triple(t: TripleCanonicalForm, ambient_dim: int) -> None:
         raise DimensionError("alpha-sets of a triple need ambient dimension >= 3")
     if t.e1.dim != ambient_dim:
         raise DimensionError("canonical form does not match the ambient dimension")
-    lams = list(t.lambdas)
+    lams = t.lambdas
     if any(abs(x - y) < 1e-9 for i, x in enumerate(lams) for y in lams[i + 1 :]):
         raise DegenerateTripleError("repeated lambda values")
 

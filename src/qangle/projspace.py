@@ -303,7 +303,7 @@ def lambdas_at_modulus(p: complex, q: complex, m: float) -> list[complex]:
     """Both unimodular lambda with |p + lambda q| = m, for nonzero p and q, by the law of cosines.
 
     |p + lambda q|^2 = |p|^2 + |q|^2 + 2 |p q| cos psi for lambda = e^{+-i psi} p conj(q) / |p q|;
-    the e^{+i psi} root comes first.  None when cos psi misses [-1, 1] by more than 1e-12.
+    the e^{+i psi} root comes first.  ``[]`` when cos psi misses [-1, 1] by more than 1e-12.
     """
     cos_psi = (m * m - abs(p) ** 2 - abs(q) ** 2) / (2.0 * abs(p) * abs(q))
     if abs(cos_psi) > 1.0 + 1e-12:
