@@ -631,6 +631,7 @@ class TestCounterexampleWitness:
 
     @staticmethod
     def assert_witness(cfg, c, d, quad):
+        """Check the quadruple against the canonical triple's descriptors; returns the double-alpha-set."""
         u1, u2, u3, w = quad
         form = qa.TripleCanonicalForm(*std_basis(3)[:2], c, d, (1.0 + 0j, 1j, -1j))
         double = qa.double_alpha_set_classify(form, cfg, 3)
@@ -638,6 +639,7 @@ class TestCounterexampleWitness:
             assert double.distance(u) < 1e-9
             assert abs(float(qa.quantum_angle(w, u)) - cfg.alpha) < 1e-9
         assert qa.collinear_triple_alpha_set(form, cfg, 3).distance(w) > 1e-6
+        return double
 
     def test_default_offset_over_the_two_component_region(self):
         # The default t = arcsin(d) / 2 needs no search: it succeeds across the
@@ -658,10 +660,8 @@ class TestCounterexampleWitness:
         for alpha, c, d in cases:
             cfg = qa.AlphaConfig.from_alpha(alpha)
             assert has_second_double_component(cfg, c, d)
-            quad = qa.counterexample_witness(cfg, c, d)
-            self.assert_witness(cfg, c, d, quad)
-            form = qa.TripleCanonicalForm(*std_basis(3)[:2], c, d, (1.0 + 0j, 1j, -1j))
-            seen_point |= isinstance(qa.double_alpha_set_classify(form, cfg, 3).components[1], qa.PointComponent)
+            double = self.assert_witness(cfg, c, d, qa.counterexample_witness(cfg, c, d))
+            seen_point |= isinstance(double.components[1], qa.PointComponent)
         assert seen_point
 
     @pytest.mark.parametrize(
