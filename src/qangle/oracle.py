@@ -15,8 +15,8 @@ closed forms against these primitives live in :mod:`qangle.verify`.
 from __future__ import annotations
 
 import math
+import operator
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +69,11 @@ class SampleCloud:
     """A reproducible batch of canonical-gauged random lines, stored as the rows of ``vectors``.
 
     ``vectors`` must be a 2-D complex array of shape ``(count, dim)``, with
-    ``count >= 1`` and within ``MAX_CLOUD_ENTRIES``; anything else is refused
-    here, in O(1).  Its rows must be unit vectors in the canonical gauge of
-    :class:`Line`, as rejection's cosine-window screen assumes; that takes a
-    scan of every row, which only :func:`load_cloud` makes.
+    ``count >= 1`` and within ``MAX_CLOUD_ENTRIES``, and ``dim`` and ``seed``
+    integers, ``seed`` in [0, 2**64); anything else is refused here, in O(1).
+    Its rows must be unit vectors in the canonical gauge of :class:`Line`,
+    as rejection's cosine-window screen assumes; that takes a scan of every
+    row, which only :func:`load_cloud` makes.
     """
 
     dim: int
@@ -84,7 +85,7 @@ class SampleCloud:
         if not (isinstance(v, np.ndarray) and v.dtype == complex and v.ndim == 2):
             got = f"a {v.ndim}-D {v.dtype} array" if isinstance(v, np.ndarray) else type(v).__name__
             raise ParameterError(f"cloud vectors must be a 2-D complex array, got {got}")
-        _check_cloud_shape(self.dim, v.shape[0])
+        _check_cloud(self.dim, v.shape[0], self.seed)
         if v.shape[1] != self.dim:
             raise DimensionError(f"cloud rows of width {v.shape[1]}, cloud of dimension {self.dim}")
         v.flags.writeable = False
@@ -94,12 +95,23 @@ class SampleCloud:
         return self.vectors.shape[0]
 
 
-def _check_cloud_shape(dim: int, count: int) -> None:
+def _check_cloud(dim, count, seed) -> tuple[int, int, int]:
+    """``dim``, ``count`` and ``seed`` as ``int`` (numpy integers pass), once they fit a cloud and its file header."""
+    ints = []
+    for name, value in (("dim", dim), ("count", count), ("seed", seed)):
+        try:
+            ints.append(operator.index(value))
+        except TypeError:
+            raise ParameterError(f"{name} must be an integer, got {type(value).__name__}") from None
+    dim, count, seed = ints
     check_dim(dim)
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     if count * dim > MAX_CLOUD_ENTRIES:
         raise ParameterError(f"{count} lines of dimension {dim} exceed {MAX_CLOUD_ENTRIES} amplitudes")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
+    return dim, count, seed
 
 
 def _blocks(count: int, rows: int | None = None):
@@ -119,110 +131,92 @@ def _blocks(count: int, rows: int | None = None):
         start = stop
 
 
+def _row_norms(w: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(w, axis=1)`` bit for bit into ``n``, with ``t`` as scratch of ``w``'s shape.
+
+    numpy sums fewer than 8 terms left to right and 8 or more pairwise, so
+    below dimension 8 the squared moduli are added a column at a time, far
+    faster than a reduce over short rows, and from 8 by the reduce.
+    """
+    sq = np.multiply(np.conjugate(w, out=t), w, out=t).real
+    if sq.shape[1] < 8:
+        np.copyto(n, sq[:, 0])
+        for j in range(1, sq.shape[1]):
+            np.add(n, sq[:, j], out=n)
+    else:
+        np.add.reduce(sq, axis=1, out=n)
+    return np.sqrt(n, out=n)
+
+
+def _leads(w: np.ndarray, lead: np.ndarray, size: np.ndarray) -> None:
+    """Each row's lead ``w[i, argmax(|w[i]| > GAUGE_TOL)]`` into ``lead`` and its modulus into ``size``;
+    the ``argmax`` only runs on the rows whose first amplitude is not above ``GAUGE_TOL``."""
+    np.copyto(lead, w[:, 0])
+    np.abs(lead, out=size)
+    low = np.flatnonzero(size <= GAUGE_TOL)
+    if low.size:
+        rows = w[low]
+        lead[low] = rows[np.arange(low.size), np.argmax(np.abs(rows) > GAUGE_TOL, axis=1)]
+        size[low] = np.abs(lead[low])
+
+
 def _gauge_rows(w: np.ndarray, out: np.ndarray, t: np.ndarray, n: np.ndarray, lead: np.ndarray) -> None:
     """Write the rows of the C-contiguous complex block ``w`` to ``out``, normalised and gauged.
 
     The gauge turns a row's first amplitude above ``GAUGE_TOL`` real positive.
     ``w`` is overwritten; ``t``, ``n`` and ``lead`` are scratch of ``w``'s
     shape, of ``len(w)`` doubles and of ``len(w)`` complexes.  The bits are
-    those of ``w /= norm``, ``lead = w[i, argmax(|w[i]| > GAUGE_TOL)]`` and
-    ``w * conj(lead) / |lead|``, with the norm computed in ``t`` as
-    ``np.linalg.norm`` does.  numpy divides a complex by a real as Smith's
-    rule with a zero imaginary part, which is ``re * (1/n)`` and ``im *
-    (1/n)``, so one float multiply over the re/im pairs replaces the complex
-    division; and the ``argmax`` only runs on the rows whose first amplitude
-    is not above ``GAUGE_TOL``, every other row's lead being its first
-    amplitude.  ``abs`` and the phase multiply stay numpy's complex ufuncs,
-    whose rounding a float expansion does not repeat.
+    those of ``w /= np.linalg.norm(w, axis=1)``, the lead of :func:`_leads`
+    and ``w * conj(lead) / |lead|``, the norm coming from :func:`_row_norms`.
+    numpy divides a complex by a real as Smith's rule with a zero imaginary
+    part, which is ``re * (1/n)`` and ``im * (1/n)``, so one float multiply
+    over the re/im pairs replaces the complex division.  ``abs`` and the
+    phase multiply stay numpy's complex ufuncs, whose rounding a float
+    expansion does not repeat.
     """
-    np.conjugate(w, out=t)
-    np.multiply(t, w, out=t)
-    np.add.reduce(t.real, axis=1, out=n)
-    np.sqrt(n, out=n)
+    _row_norms(w, t, n)
     np.divide(1.0, n, out=n)
     pairs = w.view(np.float64)
     pairs *= n[:, None]
-    np.copyto(lead, w[:, 0])
-    size = np.abs(lead, out=n)
-    low = np.flatnonzero(size <= GAUGE_TOL)
-    if low.size:
-        rows = w[low]
-        lead[low] = rows[np.arange(low.size), np.argmax(np.abs(rows) > GAUGE_TOL, axis=1)]
-        size[low] = np.abs(lead[low])
+    _leads(w, lead, n)
     np.conjugate(lead, out=lead)
-    np.divide(lead, size, out=lead)
+    np.divide(lead, n, out=lead)
     np.multiply(w, lead[:, None], out=out)
 
 
 def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     """Independent complex-Gaussian lines, normalized and gauged; deterministic per seed.
 
-    All real parts are drawn first, then all imaginary parts, as one
-    ``standard_normal((count, dim))`` call each would draw them.  The real
-    parts go in one fill into the back half of the cloud's own buffer, read
-    as ``2 * count * dim`` doubles.  Each block of rows ``[a, b)`` is then
-    assembled in a complex work block from its real parts and its imaginary
-    parts, and :func:`_gauge_rows` writes it gauged to doubles
-    ``[2 dim a, 2 dim b)``; the real parts of the rows after it start at
-    double ``count dim + dim b >= 2 dim b``, so no write reaches a draw not
-    yet read.  While one block is gauged, a helper thread draws the
-    imaginary parts of the next into the other of two buffers (numpy's
-    generator fills with the GIL released), and a buffer goes back to the
-    helper once its block is in the work block; a one-block cloud starts no
-    thread.  An error in the helper is raised again in the caller, and the
-    helper is joined on every path.  The generator is used by one thread at
-    a time, in block order, so the cloud is the same bytes as the one-shot
-    computation.  Every buffer is allocated once per call: working memory
-    beyond the cloud is two imaginary-part blocks, the complex work block
-    and the gauge's scratch.
+    The arguments are checked as :class:`SampleCloud` checks them, before
+    anything is allocated or drawn.  All real parts are drawn first, then all
+    imaginary parts, as one ``standard_normal((count, dim))`` call each would
+    draw them.  The real parts go in one fill into the back half of the
+    cloud's own buffer, read as ``2 * count * dim`` doubles.  Then, on the
+    calling thread, each block of rows ``[a, b)`` gets its imaginary parts
+    drawn, is assembled in a complex work block, and :func:`_gauge_rows`
+    writes it gauged to doubles ``[2 dim a, 2 dim b)``; the real parts of the
+    rows after it start at double ``count dim + dim b >= 2 dim b``, so no
+    write reaches a draw not yet read, and the cloud is the same bytes as the
+    one-shot computation.  Every buffer is allocated once per call: working
+    memory beyond the cloud is one imaginary-part block, the complex work
+    block and the gauge's scratch.
     """
-    _check_cloud_shape(dim, count)
+    dim, count, seed = _check_cloud(dim, count, seed)
     rng = np.random.default_rng(seed)
     v = np.empty((count, dim), dtype=complex)
     real = v.view(np.float64).reshape(-1)[count * dim :].reshape(count, dim)
     rng.standard_normal(out=real)
-    blocks = list(_blocks(count))
-    rows = max(stop - start for start, stop in blocks)
-    imag = np.empty((2, rows, dim))
+    rows = min(count, _BLOCK_ROWS + 1)
+    imag = np.empty((rows, dim))
     work, t = np.empty((2, rows, dim), dtype=complex)
     n, lead = np.empty(rows), np.empty(rows, dtype=complex)
-    rng.standard_normal(out=imag[0, : blocks[0][1]])
-    drawn, free = threading.Semaphore(0), threading.Semaphore(1)
-    failure: list[BaseException] = []
-    halt = False
-
-    def draw_ahead():
-        try:
-            for k, (start, stop) in enumerate(blocks[1:], 1):
-                free.acquire()
-                if halt:
-                    return
-                rng.standard_normal(out=imag[k % 2, : stop - start])
-                drawn.release()
-        except BaseException as exc:  # raised again by the caller, which would otherwise wait forever
-            failure.append(exc)
-            drawn.release()
-
-    helper = threading.Thread(target=draw_ahead, daemon=True) if len(blocks) > 1 else None
-    if helper:
-        helper.start()
-    try:
-        for k, (start, stop) in enumerate(blocks):
-            if k:
-                drawn.acquire()
-                if failure:
-                    raise failure[0]
-            m = stop - start
-            w = work[:m]
-            w.real = real[start:stop]
-            w.imag = imag[k % 2, :m]
-            free.release()
-            _gauge_rows(w, v[start:stop], t[:m], n[:m], lead[:m])
-    finally:
-        if helper:
-            halt = True
-            free.release()
-            helper.join()
+    for start, stop in _blocks(count):
+        m = stop - start
+        rng.standard_normal(out=imag[:m])
+        w = work[:m]
+        w.real = real[start:stop]
+        w.imag = imag[:m]
+        _gauge_rows(w, v[start:stop], t[:m], n[:m], lead[:m])
     return SampleCloud(dim, v, seed)
 
 
@@ -240,29 +234,31 @@ def load_cloud(path) -> SampleCloud:
     The header is checked against the bounds of :func:`sample_lines` before
     the payload is read.  Rejection needs unit rows, so a block at a time
     each row must be finite, of norm 1 within ``NORM_TOL`` and gauged as a
-    :class:`Line`; a ``ParameterError`` names a row that is not.
+    :class:`Line`; a ``ParameterError`` names a row that is not.  The norm
+    and the lead are the gauge's own, :func:`_row_norms` and :func:`_leads`.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ParameterError("cloud file is shorter than its header")
-        dim, count, seed = _HEADER.unpack(head)
-        _check_cloud_shape(dim, count)
+        dim, count, seed = _check_cloud(*_HEADER.unpack(head))
         vecs = np.fromfile(fh, dtype="<c16", count=count * dim)
         if vecs.size != count * dim or fh.read(1):
             raise ParameterError("cloud file payload size does not match its header")
     vecs = vecs.astype(complex, copy=False).reshape(count, dim)
+    rows = min(count, _BLOCK_ROWS + 1)
+    t, n, lead = np.empty((rows, dim), dtype=complex), np.empty(rows), np.empty(rows, dtype=complex)
     for start, stop in _blocks(count):
-        block = vecs[start:stop]
+        block, m = vecs[start:stop], stop - start
         bad, what = ~np.isfinite(block).all(axis=1), "holds a non-finite amplitude"
         if not bad.any():
-            bad, what = np.abs(np.linalg.norm(block, axis=1) - 1.0) > NORM_TOL, "is not of norm 1"
+            bad, what = np.abs(_row_norms(block, t[:m], n[:m]) - 1.0) > NORM_TOL, "is not of norm 1"
         if not bad.any():
-            lead = block[np.arange(stop - start), np.argmax(np.abs(block) > GAUGE_TOL, axis=1)]
-            bad, what = (np.abs(lead.imag) > GAUGE_TOL) | ~(lead.real > 0), "is not in the canonical gauge"
+            _leads(block, lead[:m], n[:m])
+            bad, what = (np.abs(lead[:m].imag) > GAUGE_TOL) | ~(lead[:m].real > 0), "is not in the canonical gauge"
         if bad.any():
             raise ParameterError(f"cloud row {start + int(np.argmax(bad))} {what}")
-    return SampleCloud(int(dim), vecs, int(seed))
+    return SampleCloud(dim, vecs, seed)
 
 
 def _generators_matrix(generators, width: int | None = None) -> np.ndarray:

@@ -386,6 +386,14 @@ class TestWignerVerbs:
         assert code == 1
         assert out["error"] == "parameter"
 
+    def test_oracle_seed_beyond_the_cloud_header_is_parameter_error(self, tmp_path):
+        # A cloud file stores its seed as a uint64.
+        code, out = run_cli(["oracle"], {**ORACLE_PAYLOAD, "seed": 2**64 - 1}, tmp_path)
+        assert code == 0 and out["count"] >= 0
+        code, out = run_cli(["oracle"], {**ORACLE_PAYLOAD, "seed": 2**64}, tmp_path)
+        assert code == 1
+        assert out["error"] == "parameter"
+
     @pytest.mark.parametrize(
         "verb, payload",
         [

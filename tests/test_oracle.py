@@ -32,8 +32,8 @@ def imported_siblings(path: Path) -> set[str]:
 
 
 def test_import_loads_no_worker_pool_modules():
-    # The cloud's helper thread is a plain threading.Thread: a pool or queue
-    # module would add its import time to every fresh `import qangle`.
+    # The oracle runs on its caller's thread: a pool or queue module would
+    # add its import time to every fresh `import qangle`.
     src = str(Path(__file__).resolve().parents[1] / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys, qangle; print(sorted({'concurrent.futures', 'queue', 'multiprocessing'} & set(sys.modules)))"
@@ -92,6 +92,32 @@ class TestSampleLines:
     def test_dimension_bound(self):
         with pytest.raises(DimensionError):
             qa.sample_lines(MAX_DIM + 1, 10, 0)
+
+    @pytest.mark.parametrize(
+        "dim, count, seed",
+        [(3.0, 10**6, 1), (3, 1e6, 1), (3, 10**6, 1.0), (3, 10**6, -1), (3, 10**6, 2**64)],
+        ids=["float-dim", "float-count", "float-seed", "seed-below-0", "seed-2**64"],
+    )
+    def test_non_integral_arguments_and_seeds_out_of_range(self, monkeypatch, dim, count, seed):
+        # A cloud file stores its seed as a uint64.  The check comes before
+        # any draw and before the 48 MB cloud buffer is allocated.
+        def no_draw(seed):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(oracle.np.random, "default_rng", no_draw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="dim|count|seed"):
+                qa.sample_lines(dim, count, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_numpy_integer_arguments(self):
+        cloud = qa.sample_lines(np.int64(3), np.uint64(5), np.uint64(2**64 - 1))
+        assert (cloud.dim, cloud.count, cloud.seed) == (3, 5, 2**64 - 1)
+        assert cloud.vectors.tobytes() == qa.sample_lines(3, 5, 2**64 - 1).vectors.tobytes()
 
     def test_cloud_size_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_CLOUD_ENTRIES", 100)
@@ -206,6 +232,18 @@ class TestSampleCloudShape:
         with pytest.raises(error):
             qa.SampleCloud(dim, vectors, 0)
 
+    @pytest.mark.parametrize("dim, seed", [(3.0, 0), (3, -1), (3, 2**64), (3, 0.0)])
+    def test_dim_and_seed_must_fit_the_file_header(self, dim, seed):
+        with pytest.raises(ParameterError, match="dim|seed"):
+            qa.SampleCloud(dim, qa.sample_lines(3, 4, 1).vectors.copy(), seed)
+
+    def test_numpy_integer_dim_and_seed_round_trip(self, tmp_path):
+        rows = qa.sample_lines(3, 4, 1).vectors.copy()
+        for dim, seed in [(np.int64(3), np.int64(7)), (np.uint64(3), np.uint64(2**64 - 1))]:
+            qa.save_cloud(qa.SampleCloud(dim, rows, seed), tmp_path / "c.bin")
+            again = qa.load_cloud(tmp_path / "c.bin")
+            assert (again.dim, again.seed) == (3, seed) and np.array_equal(again.vectors, rows)
+
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_CLOUD_ENTRIES", 100)
         assert qa.SampleCloud(4, np.eye(25, 4, dtype=complex), 0).count == 25
@@ -246,13 +284,13 @@ class TestBlockedCloudPath:
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("count", [1, 6, 7, 8, 26, 16_385, 16_386, 32_769])
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 16])
     def test_sample_lines_matches_one_shot(self, monkeypatch, block, count, dim):
         # 16 385 rows are four default blocks, the last with a leftover row,
         # 16 386 end in a two-row block, 32 769 are eight blocks with a
-        # leftover row.  From 8 amplitudes a row's norm is not a left-to-right
-        # sum of its columns.  Bytes, not values, so that a signed zero or a
-        # NaN would show.
+        # leftover row.  Below 8 amplitudes a row's norm is summed a column at
+        # a time, from 8 by numpy's pairwise reduce.  Bytes, not values, so
+        # that a signed zero or a NaN would show.
         if block is not None:
             monkeypatch.setattr(oracle, "_BLOCK_ROWS", block)
         cloud = qa.sample_lines(dim, count, 10 * dim + count)
@@ -332,39 +370,52 @@ class TestGaugeRows:
         for row in w:
             qa.Line(4, row)  # the constructor validates the gauge and the norm
 
+    @pytest.mark.parametrize("rows", [1, 2, 4_097])
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_row_norms_match_linalg_norm(self, rows, dim):
+        # Column adds below dimension 8, numpy's pairwise reduce from 8.
+        rng = np.random.default_rng(100 * dim + rows)
+        w = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+        w *= 10.0 ** rng.uniform(-150, 150, (rows, 1))
+        w[0, dim // 2] = 0.0
+        w[-1, 0] = 1e150
+        n = oracle._row_norms(w, np.empty_like(w), np.empty(rows))
+        assert n.tobytes() == np.linalg.norm(w, axis=1).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 4])
+    def test_load_cloud_takes_the_lead_from_a_later_column(self, tmp_path, k):
+        # Row 0's first amplitude is 0 and row 1's 1e-13, and rows 3 and 4
+        # lead in their last and third columns: each is gauged on that lead,
+        # and each times i is refused.
+        v = one_shot_gauge(self.crafted_rows())
+        path = tmp_path / "c.bin"
+        qa.save_cloud(qa.SampleCloud(4, v.copy(), 0), path)
+        assert qa.load_cloud(path).vectors.tobytes() == v.tobytes()
+        v[k] *= 1j
+        path.write_bytes(path.read_bytes()[:24] + v.astype("<c16").tobytes())
+        with pytest.raises(ParameterError, match=rf"^cloud row {k} is not in the canonical gauge$"):
+            qa.load_cloud(path)
+
 
 class _InjectedError(Exception):
     pass
 
 
 class TestCloudHelperThread:
-    """``sample_lines`` draws the next block's imaginary parts on one helper thread."""
+    """``sample_lines`` starts no helper thread; callers on threads of their own each get their own cloud."""
 
-    @staticmethod
-    def started_threads(monkeypatch):
-        started = []
-
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(oracle.threading, "Thread", Spy)
-        return started
-
-    @pytest.mark.parametrize("count, threads", [(1, 0), (4_097, 0), (4_098, 1), (40_000, 1)])
-    def test_one_helper_and_none_for_one_block(self, monkeypatch, count, threads):
-        started = self.started_threads(monkeypatch)
+    @pytest.mark.parametrize("count", [1, 4_097, 4_098, 40_000])
+    def test_starts_no_thread(self, monkeypatch, count):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
         before = threading.active_count()
         cloud = qa.sample_lines(2, count, 3)
-        assert len(started) == threads
-        assert threading.active_count() == before
+        assert started == [] and threading.active_count() == before
         assert cloud.vectors.tobytes() == one_shot_lines(2, count, 3).tobytes()
 
     @pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 6])
     def test_a_failed_draw_leaves_with_its_own_type(self, monkeypatch, fail_at):
-        # Call 1 draws every real part, call 2 the first block's imaginary
-        # parts, and the helper thread makes the calls after them.
+        # Call 1 draws every real part, and call k + 2 the imaginary parts of block k.
         make_rng = np.random.default_rng
 
         class FailingGenerator:
@@ -379,27 +430,13 @@ class TestCloudHelperThread:
 
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", 7)
         monkeypatch.setattr(oracle.np.random, "default_rng", FailingGenerator)
-        before = threading.active_count()
-        raised = []
-
-        def run():
-            try:
-                qa.sample_lines(3, 40, 9)
-            except Exception as exc:
-                raised.append(exc)
-
-        # A caller that missed the helper's error would wait for its draw forever.
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-        assert [type(e) for e in raised] == [_InjectedError] and str(raised[0]) == f"draw {fail_at}"
-        assert threading.active_count() == before
+        with pytest.raises(_InjectedError, match=rf"^draw {fail_at}$"):
+            qa.sample_lines(3, 40, 9)
 
     def test_concurrent_clouds_under_fast_switching(self, monkeypatch):
         # Four callers on 1000-row blocks, whose copies release the GIL,
-        # switching threads every microsecond: a buffer handed back to the
-        # helper before its block was copied out would change some cloud's bytes.
+        # switching threads every microsecond: a buffer shared between calls
+        # would change some cloud's bytes.
         monkeypatch.setattr(oracle, "_BLOCK_ROWS", 1000)
         seeds = range(20, 24)
         clouds = {}
@@ -420,23 +457,6 @@ class TestCloudHelperThread:
         assert not any(t.is_alive() for t in callers)
         for seed in seeds:
             assert clouds[seed] == one_shot_lines(3, 60_500, seed).tobytes()
-
-    def test_a_failed_gauge_joins_the_helper(self, monkeypatch):
-        gauge = oracle._gauge_rows
-        calls = []
-
-        def failing_gauge(w, *scratch):
-            calls.append(len(w))
-            if len(calls) == 2:
-                raise _InjectedError("gauge")
-            gauge(w, *scratch)
-
-        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(oracle, "_gauge_rows", failing_gauge)
-        before = threading.active_count()
-        with pytest.raises(_InjectedError):
-            qa.sample_lines(3, 40, 9)
-        assert threading.active_count() == before
 
 
 def double_alpha_cell(seed, d, alpha):
