@@ -211,31 +211,34 @@ class TestCloudPersistence:
 
 class TestSampleCloudShape:
     """A cloud built directly is refused unless it is a 2-D complex (count >= 1, dim) array
-    within the size cap, so that ``save_cloud`` never writes a file ``load_cloud`` refuses."""
+    within the size cap, with an integral dim and a seed that fits the file header's uint64,
+    so that ``save_cloud`` never writes a file ``load_cloud`` refuses."""
 
     @pytest.mark.parametrize(
-        "dim, vectors, error",
+        "dim, vectors, seed, error",
         [
-            (3, np.ones((2, 4), complex) / 2, DimensionError),  # rows wider than dim
-            (3, [[1, 0, 0]], ParameterError),  # a list
-            (3, np.eye(3), ParameterError),  # real
-            (3, np.eye(3, dtype=np.complex64), ParameterError),
-            (3, np.ones(3, complex), ParameterError),  # 1-D
-            (3, np.ones((1, 1, 3), complex), ParameterError),  # 3-D
-            (3, np.ones((0, 3), complex), ParameterError),  # no row
-            (1, np.ones((2, 1), complex), ParameterError),  # dim below 2
-            (MAX_DIM + 1, np.ones((1, MAX_DIM + 1), complex), DimensionError),
+            (3, np.ones((2, 4), complex) / 2, 0, DimensionError),  # rows wider than dim
+            (3, [[1, 0, 0]], 0, ParameterError),  # a list
+            (3, np.eye(3), 0, ParameterError),  # real
+            (3, np.eye(3, dtype=np.complex64), 0, ParameterError),
+            (3, np.ones(3, complex), 0, ParameterError),  # 1-D
+            (3, np.ones((1, 1, 3), complex), 0, ParameterError),  # 3-D
+            (3, np.ones((0, 3), complex), 0, ParameterError),  # no row
+            (1, np.ones((2, 1), complex), 0, ParameterError),  # dim below 2
+            (MAX_DIM + 1, np.ones((1, MAX_DIM + 1), complex), 0, DimensionError),
+            (3.0, np.eye(3, dtype=complex), 0, ParameterError),
+            (3, np.eye(3, dtype=complex), 0.0, ParameterError),
+            (3, np.eye(3, dtype=complex), -1, ParameterError),
+            (3, np.eye(3, dtype=complex), 2**64, ParameterError),
         ],
-        ids=["width", "list", "real", "complex64", "1-D", "3-D", "empty", "dim-1", "dim-cap"],
+        ids=[
+            "width", "list", "real", "complex64", "1-D", "3-D", "empty", "dim-1", "dim-cap",
+            "float-dim", "float-seed", "seed-below-0", "seed-2**64",
+        ],
     )
-    def test_refused(self, dim, vectors, error):
+    def test_refused(self, dim, vectors, seed, error):
         with pytest.raises(error):
-            qa.SampleCloud(dim, vectors, 0)
-
-    @pytest.mark.parametrize("dim, seed", [(3.0, 0), (3, -1), (3, 2**64), (3, 0.0)])
-    def test_dim_and_seed_must_fit_the_file_header(self, dim, seed):
-        with pytest.raises(ParameterError, match="dim|seed"):
-            qa.SampleCloud(dim, qa.sample_lines(3, 4, 1).vectors.copy(), seed)
+            qa.SampleCloud(dim, vectors, seed)
 
     def test_numpy_integer_dim_and_seed_round_trip(self, tmp_path):
         rows = qa.sample_lines(3, 4, 1).vectors.copy()
