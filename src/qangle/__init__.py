@@ -14,7 +14,9 @@ from .alphasets import (
     CircleComponent,
     PointComponent,
     SphereSliceComponent,
+    SymmetryVerdict,
     atheta_cardinality,
+    classify_circle,
     collinear_triple_alpha_set,
     counterexample_witness,
     double_alpha_set_classify,
@@ -62,7 +64,6 @@ from .projspace import (
     lines_equal,
     quantum_angle,
 )
-from .symmetric_sets import SymmetryVerdict, classify_circle
 from .verify import empirical_high_symmetry_check, verify_basic_relations
 from .wigner import (
     PreservationReport,

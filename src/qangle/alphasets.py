@@ -12,6 +12,15 @@ of S.  This module describes these sets symbolically:
   a circle together with a second component (a second circle, degenerating
   to a single line at the case boundary).
 
+A set T is highly symmetric for the fixed angle when T and its alpha-set are
+both infinite and the double-alpha-set of every 3-element subset reproduces
+T.  A circle, the set {[c e1 + lambda d e2] : |lambda| = 1} for an
+orthonormal pair and positive weights with c^2 + d^2 = 1, qualifies in every
+ambient dimension >= 4; in dimension 3 it qualifies exactly when the
+double-alpha-set of its triples is the circle alone, which depends on the
+weights relative to a = cos(alpha), with two exceptional parameter triples
+handled exactly.  One case split decides both.
+
 Descriptors are immutable and never enumerated.  Distances need no search and
 build no member: every infinite component is a sphere {[center + r h]} (a
 circle, a slice, one A_theta of a pair alpha-set), and the distance to one is
@@ -25,7 +34,7 @@ near-double when c ~ d.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -36,6 +45,7 @@ from .errors import (
     DimensionError,
     DomainError,
     ParameterError,
+    RangeError,
     SchemaError,
     WitnessRangeError,
 )
@@ -470,25 +480,91 @@ def collinear_triple_alpha_set(
     return AlphaSetDescriptor(tuple(comps))
 
 
-def matches_exceptional_triple(a: float, c: float, d: float) -> int | None:
-    """Index of the exceptional (a, c, d) triple matched within 1e-12, else None."""
-    for i, (ea, ec, ed) in enumerate(EXCEPTIONAL_TRIPLES):
-        if abs(a - ea) <= EXCEPTIONAL_TOL and abs(c - ec) <= EXCEPTIONAL_TOL and abs(d - ed) <= EXCEPTIONAL_TOL:
-            return i
-    return None
+#: Enumerated verdict reasons of :func:`classify_circle`; the four dimension-3
+#: reasons are the cases of :func:`_dim3_case`.
+REASON_DIM_GE_4 = "dim-at-least-4"
+REASON_SINGLE_CIRCLE = "dim3-single-circle"
+REASON_SECOND_COMPONENT = "dim3-second-component"
+REASON_EXC_DOUBLE_CIRCLE = "dim3-exceptional-double-circle"
+REASON_EXC_CIRCLE_POINT = "dim3-exceptional-circle-point"
+
+REASONS = (
+    REASON_DIM_GE_4, REASON_SINGLE_CIRCLE, REASON_SECOND_COMPONENT, REASON_EXC_DOUBLE_CIRCLE, REASON_EXC_CIRCLE_POINT
+)
+
+HIGHLY_SYMMETRIC = "HighlySymmetric"
+NOT_HIGHLY_SYMMETRIC = "NotHighlySymmetric"
+
+
+def _dim3_case(a: float, c: float, d: float) -> tuple[str, dict[str, float]]:
+    """The dimension-3 case split of the double-alpha-set, and its margins.
+
+    Returns the reason (exceptional double circle, exceptional circle-point,
+    second component or single circle) with the distances of a to the two
+    boundaries compared: ``weight_tie`` |a - d| and
+    ``second_component_boundary`` |c/sqrt(1 + c^2) - a|.  A second component
+    survives when (a, c, d) matches one of the two exceptional triples
+    within 1e-12, or when c/sqrt(1 + c^2) >= a > d (floating comparison with
+    margin 1e-10).
+    """
+    tie, boundary = a - d, c / math.sqrt(1.0 + c * c) - a
+    margins = {"weight_tie": abs(tie), "second_component_boundary": abs(boundary)}
+    for reason, triple in zip((REASON_EXC_DOUBLE_CIRCLE, REASON_EXC_CIRCLE_POINT), EXCEPTIONAL_TRIPLES):
+        if all(abs(x - e) <= EXCEPTIONAL_TOL for x, e in zip((a, c, d), triple)):
+            return reason, margins
+    if boundary >= -CASE_MARGIN and tie > CASE_MARGIN:
+        return REASON_SECOND_COMPONENT, margins
+    return REASON_SINGLE_CIRCLE, margins
 
 
 def has_second_double_component(cfg: AlphaConfig, c: float, d: float) -> bool:
     """Case split for dimension 3: does the double-alpha-set keep a second component?
 
-    True when c/sqrt(1 + c^2) >= a > d (floating comparison with margin
-    1e-10), or when (a, c, d) matches one of the two exceptional triples
-    within 1e-12.
+    True in every case of :func:`_dim3_case` but the single circle.
     """
-    a = cfg.a
-    if matches_exceptional_triple(a, c, d) is not None:
-        return True
-    return (c / math.sqrt(1.0 + c * c) - a >= -CASE_MARGIN) and (a - d > CASE_MARGIN)
+    return _dim3_case(cfg.a, c, d)[0] != REASON_SINGLE_CIRCLE
+
+
+@dataclass(frozen=True)
+class SymmetryVerdict:
+    """Classification outcome with the deciding clause and boundary margins."""
+
+    tag: str
+    reason: str
+    margins: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.tag not in (HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC):
+            raise ParameterError(f"unknown verdict tag {self.tag!r}")
+        if self.reason not in REASONS:
+            raise ParameterError(f"unknown verdict reason {self.reason!r}")
+
+    def to_json(self) -> dict:
+        return {
+            "tag": self.tag,
+            "reason": self.reason,
+            "margins": {k: float(v) for k, v in sorted(self.margins.items())},
+        }
+
+
+def classify_circle(circle: CircleComponent, cfg: AlphaConfig, ambient_dim: int) -> SymmetryVerdict:
+    """Decide whether a circle is highly symmetric for the configured angle.
+
+    Ambient dimension >= 4 always gives a positive verdict.  In dimension 3
+    the circle is highly symmetric exactly when :func:`_dim3_case`, on its
+    sorted weights (c >= d), finds the single circle.  The margins are that
+    split's in every dimension.
+    """
+    cfg.require_classification_range()
+    if ambient_dim < 3:
+        raise RangeError("classification needs ambient dimension >= 3")
+    if circle.dim != ambient_dim:
+        raise DimensionError("circle does not live in the stated ambient dimension")
+    reason, margins = _dim3_case(cfg.a, max(circle.c, circle.d), min(circle.c, circle.d))
+    if ambient_dim >= 4:
+        reason = REASON_DIM_GE_4
+    tag = HIGHLY_SYMMETRIC if reason in (REASON_DIM_GE_4, REASON_SINGLE_CIRCLE) else NOT_HIGHLY_SYMMETRIC
+    return SymmetryVerdict(tag, reason, margins)
 
 
 def _second_double_component(

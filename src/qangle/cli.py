@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import alphasets, oracle, projspace, symmetric_sets, verify, wigner
+from . import alphasets, oracle, projspace, verify, wigner
 from .errors import DimensionError, NotAWignerMapError, ParameterError, QAngleError, RangeError, SchemaError
 from .projspace import AlphaConfig, Line, canonical_line, json_complex, json_field
 
@@ -120,7 +120,7 @@ def _run_classify_circle(payload):
         eye = np.eye(dim, dtype=complex)
         e1, e2 = canonical_line(eye[0]), canonical_line(eye[1])
     circle = alphasets.CircleComponent(e1, e2, cf, df)
-    return symmetric_sets.classify_circle(circle, cfg, dim).to_json()
+    return alphasets.classify_circle(circle, cfg, dim).to_json()
 
 
 def _run_witness(payload):

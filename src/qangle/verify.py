@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import alphasets, oracle, projspace, wigner
-from .alphasets import AthetaFamily
+from .alphasets import HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC, AthetaFamily, classify_circle
 from .errors import ParameterError, QAngleError
 from .oracle import SampleCloud, worst_angle_residual
 from .projspace import (
@@ -31,7 +31,6 @@ from .projspace import (
     quantum_angle,
     random_orthonormal_pair,
 )
-from .symmetric_sets import HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC, classify_circle
 
 SOUNDNESS_TOL = 1e-9  # |angle - alpha| of a descriptor sample, to every generator
 COMPLETENESS_TOL = 1e-5  # distance of a refined oracle member to the descriptor

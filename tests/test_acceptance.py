@@ -13,7 +13,7 @@ import numpy as np
 
 import qangle as qa
 from qangle.alphasets import EXCEPTIONAL_TRIPLES
-from qangle.symmetric_sets import HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC
+from qangle.alphasets import HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC
 from qangle.verify import (
     Tally,
     check_alpha_set,

@@ -5,7 +5,7 @@ import pytest
 
 import qangle as qa
 from qangle.errors import ParameterError, RangeError
-from qangle.symmetric_sets import (
+from qangle.alphasets import (
     HIGHLY_SYMMETRIC,
     NOT_HIGHLY_SYMMETRIC,
     REASON_DIM_GE_4,
