@@ -103,7 +103,7 @@ def _rho(a: float, c: float, d: float, theta0: float, theta):
     has no cancellation, so rho(+-theta0) is exactly 0.
     """
     th = np.asarray(theta, dtype=float)
-    if np.any(np.abs(th) > theta0 + 1e-12):
+    if not np.all(np.abs(th) <= theta0 + 1e-12):
         raise DomainError(f"theta outside [-{theta0}, {theta0}]")
     if a > d:
         val = ((a / d) ** 2 - (a / c) ** 2) * np.sin(theta0 - th) * np.sin(theta0 + th)
@@ -123,7 +123,7 @@ def theta0_and_rho(cfg: AlphaConfig, c: float, d: float):
     conditioned as a approaches d.
 
     Returns a pair (theta0, rho) where rho accepts scalars or arrays and
-    raises DomainError outside [-theta0, theta0].
+    raises DomainError at a theta outside [-theta0, theta0] or NaN.
     """
     a = cfg.a
     _check_profile_weights(a, c, d)
@@ -637,7 +637,9 @@ def atheta_cardinality(
     r = c3 rho(theta), the intersection is infinite iff |z| - r < a < |z| + r
     or (z = 0 and rho = a/c3), a single line iff z != 0 and a coincides with
     |z| +- r, and empty otherwise; all comparisons use the declared band
-    1e-9.  ``cfg`` must hold the family's own alpha, else a ``ParameterError``.
+    1e-9.  ``cfg`` must hold the family's own alpha, else a ``ParameterError``;
+    a theta outside [-theta0, theta0], or NaN, is the ``DomainError`` of
+    ``fam.rho``.
     """
     if cfg.alpha != fam.alpha:
         raise ParameterError(f"cfg alpha {cfg.alpha} differs from the family's alpha {fam.alpha}")
@@ -646,12 +648,10 @@ def atheta_cardinality(
         raise ParameterError("c3 must be strictly positive")
     if abs(abs(c1) ** 2 + abs(c2) ** 2 + c3 * c3 - 1.0) > 1e-10:
         raise ParameterError("|c1|^2 + |c2|^2 + c3^2 != 1")
-    if abs(theta) > fam.theta0 + 1e-12:
-        raise DomainError(f"theta {theta} outside [-{fam.theta0}, {fam.theta0}]")
 
     a = cfg.a
+    r = c3 * fam.rho(theta)  # first: its domain check refuses an infinite theta before math.cos does
     z = c1 * (a / fam.c) * math.cos(theta) + c2 * (a / fam.d) * math.sin(theta)
-    r = c3 * fam.rho(theta)
     az = abs(z)
     lo, hi = az - r, az + r
     margin = min(abs(a - lo), abs(a - hi))

@@ -46,10 +46,7 @@ def _lines(payload: dict, key: str) -> list[Line]:
 
 
 def _seed(payload: dict) -> int:
-    seed = json_field(payload, "seed", int, 0)
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
-    return seed
+    return projspace.check_seed(json_field(payload, "seed", int, 0))
 
 
 def _cfg(payload: dict) -> AlphaConfig:
@@ -223,8 +220,10 @@ def _run_suite(args) -> verify.Tally:
     draws = suite.draws if args.draws is None else args.draws
     if not 1 <= draws <= MAX_DRAWS:
         raise SchemaError(f"--draws must be in [1, {MAX_DRAWS}], got {draws}")
-    if args.seed < 0:
-        raise SchemaError(f"--seed must be >= 0, got {args.seed}")
+    try:  # the payload seed's range, refused as a usage error
+        projspace.check_seed(args.seed)
+    except ParameterError as exc:
+        raise SchemaError(f"--{exc}") from None
     given = {k: v for k in _SUITE_OPTIONS if (v := getattr(args, k)) is not None}
     unused = sorted(given.keys() - suite.options)
     if unused:

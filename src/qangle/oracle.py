@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .projspace import GAUGE_TOL, NORM_TOL, AlphaConfig, Line, canonical_line, check_dim, check_tol
+from .projspace import GAUGE_TOL, NORM_TOL, AlphaConfig, Line, canonical_line, check_dim, check_seed, check_tol
 
 _HEADER = struct.Struct("<QQQ")
 
@@ -98,20 +98,18 @@ class SampleCloud:
 def _check_cloud(dim, count, seed) -> tuple[int, int, int]:
     """``dim``, ``count`` and ``seed`` as ``int`` (numpy integers pass), once they fit a cloud and its file header."""
     ints = []
-    for name, value in (("dim", dim), ("count", count), ("seed", seed)):
+    for name, value in (("dim", dim), ("count", count)):
         try:
             ints.append(operator.index(value))
         except TypeError:
             raise ParameterError(f"{name} must be an integer, got {type(value).__name__}") from None
-    dim, count, seed = ints
+    dim, count = ints
     check_dim(dim)
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     if count * dim > MAX_CLOUD_ENTRIES:
         raise ParameterError(f"{count} lines of dimension {dim} exceed {MAX_CLOUD_ENTRIES} amplitudes")
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
-    return dim, count, seed
+    return dim, count, check_seed(seed)
 
 
 def _blocks(count: int, rows: int | None = None):

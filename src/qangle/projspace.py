@@ -15,6 +15,7 @@ use to describe alpha-sets in closed form.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -55,6 +56,17 @@ def check_dim(dim: int) -> None:
         raise ParameterError(f"dim must be >= 2, got {dim}")
     if dim > MAX_DIM:
         raise DimensionError(f"dim {dim} outside supported range [2, {MAX_DIM}]")
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an ``int`` (numpy integers pass), once it is integral and in [0, 2**64)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ParameterError(f"seed must be an integer, got {type(seed).__name__}") from None
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def check_tol(tol: float) -> None:

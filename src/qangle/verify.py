@@ -235,6 +235,7 @@ def empirical_high_symmetry_check(
         raise ParameterError("need at least 3 samples per check")
     if n_triples < 1:
         raise ParameterError("need at least one triple")
+    seed = projspace.check_seed(seed)
     expected = classify_circle(circle, cfg, ambient_dim)
 
     rng = np.random.default_rng(seed)

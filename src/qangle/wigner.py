@@ -25,7 +25,7 @@ from .errors import (
     SpanError,
 )
 from .projspace import (
-    AlphaConfig, Line, canonical_line, check_dim, check_tol, complex_json, json_complex, json_field,
+    AlphaConfig, Line, canonical_line, check_dim, check_seed, check_tol, complex_json, json_complex, json_field,
     lambdas_at_modulus, lines_equal, quantum_angle, random_line,
 )
 
@@ -61,9 +61,10 @@ class WignerSymmetry:
 
 def random_wigner(dim: int, seed: int, antiunitary: bool = False) -> WignerSymmetry:
     """Haar-distributed symmetry: QR of a seeded complex-Gaussian matrix with
-    the triangular factor's diagonal normalized to be real positive."""
+    the triangular factor's diagonal normalized to be real positive.  The
+    seed must be an integer in [0, 2**64)."""
     check_dim(dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(g)
     ph = np.diag(r) / np.abs(np.diag(r))
@@ -239,12 +240,12 @@ def preservation_report(
     angle pi/2 - alpha probe for images landing at alpha without the sources
     being at alpha.  Finite sampling can refute but not certify, and
     ``n_pairs`` must be at least 1 so that a report always rests on a sample,
-    and ``tol`` must be >= 0.
+    ``tol`` must be >= 0 and ``seed`` an integer in [0, 2**64).
     """
     if n_pairs < 1:
         raise ParameterError(f"n_pairs must be >= 1, got {n_pairs}")
     check_tol(tol)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     alpha = cfg.alpha
     fwd = 0
     bwd = 0

@@ -7,6 +7,7 @@ import pytest
 import qangle as qa
 from qangle.alphasets import (
     EXCEPTIONAL_TRIPLES,
+    HIGHLY_SYMMETRIC,
     AthetaFamily,
     descriptor_from_json,
     has_second_double_component,
@@ -143,6 +144,18 @@ class TestThetaZeroAndRho:
         theta0, rho = theta0_and_rho(cfg, math.sqrt(1 - 0.36), 0.6)
         with pytest.raises(DomainError):
             rho(theta0 + 1e-3)
+
+    def test_nan_theta_is_domain_error(self):
+        # NaN fails every comparison, so the range test is written to pass only inside it.
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        _, rho = theta0_and_rho(cfg, 0.8, 0.6)
+        fam = standard_family(cfg, 0.8, 0.6)
+        for call in (rho, fam.rho, lambda th: qa.atheta_cardinality(fam, th, (0.6 + 0j, 0j, 0.8), cfg)):
+            with pytest.raises(DomainError):
+                call(math.nan)
+        for call in (rho, fam.rho):
+            with pytest.raises(DomainError):
+                call(np.array([0.0, math.nan]))
 
     def test_parameter_guards(self):
         cfg = qa.AlphaConfig.from_alpha(1.0)
@@ -794,3 +807,28 @@ class TestCaseSplitPredicate:
         cfg = qa.AlphaConfig.from_alpha(0.9)  # a = 0.622
         assert has_second_double_component(cfg, math.sqrt(1 - 0.09), 0.3)
         assert not has_second_double_component(cfg, 0.72, math.sqrt(1 - 0.72**2))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_classifier_and_double_alpha_set_agree(self, dim):
+        # classify_circle and double_alpha_set_classify read one split: a circle
+        # is highly symmetric exactly when a triple on it has a one-component
+        # double-alpha-set.  Cases: both exceptional triples, then 1e-9 either
+        # side of each boundary, d = a and c / sqrt(1 + c^2) = a (a = 0.6 and
+        # c = 0.95), the side of the second component first.
+        c_edge = 0.95
+        edge = c_edge / math.sqrt(1 + c_edge * c_edge)
+        cases = [*EXCEPTIONAL_TRIPLES]
+        for step in (-1e-9, 1e-9):
+            cases += [(0.6, math.sqrt(1 - (0.6 + step) ** 2), 0.6 + step), (edge + step, c_edge, math.sqrt(1 - c_edge**2))]
+        eye = np.eye(dim, dtype=complex)
+        e1, e2 = qa.canonical_line(eye[0]), qa.canonical_line(eye[1])
+        verdicts = []
+        for a, c, d in cases:
+            cfg = qa.AlphaConfig.from_alpha(math.acos(a))
+            circle = qa.Circle(e1, e2, c, d)
+            form = qa.canonical_triple_form(*(circle.member(lam) for lam in (1, 1j, -1)))
+            single = len(qa.double_alpha_set_classify(form, cfg, dim).components) == 1
+            symmetric = qa.classify_circle(circle, cfg, dim).tag == HIGHLY_SYMMETRIC
+            assert symmetric == single, (a, c, d)
+            verdicts.append(symmetric)
+        assert verdicts == [dim == 4] * 4 + [True] * 2

@@ -382,9 +382,12 @@ class TestWignerVerbs:
         ],
     )
     def test_negative_seed_is_parameter_error(self, tmp_path, verb, payload):
-        code, out = run_cli([verb], {**payload, "seed": -1}, tmp_path)
-        assert code == 1
-        assert out["error"] == "parameter"
+        # Every payload seed has the range a cloud file can store, [0, 2**64).
+        for seed in (-1, 2**64):
+            code, out = run_cli([verb], {**payload, "seed": seed}, tmp_path)
+            assert code == 1
+            assert out["error"] == "parameter"
+            assert out["detail"] == f"seed must be in [0, 2**64), got {seed}"
 
     def test_oracle_seed_beyond_the_cloud_header_is_parameter_error(self, tmp_path):
         # A cloud file stores its seed as a uint64.
@@ -531,9 +534,11 @@ class TestVerifySuites:
         assert (code, out["error"], seen) == (2, "schema", [MAX_DRAWS])
 
     def test_negative_seed_exit_2(self):
-        code, out = run_cli(["verify", "shape", "--seed", "-1", "--draws", "1"])
-        assert code == 2
-        assert out["error"] == "schema"
+        for seed in (-1, 2**64):
+            code, out = run_cli(["verify", "shape", "--seed", str(seed), "--draws", "1"])
+            assert code == 2
+            assert out == {"error": "schema", "detail": f"--seed must be in [0, 2**64), got {seed}"}
+        assert run_cli(["verify", "shape", "--seed", str(2**64 - 1), "--draws", "1"])[0] == 0
 
     def _schema_error(self, args):
         code, out = run_cli(["verify", *args, "--draws", "1"])

@@ -12,6 +12,7 @@ import pytest
 
 import qangle as qa
 from qangle import verify
+from qangle.errors import ParameterError
 from qangle.verify import COMPLETENESS_TOL, Tally, check_alpha_set, check_double_alpha_set
 
 from conftest import random_line, random_orthonormal_pair
@@ -120,3 +121,11 @@ def test_high_symmetry_check_holds_the_circle_to_the_double_alpha_set(monkeypatc
         cloud=qa.sample_lines(4, 5_000, 32),
     )
     assert ("circle samples lie off the double-alpha-set of their triple" in tally.notes) is wrong
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 0.5])
+def test_high_symmetry_check_refuses_a_seed_outside_the_cloud_range(seed):
+    e1, e2 = random_orthonormal_pair(np.random.default_rng(0), 4)
+    with pytest.raises(ParameterError, match="seed must be"):
+        verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, seed=seed)
+

@@ -39,6 +39,15 @@ class TestRandomWigner:
         assert qa.lines_equal(direct, qa.apply_symmetry(square, v))
 
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "1"])
+    def test_seed_outside_the_cloud_range_refused(self, seed):
+        # One seed rule for every seeded call: an integer in [0, 2**64).
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        with pytest.raises(ParameterError, match="seed must be"):
+            qa.random_wigner(2, seed)
+        with pytest.raises(ParameterError, match="seed must be"):
+            qa.preservation_report(lambda v: v, cfg, 2, 3, seed)
+
     def test_dimension_bound_before_allocation(self, monkeypatch):
         def allocate(*args, **kwargs):
             raise AssertionError("dim-sized allocation before the dimension check")

@@ -7,12 +7,13 @@
 directory) first on ``PYTHONPATH``, once per golden run, in an empty working
 directory, and writes ``OUT/<run>.stdout`` and ``OUT/<run>.exit`` for each.
 ``OUT`` must be new or empty, so a capture never mixes with an older one.
-The 53 runs are the 24 ``qangle verify`` goldens (each suite at seeds 0 and
+The 57 runs are the 24 ``qangle verify`` goldens (each suite at seeds 0 and
 1 with two draws, the default-draws runs of ``infinite-element``,
 ``section5`` and ``collin-alpha``, and three runs with explicit parameters),
 one valid payload per payload verb, a second ``oracle`` payload without
-``refine`` (plain rejection), and the ``--help`` text of ``qangle``, of
-``qangle verify`` and of each payload verb.
+``refine`` (plain rejection), four dimension-3 ``classify-circle`` payloads
+(one per reason of the dimension-3 case split), and the ``--help`` text of
+``qangle``, of ``qangle verify`` and of each payload verb.
 
 ``compare`` lists every run whose stdout bytes or exit code differ between
 two captures, or that only one of them holds, and exits 1 if there is any.
@@ -100,10 +101,24 @@ def payloads() -> dict[str, dict]:
     }
 
 
+def classify_circle_dim3() -> dict[str, dict]:
+    """One dimension-3 ``classify-circle`` payload per reason of the case split."""
+    sq3 = 1 / math.sqrt(3)
+    cases = {
+        "exceptional-double-circle": (math.acos(sq3), math.sqrt(2 / 3), sq3),
+        "exceptional-circle-point": (math.acos(sq3), 1 / math.sqrt(2), 1 / math.sqrt(2)),
+        "second-component": (math.pi / 3, 0.95, math.sqrt(1 - 0.95**2)),
+        "single-circle": (1.0, 0.8, 0.6),
+    }
+    return {name: {"alpha": alpha, "dim": 3, "cfrak": c, "dfrak": d} for name, (alpha, c, d) in cases.items()}
+
+
 def all_runs() -> dict[str, tuple[list[str], dict | None]]:
     runs = {name: (argv, None) for name, argv in verify_runs().items()}
     runs.update({f"payload-{verb}": ([verb], body) for verb, body in payloads().items()})
     runs["payload-oracle-reject"] = (["oracle"], {k: v for k, v in payloads()["oracle"].items() if k != "refine"})
+    for name, body in classify_circle_dim3().items():
+        runs[f"payload-classify-circle-{name}"] = (["classify-circle"], body)
     runs["help"] = (["--help"], None)
     for verb in ("verify", *payloads()):
         runs[f"help-{verb}"] = ([verb, "--help"], None)
