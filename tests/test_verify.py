@@ -128,4 +128,3 @@ def test_high_symmetry_check_refuses_a_seed_outside_the_cloud_range(seed):
     e1, e2 = random_orthonormal_pair(np.random.default_rng(0), 4)
     with pytest.raises(ParameterError, match="seed must be"):
         verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, seed=seed)
-
