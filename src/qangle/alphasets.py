@@ -56,6 +56,7 @@ from .projspace import (
     canonical_line,
     canonical_pair_form,
     check_weighted_basis,
+    check_weights,
     complex_json,
     inner,
     json_complex,
@@ -86,11 +87,8 @@ EXCEPTIONAL_TRIPLES = (
 
 
 def _check_profile_weights(a: float, c: float, d: float) -> None:
-    """Parameter domain of the radius profile: c >= d > 0, c^2 + d^2 = 1, c > a."""
-    if not (c >= d > 0):
-        raise ParameterError(f"need c >= d > 0, got c={c}, d={d}")
-    if abs(c * c + d * d - 1.0) > 1e-12:
-        raise ParameterError("c^2 + d^2 != 1")
+    """Parameter domain of the radius profile: weights passing :func:`check_weights`, and c > a."""
+    check_weights(c, d)
     if c <= a:
         raise ParameterError(f"need c > a, got c={c}, a={a}")
 
@@ -461,8 +459,7 @@ def collinear_triple_alpha_set(
     """
     _check_triple(t, ambient_dim)
     a, c, d = cfg.a, t.c, t.d
-    if c <= a:
-        raise ParameterError(f"need c > a, got c={c}, a={a}")
+    _check_profile_weights(a, c, d)
     basis = (t.e1, t.e2)
     r1 = math.sqrt(max(0.0, 1.0 - (a / c) ** 2))
     comps: list[Component] = [SphereSliceComponent(t.e1, a / c, r1, basis)]
@@ -685,8 +682,7 @@ def counterexample_witness(
     """
     cfg.require_classification_range()
     a = cfg.a
-    if not (c >= d > 0) or abs(c * c + d * d - 1.0) > 1e-12:
-        raise ParameterError("invalid (c, d)")
+    check_weights(c, d)
     if not has_second_double_component(cfg, c, d):
         raise CaseError("parameters lie in the single-circle case")
     if t is None:

@@ -259,17 +259,18 @@ def load_cloud(path) -> SampleCloud:
     return SampleCloud(dim, vecs, seed)
 
 
-def _generators_matrix(generators, width: int | None = None) -> np.ndarray:
-    """The generators' conjugated amplitudes as ``(k, n)`` rows, so that ``rows @ gens_c.T``
-    holds the overlaps <s_j, row>; an empty or mixed-dimension set, or rows of another ``width``, is refused."""
-    if not generators:
-        raise ParameterError("generator set must be non-empty")
-    if len({g.dim for g in generators}) != 1:
-        raise DimensionError("generators live in different dimensions")
-    gens_c = np.vstack([g.amplitudes for g in generators]).conj()
-    if width is not None and width != gens_c.shape[1]:
-        raise DimensionError(f"rows of width {width}, generators of dimension {gens_c.shape[1]}")
-    return gens_c
+def _rows(lines, width: int | None = None) -> np.ndarray:
+    """The lines' amplitudes as ``(k, n)`` rows; no line is a ``ParameterError``, lines of different
+    dimensions or of another dimension than ``width`` a ``DimensionError``.  Conjugated generator rows
+    ``gens_c`` make ``rows @ gens_c.T`` the overlaps <s_j, row>."""
+    if not lines:
+        raise ParameterError("need at least one line")
+    if len({l.dim for l in lines}) != 1:
+        raise DimensionError("lines live in different dimensions")
+    rows = np.vstack([l.amplitudes for l in lines])
+    if width is not None and width != rows.shape[1]:
+        raise DimensionError(f"rows of width {width}, lines of dimension {rows.shape[1]}")
+    return rows
 
 
 def _offsets(g: np.ndarray, alpha: float) -> np.ndarray:
@@ -292,7 +293,7 @@ def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.nda
     residual computed as on the whole array at once.
     """
     vectors = np.atleast_2d(vectors)
-    gens_c = _generators_matrix(generators, vectors.shape[1])
+    gens_c = _rows(generators, vectors.shape[1]).conj()
     out = np.empty(vectors.shape[0])
     for start, stop in _blocks(vectors.shape[0], max(1, 3 * _BLOCK_ROWS // len(gens_c))):
         out[start:stop] = _worst(_offsets(vectors[start:stop] @ gens_c.T, cfg.alpha))
@@ -300,13 +301,9 @@ def angle_residuals(generators, cfg: AlphaConfig, vectors: np.ndarray) -> np.nda
 
 
 def worst_angle_residual(generators, cfg: AlphaConfig, lines) -> float:
-    """Largest |angle(line, g) - alpha| over the lines and the generators; no line is a ``ParameterError``,
-    lines of different dimensions a ``DimensionError``."""
-    if not lines:
-        raise ParameterError("need at least one line")
-    if len({l.dim for l in lines}) != 1:
-        raise DimensionError("lines live in different dimensions")
-    return float(np.max(angle_residuals(generators, cfg, np.vstack([l.amplitudes for l in lines]))))
+    """Largest |angle(line, g) - alpha| over the lines and the generators; the lines are checked
+    first, as :func:`_rows` checks them."""
+    return float(np.max(angle_residuals(generators, cfg, _rows(lines))))
 
 
 def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: float) -> np.ndarray:
@@ -326,7 +323,7 @@ def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: flo
     """
     check_tol(tol)
     vectors = cloud.vectors
-    gens_c = _generators_matrix(generators, vectors.shape[1])
+    gens_c = _rows(generators, vectors.shape[1]).conj()
     rows = max(1, 3 * _BLOCK_ROWS // len(gens_c))
     lo = math.cos(min(cfg.alpha + tol, math.pi / 2)) ** 2 - 1e-12
     hi = math.cos(max(cfg.alpha - tol, 0.0)) ** 2 + 1e-12
@@ -480,7 +477,7 @@ def refine_alpha_members(
     has zero norm is a ``ParameterError``.  ``tol`` must be >= 0.
     """
     check_tol(tol)
-    gens_c = _generators_matrix(generators)
+    gens_c = _rows(generators).conj()
     n = gens_c.shape[1]
     v = np.asarray(candidates, dtype=complex)
     if v.ndim != 2 or v.shape[1] != n:
@@ -499,14 +496,13 @@ def dedup_lines(lines, min_angle: float = 1e-4) -> list[Line]:
     least ``min_angle`` (>= 0).
 
     A row x takes one product z = <k, x> against the kept rows k, and the angles
-    atan2(||x - z k||, |z|), exact near 0; the conjugated rows of :func:`_generators_matrix`
-    meet at the lines' angles.  Lines of different dimensions are a ``DimensionError``.
+    atan2(||x - z k||, |z|), exact near 0.  Lines of different dimensions are a ``DimensionError``.
     """
     check_tol(min_angle)
     lines = list(lines)
     if not lines:
         return []
-    rows, keep = _generators_matrix(lines), []
+    rows, keep = _rows(lines), []
     for i, x in enumerate(rows):
         k = rows[keep]
         z = k.conj() @ x
@@ -574,7 +570,7 @@ def funnel_alpha_set(
         )
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
     if len(pool) > max_pool:
-        scores = np.fmax(_lookahead_scores(_generators_matrix(constraints), cfg.alpha, pool), confirm_tol)
+        scores = np.fmax(_lookahead_scores(_rows(constraints).conj(), cfg.alpha, pool), confirm_tol)
         best = np.argsort(scores, kind="stable")[:max_pool]
         pool = pool[np.sort(best)]
     return refine_alpha_members(constraints, cfg, pool, confirm_tol)

@@ -277,18 +277,23 @@ def orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:
     return vh[rank:].conj()
 
 
+def check_weights(c: float, d: float) -> None:
+    """Refuse canonical weights unless c >= d > 0 and c^2 + d^2 = 1 within NORM_TOL (a NaN fails)."""
+    if not c >= d > 0:
+        raise ParameterError(f"need c >= d > 0, got c={c}, d={d}")
+    if abs(c * c + d * d - 1.0) > NORM_TOL:
+        raise ParameterError("c^2 + d^2 != 1")
+
+
 def check_weighted_basis(e1: Line, e2: Line, c: float, d: float) -> None:
     """Validate the weighted orthonormal pair behind [c e1 + lambda d e2].
 
-    Raises ParameterError unless e1 and e2 are orthogonal within 1e-10, both
-    weights are positive, and c^2 + d^2 = 1 within NORM_TOL.
+    Raises ParameterError unless e1 and e2 are orthogonal within 1e-10 and
+    the weights, larger first, pass :func:`check_weights`; so c < d is allowed.
     """
     if abs(inner(e1, e2)) > 1e-10:
         raise ParameterError("e1, e2 not orthogonal")
-    if not (c > 0 and d > 0):
-        raise ParameterError(f"weights must be positive, got c={c}, d={d}")
-    if abs(c**2 + d**2 - 1.0) > NORM_TOL:
-        raise ParameterError("c^2 + d^2 != 1")
+    check_weights(*((d, c) if c < d else (c, d)))
 
 
 def random_line(rng: np.random.Generator, dim: int) -> Line:
@@ -344,8 +349,7 @@ class PairCanonicalForm:
 
     def __post_init__(self):
         check_weighted_basis(self.e1, self.e2, self.c, self.d)
-        if self.c < self.d:
-            raise ParameterError(f"need c >= d, got c={self.c}, d={self.d}")
+        check_weights(self.c, self.d)
         if abs(abs(self.e2_phase) - 1.0) > NORM_TOL:
             raise ParameterError("e2_phase must be unimodular")
 
@@ -373,8 +377,7 @@ class TripleCanonicalForm:
 
     def __post_init__(self):
         check_weighted_basis(self.e1, self.e2, self.c, self.d)
-        if self.c < self.d:
-            raise ParameterError(f"need c >= d, got c={self.c}, d={self.d}")
+        check_weights(self.c, self.d)
         for lam in self.lambdas:
             if abs(abs(lam) - 1.0) > NORM_TOL:
                 raise ParameterError(f"lambda {lam} not unimodular")

@@ -84,13 +84,13 @@ def draw_alpha(rng: np.random.Generator) -> AlphaConfig:
 
 
 def random_cd(rng: np.random.Generator, a: float, margin: float = 1e-3) -> tuple[float, float]:
-    """Random circle weights c >= d away from the classification boundaries."""
+    """Random circle weights c >= d, both margins of the dimension-3 case split at least ``margin``."""
     for _ in range(256):
         d = rng.uniform(0.15, 1 / math.sqrt(2) - 1e-3)
         c = math.sqrt(1.0 - d * d)
         if c <= a + 0.05:
             continue
-        if abs(a - d) < margin or abs(c / math.sqrt(1 + c * c) - a) < margin:
+        if min(alphasets._dim3_case(a, c, d)[1].values()) < margin:
             continue
         return c, d
     raise QAngleError("failed to draw circle weights away from the boundaries")
@@ -118,6 +118,11 @@ def standard_family(cfg: AlphaConfig, c: float, d: float) -> AthetaFamily:
     )
 
 
+def _worst_distance(descr, lines) -> float:
+    """Largest distance from the lines to the descriptor ``descr``; 0.0 for no line."""
+    return float(np.max([descr.distance(m) for m in lines], initial=0.0))
+
+
 def check_alpha_set(
     tally: Tally, generators, cfg: AlphaConfig, descr, rng, n_samples: int,
     cloud: SampleCloud, discovery_tol: float, max_candidates: int,
@@ -127,8 +132,7 @@ def check_alpha_set(
     res = worst_angle_residual(generators, cfg, descr.sample(n_samples, rng))
     tally.bound(res, SOUNDNESS_TOL, "descriptor sample misses a generator angle")
     found = oracle.discover_alpha_set(generators, cfg, cloud, discovery_tol, 1e-7, max_candidates)
-    worst = np.max([descr.distance(m) for m in found], initial=0.0)
-    tally.bound(float(worst), COMPLETENESS_TOL, "oracle member escapes the descriptor")
+    tally.bound(_worst_distance(descr, found), COMPLETENESS_TOL, "oracle member escapes the descriptor")
     return len(found)
 
 
@@ -145,8 +149,7 @@ def check_double_alpha_set(
     res = worst_angle_residual(f_samples, cfg, double.sample(n_samples, rng))
     tally.bound(res, SOUNDNESS_TOL, "circle sample misses the sampled alpha-set")
     survivors = oracle.funnel_alpha_set(f_samples, cfg, cloud, max_pool=max_pool)
-    worst = np.max([double.distance(s) for s in survivors], initial=0.0)
-    tally.bound(float(worst), COMPLETENESS_TOL, "numeric double-alpha-set member off the circle")
+    tally.bound(_worst_distance(double, survivors), COMPLETENESS_TOL, "numeric double-alpha-set member off the circle")
     return len(survivors)
 
 
@@ -260,8 +263,7 @@ def empirical_high_symmetry_check(
 
         # The circle must sit inside the double-alpha-set of each triple.
         circ_samples = circle.sample(n_alpha_samples, rng)
-        res = float(np.max([descr.distance(s) for s in circ_samples]))
-        tally.bound(res, 1e-8, "circle samples lie off the double-alpha-set of their triple")
+        tally.bound(_worst_distance(descr, circ_samples), 1e-8, "circle samples lie off the double-alpha-set of their triple")
         first_samples = first.sample(max(n_alpha_samples, 24), rng)
         res = worst_angle_residual(first_samples, cfg, circ_samples)
         tally.bound(res, 1e-8, "circle samples miss the sampled alpha-set at angle alpha")
@@ -279,8 +281,7 @@ def empirical_high_symmetry_check(
     constraints = first_descr.sample(40, rng)
     survivors = oracle.funnel_alpha_set(constraints, cfg, hunt_cloud)
     tally.counts["survivors"] = len(survivors)
-    worst = np.max([double_descr.distance(s) for s in survivors], initial=0.0)
-    tally.bound(float(worst), 1e-5, "numeric double-alpha-set member escapes the descriptor")
+    tally.bound(_worst_distance(double_descr, survivors), 1e-5, "numeric double-alpha-set member escapes the descriptor")
     tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)
 
     if two_component and ambient_dim == 3:

@@ -832,3 +832,65 @@ class TestCaseSplitPredicate:
             assert symmetric == single, (a, c, d)
             verdicts.append(symmetric)
         assert verdicts == [dim == 4] * 4 + [True] * 2
+
+
+class TestWeightDomain:
+    """Every refusal of the weight domain c >= d > 0, c^2 + d^2 = 1 (and c > a
+    where a radius profile is built) keeps its exception type at the domain's
+    edges.  A circle may have c < d.  Codes: ``-`` accepted, ``P`` ParameterError,
+    ``C`` CaseError, ``R`` RangeError; one per target, in the order of ``TARGETS``."""
+
+    S = 1 / math.sqrt(2)
+    C0 = 0.95
+    D0 = math.sqrt(1 - C0 * C0)
+    A08 = qa.AlphaConfig.from_alpha(math.acos(0.8)).a
+    # case: (alpha, c, d, codes); at alpha = pi/3 the weights (C0, D0) lie in the two-component case.
+    CASES = {
+        "valid": (math.pi / 3, C0, D0, "-------"),
+        "c<d": (math.pi / 3, D0, C0, "PP-PPPP"),
+        "c=d": (math.pi / 3, S, S, "------C"),
+        "d=0": (math.pi / 3, 1.0, 0.0, "PPPPPPP"),
+        "nan-c": (math.pi / 3, math.nan, S, "PPPPPPP"),
+        "nan-d": (math.pi / 3, S, math.nan, "PPPPPPP"),
+        "norm+2e-12": (math.pi / 3, math.sqrt(C0 * C0 + 2e-12), D0, "PPPPPPP"),
+        "norm-2e-12": (math.pi / 3, math.sqrt(C0 * C0 - 2e-12), D0, "PPPPPPP"),
+        "c=a": (math.acos(0.8), A08, math.sqrt(1 - A08 * A08), "---PPPR"),
+    }
+    TARGETS = ("pair-form", "triple-form", "circle", "theta0", "atheta", "triple-alpha-set", "witness")
+    ERRORS = {"-": None, "P": ParameterError, "C": CaseError, "R": RangeError}
+
+    @staticmethod
+    def call(target: str, cfg: qa.AlphaConfig, c: float, d: float):
+        e1, e2 = std_basis(3)[:2]
+        lams = (1.0 + 0j, 1j, -1j)
+        if target == "pair-form":
+            return qa.PairCanonicalForm(e1, e2, c, d)
+        if target == "triple-form":
+            return qa.TripleCanonicalForm(e1, e2, c, d, lams)
+        if target == "circle":
+            return qa.CircleComponent(e1, e2, c, d)
+        if target == "theta0":
+            return theta0_and_rho(cfg, c, d)
+        if target == "atheta":
+            try:
+                theta0 = theta0_and_rho(cfg, c, d)[0]
+            except ParameterError:
+                theta0 = 0.0  # the family refuses the weights before it compares theta0
+            return AthetaFamily(e1, e2, c, d, cfg.alpha, theta0, 3)
+        if target == "triple-alpha-set":
+            return qa.collinear_triple_alpha_set(qa.TripleCanonicalForm(e1, e2, c, d, lams), cfg, 3)
+        return qa.counterexample_witness(cfg, c, d)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_refusal_type(self, case, target):
+        alpha, c, d, codes = self.CASES[case]
+        if case.startswith("norm"):
+            assert 1.5e-12 < abs(c * c + d * d - 1.0) < 2.5e-12
+        expected = self.ERRORS[codes[self.TARGETS.index(target)]]
+        try:
+            self.call(target, qa.AlphaConfig.from_alpha(alpha), c, d)
+            got = None
+        except qa.QAngleError as exc:
+            got = type(exc)
+        assert got is expected

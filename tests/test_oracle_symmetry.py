@@ -107,8 +107,8 @@ def test_refinement_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, se
     w_gens = [qa.apply_symmetry(w, g) for g in gens]
     tol = 1e-9
     v, w_v = rows.copy(), mapped_rows(w, rows)
-    kept = oracle._refine_block(v, oracle._generators_matrix(gens), cfg.alpha, tol)
-    w_kept = oracle._refine_block(w_v, oracle._generators_matrix(w_gens), cfg.alpha, tol)
+    kept = oracle._refine_block(v, oracle._rows(gens).conj(), cfg.alpha, tol)
+    w_kept = oracle._refine_block(w_v, oracle._rows(w_gens).conj(), cfg.alpha, tol)
     res = oracle.angle_residuals(gens, cfg, v)
     w_res = oracle.angle_residuals(w_gens, cfg, w_v)
     near = (np.abs(res - tol) <= ROUNDING) | (np.abs(w_res - tol) <= ROUNDING)
@@ -148,7 +148,7 @@ def test_funnel_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, seed, 
     # A pool above the cap, so that the look-ahead ranks it; the same pool on both sides.
     assume(len(pool) > cap)
     assume(np.array_equal(hit_indices(cloud.vectors, pool), hit_indices(w_cloud.vectors, w_pool)))
-    gens_c, w_gens_c = oracle._generators_matrix(constraints), oracle._generators_matrix(w_constraints)
+    gens_c, w_gens_c = oracle._rows(constraints).conj(), oracle._rows(w_constraints).conj()
     scores = oracle._lookahead_scores(gens_c, cfg.alpha, pool)
     w_scores = oracle._lookahead_scores(w_gens_c, cfg.alpha, w_pool)
     assume(cap_is_clear(scores, cap, tol) and cap_is_clear(w_scores, cap, tol))
