@@ -18,6 +18,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +72,11 @@ class SampleCloud:
     ``vectors`` must be a 2-D complex array of shape ``(count, dim)``, with
     ``count >= 1`` and within ``MAX_CLOUD_ENTRIES``, and ``dim`` and ``seed``
     integers, ``seed`` in [0, 2**64); anything else is refused here, in O(1).
-    Its rows must be unit vectors in the canonical gauge of :class:`Line`,
-    as rejection's cosine-window screen assumes; that takes a scan of every
-    row, which only :func:`load_cloud` makes.
+    Its rows must be finite unit vectors, as rejection's cosine-window screen
+    assumes, and :func:`load_cloud` also wants them in the canonical gauge of
+    :class:`Line`.  That takes a scan of every row, made at most once per
+    cloud, by :func:`load_cloud` or by the first :func:`alpha_set_numeric`
+    on the cloud; :func:`sample_lines` makes none.
     """
 
     dim: int
@@ -93,6 +96,38 @@ class SampleCloud:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
+
+    @cached_property
+    def _row_faults(self) -> tuple:
+        """``(row, what)`` of the first row that is not finite or not of norm 1 within ``NORM_TOL``, and of
+        the first row out of gauge before that row's block, each ``None`` if there is none.
+
+        The rows are scanned a block at a time; the norm and the lead are the
+        gauge's own, :func:`_row_norms` and :func:`_leads`.  The rows are
+        read-only, so the result stays valid.
+        """
+        rows = min(self.count, _BLOCK_ROWS + 1)
+        t, n, lead = np.empty((rows, self.dim), dtype=complex), np.empty(rows), np.empty(rows, dtype=complex)
+        gauge = None
+        for start, stop in _blocks(self.count):
+            block, m = self.vectors[start:stop], stop - start
+            bad, what = ~np.isfinite(block).all(axis=1), "holds a non-finite amplitude"
+            if not bad.any():
+                bad, what = np.abs(_row_norms(block, t[:m], n[:m]) - 1.0) > NORM_TOL, "is not of norm 1"
+            if bad.any():
+                return (start + int(np.argmax(bad)), what), gauge
+            if gauge is None:
+                _leads(block, lead[:m], n[:m])
+                bad = (np.abs(lead[:m].imag) > GAUGE_TOL) | ~(lead[:m].real > 0)
+                if bad.any():
+                    gauge = start + int(np.argmax(bad)), "is not in the canonical gauge"
+        return None, gauge
+
+
+def _refuse_row(fault) -> None:
+    """A ``ParameterError`` naming the cloud row of a fault of :attr:`SampleCloud._row_faults`, if any."""
+    if fault:
+        raise ParameterError(f"cloud row {fault[0]} {fault[1]}")
 
 
 def _check_cloud(dim, count, seed) -> tuple[int, int, int]:
@@ -230,10 +265,11 @@ def load_cloud(path) -> SampleCloud:
     """Read a cloud written by :func:`save_cloud`.
 
     The header is checked against the bounds of :func:`sample_lines` before
-    the payload is read.  Rejection needs unit rows, so a block at a time
+    the payload is read.  Then the cloud's row scan runs: a block at a time
     each row must be finite, of norm 1 within ``NORM_TOL`` and gauged as a
-    :class:`Line`; a ``ParameterError`` names a row that is not.  The norm
-    and the lead are the gauge's own, :func:`_row_norms` and :func:`_leads`.
+    :class:`Line`; a ``ParameterError`` names a row that is not, from the
+    first block holding one (a non-finite row first, then one of another
+    norm, then one out of gauge).
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -243,20 +279,10 @@ def load_cloud(path) -> SampleCloud:
         vecs = np.fromfile(fh, dtype="<c16", count=count * dim)
         if vecs.size != count * dim or fh.read(1):
             raise ParameterError("cloud file payload size does not match its header")
-    vecs = vecs.astype(complex, copy=False).reshape(count, dim)
-    rows = min(count, _BLOCK_ROWS + 1)
-    t, n, lead = np.empty((rows, dim), dtype=complex), np.empty(rows), np.empty(rows, dtype=complex)
-    for start, stop in _blocks(count):
-        block, m = vecs[start:stop], stop - start
-        bad, what = ~np.isfinite(block).all(axis=1), "holds a non-finite amplitude"
-        if not bad.any():
-            bad, what = np.abs(_row_norms(block, t[:m], n[:m]) - 1.0) > NORM_TOL, "is not of norm 1"
-        if not bad.any():
-            _leads(block, lead[:m], n[:m])
-            bad, what = (np.abs(lead[:m].imag) > GAUGE_TOL) | ~(lead[:m].real > 0), "is not in the canonical gauge"
-        if bad.any():
-            raise ParameterError(f"cloud row {start + int(np.argmax(bad))} {what}")
-    return SampleCloud(dim, vecs, seed)
+    cloud = SampleCloud(dim, vecs.astype(complex, copy=False).reshape(count, dim), seed)
+    unit, gauge = cloud._row_faults
+    _refuse_row(gauge or unit)
+    return cloud
 
 
 def _rows(lines, width: int | None = None) -> np.ndarray:
@@ -319,11 +345,14 @@ def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: flo
     overlaps (a product re-taken on fewer rows could round differently).
     So the hits are the rows that ``angle_residuals(...) <= tol`` picks, in
     cloud order, in a fresh array, ``(0, dim)`` when no row hits; working
-    memory is a few block-sized buffers.  ``tol`` must be >= 0.
+    memory is a few block-sized buffers.  ``tol`` must be >= 0, and a cloud
+    row that is not finite or not of norm 1 is a ``ParameterError`` naming
+    it; the gauge does not matter here.
     """
     check_tol(tol)
     vectors = cloud.vectors
     gens_c = _rows(generators, vectors.shape[1]).conj()
+    _refuse_row(cloud._row_faults[0])
     rows = max(1, 3 * _BLOCK_ROWS // len(gens_c))
     lo = math.cos(min(cfg.alpha + tol, math.pi / 2)) ** 2 - 1e-12
     hi = math.cos(max(cfg.alpha - tol, 0.0)) ** 2 + 1e-12
@@ -593,7 +622,7 @@ def _grid_root_count(z: complex, radii, a: float, grid_size: int):
         if np.max(np.abs(f)) < 1e-12:
             return math.inf
         s = np.sign(f)
-        total += int(np.sum(s * np.roll(s, -1) < 0)) + int(np.sum(s == 0))
+        total += int(np.count_nonzero(s[:-1] * s[1:] < 0) + (s[-1] * s[0] < 0) + np.count_nonzero(s == 0))
     return total
 
 

@@ -190,6 +190,11 @@ def fit_from_probes(dim: int, images: list[Line]) -> WignerSymmetry:
     return cand
 
 
+#: Most pairs :func:`preservation_report` draws per direction: a hundred times
+#: the CLI's default of 200, as ``cli.MAX_DRAWS`` bounds ``verify --draws``.
+MAX_PAIRS = 20_000
+
+
 @dataclass(frozen=True)
 class PreservationReport:
     """Counts of angle-preservation failures over constructed test pairs."""
@@ -240,10 +245,11 @@ def preservation_report(
     angle pi/2 - alpha probe for images landing at alpha without the sources
     being at alpha.  Finite sampling can refute but not certify, and
     ``n_pairs`` must be at least 1 so that a report always rests on a sample,
-    ``tol`` must be >= 0 and ``seed`` an integer in [0, 2**64).
+    and at most ``MAX_PAIRS``; ``tol`` must be >= 0 and ``seed`` an integer
+    in [0, 2**64).  Each is checked before anything is drawn.
     """
-    if n_pairs < 1:
-        raise ParameterError(f"n_pairs must be >= 1, got {n_pairs}")
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ParameterError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
     check_tol(tol)
     rng = np.random.default_rng(check_seed(seed))
     alpha = cfg.alpha

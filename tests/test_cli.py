@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qangle as qa
+from qangle import wigner
 from qangle.cli import _PAYLOAD_HANDLERS, MAX_DRAWS, main
 from qangle.projspace import MAX_DIM
 from qangle.verify import SUITES, Tally
@@ -308,6 +309,15 @@ class TestWignerVerbs:
         assert code == 0
         assert rep["forwardViolations"] == 0
         assert rep["backwardViolations"] == 0
+
+    def test_check_pair_cap(self, tmp_path, monkeypatch):
+        # Above the cap the payload is refused before the map is applied to any line.
+        code, sym = run_cli(["wigner-generate"], {"dim": 3}, tmp_path)
+        applied = []
+        monkeypatch.setattr(wigner, "apply_symmetry", lambda w, v: applied.append(v))
+        payload = {"symmetry": sym, "alpha": 1.0, "nPairs": wigner.MAX_PAIRS + 1}
+        code, out = run_cli(["wigner-check"], payload, tmp_path)
+        assert (code, out["error"], applied) == (1, "parameter", [])
 
     def test_check_needs_a_pair(self, tmp_path):
         code, sym = run_cli(["wigner-generate"], {"dim": 3}, tmp_path)

@@ -261,6 +261,66 @@ class TestSampleCloudShape:
         assert np.array_equal(qa.load_cloud(tmp_path / "c.bin").vectors, rows)
 
 
+class TestCloudRowScan:
+    """A cloud built directly is scanned once, by its first rejection, which refuses
+    a row that is not finite or not of norm 1 and names it; ``load_cloud`` scans
+    eagerly and also refuses a row out of gauge; ``sample_lines`` never scans."""
+
+    E1 = qa.canonical_line([1, 0, 0])
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [
+            ([2, 0, 0], "is not of norm 1"),
+            ([2 * math.cos(1.0), 2 * math.sin(1.0), 0], "is not of norm 1"),  # at angle exactly 1.0 from e1
+            ([1 + 1e-11, 0, 0], "is not of norm 1"),
+            ([math.nan, 0, 0], "holds a non-finite amplitude"),
+        ],
+    )
+    def test_rejection_refuses_a_row_off_the_unit_sphere(self, row, what):
+        cloud = qa.SampleCloud(3, np.array([row], complex), 0)
+        with pytest.raises(ParameterError, match=rf"^cloud row 0 {what}$"):
+            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), cloud, 0.1)
+        with pytest.raises(ParameterError, match=rf"^cloud row 0 {what}$"):
+            qa.discover_alpha_set([self.E1], qa.AlphaConfig(1.0), cloud)
+
+    def test_first_fault_of_each_kind(self, tmp_path):
+        # A row out of gauge in the first block and a row of norm 2 in the second:
+        # rejection names the second, load_cloud the first, as it always has.
+        rows = qa.sample_lines(3, 5_000, 4).vectors.copy()
+        rows[3] *= 1j
+        rows[4_500] *= 2.0
+        cloud = qa.SampleCloud(3, rows, 4)
+        with pytest.raises(ParameterError, match=r"^cloud row 4500 is not of norm 1$"):
+            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), cloud, 0.1)
+        qa.save_cloud(cloud, tmp_path / "c.bin")
+        with pytest.raises(ParameterError, match=r"^cloud row 3 is not in the canonical gauge$"):
+            qa.load_cloud(tmp_path / "c.bin")
+
+    def test_unit_rows_out_of_gauge_pass_rejection(self):
+        cloud = qa.sample_lines(3, 2_000, 5)
+        turned = qa.SampleCloud(3, cloud.vectors * 1j, 5)
+        cfg = qa.AlphaConfig(1.0)
+        assert len(qa.alpha_set_numeric([self.E1], cfg, turned, 0.05)) == len(
+            qa.alpha_set_numeric([self.E1], cfg, cloud, 0.05)
+        )
+
+    def test_scanned_once_and_only_when_needed(self, tmp_path, monkeypatch):
+        cloud = qa.sample_lines(3, 300, 6)
+        assert "_row_faults" not in vars(cloud)
+        first = qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), cloud, 0.1)
+        assert vars(cloud)["_row_faults"] == (None, None)
+        qa.save_cloud(cloud, tmp_path / "c.bin")
+        assert vars(qa.load_cloud(tmp_path / "c.bin"))["_row_faults"] == (None, None)
+
+        def no_second_scan(*args):
+            raise AssertionError("the cloud's rows were scanned again")
+
+        monkeypatch.setattr(oracle, "_row_norms", no_second_scan)
+        again = qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), cloud, 0.1)
+        assert again.tobytes() == first.tobytes()
+
+
 def one_shot_gauge(v):
     """The rows of ``v`` normalised, each with its first amplitude above ``GAUGE_TOL`` real positive."""
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -989,16 +1049,19 @@ def root_count_cases(seed, count):
 class TestRootCounting:
     @pytest.mark.parametrize("grid_size, radial", [(2048, 48), (4096, 64)])
     def test_disk_count_is_the_sum_of_circle_counts(self, grid_size, radial):
-        # Window radii included: tiny |z| opens a thin window near r' = a.
+        # Window radii included: tiny |z| opens a thin window near r' = a.  A
+        # finite count is a Python int, so that it serialises as JSON.
         for z, r, a in root_count_cases(21, 60):
-            assert qa.root_count_on_disk(z, r, a, grid_size, radial) == reference_disk_count(
-                z, r, a, grid_size, radial
-            )
+            got = qa.root_count_on_disk(z, r, a, grid_size, radial)
+            assert got == reference_disk_count(z, r, a, grid_size, radial)
+            assert got is math.inf or type(got) is int
 
     def test_circle_count_matches_the_reference(self):
         for z, r, a in root_count_cases(22, 200):
             for rp in (r, a):
-                assert qa.root_count_on_circle(z, rp, a, 2048) == reference_circle_count(z, rp, a, 2048)
+                got = qa.root_count_on_circle(z, rp, a, 2048)
+                assert got == reference_circle_count(z, rp, a, 2048)
+                assert got is math.inf or type(got) is int
 
     @pytest.mark.parametrize("count", [qa.root_count_on_circle, qa.root_count_on_disk])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

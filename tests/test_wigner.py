@@ -225,6 +225,14 @@ class TestPreservation:
         with pytest.raises(ParameterError):
             qa.preservation_report(lambda v: qa.apply_symmetry(w, v), cfg, 3, n_pairs, 1, 1e-9)
 
+    def test_pair_cap(self):
+        # One pair above the cap is refused before the map sees a line.
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        seen = []
+        with pytest.raises(ParameterError, match=f"n_pairs must be in \\[1, {qa.wigner.MAX_PAIRS}\\]"):
+            qa.preservation_report(seen.append, cfg, 3, qa.wigner.MAX_PAIRS + 1, 1, 1e-9)
+        assert seen == [] and qa.wigner.MAX_PAIRS == 20_000
+
     @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
     def test_negative_or_nan_tolerance_rejected(self, tol):
         cfg = qa.AlphaConfig.from_alpha(1.0)
