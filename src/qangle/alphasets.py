@@ -57,11 +57,12 @@ from .projspace import (
     canonical_pair_form,
     check_weighted_basis,
     check_weights,
+    circle_member,
+    circle_members_at,
     complex_json,
     inner,
     json_complex,
     json_field,
-    lambdas_at_modulus,
     orthonormal_complement,
     quantum_angle,
 )
@@ -305,7 +306,7 @@ class CircleComponent:
         return self.e1.dim
 
     def member(self, lam: complex) -> Line:
-        return canonical_line(self.c * self.e1.amplitudes + lam * self.d * self.e2.amplitudes)
+        return circle_member(self.e1, self.e2, self.c, self.d, lam)
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
         phis = rng.uniform(0.0, 2.0 * np.pi, size=count)
@@ -673,22 +674,26 @@ def counterexample_witness(
     of the canonical triple with parameters (c, d), all three lie at angle
     alpha from w, yet w does not belong to the triple's alpha-set.  The
     parameters must fall in the two-component case.  w lies at the offset t
-    from e1 towards e2.  With cos beta = c and sin beta = d, the circle's
-    guard inequalities hold exactly for 0 < t < min(2 beta, pi/2 - beta),
-    and so does the second component's (sin t < cos beta = c there); t
+    from e1 towards e2; u1 and u2 are the circle's members at angle alpha
+    from w, u3 the second component's.  With cos beta = c and sin beta = d,
+    both components have such members exactly for
+    0 < t < min(2 beta, pi/2 - beta) (sin t < cos beta = c there); t
     defaults to beta / 2 = arcsin(d) / 2, inside that interval.  A t
-    outside it is a ``WitnessRangeError``; one so small that w comes within
-    1e-6 of the alpha-set fails the post-check, a ``ParameterError``.
+    outside it, or one that rounding leaves without those members, is a
+    ``WitnessRangeError``; one so small that w comes within 1e-6 of the
+    alpha-set fails the post-check, a ``ParameterError``.
     """
     cfg.require_classification_range()
     a = cfg.a
     check_weights(c, d)
     if not has_second_double_component(cfg, c, d):
         raise CaseError("parameters lie in the single-circle case")
+    beta = math.asin(d)
     if t is None:
-        t = math.asin(d) / 2
-    if not (0.0 < t < np.pi / 2):
-        raise WitnessRangeError(f"t {t} outside (0, pi/2)")
+        t = beta / 2
+    hi = min(2 * beta, np.pi / 2 - beta)
+    if not (0.0 < t < hi):
+        raise WitnessRangeError(f"t {t} outside (0, {hi})")
 
     e1 = canonical_line([1.0, 0.0, 0.0])
     e2 = canonical_line([0.0, 1.0, 0.0])
@@ -700,23 +705,16 @@ def counterexample_witness(
     ) * e2.amplitudes + r1 * e3.amplitudes
     w = canonical_line(w_vec)
 
-    big_a = a * math.cos(t)
-    big_b = (a * d / c) * math.sin(t)
-    if not (0.0 < big_a - big_b < a < big_a + big_b):
-        raise WitnessRangeError("offset t violates the circle guard inequality")
-
-    circle = CircleComponent(e1, e2, c, d)
-    u2, u1 = (circle.member(lam) for lam in lambdas_at_modulus(big_a, big_b, a))
-
+    # Two members of the circle and one of the second component, all at angle alpha from w.
+    members = circle_members_at(e1, e2, c, d, w, a)
     second = _second_double_component(e1, e2, e3, cfg, c)
     if isinstance(second, PointComponent):
-        u3 = second.line
+        members.append(second.line)
     else:
-        bp = second.c * (a / c) * math.sin(t)
-        if not (0.0 < a - bp):
-            raise WitnessRangeError("offset t violates the second-component guard")
-        psi = math.acos(min(max(-bp / (2.0 * a), -1.0), 1.0))
-        u3 = second.member(np.exp(-1j * psi))
+        members += circle_members_at(second.e1, second.e2, second.c, second.d, w, a)[1:]
+    if len(members) != 3:
+        raise WitnessRangeError(f"offset t {t} leaves a component without a member at angle alpha from w")
+    u2, u1, u3 = members
 
     # Post-conditions: verified here so a returned witness is always valid.
     pseudo = TripleCanonicalForm(e1, e2, c, d, (1.0 + 0j, 1j, -1j))

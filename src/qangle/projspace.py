@@ -285,14 +285,19 @@ def check_weights(c: float, d: float) -> None:
         raise ParameterError("c^2 + d^2 != 1")
 
 
+def check_orthonormal_pair(e1: Line, e2: Line) -> None:
+    """Refuse a basis pair unless |<e1, e2>| <= 1e-10: the one basis rule of every circle."""
+    if abs(inner(e1, e2)) > 1e-10:
+        raise ParameterError("basis pair is not orthonormal")
+
+
 def check_weighted_basis(e1: Line, e2: Line, c: float, d: float) -> None:
     """Validate the weighted orthonormal pair behind [c e1 + lambda d e2].
 
-    Raises ParameterError unless e1 and e2 are orthogonal within 1e-10 and
-    the weights, larger first, pass :func:`check_weights`; so c < d is allowed.
+    Raises ParameterError unless e1 and e2 pass :func:`check_orthonormal_pair`
+    and the weights, larger first, pass :func:`check_weights`; so c < d is allowed.
     """
-    if abs(inner(e1, e2)) > 1e-10:
-        raise ParameterError("e1, e2 not orthogonal")
+    check_orthonormal_pair(e1, e2)
     check_weights(*((d, c) if c < d else (c, d)))
 
 
@@ -330,6 +335,17 @@ def lambdas_at_modulus(p: complex, q: complex, m: float) -> list[complex]:
     return [base * np.exp(1j * psi), base * np.exp(-1j * psi)]
 
 
+def circle_member(e1: Line, e2: Line, c: float, d: float, lam: complex) -> Line:
+    """The member [c e1 + lam d e2] of the circle over the pair (e1, e2)."""
+    return canonical_line(c * e1.amplitudes + lam * d * e2.amplitudes)
+
+
+def circle_members_at(e1: Line, e2: Line, c: float, d: float, x: Line, m: float) -> list[Line]:
+    """The circle members u with |<x, u>| = m, one per root of :func:`lambdas_at_modulus`, in its order."""
+    lams = lambdas_at_modulus(c * inner(x, e1), d * inner(x, e2), m)
+    return [circle_member(e1, e2, c, d, lam) for lam in lams]
+
+
 @dataclass(frozen=True)
 class PairCanonicalForm:
     """Orthonormal pair (e1, e2) and weights c >= d > 0 with c^2 + d^2 = 1.
@@ -360,9 +376,7 @@ class PairCanonicalForm:
 
     def synthesize(self) -> tuple[Line, Line]:
         """The two lines [c e1 + i d eh2], [c e1 - i d eh2] encoded by this form."""
-        base = self.c * self.e1.amplitudes
-        off = 1j * self.d * self.e2_vector
-        return canonical_line(base + off), canonical_line(base - off)
+        return tuple(circle_member(self.e1, self.e2, self.c, self.d, lam * self.e2_phase) for lam in (1j, -1j))
 
 
 @dataclass(frozen=True)
@@ -383,10 +397,7 @@ class TripleCanonicalForm:
                 raise ParameterError(f"lambda {lam} not unimodular")
 
     def synthesize(self) -> tuple[Line, Line, Line]:
-        base = self.c * self.e1.amplitudes
-        return tuple(
-            canonical_line(base + lam * self.d * self.e2.amplitudes) for lam in self.lambdas
-        )
+        return tuple(circle_member(self.e1, self.e2, self.c, self.d, lam) for lam in self.lambdas)
 
 
 def canonical_pair_form(v1: Line, v2: Line) -> PairCanonicalForm:

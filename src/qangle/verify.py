@@ -27,6 +27,7 @@ from .projspace import (
     Line,
     canonical_line,
     canonical_triple_form,
+    circle_member,
     distinct_unimodular_triple,
     quantum_angle,
     random_orthonormal_pair,
@@ -99,9 +100,7 @@ def random_cd(rng: np.random.Generator, a: float, margin: float = 1e-3) -> tuple
 def rotated_basis(e1: Line, e2: Line, afr: float, mu: complex) -> tuple[Line, Line]:
     """The basis [afr e1 + mu bfr e2], [bfr e1 - mu afr e2] with bfr = sqrt(1 - afr^2)."""
     bfr = math.sqrt(1 - afr * afr)
-    f1 = canonical_line(afr * e1.amplitudes + mu * bfr * e2.amplitudes)
-    f2 = canonical_line(bfr * e1.amplitudes - mu * afr * e2.amplitudes)
-    return f1, f2
+    return circle_member(e1, e2, afr, bfr, mu), circle_member(e1, e2, bfr, afr, -mu)
 
 
 def sweep_verdict(total) -> str:
@@ -245,8 +244,6 @@ def empirical_high_symmetry_check(
     tally = Tally(
         counts={"triples": n_triples, "components_max": 0, "off_circle_members": 0, "witnesses": 0}
     )
-    two_component = False
-
     first_descr: alphasets.AlphaSetDescriptor | None = None
     double_descr: alphasets.AlphaSetDescriptor | None = None
 
@@ -258,8 +255,6 @@ def empirical_high_symmetry_check(
         if first_descr is None:
             first_descr, double_descr = first, descr
         tally.counts["components_max"] = max(tally.counts["components_max"], len(descr.components))
-        if len(descr.components) >= 2:
-            two_component = True
 
         # The circle must sit inside the double-alpha-set of each triple.
         circ_samples = circle.sample(n_alpha_samples, rng)
@@ -284,6 +279,7 @@ def empirical_high_symmetry_check(
     tally.bound(_worst_distance(double_descr, survivors), 1e-5, "numeric double-alpha-set member escapes the descriptor")
     tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)
 
+    two_component = tally.counts["components_max"] >= 2
     if two_component and ambient_dim == 3:
         try:
             alphasets.counterexample_witness(cfg, max(circle.c, circle.d), min(circle.c, circle.d))
@@ -325,10 +321,7 @@ def check_balanced_common_lines(tally: Tally, rng: np.random.Generator, dim: int
         mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
         f1, f2 = rotated_basis(e1, e2, afr, mu)
         got = wigner.circle_intersection(e1, e2, f1, f2, 1 / math.sqrt(2))
-        want = [
-            canonical_line((e1.amplitudes + 1j * mu * e2.amplitudes) / np.sqrt(2)),
-            canonical_line((e1.amplitudes - 1j * mu * e2.amplitudes) / np.sqrt(2)),
-        ]
+        want = [circle_member(e1, e2, 1 / math.sqrt(2), 1 / math.sqrt(2), lam * mu) for lam in (1j, -1j)]
         if len(got) != 2:
             tally.fail("balanced circles must always meet twice")
             continue
@@ -408,8 +401,7 @@ def suite_shape(seed: int, draws: int, dim: int = 3) -> Tally:
             if np.any(diffs[:mid] < -1e-12) or np.any(diffs[mid:] > 1e-12):
                 tally.fail("radius profile not unimodal")
         e1, e2 = random_orthonormal_pair(rng, dim)
-        v1 = canonical_line(c * e1.amplitudes + 1j * d * e2.amplitudes)
-        v2 = canonical_line(c * e1.amplitudes - 1j * d * e2.amplitudes)
+        v1, v2 = (circle_member(e1, e2, c, d, lam) for lam in (1j, -1j))
         pts = alphasets.pair_alpha_set(v1, v2, cfg).sample(30, rng)
         tally.counts["samples"] += len(pts)
         tally.bound(worst_angle_residual([v1, v2], cfg, pts), SOUNDNESS_TOL, "sampled member misses angle alpha")

@@ -25,8 +25,8 @@ from .errors import (
     SpanError,
 )
 from .projspace import (
-    AlphaConfig, Line, canonical_line, check_dim, check_seed, check_tol, complex_json, json_complex, json_field,
-    lambdas_at_modulus, lines_equal, quantum_angle, random_line,
+    AlphaConfig, Line, canonical_line, check_dim, check_orthonormal_pair, check_seed, check_tol, circle_member,
+    circle_members_at, complex_json, json_complex, json_field, lines_equal, quantum_angle, random_line,
 )
 
 
@@ -328,9 +328,8 @@ _C0_VALUES = (1.0 / math.sqrt(2.0), math.sqrt(7.0 / 12.0))
 def _check_same_span(e1: Line, e2: Line, f1: Line, f2: Line) -> None:
     if len({l.dim for l in (e1, e2, f1, f2)}) != 1:
         raise DimensionError("the four basis lines live in different dimensions")
-    for pair in ((e1, e2), (f1, f2)):
-        if abs(np.vdot(pair[0].amplitudes, pair[1].amplitudes)) > 1e-9:
-            raise ParameterError("basis pair is not orthonormal")
+    check_orthonormal_pair(e1, e2)
+    check_orthonormal_pair(f1, f2)
     for f in (f1, f2):
         proj = (
             np.vdot(e1.amplitudes, f.amplitudes) * e1.amplitudes
@@ -356,32 +355,22 @@ def circle_intersection(
     _check_same_span(e1, e2, f1, f2)
     d0 = math.sqrt(1.0 - c0 * c0)
 
-    p = np.vdot(e1.amplitudes, f1.amplitudes)
-    q = np.vdot(e2.amplitudes, f1.amplitudes)
-    big_a = np.conj(p) * c0
-    big_b = np.conj(q) * d0
-
-    def member(lam: complex) -> Line:
-        return canonical_line(c0 * e1.amplitudes + lam * d0 * e2.amplitudes)
-
-    if abs(big_b) < 1e-12 or abs(big_a) < 1e-12:
+    big_a = c0 * abs(np.vdot(e1.amplitudes, f1.amplitudes))
+    big_b = d0 * abs(np.vdot(e2.amplitudes, f1.amplitudes))
+    if big_b < 1e-12 or big_a < 1e-12:
         # f1 aligned with e1 (resp. e2): the circles either coincide or miss.
-        attained = abs(big_a) + 0.0 if abs(big_b) < 1e-12 else abs(big_b)
+        attained = big_a if big_b < 1e-12 else big_b
         if abs(attained - c0) < 1e-9:
-            return [member(1j), member(-1j)]
+            return [circle_member(e1, e2, c0, d0, lam) for lam in (1j, -1j)]
         return []
 
-    lams = lambdas_at_modulus(big_a, big_b, c0)
-    if lams and abs(lams[0] - lams[1]) < 1e-9:
-        lams = lams[:1]
-
-    out = []
-    for lam in lams:
-        line = member(lam)
+    out = circle_members_at(e1, e2, c0, d0, f1, c0)
+    if out and lines_equal(*out):
+        out = out[:1]  # tangent circles: the two roots coincide
+    for line in out:
         res = abs(abs(np.vdot(f1.amplitudes, line.amplitudes)) - c0)
         if res > 1e-9:
             raise ParameterError(f"intersection candidate failed verification: {res}")
-        out.append(line)
     return out
 
 
@@ -409,8 +398,8 @@ def bridge_basis(
     tau = np.conj(p) / afrak if afrak > 1e-12 else 1.0
     qn = q * tau
     mu = qn / abs(qn)
-    g1 = canonical_line((e1.amplitudes + mu * e2.amplitudes) / np.sqrt(2))
-    g2 = canonical_line((e1.amplitudes - mu * e2.amplitudes) / np.sqrt(2))
+    s = 1 / math.sqrt(2)
+    g1, g2 = (circle_member(e1, e2, s, s, lam) for lam in (mu, -mu))
 
     if abs(np.vdot(g1.amplitudes, e1.amplitudes)) <= 1.0 / 6.0 + 1e-10:
         raise ParameterError("bridge post-check against the first basis failed")
