@@ -122,6 +122,13 @@ def _worst_distance(descr, lines) -> float:
     return float(np.max([descr.distance(m) for m in lines], initial=0.0))
 
 
+def _bound_members(tally: Tally, descr, members, tol: float, note: str) -> None:
+    """Every oracle member lies within ``tol`` of ``descr``, which is never empty, so no member fails too."""
+    if not members:
+        tally.fail("the oracle found no member")
+    tally.bound(_worst_distance(descr, members), tol, note)
+
+
 def check_alpha_set(
     tally: Tally, generators, cfg: AlphaConfig, descr, rng, n_samples: int,
     cloud: SampleCloud, discovery_tol: float, max_candidates: int,
@@ -131,7 +138,7 @@ def check_alpha_set(
     res = worst_angle_residual(generators, cfg, descr.sample(n_samples, rng))
     tally.bound(res, SOUNDNESS_TOL, "descriptor sample misses a generator angle")
     found = oracle.discover_alpha_set(generators, cfg, cloud, discovery_tol, 1e-7, max_candidates)
-    tally.bound(_worst_distance(descr, found), COMPLETENESS_TOL, "oracle member escapes the descriptor")
+    _bound_members(tally, descr, found, COMPLETENESS_TOL, "oracle member escapes the descriptor")
     return len(found)
 
 
@@ -148,7 +155,7 @@ def check_double_alpha_set(
     res = worst_angle_residual(f_samples, cfg, double.sample(n_samples, rng))
     tally.bound(res, SOUNDNESS_TOL, "circle sample misses the sampled alpha-set")
     survivors = oracle.funnel_alpha_set(f_samples, cfg, cloud, max_pool=max_pool)
-    tally.bound(_worst_distance(double, survivors), COMPLETENESS_TOL, "numeric double-alpha-set member off the circle")
+    _bound_members(tally, double, survivors, COMPLETENESS_TOL, "numeric double-alpha-set member off the circle")
     return len(survivors)
 
 
@@ -276,7 +283,7 @@ def empirical_high_symmetry_check(
     constraints = first_descr.sample(40, rng)
     survivors = oracle.funnel_alpha_set(constraints, cfg, hunt_cloud)
     tally.counts["survivors"] = len(survivors)
-    tally.bound(_worst_distance(double_descr, survivors), 1e-5, "numeric double-alpha-set member escapes the descriptor")
+    _bound_members(tally, double_descr, survivors, 1e-5, "numeric double-alpha-set member escapes the descriptor")
     tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)
 
     two_component = tally.counts["components_max"] >= 2

@@ -1,10 +1,13 @@
-"""tools/goldens.py: ``compare`` flags every changed or unmatched run, and ``capture``
-refuses an output directory that already holds files before it runs anything."""
+"""tools/goldens.py: ``compare`` flags every changed or unmatched run, ``capture``
+refuses an output directory that already holds files before it runs anything, and
+the runs cover every payload verb and every ``qangle verify`` suite."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from qangle import cli, verify
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "goldens.py"
 _spec = importlib.util.spec_from_file_location("goldens", _PATH)
@@ -59,3 +62,11 @@ def test_capture_refuses_a_non_empty_output_before_running(tmp_path, monkeypatch
     with pytest.raises(SystemExit, match="is not empty"):
         goldens.capture(tmp_path, out)
     assert sorted(p.name for p in out.iterdir()) == sorted(f"{n}.{s}" for n in RUNS for s in ("stdout", "exit"))
+
+
+def test_every_verb_and_suite_has_a_golden_run():
+    # A verb or suite without a run would escape the byte-identity check.
+    runs = goldens.all_runs().values()
+    assert {argv[0] for argv, payload in runs if payload is not None} == set(cli._PAYLOAD_HANDLERS)
+    assert {argv[1] for argv, _ in runs if argv[0] == "verify" and argv[1] != "--help"} == set(verify.SUITES)
+    assert {argv[0] for argv, _ in runs if argv[1:] == ["--help"]} == {*cli._PAYLOAD_HANDLERS, "verify"}

@@ -14,7 +14,7 @@ from qangle.errors import (
     NotCollinearError,
     ParameterError,
 )
-from qangle.projspace import complex_json, json_complex, lambdas_at_modulus
+from qangle.projspace import circle_member, circle_members_at, complex_json, json_complex, lambdas_at_modulus
 
 from conftest import random_collinear_triple, random_line, random_orthonormal_pair
 
@@ -387,6 +387,54 @@ class TestLambdasAtModulus:
         for m in (lo, hi):
             (lam, other) = lambdas_at_modulus(p, q, m)
             assert abs(abs(p + lam * q) - m) <= 1e-12 and abs(lam - other) <= 1e-7
+
+
+class TestCircleMembersAt:
+    def test_members_reach_the_overlap_and_lie_on_the_circle(self):
+        rng = np.random.default_rng(2603)
+        for k in range(300):
+            dim = 3 + k % 3
+            e1, e2 = random_orthonormal_pair(rng, dim)
+            d = rng.uniform(0.05, 0.999)
+            c = math.sqrt(1 - d * d)
+            x = random_line(rng, dim)
+            p, q = c * qa.inner(x, e1), d * qa.inner(x, e2)
+            m = rng.uniform(abs(abs(p) - abs(q)), abs(p) + abs(q))
+            members = circle_members_at(e1, e2, c, d, x, m)
+            lams = lambdas_at_modulus(p, q, m)
+            assert len(members) == len(lams) == 2
+            circle = qa.CircleComponent(e1, e2, c, d)
+            for u, lam in zip(members, lams):
+                assert np.array_equal(u.amplitudes, circle_member(e1, e2, c, d, lam).amplitudes)
+                assert abs(abs(qa.inner(x, u)) - m) <= 1e-12
+                assert circle.distance(u) < 1e-12
+
+    def test_an_overlap_out_of_reach_gives_no_member(self):
+        e1, e2 = qa.canonical_line([1, 0, 0]), qa.canonical_line([0, 1, 0])
+        x = qa.canonical_line([1, 1, 1])
+        assert circle_members_at(e1, e2, 0.8, 0.6, x, 0.99) == []
+
+
+class TestOrthonormalPairRule:
+    """Descriptors and the Section 5 constructions refuse and accept the same basis pairs."""
+
+    BUILDS = {
+        "circle_intersection": lambda e1, e2: qa.circle_intersection(e1, e2, e1, e2, 1 / math.sqrt(2)),
+        "bridge_basis": lambda e1, e2: qa.bridge_basis(e1, e2, e1, e2, qa.AlphaConfig(math.acos(1 / math.sqrt(3)))),
+        "CircleComponent": lambda e1, e2: qa.CircleComponent(e1, e2, 0.8, 0.6),
+        "PairCanonicalForm": lambda e1, e2: qa.PairCanonicalForm(e1, e2, 0.8, 0.6),
+        "TripleCanonicalForm": lambda e1, e2: qa.TripleCanonicalForm(e1, e2, 0.8, 0.6, (1.0 + 0j, 1j, -1j)),
+    }
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    @pytest.mark.parametrize("offset, refused", [(5e-10, True), (5e-11, False)])
+    def test_one_tolerance_everywhere(self, build, offset, refused):
+        e1, e2 = qa.canonical_line([1, 0, 0]), qa.canonical_line([offset, 1, 0])
+        if refused:
+            with pytest.raises(ParameterError, match="basis pair is not orthonormal"):
+                self.BUILDS[build](e1, e2)
+        else:
+            self.BUILDS[build](e1, e2)
 
 
 class TestLineJson:

@@ -84,6 +84,28 @@ def test_a_failed_check_notes_once(check):
     assert len(tally.notes) == len(set(tally.notes)) == 2, tally.notes
 
 
+def hunt_check(_wrong):
+    """The tally of the symmetry check's oracle hunt on a dimension-4 circle."""
+    e1, e2 = random_orthonormal_pair(np.random.default_rng(41), 4)
+    tally = verify.empirical_high_symmetry_check(
+        qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, n_triples=1, n_alpha_samples=12, seed=5,
+        cloud=qa.sample_lines(4, 5_000, 42),
+    )
+    return tally, tally.counts["survivors"]
+
+
+@pytest.mark.parametrize("check", [pair_check, double_check, hunt_check], ids=["pair", "double", "hunt"])
+def test_an_empty_oracle_result_fails_the_check(monkeypatch, check):
+    # Each descriptor these checks compare is non-empty, so an oracle that
+    # finds no member has missed it; the check must not pass vacuously.
+    for name in ("discover_alpha_set", "funnel_alpha_set"):
+        monkeypatch.setattr(verify.oracle, name, lambda *args, **kwargs: [])
+    tally, members = check(False)
+    assert members == 0
+    assert tally.verdict is False
+    assert "the oracle found no member" in tally.notes
+
+
 @pytest.mark.parametrize("seed, draws, dim", [(11, 8, None), (0, 4, 5), (1, 4, 5)])
 def test_collinear_triple_suite_passes_where_constraints_meet_nearly_tangentially(seed, draws, dim):
     # These draws hold oracle members whose angle residual is within the
