@@ -7,8 +7,8 @@ sphere, then renormalisation as the retraction, over stacked blocks of
 candidate rows), clusters are thinned by dedup, and cardinalities are
 counted by grid sign changes on circles, a disk being its concentric
 circles on one shared grid.  Where the rejection hits outnumber the
-refinement cap, the hits that two undamped Gauss-Newton steps bring nearest
-the full constraint family are the ones refined.  The checks that judge the
+refinement cap, the hits that two passes of refinement bring nearest the
+full constraint family are the ones refined onward.  The checks that judge the
 closed forms against these primitives live in :mod:`qangle.verify`.
 """
 
@@ -59,9 +59,10 @@ _REFINE_ROWS = 128
 MAX_GRID_SIZE = 1_000_000
 MAX_RADIAL = 4_096
 
-# Undamped Gauss-Newton steps that rank a funnel pool above its cap: a row's
-# residual after two steps predicts whether it converges far better than its
-# residual where rejection found it.
+# Refinement passes that rank a funnel pool above its cap: a row's residual
+# after two passes predicts whether it converges far better than its residual
+# where rejection found it.  The kept rows refine onward from where the passes
+# left them.
 _LOOKAHEAD = 2
 
 
@@ -418,11 +419,11 @@ def _tangent_steps(v, g, r, gens_c) -> np.ndarray:
     return delta[:, :n, 0] + 1j * delta[:, n:, 0]
 
 
-def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -> np.ndarray:
-    """Refine the unit rows of ``v`` in place; the mask of the rows that end within ``tol``.
+def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float, passes: int = _MAX_ITER) -> np.ndarray:
+    """Refine the unit rows of ``v`` in place; each row's final maximum residual.
 
     A row stays live until its maximum residual is within ``_POLISH * tol``,
-    no step length lowers it, or it has taken ``_MAX_ITER`` steps.  Each pass
+    no step length lowers it, or ``passes`` passes are done.  Each pass
     tries the full step on every live row, then half of it on the rows it did
     not improve, and so on down to 1/256.
     """
@@ -430,7 +431,7 @@ def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -
     worst = _worst(r)
     polished = _POLISH * tol
     live = np.flatnonzero(worst > polished)
-    for _ in range(_MAX_ITER):
+    for _ in range(passes):
         if not live.size:
             break
         dv = _tangent_steps(v[live], g[live], r[live], gens_c)
@@ -451,28 +452,7 @@ def _refine_block(v: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -
             step /= 2.0
         live = live[moved]
         live = live[worst[live] > polished]
-    return worst <= tol
-
-
-def _lookahead_scores(gens_c: np.ndarray, alpha: float, pool: np.ndarray) -> np.ndarray:
-    """Per unit row of ``pool``: the smaller of its maximum residual and that after ``_LOOKAHEAD`` steps.
-
-    Each step is the full tangent step followed by renormalisation, with no
-    line search; ``np.fmin`` keeps the starting residual should a step give
-    NaN.  The rows are stepped ``_REFINE_ROWS`` at a time, so the working set
-    does not grow with the pool.
-    """
-    scores = np.empty(len(pool))
-    for start, stop in _blocks(len(pool), _REFINE_ROWS):
-        v = pool[start:stop]
-        g, r = _overlaps(v, gens_c, alpha)
-        first = _worst(r)
-        for _ in range(_LOOKAHEAD):
-            v = v + _tangent_steps(v, g, r, gens_c)
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            g, r = _overlaps(v, gens_c, alpha)
-        scores[start:stop] = np.fmin(first, _worst(r))
-    return scores
+    return worst
 
 
 def refine_alpha_members(
@@ -517,7 +497,7 @@ def refine_alpha_members(
         raise ParameterError("every candidate row must be finite with a nonzero norm")
     v = v / norms
     blocks = [v[start:stop] for start, stop in _blocks(len(v), _REFINE_ROWS)]
-    return [canonical_line(row) for b in blocks for row in b[_refine_block(b, gens_c, cfg.alpha, tol)]]
+    return [canonical_line(row) for b in blocks for row in b[_refine_block(b, gens_c, cfg.alpha, tol) <= tol]]
 
 
 def dedup_lines(lines, min_angle: float = 1e-4) -> list[Line]:
@@ -555,9 +535,9 @@ def discover_alpha_set(
     so hits at ``discovery_tol`` are polished down to ``confirm_tol``.
     ``max_candidates`` must be at least 1 and caps the hits refined to
     convergence; above it, the hits are ranked by the look-ahead of
-    :func:`funnel_alpha_set`, which costs two Gauss-Newton steps per hit, the
-    ``max_candidates`` best are refined, in cloud order, and the rest are
-    dropped.
+    :func:`funnel_alpha_set`, two passes of refinement per hit, the
+    ``max_candidates`` best are refined onward, in cloud order, and the rest
+    are dropped.
     """
     return funnel_alpha_set(
         generators, cfg, cloud, discovery_tol, confirm_tol, max_candidates, len(generators)
@@ -583,15 +563,15 @@ def funnel_alpha_set(
 
     ``max_pool`` caps the candidates refined to convergence and, like
     ``n_seed_constraints``, must be at least 1.  A pool above the cap is
-    ranked by a look-ahead against the *whole* family: each hit takes two
-    undamped tangent steps, each renormalised, and scores the smaller of its
-    maximum angle residual before and after them.  That costs two
-    Gauss-Newton steps per pool row, and predicts convergence far better
-    than the residual alone.  Scores are floored at ``confirm_tol``, so hits
-    the look-ahead already brings within it tie rather than rank by rounding
-    noise.  The ``max_pool`` best-scoring hits are refined from their
-    original rows, in cloud order (ties keep cloud order); the rest are
-    dropped.  A pool within the cap is refined whole.
+    ranked by a look-ahead against the *whole* family: each hit takes the
+    first two passes of refinement, and scores its maximum angle residual
+    after them.  That costs two Gauss-Newton steps per pool row, and
+    predicts convergence far better than the residual alone.  Scores are
+    floored at ``confirm_tol``, so hits the look-ahead already brings within
+    it tie rather than rank by rounding noise.  The ``max_pool``
+    best-scoring hits are refined onward from where the two passes left
+    them, in cloud order (ties keep cloud order); the rest are dropped.  A
+    pool within the cap is refined whole.
     """
     if max_pool < 1 or n_seed_constraints < 1:
         raise ParameterError(
@@ -599,8 +579,9 @@ def funnel_alpha_set(
         )
     pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
     if len(pool) > max_pool:
-        scores = np.fmax(_lookahead_scores(_rows(constraints).conj(), cfg.alpha, pool), confirm_tol)
-        best = np.argsort(scores, kind="stable")[:max_pool]
+        gens_c, blocks = _rows(constraints).conj(), _blocks(len(pool), _REFINE_ROWS)
+        worst = np.concatenate([_refine_block(pool[a:b], gens_c, cfg.alpha, confirm_tol, _LOOKAHEAD) for a, b in blocks])
+        best = np.argsort(np.fmax(worst, confirm_tol), kind="stable")[:max_pool]
         pool = pool[np.sort(best)]
     return refine_alpha_members(constraints, cfg, pool, confirm_tol)
 

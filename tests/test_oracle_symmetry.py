@@ -107,8 +107,8 @@ def test_refinement_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, se
     w_gens = [qa.apply_symmetry(w, g) for g in gens]
     tol = 1e-9
     v, w_v = rows.copy(), mapped_rows(w, rows)
-    kept = oracle._refine_block(v, oracle._rows(gens).conj(), cfg.alpha, tol)
-    w_kept = oracle._refine_block(w_v, oracle._rows(w_gens).conj(), cfg.alpha, tol)
+    kept = oracle._refine_block(v, oracle._rows(gens).conj(), cfg.alpha, tol) <= tol
+    w_kept = oracle._refine_block(w_v, oracle._rows(w_gens).conj(), cfg.alpha, tol) <= tol
     res = oracle.angle_residuals(gens, cfg, v)
     w_res = oracle.angle_residuals(w_gens, cfg, w_v)
     near = (np.abs(res - tol) <= ROUNDING) | (np.abs(w_res - tol) <= ROUNDING)
@@ -130,6 +130,13 @@ def cap_is_clear(scores: np.ndarray, cap: int, floor: float) -> bool:
     return not np.any(near) if cut == floor else np.count_nonzero(near) == 1
 
 
+def lookahead(rows: np.ndarray, gens_c: np.ndarray, alpha: float, tol: float) -> np.ndarray:
+    """The funnel's look-ahead, in place: two refinement passes on ``rows``, a block at a time; each row's
+    maximum residual after them."""
+    blocks = oracle._blocks(len(rows), oracle._REFINE_ROWS)
+    return np.concatenate([oracle._refine_block(rows[a:b], gens_c, alpha, tol, oracle._LOOKAHEAD) for a, b in blocks])
+
+
 @EXAMPLES
 @given(**CASE)
 def test_funnel_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, seed, alpha):
@@ -149,12 +156,12 @@ def test_funnel_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, seed, 
     assume(len(pool) > cap)
     assume(np.array_equal(hit_indices(cloud.vectors, pool), hit_indices(w_cloud.vectors, w_pool)))
     gens_c, w_gens_c = oracle._rows(constraints).conj(), oracle._rows(w_constraints).conj()
-    scores = oracle._lookahead_scores(gens_c, cfg.alpha, pool)
-    w_scores = oracle._lookahead_scores(w_gens_c, cfg.alpha, w_pool)
+    v, w_v = pool.copy(), w_pool.copy()
+    scores, w_scores = lookahead(v, gens_c, cfg.alpha, tol), lookahead(w_v, w_gens_c, cfg.alpha, tol)
     assume(cap_is_clear(scores, cap, tol) and cap_is_clear(w_scores, cap, tol))
-    # The kept rows, refined here too, to leave out any that ends within rounding of tol.
+    # The kept rows, refined onward here too, to leave out any that ends within rounding of tol.
     kept = np.sort(np.argsort(np.fmax(scores, tol), kind="stable")[:cap])
-    v, w_v = pool[kept].copy(), w_pool[kept].copy()
+    v, w_v = v[kept], w_v[kept]
     oracle._refine_block(v, gens_c, cfg.alpha, tol)
     oracle._refine_block(w_v, w_gens_c, cfg.alpha, tol)
     res, w_res = oracle.angle_residuals(constraints, cfg, v), oracle.angle_residuals(w_constraints, cfg, w_v)
