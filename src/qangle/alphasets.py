@@ -644,7 +644,8 @@ def atheta_cardinality(
     c1, c2, c3 = complex(v3coeffs[0]), complex(v3coeffs[1]), float(v3coeffs[2])
     if c3 <= 0:
         raise ParameterError("c3 must be strictly positive")
-    if abs(abs(c1) ** 2 + abs(c2) ** 2 + c3 * c3 - 1.0) > 1e-10:
+    m1, m2 = abs(c1), abs(c2)  # products: a huge modulus squares to inf, where ** 2 raises
+    if abs(m1 * m1 + m2 * m2 + c3 * c3 - 1.0) > 1e-10:
         raise ParameterError("|c1|^2 + |c2|^2 + c3^2 != 1")
 
     a = cfg.a

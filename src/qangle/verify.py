@@ -236,9 +236,10 @@ def empirical_high_symmetry_check(
     Draws random 3-subsets of the circle, forms their double-alpha-set
     descriptors through the generic canonical-form machinery, checks that the
     circle is contained in each, and hunts numerically for double-alpha-set
-    members off the circle.  For two-component descriptors it additionally
-    builds an explicit four-line witness breaking the symmetry property.
-    The report records agreement with :func:`classify_circle`.
+    members off the circle; the empirical tag is ``NotHighlySymmetric``
+    exactly when the hunt finds one.  For two-component descriptors it
+    additionally builds an explicit four-line witness breaking the symmetry
+    property.  The report records agreement with :func:`classify_circle`.
     """
     if n_alpha_samples < 3:
         raise ParameterError("need at least 3 samples per check")
@@ -286,19 +287,14 @@ def empirical_high_symmetry_check(
     _bound_members(tally, double_descr, survivors, 1e-5, "numeric double-alpha-set member escapes the descriptor")
     tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)
 
-    two_component = tally.counts["components_max"] >= 2
-    if two_component and ambient_dim == 3:
+    if tally.counts["components_max"] >= 2 and ambient_dim == 3:
         try:
             alphasets.counterexample_witness(cfg, max(circle.c, circle.d), min(circle.c, circle.d))
             tally.counts["witnesses"] += 1
         except QAngleError:
             tally.fail("two-component case but the witness construction failed")
 
-    empirical_tag = (
-        NOT_HIGHLY_SYMMETRIC
-        if (two_component or tally.counts["off_circle_members"] > 0)
-        else HIGHLY_SYMMETRIC
-    )
+    empirical_tag = NOT_HIGHLY_SYMMETRIC if tally.counts["off_circle_members"] > 0 else HIGHLY_SYMMETRIC
     agreement = empirical_tag == expected.tag
     tally.notes += [f"empirical={empirical_tag}", f"classifier={expected.tag}", f"agreement={agreement}"]
     tally.verdict = tally.verdict and agreement
@@ -461,13 +457,17 @@ def suite_circle4(seed: int, draws: int) -> Tally:
 
 def _snap_parameters(a: float, c: float, d: float) -> tuple[float, float, float]:
     """Snap decimal-truncated CLI parameters onto the exact exceptional triples,
-    and renormalize (c, d) when they miss c^2 + d^2 = 1 by rounding only."""
+    and renormalize (c, d) when they miss c^2 + d^2 = 1 by rounding only.
+    ``a`` = cos(alpha) outside (0, 1), NaN included, and weights that miss by
+    more are a ``ParameterError``."""
+    if not 0.0 < a < 1.0:
+        raise ParameterError(f"a = cos(alpha) must be in (0, 1), got {a}")
     for ea, ec, ed in alphasets.EXCEPTIONAL_TRIPLES:
         if max(abs(a - ea), abs(c - ec), abs(d - ed)) < 1e-9:
             return ea, ec, ed
     s = math.sqrt(c * c + d * d)
     if abs(s - 1.0) > 1e-9:
-        raise QAngleError(f"weights violate c^2 + d^2 = 1 beyond rounding: {s}")
+        raise ParameterError(f"weights violate c^2 + d^2 = 1 beyond rounding: {s}")
     return a, c / s, d / s
 
 

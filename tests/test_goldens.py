@@ -1,13 +1,17 @@
 """tools/goldens.py: ``compare`` flags every changed or unmatched run, ``capture``
 refuses an output directory that already holds files before it runs anything, and
-the runs cover every payload verb and every ``qangle verify`` suite."""
+the runs cover every payload verb and every ``qangle verify`` suite.  The golden
+payloads and ``verify circle3`` also end in a result or a refusal, never a
+traceback, with an extreme number in any one numeric field."""
 
+import copy
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 from qangle import cli, verify
+from qangle.errors import QAngleError
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "goldens.py"
 _spec = importlib.util.spec_from_file_location("goldens", _PATH)
@@ -70,3 +74,49 @@ def test_every_verb_and_suite_has_a_golden_run():
     assert {argv[0] for argv, payload in runs if payload is not None} == set(cli._PAYLOAD_HANDLERS)
     assert {argv[1] for argv, _ in runs if argv[0] == "verify" and argv[1] != "--help"} == set(verify.SUITES)
     assert {argv[0] for argv, _ in runs if argv[1:] == ["--help"]} == {*cli._PAYLOAD_HANDLERS, "verify"}
+
+
+EXTREMES = [0, 0.5, -0.5, 1, -1, 2, 3.2, 100, 10**6, 10**30, 1e-300, 1e308, -1e308]
+
+
+def numeric_paths(obj, path=()):
+    """The key path of every number nested in ``obj`` (a bool is not a number)."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from numeric_paths(value, path + (key,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
+def replaced(obj, path, value):
+    """A deep copy of ``obj`` with ``value`` at ``path``."""
+    obj = copy.deepcopy(obj)
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return obj
+
+
+def test_an_extreme_number_in_any_field_ends_in_a_result_or_a_refusal(capsys):
+    faults = []
+    for verb, payload in goldens.payloads().items():
+        for path in numeric_paths(payload):
+            for value in EXTREMES:
+                try:
+                    cli._PAYLOAD_HANDLERS[verb](replaced(payload, path, value))
+                except QAngleError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - every other exception is a fault to list
+                    faults.append(f"{verb} {path} = {value!r}: {exc!r}")
+    argv = goldens.verify_runs()["verify-circle3-acd"]
+    options = dict(zip(argv[2::2], argv[3::2]))
+    for option in options:
+        for value in EXTREMES:
+            args = [f"{k}={value if k == option else v}" for k, v in options.items()]
+            try:
+                assert cli.main(["verify", "circle3", *args]) in (0, 1, 2)
+            except Exception as exc:  # noqa: BLE001
+                faults.append(f"verify circle3 {option}={value!r}: {exc!r}")
+    capsys.readouterr()
+    assert not faults, "\n".join(faults)

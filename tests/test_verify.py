@@ -106,6 +106,24 @@ def test_an_empty_oracle_result_fails_the_check(monkeypatch, check):
     assert "the oracle found no member" in tally.notes
 
 
+def test_the_empirical_tag_reads_the_oracle_hunt_only(monkeypatch):
+    # The dimension-3 exceptional circle's double-alpha-sets have two
+    # components.  A hunt that finds only circle members must tag the circle
+    # HighlySymmetric, and so disagree with the classifier, whatever the
+    # closed form's component count says.
+    cfg = qa.AlphaConfig.from_alpha(math.acos(1 / math.sqrt(3)))
+    e1, e2 = random_orthonormal_pair(np.random.default_rng(43), 3)
+    circle = qa.Circle(e1, e2, math.sqrt(2 / 3), 1 / math.sqrt(3))
+    on_circle = [circle.member(np.exp(1j * t)) for t in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
+    monkeypatch.setattr(verify.oracle, "funnel_alpha_set", lambda *args, **kwargs: on_circle)
+    tally = verify.empirical_high_symmetry_check(circle, cfg, 3, n_triples=2, n_alpha_samples=12, seed=5)
+    assert tally.counts["components_max"] == 2
+    assert tally.counts["off_circle_members"] == 0
+    assert "empirical=HighlySymmetric" in tally.notes
+    assert "classifier=NotHighlySymmetric" in tally.notes
+    assert tally.verdict is False
+
+
 @pytest.mark.parametrize("seed, draws, dim", [(11, 8, None), (0, 4, 5), (1, 4, 5)])
 def test_collinear_triple_suite_passes_where_constraints_meet_nearly_tangentially(seed, draws, dim):
     # These draws hold oracle members whose angle residual is within the
