@@ -122,41 +122,36 @@ def _worst_distance(descr, lines) -> float:
     return float(np.max([descr.distance(m) for m in lines], initial=0.0))
 
 
-def _bound_members(tally: Tally, descr, members, tol: float, note: str) -> None:
-    """Every oracle member lies within ``tol`` of ``descr``, which is never empty, so no member fails too."""
-    if not members:
-        tally.fail("the oracle found no member")
-    tally.bound(_worst_distance(descr, members), tol, note)
-
-
 def check_alpha_set(
     tally: Tally, generators, cfg: AlphaConfig, descr, rng, n_samples: int,
-    cloud: SampleCloud, discovery_tol: float, max_candidates: int,
-) -> int:
-    """Descriptor samples are at alpha from every generator, and every oracle
-    member lies on the descriptor; returns the oracle member count."""
+    cloud: SampleCloud, pool_tol: float, max_pool: int,
+) -> list[Line]:
+    """Descriptor samples are at alpha from every generator, and the oracle
+    finds members, every one on the descriptor; returns the oracle members.
+
+    The oracle is :func:`oracle.funnel_alpha_set`, seeded by at most three
+    generators, so a pair or triple is every generator in both stages."""
     res = worst_angle_residual(generators, cfg, descr.sample(n_samples, rng))
     tally.bound(res, SOUNDNESS_TOL, "descriptor sample misses a generator angle")
-    found = oracle.discover_alpha_set(generators, cfg, cloud, discovery_tol, 1e-7, max_candidates)
-    _bound_members(tally, descr, found, COMPLETENESS_TOL, "oracle member escapes the descriptor")
-    return len(found)
+    found = oracle.funnel_alpha_set(generators, cfg, cloud, pool_tol, 1e-7, max_pool, min(3, len(generators)))
+    if not found:
+        tally.fail("the oracle found no member")
+    tally.bound(_worst_distance(descr, found), COMPLETENESS_TOL, "oracle member escapes the descriptor")
+    return found
 
 
 def check_double_alpha_set(
     tally: Tally, first, double, cfg: AlphaConfig, rng, n_samples: int,
     cloud: SampleCloud, max_pool: int,
-) -> int:
+) -> list[Line]:
     """The double-alpha-set ``double`` of a triple with alpha-set ``first`` is one
-    circle whose samples are at alpha from samples of ``first``, and every
-    funnel survivor against those samples lies on it; returns the survivor count."""
+    circle, judged by :func:`check_alpha_set` against samples of ``first``;
+    returns the oracle members."""
     if len(double.components) != 1:
         tally.fail("double-alpha-set must be a single circle in dimension 4")
-    f_samples = first.sample(_FIRST_SAMPLES, rng)
-    res = worst_angle_residual(f_samples, cfg, double.sample(n_samples, rng))
-    tally.bound(res, SOUNDNESS_TOL, "circle sample misses the sampled alpha-set")
-    survivors = oracle.funnel_alpha_set(f_samples, cfg, cloud, max_pool=max_pool)
-    _bound_members(tally, double, survivors, COMPLETENESS_TOL, "numeric double-alpha-set member off the circle")
-    return len(survivors)
+    return check_alpha_set(
+        tally, first.sample(_FIRST_SAMPLES, rng), cfg, double, rng, n_samples, cloud, 5e-2, max_pool
+    )
 
 
 def verify_basic_relations(
@@ -281,10 +276,10 @@ def empirical_high_symmetry_check(
     hunt_cloud = cloud or oracle.sample_lines(
         ambient_dim, 40_000 if ambient_dim == 3 else 80_000, seed + 1
     )
-    constraints = first_descr.sample(40, rng)
-    survivors = oracle.funnel_alpha_set(constraints, cfg, hunt_cloud)
+    survivors = check_alpha_set(
+        tally, first_descr.sample(40, rng), cfg, double_descr, rng, n_alpha_samples, hunt_cloud, 5e-2, 2000
+    )
     tally.counts["survivors"] = len(survivors)
-    _bound_members(tally, double_descr, survivors, 1e-5, "numeric double-alpha-set member escapes the descriptor")
     tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)
 
     if tally.counts["components_max"] >= 2 and ambient_dim == 3:
@@ -433,9 +428,9 @@ def suite_collin_alpha(seed: int, draws: int, dim=None) -> Tally:
         for _ in range(n):
             cfg, form = _random_triple(rng, dim)
             descr = alphasets.collinear_triple_alpha_set(form, cfg, dim)
-            tally.counts["oracle_members"] += check_alpha_set(
+            tally.counts["oracle_members"] += len(check_alpha_set(
                 tally, list(form.synthesize()), cfg, descr, rng, 40, cloud, 3e-2, 4000
-            )
+            ))
             tally.counts["draws"] += 1
     return tally
 
@@ -450,7 +445,7 @@ def suite_circle4(seed: int, draws: int) -> Tally:
         cfg, form = _random_triple(rng, dim)
         first = alphasets.collinear_triple_alpha_set(form, cfg, dim)
         double = alphasets.double_alpha_set_classify(form, cfg, dim)
-        tally.counts["survivors"] += check_double_alpha_set(tally, first, double, cfg, rng, 30, cloud, 2000)
+        tally.counts["survivors"] += len(check_double_alpha_set(tally, first, double, cfg, rng, 30, cloud, 2000))
         tally.counts["draws"] += 1
     return tally
 

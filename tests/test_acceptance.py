@@ -59,9 +59,9 @@ def test_criterion_1_pair_alpha_set_equivalence():
             if qa.lines_equal(v1, v2, 1e-3):
                 continue
             descr = qa.pair_alpha_set(v1, v2, cfg)
-            total_found += check_alpha_set(
+            total_found += len(check_alpha_set(
                 tally, [v1, v2], cfg, descr, rng, 500, clouds[dim], 1e-2, 400
-            )
+            ))
         elapsed = time.perf_counter() - start
         report(
             f"criterion 1 (dim {dim})",
@@ -94,9 +94,9 @@ def test_criterion_2_triple_and_double_alpha_sets():
             continue
         cfg, form = drawn
         descr = qa.collinear_triple_alpha_set(form, cfg, 4)
-        total_found += check_alpha_set(
+        total_found += len(check_alpha_set(
             tally, list(form.synthesize()), cfg, descr, rng, 500, cloud, 3e-2, 400
-        )
+        ))
     report(
         "criterion 2 (triple alpha-sets, dim 4)",
         tally.verdict and total_found > 500,
@@ -113,7 +113,7 @@ def test_criterion_2_triple_and_double_alpha_sets():
         cfg, form = drawn
         first = qa.collinear_triple_alpha_set(form, cfg, 4)
         double = qa.double_alpha_set_classify(form, cfg, 4)
-        total_surv += check_double_alpha_set(tally, first, double, cfg, rng, 500, cloud, 800)
+        total_surv += len(check_double_alpha_set(tally, first, double, cfg, rng, 500, cloud, 800))
     report(
         "criterion 2 (double-alpha-sets, dim 4)",
         tally.verdict and total_surv > 200,
