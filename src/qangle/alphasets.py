@@ -469,12 +469,8 @@ def collinear_triple_alpha_set(
     # slice.
     if abs(a - d) <= EXCEPTIONAL_TOL:
         comps.append(PointComponent(t.e2))
-    elif a < d:
-        r2 = math.sqrt(max(0.0, 1.0 - (a / d) ** 2))
-        if r2 <= 1e-9:
-            comps.append(PointComponent(t.e2))
-        else:
-            comps.append(SphereSliceComponent(t.e2, a / d, r2, basis))
+    elif a < d:  # a < d - EXCEPTIONAL_TOL, so r2 >= about 1.4e-6
+        comps.append(SphereSliceComponent(t.e2, a / d, math.sqrt(1.0 - (a / d) ** 2), basis))
     return AlphaSetDescriptor(tuple(comps))
 
 
@@ -630,8 +626,10 @@ def atheta_cardinality(
 ) -> Cardinality:
     """Cardinality of A_theta intersected with the alpha-set of a third line.
 
-    The third line is c1 e1 + c2 e2 + c3 e3 with c3 > 0 real and unit norm.
-    Writing z(theta) = c1 (a/c) cos theta + c2 (a/d) sin theta and
+    The third line is c1 e1 + c2 e2 + c3 e3 with c3 > 0 real and unit norm,
+    c1 and c2 being its coordinates along ``fam.e1`` and ``fam.e2``.  The
+    center of A_theta lies along eh2 = e2_phase e2, so writing
+    z(theta) = c1 (a/c) cos theta + c2 conj(e2_phase) (a/d) sin theta and
     r = c3 rho(theta), the intersection is infinite iff |z| - r < a < |z| + r
     or (z = 0 and rho = a/c3), a single line iff z != 0 and a coincides with
     |z| +- r, and empty otherwise; all comparisons use the declared band
@@ -650,7 +648,7 @@ def atheta_cardinality(
 
     a = cfg.a
     r = c3 * fam.rho(theta)  # first: its domain check refuses an infinite theta before math.cos does
-    z = c1 * (a / fam.c) * math.cos(theta) + c2 * (a / fam.d) * math.sin(theta)
+    z = c1 * (a / fam.c) * math.cos(theta) + c2 * fam.e2_phase.conjugate() * (a / fam.d) * math.sin(theta)
     az = abs(z)
     lo, hi = az - r, az + r
     margin = min(abs(a - lo), abs(a - hi))

@@ -205,29 +205,27 @@ class Line:
             raise SchemaError(f"not a valid line: {exc}") from exc
 
 
-def gauge(vector: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its first non-negligible entry is real positive."""
-    v = np.asarray(vector, dtype=complex)
-    big = np.abs(v) > GAUGE_TOL
-    if not big.any():
-        raise DegenerateVectorError("all amplitudes below gauge threshold")
-    lead = v[int(np.argmax(big))]
-    return v * (lead.conjugate() / abs(lead))
-
-
 def canonical_line(vector) -> Line:
     """Normalize and phase-gauge a raw complex vector into a Line.
 
-    Raises ParameterError for a non-finite amplitude and DegenerateVectorError
-    when the vector norm is below 1e-9.  For any unimodular lambda,
+    The gauge turns the first amplitude above ``GAUGE_TOL`` of the unit
+    vector real positive.  Raises ParameterError for a non-finite amplitude
+    and DegenerateVectorError when the vector norm is below 1e-9.  A finite
+    vector whose norm overflows (above about 1.34e154) is first divided by
+    its largest |re| or |im|.  For any unimodular lambda,
     ``canonical_line(lambda * v)`` equals ``canonical_line(v)`` as a line.
     """
     v = np.asarray(vector, dtype=complex).reshape(-1)
     _check_finite(v)
     n = np.linalg.norm(v)
+    if not math.isfinite(n):
+        v = v / max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))
+        n = np.linalg.norm(v)
     if n <= 1e-9:
         raise DegenerateVectorError(f"vector norm {n} too small")
-    return Line(v.shape[0], gauge(v / n))
+    v = v / n
+    lead = v[int(np.argmax(np.abs(v) > GAUGE_TOL))]
+    return Line(v.shape[0], v * (lead.conjugate() / abs(lead)))
 
 
 def inner(u: Line, v: Line) -> complex:

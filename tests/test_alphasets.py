@@ -512,6 +512,33 @@ class TestCardinality:
             assert card.tag == sweep
             checked += 1
 
+    def test_phased_family_reads_the_overlap_with_its_own_center(self):
+        # pair_alpha_set's families carry the phase of the pair's canonical
+        # form.  A_theta is the sphere of radius rho(theta) about that
+        # family's center, off e1 and e2, so its overlaps with v3 fill the
+        # band |<v3, center>| -+ c3 rho(theta).
+        rng = np.random.default_rng(24)
+        cfg = qa.AlphaConfig.from_alpha(1.2)
+        a, basis = cfg.a, std_basis(4)
+        checked = 0
+        while checked < 400:
+            d = rng.uniform(0.15, 1 / math.sqrt(2))
+            c = math.sqrt(1 - d * d)
+            theta0, _ = theta0_and_rho(cfg, c, d)
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            fam = AthetaFamily(basis[0], basis[1], c, d, float(cfg.alpha), theta0, 4, phase)
+            theta = rng.uniform(-theta0, theta0)
+            coeffs = rng.standard_normal(6)
+            coeffs /= np.linalg.norm(coeffs)
+            c1, c2, c3 = complex(*coeffs[:2]), complex(*coeffs[2:4]), float(np.hypot(*coeffs[4:]))
+            card = qa.atheta_cardinality(fam, theta, (c1, c2, c3), cfg)
+            w = abs(np.vdot(np.array([c1, c2, c3, 0]), fam._center(theta)))
+            r = c3 * fam.rho(theta)
+            if min(abs(a - (w - r)), abs(a - (w + r))) < 1e-6:
+                continue
+            assert card.tag == ("infinite" if w - r < a < w + r else "zero"), (phase, theta, c1, c2, c3)
+            checked += 1
+
     def test_domain_and_parameter_guards(self):
         cfg = qa.AlphaConfig.from_alpha(1.0)
         fam = self._family(cfg, 0.8, 0.6)

@@ -119,6 +119,12 @@ class TestCanonicalVerb:
         assert code == 1
         assert out["error"] == "degenerate-vector"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's, in the first norm
+    def test_large_finite_vector_is_a_line(self, tmp_path):
+        code, out = run_cli(["canonical"], {"re": [1e200, 0], "im": [0, 0]}, tmp_path)
+        assert code == 0
+        assert out["re"] == [1.0, 0.0]
+
     def test_non_numeric_amplitude_is_schema_error(self, tmp_path):
         code, out = run_cli(["canonical"], {"re": ["a"], "im": [0]}, tmp_path)
         assert code == 2
@@ -215,6 +221,32 @@ class TestClassifyCircleVerb:
         code, out = run_cli(["classify-circle"], payload, tmp_path)
         assert code == 0
         assert out["tag"] == "HighlySymmetric"
+
+    @staticmethod
+    def with_basis(e1, e2, dim=3):
+        """A classify-circle payload whose basis is the real pair (e1, e2)."""
+        basis = {key: {"dim": len(v), "re": v, "im": [0.0] * len(v)} for key, v in (("e1", e1), ("e2", e2))}
+        return {"alpha": 1.0, "dim": dim, "cfrak": 0.8, "dfrak": 0.6, **basis}
+
+    def test_explicit_default_basis_gives_the_default_verdict(self, tmp_path):
+        payload = self.with_basis([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        code, out = run_cli(["classify-circle"], payload, tmp_path)
+        default = {k: v for k, v in payload.items() if k not in ("e1", "e2")}
+        assert code == 0
+        assert out == run_cli(["classify-circle"], default, tmp_path)[1]
+
+    def test_basis_of_another_dimension_is_a_mismatch(self, tmp_path):
+        payload = self.with_basis([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], dim=3)
+        code, out = run_cli(["classify-circle"], payload, tmp_path)
+        assert code == 1
+        assert out["error"] == "dimension-mismatch"
+        assert "ambient dimension" in out["detail"]
+
+    def test_non_orthonormal_basis_is_a_parameter_error(self, tmp_path):
+        payload = self.with_basis([1.0, 0.0, 0.0], [0.6, 0.8, 0.0])
+        code, out = run_cli(["classify-circle"], payload, tmp_path)
+        assert code == 1
+        assert out["error"] == "parameter"
 
     def test_out_of_range_alpha(self, tmp_path):
         payload = {"alpha": 0.3, "dim": 3, "cfrak": 0.8, "dfrak": 0.6}

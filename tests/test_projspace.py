@@ -47,6 +47,25 @@ class TestCanonicalLine:
         with pytest.raises(DegenerateVectorError):
             qa.canonical_line([1e-10, 0.0])
 
+    @pytest.mark.parametrize(
+        "vec, want",
+        [([1e200, 0], [1, 0]), ([3e154, 4e154], [0.6, 0.8]), ([0, 1e308j, -1e308], [0, 1 / 2**0.5, 1j / 2**0.5])],
+    )
+    def test_finite_vector_whose_norm_overflows(self, vec, want):
+        # |v| above about 1.34e154 overflows to inf, which would scale v to 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the first norm
+            l = qa.canonical_line(vec)
+        assert np.allclose(l.amplitudes, want, atol=1e-15)
+
+    def test_overflowing_norm_keeps_the_line(self):
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(50):
+                v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                assert qa.lines_equal(qa.canonical_line(v), qa.canonical_line(1e200 * v), 1e-14)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_line_refuses_non_finite_amplitude(self, bad):
         # Refused before the norm check, which a NaN norm would slip through.

@@ -124,6 +124,21 @@ def test_the_empirical_tag_reads_the_oracle_hunt_only(monkeypatch):
     assert tally.verdict is False
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_circle3_fails_a_double_alpha_set_without_its_second_component(monkeypatch, seed):
+    # Each seed draws two-component cases.  Their descriptor samples stay at
+    # alpha with the second component dropped, so only the oracle members on
+    # that component can fail the suite.
+    tally = verify.suite_circle3(seed, 8)
+    assert tally.verdict, tally.notes
+    assert any("case=two-component" in n for n in tally.notes)
+    monkeypatch.setattr(verify.alphasets, "has_second_double_component", lambda *args: False)
+    tally = verify.suite_circle3(seed, 8)
+    assert not any("case=two-component" in n for n in tally.notes)
+    assert tally.verdict is False
+    assert "oracle member escapes the descriptor" in tally.notes
+
+
 @pytest.mark.parametrize("seed, draws, dim", [(11, 8, None), (0, 4, 5), (1, 4, 5)])
 def test_collinear_triple_suite_passes_where_constraints_meet_nearly_tangentially(seed, draws, dim):
     # These draws hold oracle members whose angle residual is within the

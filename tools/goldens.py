@@ -7,13 +7,14 @@
 directory) first on ``PYTHONPATH``, once per golden run, in an empty working
 directory, and writes ``OUT/<run>.stdout`` and ``OUT/<run>.exit`` for each.
 ``OUT`` must be new or empty, so a capture never mixes with an older one.
-The 57 runs are the 24 ``qangle verify`` goldens (each suite at seeds 0 and
+The 58 runs are the 24 ``qangle verify`` goldens (each suite at seeds 0 and
 1 with two draws, the default-draws runs of ``infinite-element``,
 ``section5`` and ``collin-alpha``, and three runs with explicit parameters),
 one valid payload per payload verb, a second ``oracle`` payload without
-``refine`` (plain rejection), four dimension-3 ``classify-circle`` payloads
-(one per reason of the dimension-3 case split), and the ``--help`` text of
-``qangle``, of ``qangle verify`` and of each payload verb.
+``refine`` (plain rejection), five dimension-3 ``classify-circle`` payloads
+(one per reason of the dimension-3 case split, and one with an explicit
+basis), and the ``--help`` text of ``qangle``, of ``qangle verify`` and of
+each payload verb.
 
 ``compare`` lists every run whose stdout bytes or exit code differ between
 two captures, or that only one of them holds, and exits 1 if there is any.
@@ -119,6 +120,10 @@ def all_runs() -> dict[str, tuple[list[str], dict | None]]:
     runs["payload-oracle-reject"] = (["oracle"], {k: v for k, v in payloads()["oracle"].items() if k != "refine"})
     for name, body in classify_circle_dim3().items():
         runs[f"payload-classify-circle-{name}"] = (["classify-circle"], body)
+    runs["payload-classify-circle-basis"] = (
+        ["classify-circle"],
+        {**classify_circle_dim3()["second-component"], "e1": line(0, 1, 0), "e2": line(0.6, 0, 0.8j)},
+    )
     runs["help"] = (["--help"], None)
     for verb in ("verify", *payloads()):
         runs[f"help-{verb}"] = ([verb, "--help"], None)
