@@ -469,7 +469,7 @@ def collinear_triple_alpha_set(
     # slice.
     if abs(a - d) <= EXCEPTIONAL_TOL:
         comps.append(PointComponent(t.e2))
-    elif a < d:  # a < d - EXCEPTIONAL_TOL, so r2 >= about 1.4e-6
+    elif a < d:  # beyond the tie band, so the slice radius is at least about 1.4e-6
         comps.append(SphereSliceComponent(t.e2, a / d, math.sqrt(1.0 - (a / d) ** 2), basis))
     return AlphaSetDescriptor(tuple(comps))
 
