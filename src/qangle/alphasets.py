@@ -55,6 +55,8 @@ from .projspace import (
     TripleCanonicalForm,
     canonical_line,
     canonical_pair_form,
+    check_close,
+    check_orthonormal_pair,
     check_weighted_basis,
     check_weights,
     circle_member,
@@ -230,12 +232,10 @@ class AthetaFamily:
     def __post_init__(self):
         if self.e1.dim != self.ambient_dim or self.e2.dim != self.ambient_dim:
             raise DimensionError("basis lines do not match the ambient dimension")
-        check_weighted_basis(self.e1, self.e2, self.c, self.d)
+        check_orthonormal_pair(self.e1, self.e2)
         theta0, _ = theta0_and_rho(self.cfg, self.c, self.d)
-        if abs(abs(self.e2_phase) - 1.0) > 1e-12:
-            raise ParameterError("e2_phase must be unimodular")
-        if abs(self.theta0 - theta0) > 1e-12:
-            raise ParameterError(f"theta0 {self.theta0} is not the cutoff {theta0} of (alpha, c, d)")
+        check_close(abs(self.e2_phase), 1.0, 1e-12, "e2_phase must be unimodular")
+        check_close(self.theta0, theta0, 1e-12, f"theta0 {self.theta0} is not the cutoff {theta0} of (alpha, c, d)")
 
     @cached_property
     def cfg(self) -> AlphaConfig:
@@ -330,8 +330,7 @@ class SphereSliceComponent:
     orthogonal_to: tuple[Line, ...]
 
     def __post_init__(self):
-        if abs(self.coefficient**2 + self.radius**2 - 1.0) > 1e-10:
-            raise ParameterError("coefficient^2 + radius^2 != 1")
+        check_close(self.coefficient**2 + self.radius**2, 1.0, 1e-10, "coefficient^2 + radius^2 != 1")
         if any(l.dim != self.axis.dim for l in self.orthogonal_to):
             raise DimensionError("orthogonal_to lines do not match the axis dimension")
 
@@ -643,8 +642,7 @@ def atheta_cardinality(
     if c3 <= 0:
         raise ParameterError("c3 must be strictly positive")
     m1, m2 = abs(c1), abs(c2)  # products: a huge modulus squares to inf, where ** 2 raises
-    if abs(m1 * m1 + m2 * m2 + c3 * c3 - 1.0) > 1e-10:
-        raise ParameterError("|c1|^2 + |c2|^2 + c3^2 != 1")
+    check_close(m1 * m1 + m2 * m2 + c3 * c3, 1.0, 1e-10, "|c1|^2 + |c2|^2 + c3^2 != 1")
 
     a = cfg.a
     r = c3 * fam.rho(theta)  # first: its domain check refuses an infinite theta before math.cos does

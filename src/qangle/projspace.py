@@ -69,6 +69,12 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_close(value: float, target: float, tol: float, message: str) -> None:
+    """Refuse ``value`` with a ParameterError carrying ``message`` unless |value - target| <= tol; NaN is refused."""
+    if not abs(value - target) <= tol:
+        raise ParameterError(message)
+
+
 def check_tol(tol: float) -> None:
     """Refuse a tolerance that is negative or NaN; zero is allowed."""
     if not tol >= 0:
@@ -279,8 +285,7 @@ def check_weights(c: float, d: float) -> None:
     """Refuse canonical weights unless c >= d > 0 and c^2 + d^2 = 1 within NORM_TOL (a NaN fails)."""
     if not c >= d > 0:
         raise ParameterError(f"need c >= d > 0, got c={c}, d={d}")
-    if abs(c * c + d * d - 1.0) > NORM_TOL:
-        raise ParameterError("c^2 + d^2 != 1")
+    check_close(c * c + d * d, 1.0, NORM_TOL, "c^2 + d^2 != 1")
 
 
 def check_orthonormal_pair(e1: Line, e2: Line) -> None:
@@ -362,10 +367,9 @@ class PairCanonicalForm:
     e2_phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        check_weighted_basis(self.e1, self.e2, self.c, self.d)
+        check_orthonormal_pair(self.e1, self.e2)
         check_weights(self.c, self.d)
-        if abs(abs(self.e2_phase) - 1.0) > NORM_TOL:
-            raise ParameterError("e2_phase must be unimodular")
+        check_close(abs(self.e2_phase), 1.0, NORM_TOL, "e2_phase must be unimodular")
 
     @property
     def e2_vector(self) -> np.ndarray:
@@ -388,11 +392,10 @@ class TripleCanonicalForm:
     lambdas: tuple[complex, complex, complex]
 
     def __post_init__(self):
-        check_weighted_basis(self.e1, self.e2, self.c, self.d)
+        check_orthonormal_pair(self.e1, self.e2)
         check_weights(self.c, self.d)
         for lam in self.lambdas:
-            if abs(abs(lam) - 1.0) > NORM_TOL:
-                raise ParameterError(f"lambda {lam} not unimodular")
+            check_close(abs(lam), 1.0, NORM_TOL, f"lambda {lam} not unimodular")
 
     def synthesize(self) -> tuple[Line, Line, Line]:
         return tuple(circle_member(self.e1, self.e2, self.c, self.d, lam) for lam in self.lambdas)

@@ -57,7 +57,7 @@ class Tally:
     notes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.max_residual < 0:
+        if not self.max_residual >= 0:
             raise ParameterError("max_residual must be non-negative")
 
     def fail(self, note: str) -> None:
@@ -103,6 +103,14 @@ def rotated_basis(e1: Line, e2: Line, afr: float, mu: complex) -> tuple[Line, Li
     return circle_member(e1, e2, afr, bfr, mu), circle_member(e1, e2, bfr, afr, -mu)
 
 
+def _random_rotated_bases(rng: np.random.Generator, dim: int, afr_lo: float):
+    """(e1, e2, f1, f2, mu): a random orthonormal pair and its :func:`rotated_basis` at afr in [afr_lo, 0.95)."""
+    e1, e2 = random_orthonormal_pair(rng, dim)
+    afr = rng.uniform(afr_lo, 0.95)
+    mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return (e1, e2, *rotated_basis(e1, e2, afr, mu), mu)
+
+
 def sweep_verdict(total) -> str:
     """Cardinality read off a disk root count: two or more roots mean infinitely many."""
     return "infinite" if (total is math.inf or total >= 2) else "zero"
@@ -144,11 +152,11 @@ def check_double_alpha_set(
     tally: Tally, first, double, cfg: AlphaConfig, rng, n_samples: int,
     cloud: SampleCloud, max_pool: int,
 ) -> list[Line]:
-    """The double-alpha-set ``double`` of a triple with alpha-set ``first`` is one
-    circle, judged by :func:`check_alpha_set` against samples of ``first``;
-    returns the oracle members."""
-    if len(double.components) != 1:
-        tally.fail("double-alpha-set must be a single circle in dimension 4")
+    """The double-alpha-set ``double`` of a triple with alpha-set ``first``, judged by
+    :func:`check_alpha_set` against samples of ``first`` and, on a cloud of dimension
+    >= 4, required to be one circle; returns the oracle members."""
+    if cloud.dim >= 4 and len(double.components) != 1:
+        tally.fail("double-alpha-set must be a single circle in dimension >= 4")
     return check_alpha_set(
         tally, first.sample(_FIRST_SAMPLES, rng), cfg, double, rng, n_samples, cloud, 5e-2, max_pool
     )
@@ -273,12 +281,8 @@ def empirical_high_symmetry_check(
     # Independent numeric hunt for double-alpha-set members, seeded only by
     # the defining angle conditions.
     assert first_descr is not None and double_descr is not None
-    hunt_cloud = cloud or oracle.sample_lines(
-        ambient_dim, 40_000 if ambient_dim == 3 else 80_000, seed + 1
-    )
-    survivors = check_alpha_set(
-        tally, first_descr.sample(40, rng), cfg, double_descr, rng, n_alpha_samples, hunt_cloud, 5e-2, 2000
-    )
+    hunt_cloud = cloud or oracle.sample_lines(ambient_dim, 40_000 if ambient_dim == 3 else 80_000, seed + 1)
+    survivors = check_double_alpha_set(tally, first_descr, double_descr, cfg, rng, n_alpha_samples, hunt_cloud, 2000)
     tally.counts["survivors"] = len(survivors)
     tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)
 
@@ -314,10 +318,7 @@ def check_circle_classification(
 def check_balanced_common_lines(tally: Tally, rng: np.random.Generator, dim: int, draws: int) -> None:
     """Balanced circles (weight 1/sqrt(2)) meet in the lines (e1 +- i mu e2)/sqrt(2)."""
     for _ in range(draws):
-        e1, e2 = random_orthonormal_pair(rng, dim)
-        afr = rng.uniform(0.05, 0.95)
-        mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        f1, f2 = rotated_basis(e1, e2, afr, mu)
+        e1, e2, f1, f2, mu = _random_rotated_bases(rng, dim, 0.05)
         got = wigner.circle_intersection(e1, e2, f1, f2, 1 / math.sqrt(2))
         want = [circle_member(e1, e2, 1 / math.sqrt(2), 1 / math.sqrt(2), lam * mu) for lam in (1j, -1j)]
         if len(got) != 2:
@@ -357,10 +358,7 @@ def check_bridges(tally: Tally, rng: np.random.Generator, dim: int, draws: int) 
     twice; returns the number of bridges built."""
     cfg = AlphaConfig.from_alpha(math.acos(1 / math.sqrt(3)))
     for _ in range(draws):
-        e1, e2 = random_orthonormal_pair(rng, dim)
-        afr = rng.uniform(0.0, 0.95)
-        mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        f1, f2 = rotated_basis(e1, e2, afr, mu)
+        e1, e2, f1, f2, _ = _random_rotated_bases(rng, dim, 0.0)
         g1, g2 = wigner.bridge_basis(e1, e2, f1, f2, cfg)
         if not (
             abs(np.vdot(g1.amplitudes, e1.amplitudes)) > 1 / 6
@@ -488,9 +486,7 @@ def suite_circle3(seed: int, draws: int, a=None, c=None, d=None) -> Tally:
         case = "two-component" if len(descr.components) == 2 else "single-circle"
         tally.notes.append(f"a={a:.12g} c={c:.12g} d={d:.12g} case={case} components={len(descr.components)}")
         first = alphasets.collinear_triple_alpha_set(form, cfg, 3)
-        tally.counts["survivors"] += len(
-            check_alpha_set(tally, first.sample(_FIRST_SAMPLES, rng), cfg, descr, rng, 30, cloud, 5e-2, 2000)
-        )
+        tally.counts["survivors"] += len(check_double_alpha_set(tally, first, descr, cfg, rng, 30, cloud, 2000))
         tally.counts["cases"] += 1
     return tally
 

@@ -25,8 +25,8 @@ from .errors import (
     SpanError,
 )
 from .projspace import (
-    AlphaConfig, Line, canonical_line, check_dim, check_orthonormal_pair, check_seed, check_tol, circle_member,
-    circle_members_at, complex_json, json_complex, json_field, lines_equal, quantum_angle, random_line,
+    AlphaConfig, Line, canonical_line, check_close, check_dim, check_orthonormal_pair, check_seed, check_tol,
+    circle_member, circle_members_at, complex_json, json_complex, json_field, lines_equal, quantum_angle, random_line,
 )
 
 
@@ -43,9 +43,9 @@ class WignerSymmetry:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(self.dim)))
-        if dev > 1e-10:
-            raise ParameterError(f"matrix is not unitary: deviation {dev}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry leaves dev NaN or inf
+            dev = np.max(np.abs(m.conj().T @ m - np.eye(self.dim)))
+        check_close(dev, 0.0, 1e-10, f"matrix is not unitary: deviation {dev}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

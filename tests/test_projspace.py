@@ -14,7 +14,10 @@ from qangle.errors import (
     NotCollinearError,
     ParameterError,
 )
-from qangle.projspace import circle_member, circle_members_at, complex_json, json_complex, lambdas_at_modulus
+from qangle import verify
+from qangle.projspace import (
+    check_close, circle_member, circle_members_at, complex_json, json_complex, lambdas_at_modulus,
+)
 
 from conftest import random_collinear_triple, random_line, random_orthonormal_pair
 
@@ -469,3 +472,51 @@ class TestComplexJson:
         again = json_complex(json.loads(json.dumps(complex_json(values))), np.ndim(values))
         assert again.shape == np.shape(values)
         assert again.tobytes() == np.asarray(values, dtype=complex).tobytes()
+
+
+class TestCheckClose:
+    """Every invariant checked as |value - target| <= tol refuses NaN and inf, each with its own message."""
+
+    NAN = float("nan")
+    E1, E2, E3 = (qa.canonical_line(np.eye(3)[k]) for k in range(3))
+    CFG = qa.AlphaConfig.from_alpha(1.1)
+
+    @staticmethod
+    def family(e2_phase=1.0 + 0j, theta0=np.pi / 2):
+        return qa.AthetaFamily(TestCheckClose.E1, TestCheckClose.E2, 0.8, 0.6, 1.1, theta0, 3, e2_phase)
+
+    BUILDS = {
+        "wigner-inf": (lambda: qa.WignerSymmetry(2, np.array([[np.inf, 0], [0, 1]], dtype=complex), False),
+                       "matrix is not unitary"),
+        "wigner-nan": (lambda: qa.WignerSymmetry(2, np.array([[1, 0], [0, np.nan]], dtype=complex), False),
+                       "matrix is not unitary"),
+        "slice-coefficient": (lambda: qa.SphereSliceComponent(TestCheckClose.E1, TestCheckClose.NAN, 0.6, ()),
+                              r"coefficient\^2 \+ radius\^2 != 1"),
+        "pair-e2-phase": (lambda: qa.PairCanonicalForm(TestCheckClose.E1, TestCheckClose.E2, 0.8, 0.6, complex("nan")),
+                          "e2_phase must be unimodular"),
+        "atheta-e2-phase": (lambda: TestCheckClose.family(e2_phase=complex("nan")), "e2_phase must be unimodular"),
+        "atheta-theta0": (lambda: TestCheckClose.family(theta0=TestCheckClose.NAN), "theta0 nan is not the cutoff"),
+        "triple-lambda": (lambda: qa.TripleCanonicalForm(
+            TestCheckClose.E1, TestCheckClose.E2, 0.8, 0.6, (1.0 + 0j, 1j, complex("nan"))), "not unimodular"),
+        "cardinality-c1": (lambda: qa.atheta_cardinality(
+            TestCheckClose.family(), 0.0, (complex("nan"), 0j, 1.0), TestCheckClose.CFG),
+            r"\|c1\|\^2 \+ \|c2\|\^2 \+ c3\^2 != 1"),
+        "tally-max-residual": (lambda: verify.Tally(max_residual=TestCheckClose.NAN), "max_residual must be non-negative"),
+    }
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_a_non_finite_invariant_is_refused(self, build):
+        make, message = self.BUILDS[build]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=message):
+                make()
+
+    @pytest.mark.parametrize("value, refused", [(1.0 + 1e-12, False), (1.0 - 1e-12, False), (1.0 + 3e-12, True),
+                                                (math.nan, True), (math.inf, True), (-math.inf, True)])
+    def test_the_band_is_closed_and_refuses_nan(self, value, refused):
+        if refused:
+            with pytest.raises(ParameterError, match="^msg$"):
+                check_close(value, 1.0, 2e-12, "msg")
+        else:
+            check_close(value, 1.0, 2e-12, "msg")

@@ -12,7 +12,9 @@ import pytest
 
 import qangle as qa
 from qangle import verify
+from qangle.alphasets import EXCEPTIONAL_TRIPLES
 from qangle.errors import ParameterError
+from qangle.projspace import distinct_unimodular_triple
 from qangle.verify import COMPLETENESS_TOL, Tally, check_alpha_set, check_double_alpha_set
 
 from conftest import random_line, random_orthonormal_pair
@@ -73,6 +75,42 @@ def test_check_double_alpha_set(wrong):
         wrong,
         ["descriptor sample misses a generator angle", "oracle member escapes the descriptor"],
     )
+
+
+SINGLE_CIRCLE_NOTE = "double-alpha-set must be a single circle in dimension >= 4"
+
+
+def test_a_second_component_fails_the_double_alpha_set_in_dimension_4():
+    # The point lies on the circle, so every sample and oracle member still
+    # sits on the descriptor, and only the single-circle rule can fail it.
+    rng = np.random.default_rng(23)
+    e1, e2 = random_orthonormal_pair(rng, 4)
+    form = qa.TripleCanonicalForm(e1, e2, 0.8, 0.6, (1.0 + 0j, 1j, -1j))
+    first = qa.collinear_triple_alpha_set(form, CFG, 4)
+    circle = qa.Circle(e1, e2, 0.8, 0.6)
+    double = qa.AlphaSetDescriptor((circle, qa.PointComponent(circle.member(np.exp(0.3j)))))
+    tally = Tally()
+    survivors = check_double_alpha_set(tally, first, double, CFG, rng, 30, qa.sample_lines(4, 60_000, 22), 40)
+    assert len(survivors) > 0
+    assert tally.verdict is False
+    assert tally.notes == [SINGLE_CIRCLE_NOTE]
+
+
+@pytest.mark.parametrize("a, c, d", EXCEPTIONAL_TRIPLES, ids=["double-circle", "circle-point"])
+def test_an_exceptional_dimension_3_double_alpha_set_passes_with_two_components(a, c, d):
+    # Built as suite_circle3 builds its cases: the rule is for dimension >= 4 only.
+    rng = np.random.default_rng(3)
+    cfg = qa.AlphaConfig.from_alpha(math.acos(a))
+    e1, e2 = random_orthonormal_pair(rng, 3)
+    form = qa.TripleCanonicalForm(e1, e2, c, d, distinct_unimodular_triple(rng, 1e-2))
+    double = qa.double_alpha_set_classify(form, cfg, 3)
+    first = qa.collinear_triple_alpha_set(form, cfg, 3)
+    tally = Tally()
+    survivors = check_double_alpha_set(tally, first, double, cfg, rng, 30, qa.sample_lines(3, 40_000, 3), 2000)
+    assert len(double.components) == 2
+    assert len(survivors) > 0
+    assert tally.verdict, tally.notes
+    assert not tally.notes
 
 
 @pytest.mark.parametrize("check", [pair_check, double_check], ids=["pair", "double"])
