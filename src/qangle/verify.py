@@ -281,7 +281,9 @@ def empirical_high_symmetry_check(
     # Independent numeric hunt for double-alpha-set members, seeded only by
     # the defining angle conditions.
     assert first_descr is not None and double_descr is not None
-    hunt_cloud = cloud or oracle.sample_lines(ambient_dim, 40_000 if ambient_dim == 3 else 80_000, seed + 1)
+    hunt_cloud = cloud or oracle.sample_lines(
+        ambient_dim, 40_000 if ambient_dim == 3 else 80_000, seed + 1
+    )
     survivors = check_double_alpha_set(tally, first_descr, double_descr, cfg, rng, n_alpha_samples, hunt_cloud, 2000)
     tally.counts["survivors"] = len(survivors)
     tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)

@@ -474,43 +474,39 @@ class TestComplexJson:
         assert again.tobytes() == np.asarray(values, dtype=complex).tobytes()
 
 
+E1, E2 = qa.canonical_line([1, 0, 0]), qa.canonical_line([0, 1, 0])
+NAN = float("nan")
+
+
+def atheta_family(e2_phase=1.0 + 0j, theta0=np.pi / 2):
+    """The A_theta family over E1, E2 at alpha = 1.1, where a < d makes the cutoff pi/2."""
+    return qa.AthetaFamily(E1, E2, 0.8, 0.6, 1.1, theta0, 3, e2_phase)
+
+
 class TestCheckClose:
-    """Every invariant checked as |value - target| <= tol refuses NaN and inf, each with its own message."""
-
-    NAN = float("nan")
-    E1, E2, E3 = (qa.canonical_line(np.eye(3)[k]) for k in range(3))
-    CFG = qa.AlphaConfig.from_alpha(1.1)
-
-    @staticmethod
-    def family(e2_phase=1.0 + 0j, theta0=np.pi / 2):
-        return qa.AthetaFamily(TestCheckClose.E1, TestCheckClose.E2, 0.8, 0.6, 1.1, theta0, 3, e2_phase)
+    """Every invariant held within a tolerance refuses NaN and inf, each with its own message."""
 
     BUILDS = {
         "wigner-inf": (lambda: qa.WignerSymmetry(2, np.array([[np.inf, 0], [0, 1]], dtype=complex), False),
                        "matrix is not unitary"),
         "wigner-nan": (lambda: qa.WignerSymmetry(2, np.array([[1, 0], [0, np.nan]], dtype=complex), False),
                        "matrix is not unitary"),
-        "slice-coefficient": (lambda: qa.SphereSliceComponent(TestCheckClose.E1, TestCheckClose.NAN, 0.6, ()),
-                              r"coefficient\^2 \+ radius\^2 != 1"),
-        "pair-e2-phase": (lambda: qa.PairCanonicalForm(TestCheckClose.E1, TestCheckClose.E2, 0.8, 0.6, complex("nan")),
-                          "e2_phase must be unimodular"),
-        "atheta-e2-phase": (lambda: TestCheckClose.family(e2_phase=complex("nan")), "e2_phase must be unimodular"),
-        "atheta-theta0": (lambda: TestCheckClose.family(theta0=TestCheckClose.NAN), "theta0 nan is not the cutoff"),
-        "triple-lambda": (lambda: qa.TripleCanonicalForm(
-            TestCheckClose.E1, TestCheckClose.E2, 0.8, 0.6, (1.0 + 0j, 1j, complex("nan"))), "not unimodular"),
-        "cardinality-c1": (lambda: qa.atheta_cardinality(
-            TestCheckClose.family(), 0.0, (complex("nan"), 0j, 1.0), TestCheckClose.CFG),
-            r"\|c1\|\^2 \+ \|c2\|\^2 \+ c3\^2 != 1"),
-        "tally-max-residual": (lambda: verify.Tally(max_residual=TestCheckClose.NAN), "max_residual must be non-negative"),
+        "slice-coefficient": (lambda: qa.SphereSliceComponent(E1, NAN, 0.6, ()), r"coefficient\^2 \+ radius\^2 != 1"),
+        "pair-e2-phase": (lambda: qa.PairCanonicalForm(E1, E2, 0.8, 0.6, complex(NAN)), "e2_phase must be unimodular"),
+        "atheta-e2-phase": (lambda: atheta_family(e2_phase=complex(NAN)), "e2_phase must be unimodular"),
+        "atheta-theta0": (lambda: atheta_family(theta0=NAN), "theta0 nan is not the cutoff"),
+        "triple-lambda": (lambda: qa.TripleCanonicalForm(E1, E2, 0.8, 0.6, (1.0 + 0j, 1j, complex(NAN))),
+                          r"lambda \(nan\+0j\) not unimodular"),
+        "cardinality-c1": (lambda: qa.atheta_cardinality(atheta_family(), 0.0, (complex(NAN), 0j, 1.0), qa.AlphaConfig(1.1)),
+                           r"\|c1\|\^2 \+ \|c2\|\^2 \+ c3\^2 != 1"),
+        "tally-max-residual": (lambda: verify.Tally(max_residual=NAN), "max_residual must be non-negative"),
     }
 
     @pytest.mark.parametrize("build", list(BUILDS))
     def test_a_non_finite_invariant_is_refused(self, build):
         make, message = self.BUILDS[build]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match=message):
-                make()
+        with pytest.raises(ParameterError, match=message):
+            make()
 
     @pytest.mark.parametrize("value, refused", [(1.0 + 1e-12, False), (1.0 - 1e-12, False), (1.0 + 3e-12, True),
                                                 (math.nan, True), (math.inf, True), (-math.inf, True)])
