@@ -29,6 +29,14 @@ from .projspace import (
     circle_member, circle_members_at, complex_json, json_complex, json_field, lines_equal, quantum_angle, random_line,
 )
 
+_UNITARY_TOL = 1e-10  # largest max|M^H M - I| accepted as unitary, for any matrix and fitted columns alike
+
+
+def _unitarity_deviation(m: np.ndarray) -> float:
+    """max|M^H M - I| of a square matrix; NaN or inf when an entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))))
+
 
 @dataclass(frozen=True)
 class WignerSymmetry:
@@ -43,9 +51,8 @@ class WignerSymmetry:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"matrix shape {m.shape} does not match dim {self.dim}")
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry leaves dev NaN or inf
-            dev = np.max(np.abs(m.conj().T @ m - np.eye(self.dim)))
-        check_close(dev, 0.0, 1e-10, f"matrix is not unitary: deviation {dev}")
+        dev = _unitarity_deviation(m)
+        check_close(dev, 0.0, _UNITARY_TOL, f"matrix is not unitary: deviation {dev}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -138,9 +145,10 @@ def fit_from_probes(dim: int, images: list[Line]) -> WignerSymmetry:
     [(e_1+e_j)/sqrt2] images.  Both flags are then fitted: the unitary and
     the antiunitary candidate on those columns each map every probe, and the
     one with the smaller worst probe residual is kept (the
-    [(e_1 + i e_j)/sqrt2] probes tell them apart).  Images inconsistent with
-    every symmetry (residual above 1e-8 on some probe under the kept
-    candidate) raise NotAWignerMapError carrying the worst probe.
+    [(e_1 + i e_j)/sqrt2] probes tell them apart).  Images that no symmetry
+    fits raise NotAWignerMapError: at probe 0 when the recovered columns are
+    more than 1e-10 off unitary, the bound WignerSymmetry applies to any
+    matrix, and otherwise at the worst probe when it is off by over 1e-8.
     """
     probes = probe_set(dim)
     if len(images) != len(probes):
@@ -164,23 +172,19 @@ def fit_from_probes(dim: int, images: list[Line]) -> WignerSymmetry:
         mu = gamma / beta
         cols[:, j] = (mu / abs(mu)) * images[j].amplitudes
 
-    ortho_dev = float(np.max(np.abs(cols.conj().T @ cols - np.eye(dim))))
-    if ortho_dev > 1e-8:
+    ortho_dev = _unitarity_deviation(cols)
+    if ortho_dev > _UNITARY_TOL:
         raise NotAWignerMapError(
             "recovered columns are not orthonormal", probe_index=0, residual=ortho_dev
         )
 
-    best = None
-    for anti in (False, True):
+    def worst_probe(anti: bool) -> tuple[float, int, WignerSymmetry]:
         cand = WignerSymmetry(dim, cols, anti)
-        residuals = [
-            quantum_angle(apply_symmetry(cand, p), img)
-            for p, img in zip(probes, images)
-        ]
+        residuals = [quantum_angle(apply_symmetry(cand, p), img) for p, img in zip(probes, images)]
         worst = int(np.argmax(residuals))
-        if best is None or residuals[worst] < best[1]:
-            best = (cand, residuals[worst], worst)
-    cand, res, worst = best
+        return residuals[worst], worst, cand
+
+    res, worst, cand = min(worst_probe(False), worst_probe(True), key=lambda fit: fit[0])
     if res > 1e-8:
         raise NotAWignerMapError(
             f"probe {worst} off by {res} under the best candidate",
@@ -243,11 +247,12 @@ def preservation_report(
     Backward: image pairs at alpha are pulled back through ``inverse_fn``
     when available; independently, pairs constructed at the complementary
     angle pi/2 - alpha probe for images landing at alpha without the sources
-    being at alpha.  Finite sampling can refute but not certify, and
-    ``n_pairs`` must be at least 1 so that a report always rests on a sample,
-    and at most ``MAX_PAIRS``; ``tol`` must be >= 0 and ``seed`` an integer
-    in [0, 2**64).  Each is checked before anything is drawn.
+    being at alpha.  Finite sampling can refute but not certify.  ``dim``
+    must be in [2, ``MAX_DIM``], ``n_pairs`` in [1, ``MAX_PAIRS``] so that a
+    report always rests on a sample, ``tol`` >= 0 and ``seed`` an integer in
+    [0, 2**64).  Each is checked before anything is drawn.
     """
+    check_dim(dim)
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ParameterError(f"n_pairs must be in [1, {MAX_PAIRS}], got {n_pairs}")
     check_tol(tol)
@@ -256,28 +261,22 @@ def preservation_report(
     fwd = 0
     bwd = 0
     max_dev = 0.0
-    tested = 0
+    tested = 2 * n_pairs
 
-    for _ in range(n_pairs):
-        v1 = random_line(rng, dim)
-        v2 = _partner_at_angle(v1, alpha, rng)
-        dev = abs(quantum_angle(map_fn(v1), map_fn(v2)) - alpha)
-        max_dev = max(max_dev, dev)
-        tested += 1
-        if dev > tol:
-            fwd += 1
-
-    beta = np.pi / 2 - alpha
-    if 0.0 < beta < np.pi / 2:
+    for backward, angle in ((False, alpha), (True, np.pi / 2 - alpha)):
         for _ in range(n_pairs):
             v1 = random_line(rng, dim)
-            v2 = _partner_at_angle(v1, beta, rng)
+            v2 = _partner_at_angle(v1, angle, rng)
             img_dev = abs(quantum_angle(map_fn(v1), map_fn(v2)) - alpha)
-            src_dev = abs(quantum_angle(v1, v2) - alpha)
-            tested += 1
-            if img_dev <= tol and src_dev > 10 * tol:
-                bwd += 1
-                max_dev = max(max_dev, src_dev)
+            if not backward:
+                max_dev = max(max_dev, img_dev)
+                if img_dev > tol:
+                    fwd += 1
+            else:
+                src_dev = abs(quantum_angle(v1, v2) - alpha)
+                if img_dev <= tol and src_dev > 10 * tol:
+                    bwd += 1
+                    max_dev = max(max_dev, src_dev)
 
     if inverse_fn is not None:
         for _ in range(n_pairs):

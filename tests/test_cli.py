@@ -459,6 +459,15 @@ class TestWignerVerbs:
         assert out["error"] == "not-a-wigner-map"
         assert "probeIndex" in out and "residual" in out
 
+    def test_fit_refuses_columns_off_unitary_at_probe_0(self, tmp_path):
+        # Probe 1's image turned by 1e-9 rad leaves the recovered columns 1e-9 off unitary.
+        eps = 1e-9
+        images = [p.to_json() for p in qa.probe_set(3)]
+        images[1] = line_json([0, math.cos(eps), math.sin(eps)])
+        code, out = run_cli(["wigner-fit"], {"dim": 3, "images": images}, tmp_path)
+        assert (code, out["error"], out["probeIndex"]) == (1, "not-a-wigner-map", 0)
+        assert out["residual"] == pytest.approx(eps, rel=1e-6)
+
 
 class TestIntersectAndBridge:
     def test_intersect(self, tmp_path):

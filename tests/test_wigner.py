@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qangle as qa
 from qangle.errors import (
@@ -52,6 +54,7 @@ class TestRandomWigner:
         def allocate(*args, **kwargs):
             raise AssertionError("dim-sized allocation before the dimension check")
 
+        cfg = qa.AlphaConfig.from_alpha(1.0)
         monkeypatch.setattr(np.random, "default_rng", allocate)
         monkeypatch.setattr(np, "eye", allocate)
         for dim in (MAX_DIM + 1, 100_000):
@@ -61,6 +64,10 @@ class TestRandomWigner:
                 qa.probe_set(dim)
             with pytest.raises(DimensionError):
                 qa.fit_from_probes(dim, [])
+            with pytest.raises(DimensionError, match=f"\\[2, {MAX_DIM}\\]"):
+                qa.preservation_report(lambda v: v, cfg, dim, 3, 0)
+        with pytest.raises(ParameterError, match="dim must be >= 2"):
+            qa.preservation_report(lambda v: v, cfg, 1, 3, 0)
 
 
 class TestApplySymmetry:
@@ -189,6 +196,28 @@ class TestFitFromProbes:
     def test_wrong_count_rejected(self):
         with pytest.raises(ParameterError):
             qa.fit_from_probes(3, qa.probe_set(3)[:5])
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        dim=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        anti=st.booleans(),
+        eps=st.sampled_from([0.0, 1e-12, 1e-10, 3e-10, 1e-9, 1e-8, 1e-6, 1e-2]),
+        data=st.data(),
+    )
+    def test_turned_probe_is_fitted_or_refused(self, dim, seed, anti, eps, data):
+        # One probe image turned by eps rad: the fit maps every probe within
+        # 1e-8 of its image, or refuses the images as no Wigner map.
+        w = qa.random_wigner(dim, seed, anti)
+        probes = qa.probe_set(dim)
+        images = [qa.apply_symmetry(w, p) for p in probes]
+        probe = data.draw(st.integers(0, len(images) - 1), label="probe")
+        images[probe] = qa.wigner._partner_at_angle(images[probe], eps, np.random.default_rng(seed))
+        try:
+            fitted = qa.fit_from_probes(dim, images)
+        except NotAWignerMapError:
+            return
+        assert max(qa.quantum_angle(qa.apply_symmetry(fitted, p), img) for p, img in zip(probes, images)) <= 1e-8
 
 
 class TestPreservation:
