@@ -44,12 +44,10 @@ from .oracle import (
     alpha_set_numeric,
     discover_alpha_set,
     funnel_alpha_set,
-    load_cloud,
     refine_alpha_members,
     root_count_on_circle,
     root_count_on_disk,
     sample_lines,
-    save_cloud,
 )
 from .projspace import (
     AlphaConfig,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,14 +24,12 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .projspace import GAUGE_TOL, NORM_TOL, AlphaConfig, Line, canonical_line, check_dim, check_seed, check_tol
 
-_HEADER = struct.Struct("<QQQ")
-
 # Largest count * dim of a cloud (256 MB of amplitudes): four times the
 # 1 000 000 lines of dimension 4 that the acceptance criteria sample.  The
-# cloud path allocates a few row-block buffers once per call, so loading,
-# saving, filtering or generating a cloud of that size peaks near 256 MB plus
-# those (about 1 MB in dimension 4): the real parts are drawn into the cloud's
-# own buffer, and the gauged rows are written straight into it.
+# cloud path allocates a few row-block buffers once per call, so filtering or
+# generating a cloud of that size peaks near 256 MB plus those (about 1 MB in
+# dimension 4): the real parts are drawn into the cloud's own buffer, and the
+# gauged rows are written straight into it.
 MAX_CLOUD_ENTRIES = 16_000_000
 
 # Rows per block on the cloud path (3 * _BLOCK_ROWS // k against k
@@ -72,12 +69,11 @@ class SampleCloud:
 
     ``vectors`` must be a 2-D complex array of shape ``(count, dim)``, with
     ``count >= 1`` and within ``MAX_CLOUD_ENTRIES``, and ``dim`` and ``seed``
-    integers, ``seed`` in [0, 2**64); anything else is refused here, in O(1).
-    Its rows must be finite unit vectors, as rejection's cosine-window screen
-    assumes, and :func:`load_cloud` also wants them in the canonical gauge of
-    :class:`Line`.  That takes a scan of every row, made at most once per
-    cloud, by :func:`load_cloud` or by the first :func:`alpha_set_numeric`
-    on the cloud; :func:`sample_lines` makes none.
+    integers, ``seed`` in [0, 2**64); anything else is refused here, in O(1),
+    and the rows are made read-only.  The rows must be finite unit vectors, as
+    rejection's cosine-window screen assumes.  That takes a scan of every row,
+    made at most once per cloud, by the first :func:`alpha_set_numeric` on it;
+    :func:`sample_lines` makes none.
     """
 
     dim: int
@@ -99,40 +95,28 @@ class SampleCloud:
         return self.vectors.shape[0]
 
     @cached_property
-    def _row_faults(self) -> tuple:
-        """``(row, what)`` of the first row that is not finite or not of norm 1 within ``NORM_TOL``, and of
-        the first row out of gauge before that row's block, each ``None`` if there is none.
+    def _row_faults(self) -> tuple | None:
+        """``(row, what)`` of the first row that is not finite or not of norm 1 within ``NORM_TOL``,
+        or ``None`` if there is none.
 
-        The rows are scanned a block at a time; the norm and the lead are the
-        gauge's own, :func:`_row_norms` and :func:`_leads`.  The rows are
-        read-only, so the result stays valid.
+        The rows are scanned a block at a time, each norm taken as the gauge
+        takes it, by :func:`_row_norms`.  The rows are read-only, so the
+        result stays valid.
         """
         rows = min(self.count, _BLOCK_ROWS + 1)
-        t, n, lead = np.empty((rows, self.dim), dtype=complex), np.empty(rows), np.empty(rows, dtype=complex)
-        gauge = None
+        t, n = np.empty((rows, self.dim), dtype=complex), np.empty(rows)
         for start, stop in _blocks(self.count):
             block, m = self.vectors[start:stop], stop - start
             bad, what = ~np.isfinite(block).all(axis=1), "holds a non-finite amplitude"
             if not bad.any():
                 bad, what = np.abs(_row_norms(block, t[:m], n[:m]) - 1.0) > NORM_TOL, "is not of norm 1"
             if bad.any():
-                return (start + int(np.argmax(bad)), what), gauge
-            if gauge is None:
-                _leads(block, lead[:m], n[:m])
-                bad = (np.abs(lead[:m].imag) > GAUGE_TOL) | ~(lead[:m].real > 0)
-                if bad.any():
-                    gauge = start + int(np.argmax(bad)), "is not in the canonical gauge"
-        return None, gauge
-
-
-def _refuse_row(fault) -> None:
-    """A ``ParameterError`` naming the cloud row of a fault of :attr:`SampleCloud._row_faults`, if any."""
-    if fault:
-        raise ParameterError(f"cloud row {fault[0]} {fault[1]}")
+                return start + int(np.argmax(bad)), what
+        return None
 
 
 def _check_cloud(dim, count, seed) -> tuple[int, int, int]:
-    """``dim``, ``count`` and ``seed`` as ``int`` (numpy integers pass), once they fit a cloud and its file header."""
+    """``dim``, ``count`` and ``seed`` as ``int`` (numpy integers pass), once they fit a cloud."""
     ints = []
     for name, value in (("dim", dim), ("count", count)):
         try:
@@ -254,38 +238,6 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     return SampleCloud(dim, v, seed)
 
 
-def save_cloud(cloud: SampleCloud, path) -> None:
-    """Persist a cloud: header (dim, count, seed as little-endian uint64), then
-    little-endian doubles with re/im interleaved per amplitude."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(cloud.dim, cloud.count, cloud.seed))
-        cloud.vectors.astype("<c16", copy=False).tofile(fh)
-
-
-def load_cloud(path) -> SampleCloud:
-    """Read a cloud written by :func:`save_cloud`.
-
-    The header is checked against the bounds of :func:`sample_lines` before
-    the payload is read.  Then the cloud's row scan runs: a block at a time
-    each row must be finite, of norm 1 within ``NORM_TOL`` and gauged as a
-    :class:`Line`; a ``ParameterError`` names a row that is not, from the
-    first block holding one (a non-finite row first, then one of another
-    norm, then one out of gauge).
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ParameterError("cloud file is shorter than its header")
-        dim, count, seed = _check_cloud(*_HEADER.unpack(head))
-        vecs = np.fromfile(fh, dtype="<c16", count=count * dim)
-        if vecs.size != count * dim or fh.read(1):
-            raise ParameterError("cloud file payload size does not match its header")
-    cloud = SampleCloud(dim, vecs.astype(complex, copy=False).reshape(count, dim), seed)
-    unit, gauge = cloud._row_faults
-    _refuse_row(gauge or unit)
-    return cloud
-
-
 def _rows(lines, width: int | None = None) -> np.ndarray:
     """The lines' amplitudes as ``(k, n)`` rows; no line is a ``ParameterError``, lines of different
     dimensions or of another dimension than ``width`` a ``DimensionError``.  Conjugated generator rows
@@ -353,7 +305,8 @@ def alpha_set_numeric(generators, cfg: AlphaConfig, cloud: SampleCloud, tol: flo
     check_tol(tol)
     vectors = cloud.vectors
     gens_c = _rows(generators, vectors.shape[1]).conj()
-    _refuse_row(cloud._row_faults[0])
+    if fault := cloud._row_faults:
+        raise ParameterError(f"cloud row {fault[0]} {fault[1]}")
     rows = max(1, 3 * _BLOCK_ROWS // len(gens_c))
     lo = math.cos(min(cfg.alpha + tol, math.pi / 2)) ** 2 - 1e-12
     hi = math.cos(max(cfg.alpha - tol, 0.0)) ** 2 + 1e-12

@@ -187,8 +187,10 @@ class Line:
         if self.dim < 1 or self.dim > MAX_DIM:
             raise DimensionError(f"dim {self.dim} outside supported range [1, {MAX_DIM}]")
         _check_finite(amps)
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ParameterError(f"amplitudes not normalized: |v| = {np.linalg.norm(amps)}")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ParameterError(f"amplitudes not normalized: |v| = {norm}")
         big = np.abs(amps) > GAUGE_TOL
         k = int(np.argmax(big))
         lead = amps[k]
@@ -223,7 +225,8 @@ def canonical_line(vector) -> Line:
     """
     v = np.asarray(vector, dtype=complex).reshape(-1)
     _check_finite(v)
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v)
     if not math.isfinite(n):
         v = v / max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))
         n = np.linalg.norm(v)

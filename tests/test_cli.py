@@ -33,6 +33,20 @@ def run_cli(args, payload=None, tmp_path=None):
     return code, json.loads(out) if out.strip() else None
 
 
+def run_cli_process(args, stdin_bytes, cwd):
+    """Run ``python -m qangle.cli`` in a fresh interpreter, returning the finished process.
+
+    The package is found from this file's location, so the call holds on any
+    checkout; an inherited relative PYTHONPATH such as "src" would not resolve
+    from the neutral working directory.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    cmd = [sys.executable, "-m", "qangle.cli", *args]
+    return subprocess.run(cmd, input=stdin_bytes, capture_output=True, cwd=cwd, env=env, timeout=120)
+
+
 def line_json(vec):
     l = qa.canonical_line(vec)
     return l.to_json()
@@ -119,11 +133,20 @@ class TestCanonicalVerb:
         assert code == 1
         assert out["error"] == "degenerate-vector"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's, in the first norm
+    @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")  # none from numpy's first norm
     def test_large_finite_vector_is_a_line(self, tmp_path):
         code, out = run_cli(["canonical"], {"re": [1e200, 0], "im": [0, 0]}, tmp_path)
         assert code == 0
         assert out["re"] == [1.0, 0.0]
+
+    def test_huge_amplitudes_print_nothing_on_stderr(self, tmp_path):
+        # numpy's overflow in the first norm would print a warning to stderr.
+        huge = {"dim": 2, "re": [1e300, 0], "im": [0, 0]}
+        angle = run_cli_process(["angle"], json.dumps({"u": huge, "v": line_json([1, 0])}).encode(), tmp_path)
+        assert angle.returncode == 2 and json.loads(angle.stdout)["error"] == "schema"
+        canonical = run_cli_process(["canonical"], json.dumps({"re": [1e200, 0], "im": [0, 0]}).encode(), tmp_path)
+        assert canonical.returncode == 0 and json.loads(canonical.stdout)["re"] == [1.0, 0.0]
+        assert angle.stderr == canonical.stderr == b""
 
     def test_non_numeric_amplitude_is_schema_error(self, tmp_path):
         code, out = run_cli(["canonical"], {"re": ["a"], "im": [0]}, tmp_path)
@@ -424,7 +447,7 @@ class TestWignerVerbs:
         ],
     )
     def test_negative_seed_is_parameter_error(self, tmp_path, verb, payload):
-        # Every payload seed has the range a cloud file can store, [0, 2**64).
+        # Every seeded call takes a seed in [0, 2**64), one rule for all of them.
         for seed in (-1, 2**64):
             code, out = run_cli([verb], {**payload, "seed": seed}, tmp_path)
             assert code == 1
@@ -432,7 +455,7 @@ class TestWignerVerbs:
             assert out["detail"] == f"seed must be in [0, 2**64), got {seed}"
 
     def test_oracle_seed_beyond_the_cloud_header_is_parameter_error(self, tmp_path):
-        # A cloud file stores its seed as a uint64.
+        # The largest seed of that one rule, 2**64 - 1, draws a cloud.
         code, out = run_cli(["oracle"], {**ORACLE_PAYLOAD, "seed": 2**64 - 1}, tmp_path)
         assert code == 0 and out["count"] >= 0
         code, out = run_cli(["oracle"], {**ORACLE_PAYLOAD, "seed": 2**64}, tmp_path)
@@ -641,25 +664,9 @@ class TestVerifySuites:
 
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_runs(self, tmp_path):
-        cmd = [
-            sys.executable,
-            "-m",
-            "qangle.cli",
-            "verify",
-            "shape",
-            "--seed",
-            "4",
-            "--draws",
-            "3",
-        ]
-        # Fresh interpreters find the package from this file's location, so the
-        # test holds on any checkout; an inherited relative PYTHONPATH such as
-        # "src" would not resolve from the neutral working directory.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": pythonpath}
-        a = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env, timeout=120)
-        b = subprocess.run(cmd, capture_output=True, cwd=tmp_path, env=env, timeout=120)
+        args = ["verify", "shape", "--seed", "4", "--draws", "3"]
+        a = run_cli_process(args, None, tmp_path)
+        b = run_cli_process(args, None, tmp_path)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         report = json.loads(a.stdout)

@@ -1,7 +1,6 @@
 import ast
 import math
 import os
-import struct
 import subprocess
 import sys
 import threading
@@ -99,7 +98,7 @@ class TestSampleLines:
         ids=["float-dim", "float-count", "float-seed", "seed-below-0", "seed-2**64"],
     )
     def test_non_integral_arguments_and_seeds_out_of_range(self, monkeypatch, dim, count, seed):
-        # A cloud file stores its seed as a uint64.  The check comes before
+        # Every seeded call takes a seed in [0, 2**64).  The check comes before
         # any draw and before the 48 MB cloud buffer is allocated.
         def no_draw(seed):
             raise AssertionError("drew before checking the arguments")
@@ -126,93 +125,10 @@ class TestSampleLines:
             qa.sample_lines(4, 26, 0)
 
 
-class TestCloudPersistence:
-    def test_binary_round_trip(self, tmp_path):
-        cloud = qa.sample_lines(3, 256, 11)
-        path = tmp_path / "cloud.bin"
-        qa.save_cloud(cloud, path)
-        again = qa.load_cloud(path)
-        assert again.dim == 3 and again.count == 256 and again.seed == 11
-        assert np.array_equal(cloud.vectors, again.vectors)
-
-    def test_header_layout(self, tmp_path):
-        cloud = qa.sample_lines(2, 4, 9)
-        path = tmp_path / "c.bin"
-        qa.save_cloud(cloud, path)
-        raw = path.read_bytes()
-        dim, count, seed = np.frombuffer(raw[:24], dtype="<u8")
-        assert (dim, count, seed) == (2, 4, 9)
-        payload = np.frombuffer(raw[24:], dtype="<f8")
-        assert payload.size == 2 * 4 * 2
-
-    @staticmethod
-    def _write(path, dim, count, payload_amplitudes):
-        # Rows (1, 0, ..., 0), so that a payload of the declared size is a valid cloud.
-        payload = np.zeros(payload_amplitudes, dtype="<c16")
-        payload[:: max(dim, 1)] = 1.0
-        path.write_bytes(struct.pack("<QQQ", dim, count, 0) + payload.tobytes())
-        return path
-
-    @pytest.mark.parametrize(
-        "dim, count, error",
-        [(0, 5, ParameterError), (MAX_DIM + 1, 1, DimensionError), (3, 0, ParameterError)],
-    )
-    def test_header_bounds(self, tmp_path, dim, count, error):
-        path = self._write(tmp_path / "c.bin", dim, count, dim * count)
-        with pytest.raises(error):
-            qa.load_cloud(path)
-
-    def test_header_cloud_size_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_CLOUD_ENTRIES", 100)
-        assert qa.load_cloud(self._write(tmp_path / "ok.bin", 4, 25, 100)).count == 25
-        with pytest.raises(ParameterError):
-            qa.load_cloud(self._write(tmp_path / "big.bin", 4, 26, 104))
-
-    @pytest.mark.parametrize("amplitudes", [11, 13])
-    def test_payload_must_match_header(self, tmp_path, amplitudes):
-        # 4 lines of dimension 3 carry 12 amplitudes: one short, then one trailing.
-        path = self._write(tmp_path / "c.bin", 3, 4, amplitudes)
-        with pytest.raises(ParameterError):
-            qa.load_cloud(path)
-
-    def test_short_header(self, tmp_path):
-        path = tmp_path / "c.bin"
-        path.write_bytes(struct.pack("<QQ", 3, 4))
-        with pytest.raises(ParameterError):
-            qa.load_cloud(path)
-
-    @pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0.5, np.inf), complex(-np.inf, 0)])
-    def test_non_finite_payload(self, tmp_path, bad):
-        path = tmp_path / "c.bin"
-        qa.save_cloud(qa.sample_lines(3, 8, 5), path)
-        raw = bytearray(path.read_bytes())
-        raw[24 + 16 * 13 : 24 + 16 * 14] = np.array([bad], dtype="<c16").tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ParameterError):
-            qa.load_cloud(path)
-
-    @pytest.mark.parametrize(
-        "scale, row",
-        [({0: 2.0}, 0), ({1: 1j}, 1), ({0: 2.0, 1: 1j}, 0), ({5: 1 + 1e-11}, 5), ({7: -1.0}, 7)],
-    )
-    def test_rows_must_be_unit_and_gauged(self, tmp_path, scale, row):
-        # Rejection reads a squared overlap as a cosine squared, which holds
-        # only for unit rows; a row times i keeps its norm but leaves the gauge.
-        path = tmp_path / "c.bin"
-        cloud = qa.sample_lines(3, 8, 5)
-        qa.save_cloud(cloud, path)
-        vectors = cloud.vectors.copy()
-        for i, factor in scale.items():
-            vectors[i] *= factor
-        path.write_bytes(path.read_bytes()[:24] + vectors.astype("<c16").tobytes())
-        with pytest.raises(ParameterError, match=rf"cloud row {row} "):
-            qa.load_cloud(path)
-
-
 class TestSampleCloudShape:
     """A cloud built directly is refused unless it is a 2-D complex (count >= 1, dim) array
-    within the size cap, with an integral dim and a seed that fits the file header's uint64,
-    so that ``save_cloud`` never writes a file ``load_cloud`` refuses."""
+    within the size cap, with an integral dim and a seed in [0, 2**64), the seed rule of
+    every seeded call."""
 
     @pytest.mark.parametrize(
         "dim, vectors, seed, error",
@@ -240,12 +156,15 @@ class TestSampleCloudShape:
         with pytest.raises(error):
             qa.SampleCloud(dim, vectors, seed)
 
-    def test_numpy_integer_dim_and_seed_round_trip(self, tmp_path):
-        rows = qa.sample_lines(3, 4, 1).vectors.copy()
+    def test_numpy_integer_dim_and_seed(self):
+        rows = qa.sample_lines(3, 2_000, 1).vectors
+        e1, cfg = qa.canonical_line([1, 0, 0]), qa.AlphaConfig(1.0)
+        hits = qa.alpha_set_numeric([e1], cfg, qa.SampleCloud(3, rows, 7), 0.05)
+        assert len(hits)
         for dim, seed in [(np.int64(3), np.int64(7)), (np.uint64(3), np.uint64(2**64 - 1))]:
-            qa.save_cloud(qa.SampleCloud(dim, rows, seed), tmp_path / "c.bin")
-            again = qa.load_cloud(tmp_path / "c.bin")
-            assert (again.dim, again.seed) == (3, seed) and np.array_equal(again.vectors, rows)
+            cloud = qa.SampleCloud(dim, rows, seed)
+            assert (cloud.dim, cloud.seed) == (3, seed)
+            assert qa.alpha_set_numeric([e1], cfg, cloud, 0.05).tobytes() == hits.tobytes()
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_CLOUD_ENTRIES", 100)
@@ -253,18 +172,17 @@ class TestSampleCloudShape:
         with pytest.raises(ParameterError):
             qa.SampleCloud(4, np.eye(26, 4, dtype=complex), 0)
 
-    def test_accepted_cloud_round_trips(self, tmp_path):
+    def test_rows_are_made_read_only(self):
         rows = qa.sample_lines(3, 6, 2).vectors.copy()
+        assert rows.flags.writeable
         cloud = qa.SampleCloud(3, rows, 2)
-        assert not rows.flags.writeable
-        qa.save_cloud(cloud, tmp_path / "c.bin")
-        assert np.array_equal(qa.load_cloud(tmp_path / "c.bin").vectors, rows)
+        assert cloud.vectors is rows and not rows.flags.writeable
 
 
 class TestCloudRowScan:
     """A cloud built directly is scanned once, by its first rejection, which refuses
-    a row that is not finite or not of norm 1 and names it; ``load_cloud`` scans
-    eagerly and also refuses a row out of gauge; ``sample_lines`` never scans."""
+    a row that is not finite or not of norm 1 and names it; a row out of gauge is
+    no fault, and ``sample_lines`` never scans."""
 
     E1 = qa.canonical_line([1, 0, 0])
 
@@ -275,6 +193,8 @@ class TestCloudRowScan:
             ([2 * math.cos(1.0), 2 * math.sin(1.0), 0], "is not of norm 1"),  # at angle exactly 1.0 from e1
             ([1 + 1e-11, 0, 0], "is not of norm 1"),
             ([math.nan, 0, 0], "holds a non-finite amplitude"),
+            ([complex(0.5, math.inf), 0, 0], "holds a non-finite amplitude"),
+            ([-math.inf, 0, 0], "holds a non-finite amplitude"),
         ],
     )
     def test_rejection_refuses_a_row_off_the_unit_sphere(self, row, what):
@@ -284,18 +204,18 @@ class TestCloudRowScan:
         with pytest.raises(ParameterError, match=rf"^cloud row 0 {what}$"):
             qa.discover_alpha_set([self.E1], qa.AlphaConfig(1.0), cloud)
 
-    def test_first_fault_of_each_kind(self, tmp_path):
-        # A row out of gauge in the first block and a row of norm 2 in the second:
-        # rejection names the second, load_cloud the first, as it always has.
+    @pytest.mark.parametrize(
+        "scale, row",
+        [({0: 2.0}, 0), ({0: 2.0, 1: 1j}, 0), ({1: 1j, 5: 1 + 1e-11}, 5), ({3: 1j, 4_500: 2.0}, 4_500)],
+        ids=["norm-2", "norm-2-then-gauge", "gauge-then-norm", "gauge-then-norm-in-second-block"],
+    )
+    def test_names_the_first_row_off_the_unit_sphere(self, scale, row):
+        # A row times i keeps its norm but leaves the gauge, which is no fault.
         rows = qa.sample_lines(3, 5_000, 4).vectors.copy()
-        rows[3] *= 1j
-        rows[4_500] *= 2.0
-        cloud = qa.SampleCloud(3, rows, 4)
-        with pytest.raises(ParameterError, match=r"^cloud row 4500 is not of norm 1$"):
-            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), cloud, 0.1)
-        qa.save_cloud(cloud, tmp_path / "c.bin")
-        with pytest.raises(ParameterError, match=r"^cloud row 3 is not in the canonical gauge$"):
-            qa.load_cloud(tmp_path / "c.bin")
+        for i, factor in scale.items():
+            rows[i] *= factor
+        with pytest.raises(ParameterError, match=rf"^cloud row {row} is not of norm 1$"):
+            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), qa.SampleCloud(3, rows, 4), 0.1)
 
     def test_unit_rows_out_of_gauge_pass_rejection(self):
         cloud = qa.sample_lines(3, 2_000, 5)
@@ -305,13 +225,11 @@ class TestCloudRowScan:
             qa.alpha_set_numeric([self.E1], cfg, cloud, 0.05)
         )
 
-    def test_scanned_once_and_only_when_needed(self, tmp_path, monkeypatch):
+    def test_scanned_once_and_only_when_needed(self, monkeypatch):
         cloud = qa.sample_lines(3, 300, 6)
         assert "_row_faults" not in vars(cloud)
         first = qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), cloud, 0.1)
-        assert vars(cloud)["_row_faults"] == (None, None)
-        qa.save_cloud(cloud, tmp_path / "c.bin")
-        assert vars(qa.load_cloud(tmp_path / "c.bin"))["_row_faults"] == (None, None)
+        assert vars(cloud)["_row_faults"] is None
 
         def no_second_scan(*args):
             raise AssertionError("the cloud's rows were scanned again")
@@ -398,15 +316,6 @@ class TestBlockedCloudPath:
         if tol == 2e-5:
             assert rows.size == 1 and 1 in screened
 
-    def test_save_cloud_writes_interleaved_doubles(self, tmp_path):
-        cloud = qa.sample_lines(3, 40, 12)
-        flat = np.empty(cloud.count * cloud.dim * 2, dtype="<f8")
-        flat[0::2] = cloud.vectors.real.reshape(-1)
-        flat[1::2] = cloud.vectors.imag.reshape(-1)
-        path = tmp_path / "c.bin"
-        qa.save_cloud(cloud, path)
-        assert path.read_bytes() == struct.pack("<QQQ", 3, 40, 12) + flat.tobytes()
-
 
 class TestGaugeRows:
     """The per-block gauge of ``sample_lines`` against the whole-row ``argmax`` formula."""
@@ -444,20 +353,6 @@ class TestGaugeRows:
         w[-1, 0] = 1e150
         n = oracle._row_norms(w, np.empty_like(w), np.empty(rows))
         assert n.tobytes() == np.linalg.norm(w, axis=1).tobytes()
-
-    @pytest.mark.parametrize("k", [0, 1, 3, 4])
-    def test_load_cloud_takes_the_lead_from_a_later_column(self, tmp_path, k):
-        # Row 0's first amplitude is 0 and row 1's 1e-13, and rows 3 and 4
-        # lead in their last and third columns: each is gauged on that lead,
-        # and each times i is refused.
-        v = one_shot_gauge(self.crafted_rows())
-        path = tmp_path / "c.bin"
-        qa.save_cloud(qa.SampleCloud(4, v.copy(), 0), path)
-        assert qa.load_cloud(path).vectors.tobytes() == v.tobytes()
-        v[k] *= 1j
-        path.write_bytes(path.read_bytes()[:24] + v.astype("<c16").tobytes())
-        with pytest.raises(ParameterError, match=rf"^cloud row {k} is not in the canonical gauge$"):
-            qa.load_cloud(path)
 
 
 class _InjectedError(Exception):
@@ -604,17 +499,6 @@ class TestMemoryBudget:
         assert pools[1] >= 1.5 * pools[0]
         row = self.DIM * 16
         assert peaks[1] - peaks[0] <= 3 * row * (pools[1] - pools[0])
-
-    def test_save_cloud(self, cloud, tmp_path):
-        _, peak = traced_peak(lambda: qa.save_cloud(cloud, tmp_path / "c.bin"))
-        assert peak <= 0.25 * cloud.vectors.nbytes
-
-    def test_load_cloud(self, cloud, tmp_path):
-        path = tmp_path / "c.bin"
-        qa.save_cloud(cloud, path)
-        again, peak = traced_peak(lambda: qa.load_cloud(path))
-        assert np.array_equal(again.vectors, cloud.vectors)
-        assert peak <= 1.25 * cloud.vectors.nbytes
 
     def test_disk_root_count_takes_one_radius_at_a_time(self):
         # One grid row per radius: evaluating every radius at once would hold

@@ -57,9 +57,15 @@ class TestCanonicalLine:
     def test_finite_vector_whose_norm_overflows(self, vec, want):
         # |v| above about 1.34e154 overflows to inf, which would scale v to 0.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the first norm
+            warnings.simplefilter("error", RuntimeWarning)  # no overflow warning from numpy's first norm
             l = qa.canonical_line(vec)
         assert np.allclose(l.amplitudes, want, atol=1e-15)
+
+    def test_line_refuses_a_norm_that_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no overflow warning from numpy's norm
+            with pytest.raises(ParameterError, match=r"\|v\| = inf"):
+                qa.Line(2, np.array([1e300, 0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_line_refuses_non_finite_amplitude(self, bad):
