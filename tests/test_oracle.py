@@ -193,8 +193,6 @@ class TestCloudRowScan:
             ([2 * math.cos(1.0), 2 * math.sin(1.0), 0], "is not of norm 1"),  # at angle exactly 1.0 from e1
             ([1 + 1e-11, 0, 0], "is not of norm 1"),
             ([math.nan, 0, 0], "holds a non-finite amplitude"),
-            ([complex(0.5, math.inf), 0, 0], "holds a non-finite amplitude"),
-            ([-math.inf, 0, 0], "holds a non-finite amplitude"),
         ],
     )
     def test_rejection_refuses_a_row_off_the_unit_sphere(self, row, what):
@@ -203,6 +201,13 @@ class TestCloudRowScan:
             qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), cloud, 0.1)
         with pytest.raises(ParameterError, match=rf"^cloud row 0 {what}$"):
             qa.discover_alpha_set([self.E1], qa.AlphaConfig(1.0), cloud)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0.5, math.inf), complex(-math.inf, 0)])
+    def test_names_the_first_non_finite_row(self, bad):
+        rows = qa.sample_lines(3, 8, 5).vectors.copy()
+        rows[4, 1] = bad
+        with pytest.raises(ParameterError, match=r"^cloud row 4 holds a non-finite amplitude$"):
+            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), qa.SampleCloud(3, rows, 5), 0.1)
 
     @pytest.mark.parametrize(
         "scale, row",
