@@ -34,7 +34,7 @@ near-double when c ~ d.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -46,7 +46,6 @@ from .errors import (
     DomainError,
     ParameterError,
     RangeError,
-    SchemaError,
     WitnessRangeError,
 )
 from .projspace import (
@@ -63,8 +62,6 @@ from .projspace import (
     circle_members_at,
     complex_json,
     inner,
-    json_complex,
-    json_field,
     orthonormal_complement,
     quantum_angle,
 )
@@ -363,36 +360,21 @@ class PointComponent:
 Component = CircleComponent | SphereSliceComponent | PointComponent | AthetaFamily
 
 #: The wire name of each component class.
-_KINDS = {"atheta": AthetaFamily, "circle": CircleComponent, "slice": SphereSliceComponent, "point": PointComponent}
-_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+_KIND_OF = {AthetaFamily: "atheta", CircleComponent: "circle", SphereSliceComponent: "slice", PointComponent: "point"}
 
-#: Per annotated field type (a string: annotations are postponed), the JSON
-#: kind of the wire value, its encoder and its decoder.
+#: The encoder of each annotated field type (a string: annotations are postponed).
 _WIRE = {
-    "Line": (dict, Line.to_json, Line.from_json),
-    "float": (float, float, float),
-    "int": (int, int, int),
-    "complex": (dict, complex_json, lambda o: complex(json_complex(o, 0))),
-    "tuple[Line, ...]": (list, lambda ls: [l.to_json() for l in ls], lambda objs: tuple(map(Line.from_json, objs))),
+    "Line": Line.to_json,
+    "float": float,
+    "int": int,
+    "complex": complex_json,
+    "tuple[Line, ...]": lambda ls: [l.to_json() for l in ls],
 }
 
 
 def _component_to_json(comp: Component) -> dict:
     """``{"kind": ...}``, then each dataclass field under its own name, in declaration order."""
-    return {"kind": _KIND_OF[type(comp)], **{f.name: _WIRE[f.type][1](getattr(comp, f.name)) for f in fields(comp)}}
-
-
-def _component_from_json(obj: dict) -> Component:
-    """Inverse of _component_to_json; a field with a default may be omitted."""
-    kind = json_field(obj, "kind", str)
-    if kind not in _KINDS:
-        raise SchemaError(f"unknown component kind {kind!r}")
-    args = {}
-    for f in fields(_KINDS[kind]):
-        if f.name in obj or f.default is MISSING:
-            wire, _, decode = _WIRE[f.type]
-            args[f.name] = decode(json_field(obj, f.name, wire))
-    return _KINDS[kind](**args)
+    return {"kind": _KIND_OF[type(comp)], **{f.name: _WIRE[f.type](getattr(comp, f.name)) for f in fields(comp)}}
 
 
 @dataclass(frozen=True)
@@ -607,7 +589,7 @@ class Cardinality:
     """
 
     tag: str  # "zero" | "one" | "infinite"
-    margin: float = float("nan")
+    margin: float
 
     def __post_init__(self):
         if self.tag not in ("zero", "one", "infinite"):
@@ -726,10 +708,3 @@ def counterexample_witness(
         raise ParameterError("witness line unexpectedly close to the alpha-set")
     return u1, u2, u3, w
 
-
-def descriptor_from_json(obj: dict) -> AlphaSetDescriptor:
-    """Inverse of AlphaSetDescriptor.to_json; a mistyped or missing field is a SchemaError."""
-    comps = tuple(_component_from_json(c) for c in json_field(obj, "components", list))
-    if not comps:
-        raise SchemaError("field 'components' must hold at least one component")
-    return AlphaSetDescriptor(comps)

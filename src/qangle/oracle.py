@@ -65,30 +65,30 @@ _LOOKAHEAD = 2
 
 @dataclass(frozen=True)
 class SampleCloud:
-    """A reproducible batch of canonical-gauged random lines, stored as the rows of ``vectors``.
+    """A batch of lines stored as the rows of ``vectors``, as :func:`sample_lines` draws them.
 
     ``vectors`` must be a 2-D complex array of shape ``(count, dim)``, with
-    ``count >= 1`` and within ``MAX_CLOUD_ENTRIES``, and ``dim`` and ``seed``
-    integers, ``seed`` in [0, 2**64); anything else is refused here, in O(1),
-    and the rows are made read-only.  The rows must be finite unit vectors, as
+    ``count >= 1``, ``dim`` in [2, ``MAX_DIM``] and ``count * dim`` within
+    ``MAX_CLOUD_ENTRIES``; anything else is refused here, in O(1), and the
+    rows are made read-only.  The rows must be finite unit vectors, as
     rejection's cosine-window screen assumes.  That takes a scan of every row,
     made at most once per cloud, by the first :func:`alpha_set_numeric` on it;
     :func:`sample_lines` makes none.
     """
 
-    dim: int
     vectors: np.ndarray
-    seed: int
 
     def __post_init__(self):
         v = self.vectors
         if not (isinstance(v, np.ndarray) and v.dtype == complex and v.ndim == 2):
             got = f"a {v.ndim}-D {v.dtype} array" if isinstance(v, np.ndarray) else type(v).__name__
             raise ParameterError(f"cloud vectors must be a 2-D complex array, got {got}")
-        _check_cloud(self.dim, v.shape[0], self.seed)
-        if v.shape[1] != self.dim:
-            raise DimensionError(f"cloud rows of width {v.shape[1]}, cloud of dimension {self.dim}")
+        _check_cloud(v.shape[1], v.shape[0])
         v.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def count(self) -> int:
@@ -115,8 +115,8 @@ class SampleCloud:
         return None
 
 
-def _check_cloud(dim, count, seed) -> tuple[int, int, int]:
-    """``dim``, ``count`` and ``seed`` as ``int`` (numpy integers pass), once they fit a cloud."""
+def _check_cloud(dim, count) -> tuple[int, int]:
+    """``dim`` and ``count`` as ``int`` (numpy integers pass), once they fit a cloud."""
     ints = []
     for name, value in (("dim", dim), ("count", count)):
         try:
@@ -129,7 +129,7 @@ def _check_cloud(dim, count, seed) -> tuple[int, int, int]:
         raise ParameterError(f"count must be >= 1, got {count}")
     if count * dim > MAX_CLOUD_ENTRIES:
         raise ParameterError(f"{count} lines of dimension {dim} exceed {MAX_CLOUD_ENTRIES} amplitudes")
-    return dim, count, check_seed(seed)
+    return dim, count
 
 
 def _blocks(count: int, rows: int | None = None):
@@ -205,8 +205,9 @@ def _gauge_rows(w: np.ndarray, out: np.ndarray, t: np.ndarray, n: np.ndarray, le
 def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     """Independent complex-Gaussian lines, normalized and gauged; deterministic per seed.
 
-    The arguments are checked as :class:`SampleCloud` checks them, before
-    anything is allocated or drawn.  All real parts are drawn first, then all
+    ``dim`` and ``count`` are checked as :class:`SampleCloud` checks a cloud's
+    shape, then ``seed`` by the seed rule [0, 2**64), before anything is
+    allocated or drawn.  All real parts are drawn first, then all
     imaginary parts, as one ``standard_normal((count, dim))`` call each would
     draw them.  The real parts go in one fill into the back half of the
     cloud's own buffer, read as ``2 * count * dim`` doubles.  Then, on the
@@ -219,8 +220,8 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
     memory beyond the cloud is one imaginary-part block, the complex work
     block and the gauge's scratch.
     """
-    dim, count, seed = _check_cloud(dim, count, seed)
-    rng = np.random.default_rng(seed)
+    dim, count = _check_cloud(dim, count)
+    rng = np.random.default_rng(check_seed(seed))
     v = np.empty((count, dim), dtype=complex)
     real = v.view(np.float64).reshape(-1)[count * dim :].reshape(count, dim)
     rng.standard_normal(out=real)
@@ -235,7 +236,7 @@ def sample_lines(dim: int, count: int, seed: int) -> SampleCloud:
         w.real = real[start:stop]
         w.imag = imag[:m]
         _gauge_rows(w, v[start:stop], t[:m], n[:m], lead[:m])
-    return SampleCloud(dim, v, seed)
+    return SampleCloud(v)
 
 
 def _rows(lines, width: int | None = None) -> np.ndarray:

@@ -158,12 +158,8 @@ class AlphaConfig:
     def from_alpha(radians: float) -> "AlphaConfig":
         return AlphaConfig(radians)
 
-    @property
-    def in_classification_range(self) -> bool:
-        return np.pi / 4 < self.alpha < np.pi / 2
-
     def require_classification_range(self):
-        if not self.in_classification_range:
+        if not np.pi / 4 < self.alpha < np.pi / 2:
             raise RangeError(f"alpha {self.alpha} outside classification range (pi/4, pi/2)")
 
 

@@ -79,6 +79,12 @@ class Tally:
         }
 
 
+def _offset_seed(seed: int, k: int) -> int:
+    """The seed ``k`` past ``seed``, wrapped into the seed range [0, 2**64): a suite's
+    clouds and sub-checks are seeded this way, so every seed the CLI takes runs."""
+    return (seed + k) % 2**64
+
+
 def draw_alpha(rng: np.random.Generator) -> AlphaConfig:
     """An angle alpha drawn uniformly from [pi/4 + 0.05, pi/2 - 0.05]."""
     return AlphaConfig.from_alpha(rng.uniform(np.pi / 4 + 0.05, np.pi / 2 - 0.05))
@@ -282,7 +288,7 @@ def empirical_high_symmetry_check(
     # the defining angle conditions.
     assert first_descr is not None and double_descr is not None
     hunt_cloud = cloud or oracle.sample_lines(
-        ambient_dim, 40_000 if ambient_dim == 3 else 80_000, seed + 1
+        ambient_dim, 40_000 if ambient_dim == 3 else 80_000, _offset_seed(seed, 1)
     )
     survivors = check_double_alpha_set(tally, first_descr, double_descr, cfg, rng, n_alpha_samples, hunt_cloud, 2000)
     tally.counts["survivors"] = len(survivors)
@@ -424,7 +430,7 @@ def suite_collin_alpha(seed: int, draws: int, dim=None) -> Tally:
         n = draws // len(dims) + (i < draws % len(dims))
         if n == 0:
             continue
-        cloud = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, seed + dim)
+        cloud = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, _offset_seed(seed, dim))
         for _ in range(n):
             cfg, form = _random_triple(rng, dim)
             descr = alphasets.collinear_triple_alpha_set(form, cfg, dim)
@@ -439,7 +445,7 @@ def suite_circle4(seed: int, draws: int) -> Tally:
     """Double-alpha-sets of collinear triples in dimension 4 are single circles."""
     rng = np.random.default_rng(seed)
     dim = 4
-    cloud = oracle.sample_lines(dim, 120_000, seed + 11)
+    cloud = oracle.sample_lines(dim, 120_000, _offset_seed(seed, 11))
     tally = Tally(counts={"draws": 0, "survivors": 0})
     for _ in range(draws):
         cfg, form = _random_triple(rng, dim)
@@ -479,7 +485,7 @@ def suite_circle3(seed: int, draws: int, a=None, c=None, d=None) -> Tally:
         for _ in range(draws):
             cfg = draw_alpha(rng)
             triples.append((cfg.a, *random_cd(rng, cfg.a)))
-    cloud = oracle.sample_lines(3, 40_000, seed + 3)
+    cloud = oracle.sample_lines(3, 40_000, _offset_seed(seed, 3))
     for a, c, d in triples:
         cfg = AlphaConfig.from_alpha(math.acos(a))
         e1, e2 = random_orthonormal_pair(rng, 3)
@@ -546,9 +552,9 @@ def suite_circle_char(seed: int, draws: int) -> Tally:
         c, d = random_cd(rng, cfg.a, 1e-4)
         e1, e2 = random_orthonormal_pair(rng, dim)
         if dim not in clouds:
-            clouds[dim] = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, seed + dim)
+            clouds[dim] = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, _offset_seed(seed, dim))
         tally.counts["agreements"] += check_circle_classification(
-            tally, alphasets.CircleComponent(e1, e2, c, d), cfg, dim, 16, seed + k, clouds[dim]
+            tally, alphasets.CircleComponent(e1, e2, c, d), cfg, dim, 16, _offset_seed(seed, k), clouds[dim]
         )
     return tally
 
@@ -556,7 +562,7 @@ def suite_circle_char(seed: int, draws: int) -> Tally:
 def suite_basic(seed: int, draws: int, dim: int = 3) -> Tally:
     """The elementary alpha-set relations for a one-line and a two-line generator set."""
     rng = np.random.default_rng(seed)
-    cloud = oracle.sample_lines(dim, 60_000, seed + 5)
+    cloud = oracle.sample_lines(dim, 60_000, _offset_seed(seed, 5))
     cfg = draw_alpha(rng)
     g = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
     s1 = [canonical_line(g[0])]

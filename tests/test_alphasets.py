@@ -9,7 +9,6 @@ from qangle.alphasets import (
     EXCEPTIONAL_TRIPLES,
     HIGHLY_SYMMETRIC,
     AthetaFamily,
-    descriptor_from_json,
     has_second_double_component,
     theta0_and_rho,
 )
@@ -20,7 +19,6 @@ from qangle.errors import (
     DomainError,
     ParameterError,
     RangeError,
-    SchemaError,
     WitnessRangeError,
 )
 
@@ -725,96 +723,61 @@ class TestCounterexampleWitness:
             qa.counterexample_witness(cfg, 0.8, 0.6, 0.05)
 
 
-class TestDescriptorJson:
-    def test_round_trip(self):
-        rng = np.random.default_rng(21)
-        cfg = qa.AlphaConfig.from_alpha(1.1)
-        v1, v2 = random_line(rng, 4), random_line(rng, 4)
-        descr = qa.pair_alpha_set(v1, v2, cfg)
-        blob = json.dumps(descr.to_json(), sort_keys=True)
-        again = descriptor_from_json(json.loads(blob))
-        assert json.dumps(again.to_json(), sort_keys=True) == blob
-        p = descr.sample(5, np.random.default_rng(1))[0]
-        assert again.distance(p) < 1e-8
+#: The README's descriptor wire table: each component's kind and fields, in declaration order.
+WIRE_TABLE = {
+    AthetaFamily: ("atheta", ["e1", "e2", "c", "d", "alpha", "theta0", "ambient_dim", "e2_phase"]),
+    qa.CircleComponent: ("circle", ["e1", "e2", "c", "d"]),
+    qa.SphereSliceComponent: ("slice", ["axis", "coefficient", "radius", "orthogonal_to"]),
+    qa.PointComponent: ("point", ["line"]),
+}
 
+
+def expected_wire(value):
+    """The wire form of one field value: lines as line objects, complexes as ``{"re", "im"}``."""
+    if isinstance(value, qa.Line):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [line.to_json() for line in value]
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return value
+
+
+class TestDescriptorJson:
     def test_atheta_family_is_the_component(self):
         rng = np.random.default_rng(22)
         v1, v2 = random_line(rng, 4), random_line(rng, 4)
         descr = qa.pair_alpha_set(v1, v2, qa.AlphaConfig.from_alpha(1.1))
         assert type(descr.components[0]) is AthetaFamily
-        again = descriptor_from_json(json.loads(json.dumps(descr.to_json())))
-        assert type(again.components[0]) is AthetaFamily
-        v = random_line(rng, 4)
-        assert again.distance(v) == descr.distance(v)
 
-    def test_circle_round_trip(self):
-        basis = std_basis(4)
-        descr = qa.AlphaSetDescriptor((qa.Circle(basis[0], basis[2], 0.8, 0.6),))
-        blob = json.dumps(descr.to_json(), sort_keys=True)
-        again = descriptor_from_json(json.loads(blob))
-        assert type(again.components[0]) is qa.Circle
-        assert json.dumps(again.to_json(), sort_keys=True) == blob
-        v = qa.canonical_line([0.3, 0.5j, 0.4, 0.2])
-        assert again.distance(v) == descr.distance(v)
-
-    def test_empty_descriptor_refused(self):
-        with pytest.raises(SchemaError):
-            descriptor_from_json({"components": []})
-
-    @staticmethod
-    def pair_wire() -> dict:
-        rng = np.random.default_rng(23)
-        descr = qa.pair_alpha_set(random_line(rng, 4), random_line(rng, 4), qa.AlphaConfig.from_alpha(1.1))
-        return json.loads(json.dumps(descr.to_json()))
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("kind", "sphere"),
-            ("c", "0.8"),
-            ("ambient_dim", True),
-        ],
-    )
-    def test_mistyped_field_is_schema_error(self, key, value):
-        wire = self.pair_wire()
-        wire["components"][0][key] = value
-        with pytest.raises(SchemaError):
-            descriptor_from_json(wire)
-
-    def test_missing_field_is_schema_error(self):
-        wire = self.pair_wire()
-        del wire["components"][0]["theta0"]
-        with pytest.raises(SchemaError, match="theta0"):
-            descriptor_from_json(wire)
-
-    def test_non_list_orthogonal_to_is_schema_error(self):
+    def test_every_component_kind_writes_its_fields(self):
+        rng = np.random.default_rng(21)
+        cfg = qa.AlphaConfig.from_alpha(1.1)
+        descriptors = [qa.pair_alpha_set(random_line(rng, 4), random_line(rng, 4), cfg)]
+        form = qa.TripleCanonicalForm(*random_orthonormal_pair(rng, 4), 0.8, 0.6, (1.0 + 0j, 1j, -1j))
+        descriptors.append(qa.collinear_triple_alpha_set(form, qa.AlphaConfig.from_alpha(math.acos(0.7)), 4))
         basis = std_basis(3)
-        descr = qa.AlphaSetDescriptor((qa.SphereSliceComponent(basis[0], 0.6, 0.8, (basis[0], basis[1])),))
-        wire = json.loads(json.dumps(descr.to_json()))
-        wire["components"][0]["orthogonal_to"] = wire["components"][0]["orthogonal_to"][0]
-        with pytest.raises(SchemaError):
-            descriptor_from_json(wire)
-
-    def test_omitted_e2_phase_is_one(self):
-        wire = self.pair_wire()
-        del wire["components"][0]["e2_phase"]
-        fam = descriptor_from_json(wire).components[0]
-        assert type(fam.e2_phase) is complex and fam.e2_phase == 1 + 0j
-
-    def test_all_component_kinds_round_trip(self):
-        a, c, d = EXCEPTIONAL_TRIPLES[1]
-        cfg = qa.AlphaConfig.from_alpha(math.acos(a))
-        basis = std_basis(3)
-        form = qa.TripleCanonicalForm(
-            basis[0], basis[1], c, d, (1.0 + 0j, 1j, -1j)
-        )
-        for descr in (
-            qa.collinear_triple_alpha_set(form, cfg, 3),
-            qa.double_alpha_set_classify(form, cfg, 3),
-        ):
-            blob = json.dumps(descr.to_json(), sort_keys=True)
-            again = descriptor_from_json(json.loads(blob))
-            assert json.dumps(again.to_json(), sort_keys=True) == blob
+        for a, c, d in EXCEPTIONAL_TRIPLES:
+            form = qa.TripleCanonicalForm(basis[0], basis[1], c, d, (1.0 + 0j, 1j, -1j))
+            descriptors.append(qa.double_alpha_set_classify(form, qa.AlphaConfig.from_alpha(math.acos(a)), 3))
+        shapes = [[type(comp) for comp in descr.components] for descr in descriptors]
+        assert shapes == [
+            [AthetaFamily],
+            [qa.SphereSliceComponent],
+            [qa.CircleComponent, qa.CircleComponent],
+            [qa.CircleComponent, qa.PointComponent],
+        ]
+        for descr in descriptors:
+            wire = descr.to_json()
+            json.dumps(wire, allow_nan=False)
+            assert list(wire) == ["components"] and len(wire["components"]) == len(descr.components)
+            for comp, obj in zip(descr.components, wire["components"]):
+                kind, names = WIRE_TABLE[type(comp)]
+                assert list(obj) == ["kind", *names]
+                assert obj == {"kind": kind, **{name: expected_wire(getattr(comp, name)) for name in names}}
+        e2_phase = descriptors[0].to_json()["components"][0]["e2_phase"]
+        assert list(e2_phase) == ["re", "im"] and all(type(x) is float for x in e2_phase.values())
+        assert type(descriptors[0].to_json()["components"][0]["ambient_dim"]) is int
 
 
 class TestCaseSplitPredicate:

@@ -614,6 +614,11 @@ class TestVerifySuites:
             assert out == {"error": "schema", "detail": f"--seed must be in [0, 2**64), got {seed}"}
         assert run_cli(["verify", "shape", "--seed", str(2**64 - 1), "--draws", "1"])[0] == 0
 
+    def test_top_seed_runs_a_suite_that_samples_a_cloud(self):
+        # The suite's cloud seed, --seed plus 3, wraps into [0, 2**64).
+        code, out = run_cli(["verify", "collin-alpha", "--seed", str(2**64 - 1), "--draws", "1"])
+        assert (code, out["verdict"], out["counts"]["draws"]) == (0, True, 1)
+
     def _schema_error(self, args):
         code, out = run_cli(["verify", *args, "--draws", "1"])
         assert code == 2

@@ -115,7 +115,7 @@ class TestSampleLines:
 
     def test_numpy_integer_arguments(self):
         cloud = qa.sample_lines(np.int64(3), np.uint64(5), np.uint64(2**64 - 1))
-        assert (cloud.dim, cloud.count, cloud.seed) == (3, 5, 2**64 - 1)
+        assert (cloud.dim, cloud.count) == (3, 5)
         assert cloud.vectors.tobytes() == qa.sample_lines(3, 5, 2**64 - 1).vectors.tobytes()
 
     def test_cloud_size_cap(self, monkeypatch):
@@ -126,57 +126,39 @@ class TestSampleLines:
 
 
 class TestSampleCloudShape:
-    """A cloud built directly is refused unless it is a 2-D complex (count >= 1, dim) array
-    within the size cap, with an integral dim and a seed in [0, 2**64), the seed rule of
-    every seeded call."""
+    """A cloud built directly is refused unless its rows are a 2-D complex (count >= 1, dim)
+    array within the size cap, with dim in [2, MAX_DIM]."""
 
     @pytest.mark.parametrize(
-        "dim, vectors, seed, error",
+        "vectors, error",
         [
-            (3, np.ones((2, 4), complex) / 2, 0, DimensionError),  # rows wider than dim
-            (3, [[1, 0, 0]], 0, ParameterError),  # a list
-            (3, np.eye(3), 0, ParameterError),  # real
-            (3, np.eye(3, dtype=np.complex64), 0, ParameterError),
-            (3, np.ones(3, complex), 0, ParameterError),  # 1-D
-            (3, np.ones((1, 1, 3), complex), 0, ParameterError),  # 3-D
-            (3, np.ones((0, 3), complex), 0, ParameterError),  # no row
-            (1, np.ones((2, 1), complex), 0, ParameterError),  # dim below 2
-            (MAX_DIM + 1, np.ones((1, MAX_DIM + 1), complex), 0, DimensionError),
-            (3.0, np.eye(3, dtype=complex), 0, ParameterError),
-            (3, np.eye(3, dtype=complex), 0.0, ParameterError),
-            (3, np.eye(3, dtype=complex), -1, ParameterError),
-            (3, np.eye(3, dtype=complex), 2**64, ParameterError),
+            ([[1, 0, 0]], ParameterError),  # a list
+            (np.eye(3), ParameterError),  # real
+            (np.eye(3, dtype=np.complex64), ParameterError),
+            (np.ones(3, complex), ParameterError),  # 1-D
+            (np.ones((1, 1, 3), complex), ParameterError),  # 3-D
+            (np.ones((0, 3), complex), ParameterError),  # no row
+            (np.ones((2, 1), complex), ParameterError),  # dim below 2
+            (np.ones((1, MAX_DIM + 1), complex), DimensionError),
         ],
-        ids=[
-            "width", "list", "real", "complex64", "1-D", "3-D", "empty", "dim-1", "dim-cap",
-            "float-dim", "float-seed", "seed-below-0", "seed-2**64",
-        ],
+        ids=["list", "real", "complex64", "1-D", "3-D", "empty", "dim-1", "dim-cap"],
     )
-    def test_refused(self, dim, vectors, seed, error):
+    def test_refused(self, vectors, error):
         with pytest.raises(error):
-            qa.SampleCloud(dim, vectors, seed)
-
-    def test_numpy_integer_dim_and_seed(self):
-        rows = qa.sample_lines(3, 2_000, 1).vectors
-        e1, cfg = qa.canonical_line([1, 0, 0]), qa.AlphaConfig(1.0)
-        hits = qa.alpha_set_numeric([e1], cfg, qa.SampleCloud(3, rows, 7), 0.05)
-        assert len(hits)
-        for dim, seed in [(np.int64(3), np.int64(7)), (np.uint64(3), np.uint64(2**64 - 1))]:
-            cloud = qa.SampleCloud(dim, rows, seed)
-            assert (cloud.dim, cloud.seed) == (3, seed)
-            assert qa.alpha_set_numeric([e1], cfg, cloud, 0.05).tobytes() == hits.tobytes()
+            qa.SampleCloud(vectors)
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_CLOUD_ENTRIES", 100)
-        assert qa.SampleCloud(4, np.eye(25, 4, dtype=complex), 0).count == 25
+        assert qa.SampleCloud(np.eye(25, 4, dtype=complex)).count == 25
         with pytest.raises(ParameterError):
-            qa.SampleCloud(4, np.eye(26, 4, dtype=complex), 0)
+            qa.SampleCloud(np.eye(26, 4, dtype=complex))
 
     def test_rows_are_made_read_only(self):
         rows = qa.sample_lines(3, 6, 2).vectors.copy()
         assert rows.flags.writeable
-        cloud = qa.SampleCloud(3, rows, 2)
+        cloud = qa.SampleCloud(rows)
         assert cloud.vectors is rows and not rows.flags.writeable
+        assert (cloud.dim, cloud.count) == (3, 6)
 
 
 class TestCloudRowScan:
@@ -196,7 +178,7 @@ class TestCloudRowScan:
         ],
     )
     def test_rejection_refuses_a_row_off_the_unit_sphere(self, row, what):
-        cloud = qa.SampleCloud(3, np.array([row], complex), 0)
+        cloud = qa.SampleCloud(np.array([row], complex))
         with pytest.raises(ParameterError, match=rf"^cloud row 0 {what}$"):
             qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), cloud, 0.1)
         with pytest.raises(ParameterError, match=rf"^cloud row 0 {what}$"):
@@ -207,7 +189,7 @@ class TestCloudRowScan:
         rows = qa.sample_lines(3, 8, 5).vectors.copy()
         rows[4, 1] = bad
         with pytest.raises(ParameterError, match=r"^cloud row 4 holds a non-finite amplitude$"):
-            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), qa.SampleCloud(3, rows, 5), 0.1)
+            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), qa.SampleCloud(rows), 0.1)
 
     @pytest.mark.parametrize(
         "scale, row",
@@ -220,11 +202,11 @@ class TestCloudRowScan:
         for i, factor in scale.items():
             rows[i] *= factor
         with pytest.raises(ParameterError, match=rf"^cloud row {row} is not of norm 1$"):
-            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), qa.SampleCloud(3, rows, 4), 0.1)
+            qa.alpha_set_numeric([self.E1], qa.AlphaConfig(1.0), qa.SampleCloud(rows), 0.1)
 
     def test_unit_rows_out_of_gauge_pass_rejection(self):
         cloud = qa.sample_lines(3, 2_000, 5)
-        turned = qa.SampleCloud(3, cloud.vectors * 1j, 5)
+        turned = qa.SampleCloud(cloud.vectors * 1j)
         cfg = qa.AlphaConfig(1.0)
         assert len(qa.alpha_set_numeric([self.E1], cfg, turned, 0.05)) == len(
             qa.alpha_set_numeric([self.E1], cfg, cloud, 0.05)

@@ -77,7 +77,7 @@ def test_rejection_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, see
     image = mapped_rows(w, cloud.vectors)
     w_gens = [qa.apply_symmetry(w, g) for g in gens]
     hits = hit_indices(cloud.vectors, qa.alpha_set_numeric(gens, cfg, cloud, tol))
-    got = hit_indices(image, qa.alpha_set_numeric(w_gens, cfg, qa.SampleCloud(dim, image, cloud.seed), tol))
+    got = hit_indices(image, qa.alpha_set_numeric(w_gens, cfg, qa.SampleCloud(image), tol))
     assert_same_hits(gens, cfg, cloud.vectors, tol, hits, got, image, w_gens)
 
 
@@ -88,7 +88,7 @@ def test_a_permuted_cloud_permutes_the_hits(dim, seed, alpha):
     perm = np.random.default_rng(seed + 1).permutation(cloud.count)
     shuffled = cloud.vectors[perm]
     hits = hit_indices(cloud.vectors, qa.alpha_set_numeric(gens, cfg, cloud, tol))
-    got = hit_indices(shuffled, qa.alpha_set_numeric(gens, cfg, qa.SampleCloud(dim, shuffled, cloud.seed), tol))
+    got = hit_indices(shuffled, qa.alpha_set_numeric(gens, cfg, qa.SampleCloud(shuffled), tol))
     # Shuffled index j holds cloud row perm[j]; map the hits back before comparing.
     assert_same_hits(gens, cfg, cloud.vectors, tol, hits, np.sort(perm[got]), cloud.vectors, gens)
     assert np.array_equal(np.sort(got), got)
@@ -148,7 +148,7 @@ def test_funnel_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, seed, 
     constraints = [wigner._partner_at_angle(x, alpha, rng) for _ in range(dim)]
     w_constraints = [qa.apply_symmetry(w, s) for s in constraints]
     cloud = qa.sample_lines(dim, 20_000, seed % 1000)
-    w_cloud = qa.SampleCloud(dim, mapped_rows(w, cloud.vectors), cloud.seed)
+    w_cloud = qa.SampleCloud(mapped_rows(w, cloud.vectors))
     pool_tol, tol, cap, seeds = 5e-2, 1e-7, 16, 2
     pool = qa.alpha_set_numeric(constraints[:seeds], cfg, cloud, pool_tol)
     w_pool = qa.alpha_set_numeric(w_constraints[:seeds], cfg, w_cloud, pool_tol)

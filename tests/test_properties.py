@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qangle as qa
-from qangle.alphasets import descriptor_from_json
 from qangle.projspace import distinct_unimodular_triple, random_line, random_orthonormal_pair
 from qangle.verify import random_cd
 
@@ -157,24 +156,12 @@ def wire_round_trip(obj: dict) -> dict:
 @given(data=st.data(), dim=st.integers(3, 4))
 def test_json_round_trips_are_bit_exact(data, dim):
     u, v = data.draw(lines(dim)), data.draw(lines(dim))
-    assume(not qa.lines_equal(u, v))
     for line in (u, v):
         assert qa.Line.from_json(wire_round_trip(line.to_json())).amplitudes.tobytes() == line.amplitudes.tobytes()
     w = data.draw(symmetries(dim))
     again = qa.WignerSymmetry.from_json(wire_round_trip(w.to_json()))
     assert again.antiunitary == w.antiunitary
     assert again.matrix.tobytes() == w.matrix.tobytes()
-    cfg = qa.AlphaConfig.from_alpha(data.draw(st.floats(math.pi / 4 + 0.05, math.pi / 2 - 0.05)))
-    rng = np.random.default_rng(data.draw(seeds))
-    form = qa.TripleCanonicalForm(*random_orthonormal_pair(rng, dim), *random_cd(rng, cfg.a), (1, 1j, -1j))
-    descriptors = (
-        qa.pair_alpha_set(u, v, cfg),
-        qa.collinear_triple_alpha_set(form, cfg, dim),
-        qa.double_alpha_set_classify(form, cfg, dim),
-    )
-    for descr in descriptors:
-        blob = json.dumps(descr.to_json())
-        assert json.dumps(descriptor_from_json(json.loads(blob)).to_json()) == blob
 
 
 def corrupt(data, obj: dict) -> dict:

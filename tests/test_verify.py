@@ -220,3 +220,50 @@ def test_high_symmetry_check_refuses_a_seed_outside_the_cloud_range(seed):
     e1, e2 = random_orthonormal_pair(np.random.default_rng(0), 4)
     with pytest.raises(ParameterError, match="seed must be"):
         verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, seed=seed)
+
+
+TOP_SEED = 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "suite, draws, clouds, checks",
+    [
+        ("collin-alpha", 2, [2, 3], []),
+        ("circle4", 1, [10], []),
+        ("circle3", 1, [2], []),
+        ("circle-char", 2, [2, 3], [TOP_SEED, 0]),
+        ("basic", 1, [4], []),
+    ],
+)
+def test_suite_seeds_wrap_into_the_seed_range(monkeypatch, suite, draws, clouds, checks):
+    # A suite seeds its clouds and its symmetry checks at offsets from its own
+    # seed, wrapped into [0, 2**64), so the largest seed the CLI takes runs.
+    seen = {"clouds": [], "checks": []}
+    sample_lines, symmetry_check = verify.oracle.sample_lines, verify.empirical_high_symmetry_check
+
+    def record_cloud(dim, count, seed):
+        seen["clouds"].append(seed)
+        return sample_lines(dim, min(count, 2_000), seed)
+
+    def record_check(*args, seed, **kwargs):
+        seen["checks"].append(seed)
+        return symmetry_check(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(verify.oracle, "sample_lines", record_cloud)
+    monkeypatch.setattr(verify, "empirical_high_symmetry_check", record_check)
+    verify.SUITES[suite].run(TOP_SEED, draws)
+    assert seen == {"clouds": clouds, "checks": checks}
+
+
+def test_high_symmetry_check_wraps_its_hunt_seed(monkeypatch):
+    seen = []
+    sample_lines = verify.oracle.sample_lines
+
+    def record_cloud(dim, count, seed):
+        seen.append(seed)
+        return sample_lines(dim, 2_000, seed)
+
+    monkeypatch.setattr(verify.oracle, "sample_lines", record_cloud)
+    e1, e2 = random_orthonormal_pair(np.random.default_rng(0), 4)
+    verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, n_triples=1, n_alpha_samples=3, seed=TOP_SEED)
+    assert seen == [0]

@@ -7,9 +7,10 @@
 directory) first on ``PYTHONPATH``, once per golden run, in an empty working
 directory, and writes ``OUT/<run>.stdout`` and ``OUT/<run>.exit`` for each.
 ``OUT`` must be new or empty, so a capture never mixes with an older one.
-The 60 runs are the 24 ``qangle verify`` goldens (each suite at seeds 0 and
+The 61 runs are the 25 ``qangle verify`` goldens (each suite at seeds 0 and
 1 with two draws, the default-draws runs of ``infinite-element``,
-``section5`` and ``collin-alpha``, and three runs with explicit parameters),
+``section5`` and ``collin-alpha``, three runs with explicit parameters, and
+``basic`` at the largest seed, 2**64 - 1),
 one valid payload per payload verb, a second ``oracle`` payload without
 ``refine`` (plain rejection), five dimension-3 ``classify-circle`` payloads
 (one per reason of the dimension-3 case split, and one with an explicit
@@ -59,6 +60,7 @@ def verify_runs() -> dict[str, list[str]]:
             runs[f"verify-{suite}-s{seed}-d9"] = [suite, "--seed", seed, "--draws", "9"]
     runs["verify-circle3-acd"] = ["circle3", "--a", "0.57735026919", "--c", "0.81649658092", "--d", "0.57735026919"]
     runs["verify-section5-dim3-s3-d20"] = ["section5", "--dim", "3", "--seed", "3", "--draws", "20"]
+    runs["verify-basic-s18446744073709551615"] = ["basic", "--seed", str(2**64 - 1)]
     return {name: ["verify", *args] for name, args in runs.items()}
 
 
