@@ -254,9 +254,7 @@ class AthetaFamily:
 
     @cached_property
     def _complement(self) -> np.ndarray:
-        return orthonormal_complement(
-            np.vstack([self.e1.amplitudes, self.e2.amplitudes]), self.ambient_dim
-        )
+        return orthonormal_complement(np.vstack([self.e1.amplitudes, self.e2.amplitudes]))
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
         comp = self._complement
@@ -334,7 +332,7 @@ class SphereSliceComponent:
     @cached_property
     def _complement(self) -> np.ndarray:
         rows = [self.axis.amplitudes] + [l.amplitudes for l in self.orthogonal_to]
-        return orthonormal_complement(np.vstack(rows), self.axis.dim)
+        return orthonormal_complement(np.vstack(rows))
 
     def sample(self, count: int, rng: np.random.Generator) -> list[Line]:
         center = self.coefficient * self.axis.amplitudes
@@ -522,7 +520,7 @@ class SymmetryVerdict:
         }
 
 
-def classify_circle(circle: CircleComponent, cfg: AlphaConfig, ambient_dim: int) -> SymmetryVerdict:
+def classify_circle(circle: CircleComponent, cfg: AlphaConfig) -> SymmetryVerdict:
     """Decide whether a circle is highly symmetric for the configured angle.
 
     Ambient dimension >= 4 always gives a positive verdict.  In dimension 3
@@ -531,12 +529,10 @@ def classify_circle(circle: CircleComponent, cfg: AlphaConfig, ambient_dim: int)
     split's in every dimension.
     """
     cfg.require_classification_range()
-    if ambient_dim < 3:
+    if circle.dim < 3:
         raise RangeError("classification needs ambient dimension >= 3")
-    if circle.dim != ambient_dim:
-        raise DimensionError("circle does not live in the stated ambient dimension")
     reason, margins = _dim3_case(cfg.a, max(circle.c, circle.d), min(circle.c, circle.d))
-    if ambient_dim >= 4:
+    if circle.dim >= 4:
         reason = REASON_DIM_GE_4
     tag = HIGHLY_SYMMETRIC if reason in (REASON_DIM_GE_4, REASON_SINGLE_CIRCLE) else NOT_HIGHLY_SYMMETRIC
     return SymmetryVerdict(tag, reason, margins)
@@ -576,7 +572,7 @@ def double_alpha_set_classify(
     circle = CircleComponent(t.e1, t.e2, t.c, t.d)
     if ambient_dim >= 4 or not has_second_double_component(cfg, t.c, t.d):
         return AlphaSetDescriptor((circle,))
-    e3 = canonical_line(orthonormal_complement(np.vstack([t.e1.amplitudes, t.e2.amplitudes]), 3)[0])
+    e3 = canonical_line(orthonormal_complement(np.vstack([t.e1.amplitudes, t.e2.amplitudes]))[0])
     return AlphaSetDescriptor((circle, _second_double_component(t.e1, t.e2, e3, cfg, t.c)))
 
 

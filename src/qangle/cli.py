@@ -117,7 +117,10 @@ def _run_classify_circle(payload):
         eye = np.eye(dim, dtype=complex)
         e1, e2 = canonical_line(eye[0]), canonical_line(eye[1])
     circle = alphasets.CircleComponent(e1, e2, cf, df)
-    return alphasets.classify_circle(circle, cfg, dim).to_json()
+    cfg.require_classification_range()  # first, as classify_circle refuses alpha before the circle
+    if circle.dim != dim:
+        raise DimensionError("circle does not live in the stated ambient dimension")
+    return alphasets.classify_circle(circle, cfg).to_json()
 
 
 def _run_witness(payload):
@@ -148,7 +151,7 @@ def _run_oracle(payload):
     if refine:
         members = oracle.discover_alpha_set(gens, cfg, cloud, tol, confirm_tol)
     else:
-        members = [Line(dim, row) for row in oracle.alpha_set_numeric(gens, cfg, cloud, tol)]
+        members = [Line(row) for row in oracle.alpha_set_numeric(gens, cfg, cloud, tol)]
     return {"count": len(members), "members": [m.to_json() for m in members]}
 
 

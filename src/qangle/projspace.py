@@ -165,7 +165,7 @@ class AlphaConfig:
 
 @dataclass(frozen=True, eq=False)
 class Line:
-    """A point of P(C^n): a unit vector in canonical phase gauge.
+    """A point of P(C^n), n = ``dim`` = len(amplitudes): a unit vector in canonical phase gauge.
 
     Invariants: the amplitudes are finite, their Euclidean norm is 1 within
     1e-12, and the first amplitude of modulus > 1e-12 is real and strictly
@@ -173,15 +173,15 @@ class Line:
     vector.
     """
 
-    dim: int
     amplitudes: np.ndarray
+    dim: int = field(init=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim,):
-            raise DimensionError(f"expected {self.dim} amplitudes, got shape {amps.shape}")
-        if self.dim < 1 or self.dim > MAX_DIM:
-            raise DimensionError(f"dim {self.dim} outside supported range [1, {MAX_DIM}]")
+        if amps.ndim != 1:
+            raise DimensionError(f"expected a 1-D array of amplitudes, got shape {amps.shape}")
+        if not 1 <= len(amps) <= MAX_DIM:
+            raise DimensionError(f"dim {len(amps)} outside supported range [1, {MAX_DIM}]")
         _check_finite(amps)
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(amps)
@@ -194,17 +194,19 @@ class Line:
             raise ParameterError("amplitudes violate the canonical phase gauge")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "dim", len(amps))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, **complex_json(self.amplitudes)}
 
     @staticmethod
     def from_json(obj: dict) -> "Line":
-        """Inverse of to_json.  A wire line that is not a valid Line is a SchemaError."""
-        dim = json_field(obj, "dim", int)
-        amps = json_complex(obj, 1)
+        """Inverse of to_json.  A wire line that is not a valid Line, or not ``dim`` long, is a SchemaError."""
+        dim, amps = json_field(obj, "dim", int), json_complex(obj, 1)
+        if amps.shape != (dim,):
+            raise SchemaError(f"not a valid line: expected {dim} amplitudes, got shape {amps.shape}")
         try:
-            return Line(dim, amps)
+            return Line(amps)
         except QAngleError as exc:
             raise SchemaError(f"not a valid line: {exc}") from exc
 
@@ -230,7 +232,7 @@ def canonical_line(vector) -> Line:
         raise DegenerateVectorError(f"vector norm {n} too small")
     v = v / n
     lead = v[int(np.argmax(np.abs(v) > GAUGE_TOL))]
-    return Line(v.shape[0], v * (lead.conjugate() / abs(lead)))
+    return Line(v * (lead.conjugate() / abs(lead)))
 
 
 def inner(u: Line, v: Line) -> complex:
@@ -266,15 +268,13 @@ def lines_equal(u: Line, v: Line, tol: float = LINE_EQUALITY_TOL) -> bool:
     return quantum_angle(u, v) < tol
 
 
-def orthonormal_complement(vectors: np.ndarray, dim: int) -> np.ndarray:
+def orthonormal_complement(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the Hermitian orthogonal complement of the row span.
 
     Rows h of the result satisfy <v, h> = sum(conj(v_i) h_i) = 0 for every
     input row v.  Deterministic: computed from the right singular vectors.
     """
     mat = np.atleast_2d(np.asarray(vectors, dtype=complex))
-    if mat.shape[1] != dim:
-        raise DimensionError(f"vectors have length {mat.shape[1]}, expected {dim}")
     _, s, vh = np.linalg.svd(mat.conj(), full_matrices=True)
     rank = int(np.sum(s > 1e-10))
     return vh[rank:].conj()

@@ -234,7 +234,6 @@ def verify_basic_relations(
 def empirical_high_symmetry_check(
     circle: alphasets.CircleComponent,
     cfg: AlphaConfig,
-    ambient_dim: int,
     n_triples: int = 10,
     n_alpha_samples: int = 40,
     seed: int = 0,
@@ -255,7 +254,7 @@ def empirical_high_symmetry_check(
     if n_triples < 1:
         raise ParameterError("need at least one triple")
     seed = projspace.check_seed(seed)
-    expected = classify_circle(circle, cfg, ambient_dim)
+    expected = classify_circle(circle, cfg)
 
     rng = np.random.default_rng(seed)
     tally = Tally(
@@ -267,8 +266,8 @@ def empirical_high_symmetry_check(
     for _ in range(n_triples):
         v1, v2, v3 = (circle.member(lam) for lam in distinct_unimodular_triple(rng, 1e-3))
         form = canonical_triple_form(v1, v2, v3)
-        descr = alphasets.double_alpha_set_classify(form, cfg, ambient_dim)
-        first = alphasets.collinear_triple_alpha_set(form, cfg, ambient_dim)
+        descr = alphasets.double_alpha_set_classify(form, cfg, circle.dim)
+        first = alphasets.collinear_triple_alpha_set(form, cfg, circle.dim)
         if first_descr is None:
             first_descr, double_descr = first, descr
         tally.counts["components_max"] = max(tally.counts["components_max"], len(descr.components))
@@ -288,13 +287,13 @@ def empirical_high_symmetry_check(
     # the defining angle conditions.
     assert first_descr is not None and double_descr is not None
     hunt_cloud = cloud or oracle.sample_lines(
-        ambient_dim, 40_000 if ambient_dim == 3 else 80_000, _offset_seed(seed, 1)
+        circle.dim, 40_000 if circle.dim == 3 else 80_000, _offset_seed(seed, 1)
     )
     survivors = check_double_alpha_set(tally, first_descr, double_descr, cfg, rng, n_alpha_samples, hunt_cloud, 2000)
     tally.counts["survivors"] = len(survivors)
     tally.counts["off_circle_members"] = sum(circle.distance(s) > 1e-3 for s in survivors)
 
-    if tally.counts["components_max"] >= 2 and ambient_dim == 3:
+    if tally.counts["components_max"] >= 2 and circle.dim == 3:
         try:
             alphasets.counterexample_witness(cfg, max(circle.c, circle.d), min(circle.c, circle.d))
             tally.counts["witnesses"] += 1
@@ -309,12 +308,11 @@ def empirical_high_symmetry_check(
 
 
 def check_circle_classification(
-    tally: Tally, circle, cfg: AlphaConfig, dim: int, n_alpha_samples: int, seed: int,
-    cloud: SampleCloud,
+    tally: Tally, circle, cfg: AlphaConfig, n_alpha_samples: int, seed: int, cloud: SampleCloud,
 ) -> int:
     """Compare the circle classifier with the sampled symmetry check; returns 1 on agreement."""
     rep = empirical_high_symmetry_check(
-        circle, cfg, dim, n_triples=3, n_alpha_samples=n_alpha_samples, seed=seed, cloud=cloud
+        circle, cfg, n_triples=3, n_alpha_samples=n_alpha_samples, seed=seed, cloud=cloud
     )
     tally.max_residual = max(tally.max_residual, rep.max_residual)
     if not rep.verdict:
@@ -554,7 +552,7 @@ def suite_circle_char(seed: int, draws: int) -> Tally:
         if dim not in clouds:
             clouds[dim] = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, _offset_seed(seed, dim))
         tally.counts["agreements"] += check_circle_classification(
-            tally, alphasets.CircleComponent(e1, e2, c, d), cfg, dim, 16, _offset_seed(seed, k), clouds[dim]
+            tally, alphasets.CircleComponent(e1, e2, c, d), cfg, 16, _offset_seed(seed, k), clouds[dim]
         )
     return tally
 

@@ -14,7 +14,7 @@ preserving maps send projective lines onto projective lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,30 +40,33 @@ def _unitarity_deviation(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class WignerSymmetry:
-    """A unitary or antiunitary operator acting on projective space."""
+    """A unitary or antiunitary operator acting on projective space; ``dim`` is the matrix size."""
 
-    dim: int
     matrix: np.ndarray
     antiunitary: bool
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        check_dim(self.dim)
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionError(f"matrix shape {m.shape} does not match dim {self.dim}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError(f"matrix shape {m.shape} is not square")
+        check_dim(len(m))
         dev = _unitarity_deviation(m)
         check_close(dev, 0.0, _UNITARY_TOL, f"matrix is not unitary: deviation {dev}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dim", len(m))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "antiunitary": bool(self.antiunitary), **complex_json(self.matrix)}
 
     @staticmethod
     def from_json(obj: dict) -> "WignerSymmetry":
-        return WignerSymmetry(
-            json_field(obj, "dim", int), json_complex(obj, 2), json_field(obj, "antiunitary", bool)
-        )
+        dim, m, anti = json_field(obj, "dim", int), json_complex(obj, 2), json_field(obj, "antiunitary", bool)
+        check_dim(dim)
+        if m.shape != (dim, dim):
+            raise DimensionError(f"matrix shape {m.shape} does not match dim {dim}")
+        return WignerSymmetry(m, anti)
 
 
 def random_wigner(dim: int, seed: int, antiunitary: bool = False) -> WignerSymmetry:
@@ -75,7 +78,7 @@ def random_wigner(dim: int, seed: int, antiunitary: bool = False) -> WignerSymme
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(g)
     ph = np.diag(r) / np.abs(np.diag(r))
-    return WignerSymmetry(dim, q * ph[None, :], antiunitary)
+    return WignerSymmetry(q * ph[None, :], antiunitary)
 
 
 def apply_symmetry(w: WignerSymmetry, v: Line) -> Line:
@@ -89,8 +92,8 @@ def apply_symmetry(w: WignerSymmetry, v: Line) -> Line:
 def inverse_symmetry(w: WignerSymmetry) -> WignerSymmetry:
     """The symmetry inducing the inverse map on lines."""
     if w.antiunitary:
-        return WignerSymmetry(w.dim, w.matrix.T, True)
-    return WignerSymmetry(w.dim, w.matrix.conj().T, False)
+        return WignerSymmetry(w.matrix.T, True)
+    return WignerSymmetry(w.matrix.conj().T, False)
 
 
 def compose_symmetries(w1: WignerSymmetry, w2: WignerSymmetry) -> WignerSymmetry:
@@ -102,7 +105,7 @@ def compose_symmetries(w1: WignerSymmetry, w2: WignerSymmetry) -> WignerSymmetry
     if w1.dim != w2.dim:
         raise DimensionError("dims differ")
     m2 = w2.matrix.conj() if w1.antiunitary else w2.matrix
-    return WignerSymmetry(w1.dim, w1.matrix @ m2, w1.antiunitary != w2.antiunitary)
+    return WignerSymmetry(w1.matrix @ m2, w1.antiunitary != w2.antiunitary)
 
 
 def same_induced_map(w1: WignerSymmetry, w2: WignerSymmetry, tol: float = 1e-9) -> bool:
@@ -179,7 +182,7 @@ def fit_from_probes(dim: int, images: list[Line]) -> WignerSymmetry:
         )
 
     def worst_probe(anti: bool) -> tuple[float, int, WignerSymmetry]:
-        cand = WignerSymmetry(dim, cols, anti)
+        cand = WignerSymmetry(cols, anti)
         residuals = [quantum_angle(apply_symmetry(cand, p), img) for p, img in zip(probes, images)]
         worst = int(np.argmax(residuals))
         return residuals[worst], worst, cand

@@ -221,7 +221,7 @@ def test_criterion_5_classification_consistency():
         c, d = random_cd(rng, cfg.a, 1e-4)
         e1, e2 = random_orthonormal_pair(rng, dim)
         agreements += check_circle_classification(
-            tally, qa.Circle(e1, e2, c, d), cfg, dim, 12, 5100 + k, clouds[dim]
+            tally, qa.Circle(e1, e2, c, d), cfg, 12, 5100 + k, clouds[dim]
         )
     report(
         "criterion 5 (classifier vs empirical)",
@@ -235,7 +235,7 @@ def test_criterion_5_classification_consistency():
 
     def verdict_tag(cfg, d):
         c = math.sqrt(1 - d * d)
-        return qa.classify_circle(qa.Circle(e1, e2, c, d), cfg, 3).tag
+        return qa.classify_circle(qa.Circle(e1, e2, c, d), cfg).tag
 
     worst = 0.0
     for alpha, expected_boundary in (
@@ -302,7 +302,7 @@ def test_criterion_7_wigner_round_trip():
         images = [qa.apply_symmetry(w, p) for p in qa.probe_set(dim)]
         idx = int(rng.integers(0, len(images)))
         victim = images[idx]
-        comp = orthonormal_complement(victim.amplitudes[None, :], dim)
+        comp = orthonormal_complement(victim.amplitudes[None, :])
         images[idx] = qa.canonical_line(
             math.cos(0.1) * victim.amplitudes + math.sin(0.1) * comp[0]
         )

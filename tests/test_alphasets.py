@@ -23,7 +23,7 @@ from qangle.errors import (
 )
 
 from qangle.projspace import orthonormal_complement
-from qangle.verify import draw_alpha, standard_family
+from qangle.verify import draw_alpha, standard_family, sweep_verdict
 
 from conftest import random_line, random_orthonormal_pair
 
@@ -429,17 +429,21 @@ class TestCardinality:
         return AthetaFamily(basis[0], basis[1], c, d, float(cfg.alpha), theta0, dim)
 
     def test_zero_overlap_with_matching_radius_is_infinite(self):
-        # z(theta) = 0 at theta = 0 with c1 = 0; choose c3 so rho(0) = a/c3.
+        # z(theta) = 0 at theta = 0 with c1 = 0; at c3 = a/rho(0) the radius
+        # c3 rho(0) is a, above it the circle still meets the disk, below it not.
         a = 0.45
         cfg = qa.AlphaConfig.from_alpha(math.acos(a))
         c, d = 0.8, 0.6
         fam = self._family(cfg, c, d)
         rho0 = math.sqrt(1 - (a / c) ** 2)
-        c3 = a / rho0
-        assert c3 < 1
-        c2 = math.sqrt(1 - c3 * c3)
-        card = qa.atheta_cardinality(fam, 0.0, (0j, c2 + 0j, c3), cfg)
-        assert card.tag == "infinite"
+        tags = []
+        for c3 in (a / (2 * rho0), a / rho0, 1.5 * a / rho0):
+            assert c3 < 1
+            c2 = math.sqrt(1 - c3 * c3)
+            card = qa.atheta_cardinality(fam, 0.0, (0j, c2 + 0j, c3), cfg)
+            assert card.tag == sweep_verdict(qa.root_count_on_disk(0j, c3 * rho0, a)), c3
+            tags.append(card.tag)
+        assert tags == ["zero", "infinite", "infinite"]
 
     def test_exact_boundary_is_one(self):
         # Solve a = |z| + c3 rho in closed form, then classify.
@@ -598,7 +602,7 @@ class TestCircleDistance:
             c = float(rng.uniform(math.sqrt(0.5), 0.99))
             circle = qa.CircleComponent(e1, e2, c, math.sqrt(1 - c * c))
             span = np.vstack([e1.amplitudes, e2.amplitudes])
-            off = qa.canonical_line(orthonormal_complement(span, dim)[0])
+            off = qa.canonical_line(orthonormal_complement(span)[0])
             for v in [random_line(rng, dim) for _ in range(5)] + [e1, e2, off]:
                 dist, scan = circle.distance(v), scanned_circle_distance(circle, v)
                 assert dist <= scan + 1e-12
@@ -818,7 +822,7 @@ class TestCaseSplitPredicate:
             circle = qa.Circle(e1, e2, c, d)
             form = qa.canonical_triple_form(*(circle.member(lam) for lam in (1, 1j, -1)))
             single = len(qa.double_alpha_set_classify(form, cfg, dim).components) == 1
-            symmetric = qa.classify_circle(circle, cfg, dim).tag == HIGHLY_SYMMETRIC
+            symmetric = qa.classify_circle(circle, cfg).tag == HIGHLY_SYMMETRIC
             assert symmetric == single, (a, c, d)
             verdicts.append(symmetric)
         assert verdicts == [dim == 4] * 4 + [True] * 2

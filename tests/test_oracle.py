@@ -68,7 +68,7 @@ class TestSampleLines:
         norms = np.linalg.norm(cloud.vectors, axis=1)
         assert np.max(np.abs(norms - 1)) < 1e-12
         for i in range(0, 500, 97):
-            qa.Line(cloud.dim, cloud.vectors[i])  # constructor validates gauge and norm
+            qa.Line(cloud.vectors[i])  # constructor validates gauge and norm
 
     def test_uniformity_sanity(self):
         # Mean squared overlap with a fixed basis line is 1/dim for the
@@ -80,7 +80,7 @@ class TestSampleLines:
     def test_single_line_cloud(self):
         cloud = qa.sample_lines(4, 1, 0)
         assert cloud.count == 1
-        qa.Line(cloud.dim, cloud.vectors[0])
+        qa.Line(cloud.vectors[0])
 
     def test_parameter_guards(self):
         with pytest.raises(ParameterError):
@@ -327,7 +327,7 @@ class TestGaugeRows:
         # Rows 0, 1, 3 and 4 take their lead from a later column.
         assert list(np.argmax(np.abs(w) > GAUGE_TOL, axis=1)[:5]) == [1, 1, 0, 3, 2]
         for row in w:
-            qa.Line(4, row)  # the constructor validates the gauge and the norm
+            qa.Line(row)  # the constructor validates the gauge and the norm
 
     @pytest.mark.parametrize("rows", [1, 2, 4_097])
     @pytest.mark.parametrize("dim", range(2, 17))
@@ -503,7 +503,7 @@ class TestAlphaSetNumeric:
         members = qa.alpha_set_numeric([e1], cfg, cloud, 1e-2)
         assert len(members)
         for row in members[:200]:
-            assert abs(abs(qa.inner(qa.Line(cloud.dim, row), e1)) - 0.5) < 1.2e-2
+            assert abs(abs(qa.inner(qa.Line(row), e1)) - 0.5) < 1.2e-2
 
     def test_zero_tolerance_empty(self):
         cfg = qa.AlphaConfig.from_alpha(1.0)

@@ -13,10 +13,11 @@ from qangle.errors import (
     DimensionError,
     NotCollinearError,
     ParameterError,
+    SchemaError,
 )
 from qangle import verify
 from qangle.projspace import (
-    check_close, circle_member, circle_members_at, complex_json, json_complex, lambdas_at_modulus,
+    MAX_DIM, check_close, circle_member, circle_members_at, complex_json, json_complex, lambdas_at_modulus,
 )
 
 from conftest import random_collinear_triple, random_line, random_orthonormal_pair
@@ -65,13 +66,13 @@ class TestCanonicalLine:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # no overflow warning from numpy's norm
             with pytest.raises(ParameterError, match=r"\|v\| = inf"):
-                qa.Line(2, np.array([1e300, 0]))
+                qa.Line(np.array([1e300, 0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_line_refuses_non_finite_amplitude(self, bad):
         # Refused before the norm check, which a NaN norm would slip through.
         with pytest.raises(ParameterError, match="amplitude 1 is not finite"):
-            qa.Line(2, np.array([1, bad]))
+            qa.Line(np.array([1, bad]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, 1)])
     def test_canonical_line_names_non_finite_amplitude(self, bad):
@@ -464,6 +465,22 @@ class TestLineJson:
         again = qa.Line.from_json(l.to_json())
         assert np.array_equal(l.amplitudes, again.amplitudes)
 
+    def test_dim_is_read_off_the_amplitudes(self):
+        assert qa.Line(np.array([0.6, 0.8j, 0])).dim == 3
+
+    @pytest.mark.parametrize(
+        "amps, message",
+        [(np.eye(2), r"1-D array of amplitudes, got shape \(2, 2\)"), (np.zeros(0), r"dim 0 outside"),
+         (np.ones(MAX_DIM + 1) / (MAX_DIM + 1) ** 0.5, rf"dim {MAX_DIM + 1} outside supported range \[1, {MAX_DIM}\]")],
+    )
+    def test_constructor_refuses_a_shape_that_is_no_line(self, amps, message):
+        with pytest.raises(DimensionError, match=message):
+            qa.Line(amps)
+
+    def test_wire_dim_must_match_the_amplitudes(self):
+        with pytest.raises(SchemaError, match=r"^not a valid line: expected 3 amplitudes, got shape \(2,\)$"):
+            qa.Line.from_json({"dim": 3, "re": [1, 0], "im": [0, 0]})
+
 
 class TestComplexJson:
     @pytest.mark.parametrize(
@@ -493,9 +510,9 @@ class TestCheckClose:
     """Every invariant held within a tolerance refuses NaN and inf, each with its own message."""
 
     BUILDS = {
-        "wigner-inf": (lambda: qa.WignerSymmetry(2, np.array([[np.inf, 0], [0, 1]], dtype=complex), False),
+        "wigner-inf": (lambda: qa.WignerSymmetry(np.array([[np.inf, 0], [0, 1]], dtype=complex), False),
                        "matrix is not unitary"),
-        "wigner-nan": (lambda: qa.WignerSymmetry(2, np.array([[1, 0], [0, np.nan]], dtype=complex), False),
+        "wigner-nan": (lambda: qa.WignerSymmetry(np.array([[1, 0], [0, np.nan]], dtype=complex), False),
                        "matrix is not unitary"),
         "slice-coefficient": (lambda: qa.SphereSliceComponent(E1, NAN, 0.6, ()), r"coefficient\^2 \+ radius\^2 != 1"),
         "pair-e2-phase": (lambda: qa.PairCanonicalForm(E1, E2, 0.8, 0.6, complex(NAN)), "e2_phase must be unimodular"),

@@ -137,7 +137,7 @@ def test_quantum_angle_is_symmetric_and_satisfies_the_triangle_inequality(dim, s
 def test_symmetries_form_a_group(data, dim):
     a, b, c = (data.draw(symmetries(dim)) for _ in range(3))
     compose, inverse = qa.compose_symmetries, qa.inverse_symmetry
-    identity = qa.WignerSymmetry(dim, np.eye(dim), False)
+    identity = qa.WignerSymmetry(np.eye(dim), False)
     assert qa.same_induced_map(compose(a, compose(b, c)), compose(compose(a, b), c))
     assert qa.same_induced_map(compose(a, inverse(a)), identity)
     assert qa.same_induced_map(compose(inverse(a), a), identity)

@@ -29,14 +29,14 @@ class TestClassifyCircle:
         for _ in range(20):
             cfg = draw_alpha(rng)
             d = rng.uniform(0.1, 1 / math.sqrt(2))
-            v = qa.classify_circle(std_circle(4, math.sqrt(1 - d * d), d), cfg, 4)
+            v = qa.classify_circle(std_circle(4, math.sqrt(1 - d * d), d), cfg)
             assert v.tag == HIGHLY_SYMMETRIC
             assert v.reason == REASON_DIM_GE_4
 
     def test_dim3_weights_above_a_symmetric(self):
         # a != 1/sqrt3 and c >= d > a: highly symmetric.
         cfg = qa.AlphaConfig.from_alpha(1.2)  # a = 0.362
-        v = qa.classify_circle(std_circle(3, 0.8, 0.6), cfg, 3)
+        v = qa.classify_circle(std_circle(3, 0.8, 0.6), cfg)
         assert v.tag == HIGHLY_SYMMETRIC
 
     def test_dim3_small_d_not_symmetric(self):
@@ -47,35 +47,37 @@ class TestClassifyCircle:
             cfg = qa.AlphaConfig.from_alpha(math.acos(a))
             bound = min(a, math.sqrt((1 - 2 * a * a) / (1 - a * a)))
             d = rng.uniform(0.05, 0.95) * bound
-            v = qa.classify_circle(std_circle(3, math.sqrt(1 - d * d), d), cfg, 3)
+            v = qa.classify_circle(std_circle(3, math.sqrt(1 - d * d), d), cfg)
             assert v.tag == NOT_HIGHLY_SYMMETRIC
 
     def test_dim3_strict_weights_at_special_a_symmetric(self):
         # a = 1/sqrt3 with c > d > a: still highly symmetric.
         cfg = qa.AlphaConfig.from_alpha(math.acos(SQ3))
         d = 0.62
-        v = qa.classify_circle(std_circle(3, math.sqrt(1 - d * d), d), cfg, 3)
+        v = qa.classify_circle(std_circle(3, math.sqrt(1 - d * d), d), cfg)
         assert v.tag == HIGHLY_SYMMETRIC
 
     def test_exceptional_circles_not_symmetric(self):
         cfg = qa.AlphaConfig.from_alpha(math.acos(SQ3))
-        v1 = qa.classify_circle(std_circle(3, math.sqrt(2 / 3), SQ3), cfg, 3)
+        v1 = qa.classify_circle(std_circle(3, math.sqrt(2 / 3), SQ3), cfg)
         assert v1.tag == NOT_HIGHLY_SYMMETRIC
         v2 = qa.classify_circle(
-            std_circle(3, 1 / math.sqrt(2), 1 / math.sqrt(2)), cfg, 3
+            std_circle(3, 1 / math.sqrt(2), 1 / math.sqrt(2)), cfg
         )
         assert v2.tag == NOT_HIGHLY_SYMMETRIC
 
     def test_weight_order_does_not_matter(self):
         cfg = qa.AlphaConfig.from_alpha(0.9)
-        a = qa.classify_circle(std_circle(3, 0.35, math.sqrt(1 - 0.35**2)), cfg, 3)
-        b = qa.classify_circle(std_circle(3, math.sqrt(1 - 0.35**2), 0.35), cfg, 3)
+        a = qa.classify_circle(std_circle(3, 0.35, math.sqrt(1 - 0.35**2)), cfg)
+        b = qa.classify_circle(std_circle(3, math.sqrt(1 - 0.35**2), 0.35), cfg)
         assert a.tag == b.tag
 
     def test_range_guards(self):
         cfg = qa.AlphaConfig.from_alpha(0.5)
         with pytest.raises(RangeError):
-            qa.classify_circle(std_circle(3, 0.8, 0.6), cfg, 3)
+            qa.classify_circle(std_circle(3, 0.8, 0.6), cfg)
+        with pytest.raises(RangeError, match="ambient dimension >= 3"):
+            qa.classify_circle(std_circle(2, 0.8, 0.6), qa.AlphaConfig.from_alpha(1.0))
 
     def test_circle_is_the_descriptor_component(self):
         assert qa.Circle is qa.CircleComponent
@@ -85,7 +87,7 @@ class TestClassifyCircle:
 
     def test_verdict_json(self):
         cfg = qa.AlphaConfig.from_alpha(1.0)
-        v = qa.classify_circle(std_circle(4, 0.8, 0.6), cfg, 4)
+        v = qa.classify_circle(std_circle(4, 0.8, 0.6), cfg)
         blob = v.to_json()
         assert blob["tag"] == HIGHLY_SYMMETRIC
         assert "margins" in blob and "weight_tie" in blob["margins"]
@@ -96,7 +98,7 @@ class TestEmpiricalCheck:
         cfg = qa.AlphaConfig.from_alpha(1.0)
         circle = std_circle(4, 0.8, 0.6)
         report = qa.empirical_high_symmetry_check(
-            circle, cfg, 4, n_triples=20, n_alpha_samples=20, seed=7
+            circle, cfg, n_triples=20, n_alpha_samples=20, seed=7
         )
         assert report.verdict
         assert report.max_residual < 1e-6
@@ -106,7 +108,7 @@ class TestEmpiricalCheck:
         r = 1 / math.sqrt(2)
         cfg = qa.AlphaConfig.from_alpha(1.1)
         report = qa.empirical_high_symmetry_check(
-            std_circle(4, r, r), cfg, 4, n_triples=5, n_alpha_samples=12, seed=3
+            std_circle(4, r, r), cfg, n_triples=5, n_alpha_samples=12, seed=3
         )
         assert report.verdict
         assert "empirical=HighlySymmetric" in report.notes
@@ -115,7 +117,7 @@ class TestEmpiricalCheck:
         cfg = qa.AlphaConfig.from_alpha(math.acos(SQ3))
         circle = std_circle(3, math.sqrt(2 / 3), SQ3)
         report = qa.empirical_high_symmetry_check(
-            circle, cfg, 3, n_triples=5, n_alpha_samples=12, seed=5
+            circle, cfg, n_triples=5, n_alpha_samples=12, seed=5
         )
         assert report.verdict
         assert report.counts["witnesses"] >= 1
@@ -125,7 +127,7 @@ class TestEmpiricalCheck:
         cfg = qa.AlphaConfig.from_alpha(0.9)
         circle = std_circle(3, math.sqrt(1 - 0.3**2), 0.3)
         report = qa.empirical_high_symmetry_check(
-            circle, cfg, 3, n_triples=4, n_alpha_samples=12, seed=11
+            circle, cfg, n_triples=4, n_alpha_samples=12, seed=11
         )
         assert report.verdict
         assert report.counts["off_circle_members"] > 0
@@ -134,7 +136,7 @@ class TestEmpiricalCheck:
         cfg = qa.AlphaConfig.from_alpha(1.0)
         with pytest.raises(ParameterError):
             qa.empirical_high_symmetry_check(
-                std_circle(3, 0.8, 0.6), cfg, 3, n_triples=3, n_alpha_samples=2
+                std_circle(3, 0.8, 0.6), cfg, n_triples=3, n_alpha_samples=2
             )
 
     def test_agreement_on_random_draws(self):
@@ -160,7 +162,6 @@ class TestEmpiricalCheck:
             report = qa.empirical_high_symmetry_check(
                 circle,
                 cfg,
-                dim,
                 n_triples=3,
                 n_alpha_samples=12,
                 seed=33 + k,
@@ -212,7 +213,7 @@ class TestSampledSetRelations:
 
         cfg = qa.AlphaConfig.from_alpha(1.0)
         circle = std_circle(3, 0.8, 0.6)
-        assert qa.classify_circle(circle, cfg, 3).tag == HIGHLY_SYMMETRIC
+        assert qa.classify_circle(circle, cfg).tag == HIGHLY_SYMMETRIC
         rng = np.random.default_rng(35)
         gens = [circle.member(np.exp(1j * p)) for p in (0.3, 2.0, 4.4)]
         cloud = qa.sample_lines(3, 200_000, 55)

@@ -126,7 +126,7 @@ def hunt_check(_wrong):
     """The tally of the symmetry check's oracle hunt on a dimension-4 circle."""
     e1, e2 = random_orthonormal_pair(np.random.default_rng(41), 4)
     tally = verify.empirical_high_symmetry_check(
-        qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, n_triples=1, n_alpha_samples=12, seed=5,
+        qa.Circle(e1, e2, 0.8, 0.6), CFG, n_triples=1, n_alpha_samples=12, seed=5,
         cloud=qa.sample_lines(4, 5_000, 42),
     )
     return tally, tally.counts["survivors"]
@@ -153,7 +153,7 @@ def test_the_empirical_tag_reads_the_oracle_hunt_only(monkeypatch):
     circle = qa.Circle(e1, e2, math.sqrt(2 / 3), 1 / math.sqrt(3))
     on_circle = [circle.member(np.exp(1j * t)) for t in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
     monkeypatch.setattr(verify.oracle, "funnel_alpha_set", lambda *args, **kwargs: on_circle)
-    tally = verify.empirical_high_symmetry_check(circle, cfg, 3, n_triples=2, n_alpha_samples=12, seed=5)
+    tally = verify.empirical_high_symmetry_check(circle, cfg, n_triples=2, n_alpha_samples=12, seed=5)
     assert tally.counts["components_max"] == 2
     assert tally.counts["off_circle_members"] == 0
     assert "empirical=HighlySymmetric" in tally.notes
@@ -209,7 +209,7 @@ def test_high_symmetry_check_holds_the_circle_to_the_double_alpha_set(monkeypatc
     rng = np.random.default_rng(31)
     e1, e2 = random_orthonormal_pair(rng, 4)
     tally = verify.empirical_high_symmetry_check(
-        qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, n_triples=2, n_alpha_samples=12, seed=5,
+        qa.Circle(e1, e2, 0.8, 0.6), CFG, n_triples=2, n_alpha_samples=12, seed=5,
         cloud=qa.sample_lines(4, 5_000, 32),
     )
     assert ("circle samples lie off the double-alpha-set of their triple" in tally.notes) is wrong
@@ -219,7 +219,7 @@ def test_high_symmetry_check_holds_the_circle_to_the_double_alpha_set(monkeypatc
 def test_high_symmetry_check_refuses_a_seed_outside_the_cloud_range(seed):
     e1, e2 = random_orthonormal_pair(np.random.default_rng(0), 4)
     with pytest.raises(ParameterError, match="seed must be"):
-        verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, seed=seed)
+        verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, seed=seed)
 
 
 TOP_SEED = 2**64 - 1
@@ -265,5 +265,5 @@ def test_high_symmetry_check_wraps_its_hunt_seed(monkeypatch):
 
     monkeypatch.setattr(verify.oracle, "sample_lines", record_cloud)
     e1, e2 = random_orthonormal_pair(np.random.default_rng(0), 4)
-    verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, 4, n_triples=1, n_alpha_samples=3, seed=TOP_SEED)
+    verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, n_triples=1, n_alpha_samples=3, seed=TOP_SEED)
     assert seen == [0]

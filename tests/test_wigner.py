@@ -72,14 +72,14 @@ class TestRandomWigner:
 
 class TestApplySymmetry:
     def test_identity_fixes_everything(self):
-        w = qa.WignerSymmetry(3, np.eye(3, dtype=complex), False)
+        w = qa.WignerSymmetry(np.eye(3, dtype=complex), False)
         rng = np.random.default_rng(1)
         for _ in range(10):
             v = random_line(rng, 3)
             assert qa.lines_equal(qa.apply_symmetry(w, v), v)
 
     def test_plain_conjugation(self):
-        w = qa.WignerSymmetry(2, np.eye(2, dtype=complex), True)
+        w = qa.WignerSymmetry(np.eye(2, dtype=complex), True)
         v = qa.canonical_line([1, 1j])
         img = qa.apply_symmetry(w, v)
         assert qa.lines_equal(img, qa.canonical_line([1, -1j]))
@@ -109,13 +109,19 @@ class TestApplySymmetry:
 class TestSameInducedMap:
     def test_unimodular_multiple(self):
         w = qa.random_wigner(3, 4, False)
-        w2 = qa.WignerSymmetry(3, np.exp(1j * np.pi / 7) * w.matrix, False)
+        w2 = qa.WignerSymmetry(np.exp(1j * np.pi / 7) * w.matrix, False)
         assert qa.same_induced_map(w, w2)
 
     def test_flag_toggle_differs(self):
         w = qa.random_wigner(3, 4, False)
-        w2 = qa.WignerSymmetry(3, w.matrix, True)
+        w2 = qa.WignerSymmetry(w.matrix, True)
         assert not qa.same_induced_map(w, w2)
+
+    def test_swap_is_not_the_identity(self):
+        # The swap's product with the identity has a zero diagonal: no scalar fits.
+        identity = qa.WignerSymmetry(np.eye(2), False)
+        swap = qa.WignerSymmetry(np.array([[0, 1], [1, 0]]), False)
+        assert not qa.same_induced_map(identity, swap)
 
     def test_distinct_symmetries_differ_with_separating_line(self):
         rng = np.random.default_rng(5)
@@ -170,7 +176,7 @@ class TestFitFromProbes:
         fitted = qa.fit_from_probes(3, probes)
         assert not fitted.antiunitary
         assert qa.same_induced_map(
-            fitted, qa.WignerSymmetry(3, np.eye(3, dtype=complex), False)
+            fitted, qa.WignerSymmetry(np.eye(3, dtype=complex), False)
         )
 
     def test_perturbed_probe_rejected(self):
@@ -179,7 +185,7 @@ class TestFitFromProbes:
         w = qa.random_wigner(3, 11, False)
         images = [qa.apply_symmetry(w, p) for p in qa.probe_set(3)]
         victim = images[4]
-        comp = orthonormal_complement(victim.amplitudes[None, :], 3)
+        comp = orthonormal_complement(victim.amplitudes[None, :])
         images[4] = qa.canonical_line(
             math.cos(0.1) * victim.amplitudes + math.sin(0.1) * comp[0]
         )
@@ -196,6 +202,13 @@ class TestFitFromProbes:
     def test_wrong_count_rejected(self):
         with pytest.raises(ParameterError):
             qa.fit_from_probes(3, qa.probe_set(3)[:5])
+
+    def test_superposition_image_without_overlap_is_refused(self):
+        # [(e1 + e2)/sqrt2] sent to [e2] has no overlap with the image [e1] of [e1].
+        images = [qa.canonical_line(v) for v in ([1, 0], [0, 1], [0, 1], [1, 1j])]
+        with pytest.raises(NotAWignerMapError, match="no overlap") as err:
+            qa.fit_from_probes(2, images)
+        assert (err.value.probe_index, err.value.residual) == (2, 0.0)
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(
@@ -238,6 +251,24 @@ class TestPreservation:
             assert rep.forward_violations == 0
             assert rep.backward_violations == 0
             assert rep.max_deviation < 1e-12
+
+    def test_pull_back_counts_a_bijection_that_moves_angles(self):
+        # v -> [diag(1, 2) v] is a bijection of the lines of C^2 with inverse
+        # x -> [diag(1, 1/2) x]; no image pair at alpha pulls back to alpha.
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        stretch, shrink = np.diag([1, 2]), np.diag([1, 0.5])
+        rep = qa.preservation_report(
+            lambda v: qa.canonical_line(stretch @ v.amplitudes), cfg, 2, 50, 3,
+            inverse_fn=lambda x: qa.canonical_line(shrink @ x.amplitudes),
+        )
+        assert (rep.backward_violations, rep.pairs_tested) == (50, 150)
+
+    def test_pull_back_skips_lines_outside_the_image(self):
+        # The constant map [e1] never reaches a partner at alpha from [e1].
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        e1 = qa.canonical_line([1, 0])
+        rep = qa.preservation_report(lambda v: e1, cfg, 2, 50, 3, inverse_fn=lambda x: x)
+        assert (rep.backward_violations, rep.pairs_tested) == (0, 100)
 
     def test_report_counts_bounded(self):
         cfg = qa.AlphaConfig.from_alpha(1.0)
@@ -358,6 +389,11 @@ class TestCircleIntersection:
         got = qa.circle_intersection(e1, e2, f1, f2, math.sqrt(7 / 12))
         assert len(got) < 2
 
+    def test_swapped_basis_misses_with_unequal_weights(self):
+        # f1 = e2 is orthogonal to e1, so the circles meet only if d0 = sqrt(5/12) were c0 = sqrt(7/12).
+        e1, e2 = qa.canonical_line([1, 0]), qa.canonical_line([0, 1])
+        assert qa.circle_intersection(e1, e2, e2, e1, math.sqrt(7 / 12)) == []
+
     def test_threshold_crossing(self):
         rng = np.random.default_rng(42)
         mu = np.exp(1j * 0.77)
@@ -451,3 +487,27 @@ class TestSymmetryJson:
         again = qa.WignerSymmetry.from_json(w.to_json())
         assert again.antiunitary
         assert np.array_equal(w.matrix, again.matrix)
+
+    def test_dim_is_read_off_the_matrix(self):
+        assert qa.WignerSymmetry(np.eye(3), False).dim == 3
+
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [(np.eye(3)[:2], DimensionError, r"matrix shape \(2, 3\) is not square"),
+         (np.ones(2), DimensionError, r"matrix shape \(2,\) is not square"),
+         (np.eye(1), ParameterError, "dim must be >= 2"),
+         (np.eye(MAX_DIM + 1), DimensionError, rf"dim {MAX_DIM + 1} outside supported range")],
+    )
+    def test_constructor_refuses_a_matrix_of_no_dimension(self, matrix, error, message):
+        with pytest.raises(error, match=message):
+            qa.WignerSymmetry(matrix, False)
+
+    @pytest.mark.parametrize(
+        "dim, error, message",
+        [(3, DimensionError, r"^matrix shape \(2, 2\) does not match dim 3$"), (1, ParameterError, "dim must be >= 2"),
+         (MAX_DIM + 1, DimensionError, rf"dim {MAX_DIM + 1} outside supported range")],
+    )
+    def test_wire_dim_is_checked_then_matched_to_the_matrix(self, dim, error, message):
+        wire = {**qa.random_wigner(2, 50).to_json(), "dim": dim}
+        with pytest.raises(error, match=message):
+            qa.WignerSymmetry.from_json(wire)

@@ -7,7 +7,7 @@
 directory) first on ``PYTHONPATH``, once per golden run, in an empty working
 directory, and writes ``OUT/<run>.stdout`` and ``OUT/<run>.exit`` for each.
 ``OUT`` must be new or empty, so a capture never mixes with an older one.
-The 61 runs are the 25 ``qangle verify`` goldens (each suite at seeds 0 and
+The 64 runs are the 25 ``qangle verify`` goldens (each suite at seeds 0 and
 1 with two draws, the default-draws runs of ``infinite-element``,
 ``section5`` and ``collin-alpha``, three runs with explicit parameters, and
 ``basic`` at the largest seed, 2**64 - 1),
@@ -15,8 +15,11 @@ one valid payload per payload verb, a second ``oracle`` payload without
 ``refine`` (plain rejection), five dimension-3 ``classify-circle`` payloads
 (one per reason of the dimension-3 case split, and one with an explicit
 basis), a ``wigner-fit`` payload that no symmetry fits, a ``wigner-check``
-payload with an antiunitary symmetry, and the ``--help`` text of ``qangle``,
-of ``qangle verify`` and of each payload verb.
+payload with an antiunitary symmetry, three payloads whose wire ``dim``
+disagrees with their data (an ``angle`` line with too few amplitudes, a
+``wigner-check`` symmetry whose matrix is too small, and a
+``classify-circle`` basis of another dimension), and the ``--help`` text of
+``qangle``, of ``qangle verify`` and of each payload verb.
 
 ``compare`` lists every run whose stdout bytes or exit code differ between
 two captures, or that only one of them holds, and exits 1 if there is any.
@@ -134,6 +137,9 @@ def all_runs() -> dict[str, tuple[list[str], dict | None]]:
     runs["payload-wigner-check-antiunitary"] = (
         ["wigner-check"], {**check, "symmetry": {**check["symmetry"], "antiunitary": True}},
     )
+    runs["payload-angle-dim-mismatch"] = (["angle"], {**payloads()["angle"], "u": {"dim": 3, "re": [1, 0], "im": [0, 0]}})
+    runs["payload-wigner-check-dim-mismatch"] = (["wigner-check"], {**check, "symmetry": {**check["symmetry"], "dim": 3}})
+    runs["payload-classify-circle-dim-mismatch"] = (["classify-circle"], {**runs["payload-classify-circle-basis"][1], "dim": 4})
     runs["help"] = (["--help"], None)
     for verb in ("verify", *payloads()):
         runs[f"help-{verb}"] = ([verb, "--help"], None)
