@@ -10,7 +10,6 @@ from .alphasets import (
     AlphaSetDescriptor,
     AthetaFamily,
     Cardinality,
-    Circle,
     CircleComponent,
     PointComponent,
     SphereSliceComponent,

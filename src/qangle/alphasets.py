@@ -282,11 +282,8 @@ class AthetaFamily:
 
 @dataclass(frozen=True)
 class CircleComponent:
-    """The circle {[c e1 + lambda d e2] : |lambda| = 1}.
-
-    Also exported as ``Circle``: the same object is a descriptor component
-    and the input of the symmetry classification.
-    """
+    """The circle {[c e1 + lambda d e2] : |lambda| = 1}: a descriptor component
+    and the input of the symmetry classification."""
 
     e1: Line
     e2: Line
@@ -312,20 +309,19 @@ class CircleComponent:
         return _sphere_distance(v, self.c * self.e1.amplitudes, self.d, self.e2.amplitudes[None])
 
 
-Circle = CircleComponent
-
-
 @dataclass(frozen=True)
 class SphereSliceComponent:
-    """Lines of the form [q * axis + h] with h of fixed norm, orthogonal to a basis."""
+    """Lines of the form [q * axis + h] with h of norm sqrt(1 - q^2), orthogonal to a basis."""
 
     axis: Line
     coefficient: float
-    radius: float
+    radius: float = field(init=False)
     orthogonal_to: tuple[Line, ...]
 
     def __post_init__(self):
-        check_close(self.coefficient**2 + self.radius**2, 1.0, 1e-10, "coefficient^2 + radius^2 != 1")
+        if not -1.0 <= self.coefficient <= 1.0:
+            raise ParameterError(f"slice coefficient must be in [-1, 1], got {self.coefficient}")
+        object.__setattr__(self, "radius", math.sqrt(1.0 - self.coefficient**2))
         if any(l.dim != self.axis.dim for l in self.orthogonal_to):
             raise DimensionError("orthogonal_to lines do not match the axis dimension")
 
@@ -441,15 +437,14 @@ def collinear_triple_alpha_set(
     a, c, d = cfg.a, t.c, t.d
     _check_profile_weights(a, c, d)
     basis = (t.e1, t.e2)
-    r1 = math.sqrt(max(0.0, 1.0 - (a / c) ** 2))
-    comps: list[Component] = [SphereSliceComponent(t.e1, a / c, r1, basis)]
+    comps: list[Component] = [SphereSliceComponent(t.e1, a / c, basis)]
     # Ties a = d are resolved inside the exact-matching band: the square root
     # would otherwise blow representation noise in d up to a spurious thin
     # slice.
     if abs(a - d) <= EXCEPTIONAL_TOL:
         comps.append(PointComponent(t.e2))
     elif a < d:  # beyond the tie band, so the slice radius is at least about 1.4e-6
-        comps.append(SphereSliceComponent(t.e2, a / d, math.sqrt(1.0 - (a / d) ** 2), basis))
+        comps.append(SphereSliceComponent(t.e2, a / d, basis))
     return AlphaSetDescriptor(tuple(comps))
 
 
@@ -500,17 +495,19 @@ def has_second_double_component(cfg: AlphaConfig, c: float, d: float) -> bool:
 
 @dataclass(frozen=True)
 class SymmetryVerdict:
-    """Classification outcome with the deciding clause and boundary margins."""
+    """Classification outcome with the deciding clause and boundary margins; the
+    tag is read off the clause."""
 
-    tag: str
     reason: str
     margins: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tag not in (HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC):
-            raise ParameterError(f"unknown verdict tag {self.tag!r}")
         if self.reason not in REASONS:
             raise ParameterError(f"unknown verdict reason {self.reason!r}")
+
+    @property
+    def tag(self) -> str:
+        return HIGHLY_SYMMETRIC if self.reason in (REASON_DIM_GE_4, REASON_SINGLE_CIRCLE) else NOT_HIGHLY_SYMMETRIC
 
     def to_json(self) -> dict:
         return {
@@ -534,8 +531,7 @@ def classify_circle(circle: CircleComponent, cfg: AlphaConfig) -> SymmetryVerdic
     reason, margins = _dim3_case(cfg.a, max(circle.c, circle.d), min(circle.c, circle.d))
     if circle.dim >= 4:
         reason = REASON_DIM_GE_4
-    tag = HIGHLY_SYMMETRIC if reason in (REASON_DIM_GE_4, REASON_SINGLE_CIRCLE) else NOT_HIGHLY_SYMMETRIC
-    return SymmetryVerdict(tag, reason, margins)
+    return SymmetryVerdict(reason, margins)
 
 
 def _second_double_component(

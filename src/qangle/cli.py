@@ -11,7 +11,9 @@ from ``--seed`` (default 0).  Output bytes are reproducible.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import sys
 import time
 
@@ -21,7 +23,7 @@ from . import alphasets, oracle, projspace, verify, wigner
 from .errors import DimensionError, NotAWignerMapError, ParameterError, QAngleError, RangeError, SchemaError
 from .projspace import AlphaConfig, Line, canonical_line, json_complex, json_field
 
-# Suite parameters of ``verify``; a suite takes only those in its ``Suite.options``.
+# Suite parameters of ``verify``; a suite takes only those among its keyword parameters.
 _SUITE_OPTIONS = ("dim", "a", "c", "d")
 
 #: Largest ``verify --draws``, a hundred times the largest default (1000
@@ -149,7 +151,7 @@ def _run_oracle(payload):
     confirm_tol = json_field(payload, "confirmTol", float, 1e-7)
     cloud = oracle.sample_lines(dim, count, seed)
     if refine:
-        members = oracle.discover_alpha_set(gens, cfg, cloud, tol, confirm_tol)
+        members = oracle.funnel_alpha_set(gens, cfg, cloud, tol, confirm_tol, 4000, n_seed_constraints=len(gens))
     else:
         members = [Line(row) for row in oracle.alpha_set_numeric(gens, cfg, cloud, tol)]
     return {"count": len(members), "members": [m.to_json() for m in members]}
@@ -197,7 +199,9 @@ def _run_intersect(payload):
 def _run_bridge(payload):
     cfg = _cfg(payload)
     lines = [_line(payload, k) for k in ("e1", "e2", "f1", "f2")]
-    g1, g2 = wigner.bridge_basis(*lines, cfg)
+    if abs(cfg.a - 1.0 / math.sqrt(3.0)) > 1e-9:
+        raise ParameterError("bridge construction applies to the a = 1/sqrt(3) regime")
+    g1, g2 = wigner.bridge_basis(*lines)
     return {"g1": g1.to_json(), "g2": g2.to_json()}
 
 
@@ -219,8 +223,9 @@ _PAYLOAD_HANDLERS = {
 
 
 def _run_suite(args) -> verify.Tally:
-    suite = verify.SUITES[args.suite]
-    draws = suite.draws if args.draws is None else args.draws
+    run = verify.SUITES[args.suite]
+    params = inspect.signature(run).parameters
+    draws = params["draws"].default if args.draws is None else args.draws
     if not 1 <= draws <= MAX_DRAWS:
         raise SchemaError(f"--draws must be in [1, {MAX_DRAWS}], got {draws}")
     try:  # the payload seed's range, refused as a usage error
@@ -228,7 +233,7 @@ def _run_suite(args) -> verify.Tally:
     except ParameterError as exc:
         raise SchemaError(f"--{exc}") from None
     given = {k: v for k in _SUITE_OPTIONS if (v := getattr(args, k)) is not None}
-    unused = sorted(given.keys() - suite.options)
+    unused = sorted(given.keys() - params.keys())
     if unused:
         raise SchemaError(f"suite {args.suite} does not take " + ", ".join(f"--{k}" for k in unused))
     dim = given.get("dim", 2)
@@ -238,7 +243,7 @@ def _run_suite(args) -> verify.Tally:
     projspace.check_dim(dim)
     if given.keys() & {"a", "c", "d"} and not {"a", "c", "d"} <= given.keys():
         raise SchemaError(f"{args.suite} needs --a, --c and --d together")
-    return suite.run(args.seed, draws, **given)
+    return run(args.seed, draws, **given)
 
 
 def _read_payload(args) -> dict:

@@ -11,10 +11,8 @@ counting) live in :mod:`qangle.oracle`.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -188,8 +186,8 @@ def verify_basic_relations(
             raise ParameterError("S1 must be a subset of S2")
 
     tally = Tally()
-    n1 = oracle.discover_alpha_set(S1, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, max_candidates=800)
-    n2 = oracle.discover_alpha_set(S2, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, max_candidates=800)
+    n1 = oracle.funnel_alpha_set(S1, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, 800, n_seed_constraints=len(S1))
+    n2 = oracle.funnel_alpha_set(S2, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, 800, n_seed_constraints=len(S2))
     tally.counts["alpha_set_S1"] = len(n1)
     tally.counts["alpha_set_S2"] = len(n2)
 
@@ -359,13 +357,11 @@ def check_count_threshold(tally: Tally, rng: np.random.Generator, dim: int) -> N
     tally.bound(abs(thr - 1.0 / 6.0), 1e-6, "intersection-count threshold misses 1/6")
 
 
-def check_bridges(tally: Tally, rng: np.random.Generator, dim: int, draws: int) -> int:
-    """The bridge basis g overlaps e1 and f1 by more than 1/6 and meets both circles
-    twice; returns the number of bridges built."""
-    cfg = AlphaConfig.from_alpha(math.acos(1 / math.sqrt(3)))
+def check_bridges(tally: Tally, rng: np.random.Generator, dim: int, draws: int) -> None:
+    """The bridge basis g overlaps e1 and f1 by more than 1/6 and meets both circles twice."""
     for _ in range(draws):
         e1, e2, f1, f2, _ = _random_rotated_bases(rng, dim, 0.0)
-        g1, g2 = wigner.bridge_basis(e1, e2, f1, f2, cfg)
+        g1, g2 = wigner.bridge_basis(e1, e2, f1, f2)
         if not (
             abs(np.vdot(g1.amplitudes, e1.amplitudes)) > 1 / 6
             and abs(np.vdot(g1.amplitudes, f1.amplitudes)) > 1 / 6
@@ -375,10 +371,9 @@ def check_bridges(tally: Tally, rng: np.random.Generator, dim: int, draws: int) 
         n2 = len(wigner.circle_intersection(g1, g2, f1, f2, _SECTION5_C0))
         if n1 < 2 or n2 < 2:
             tally.fail("bridge basis fails to connect the two circles")
-    return draws
 
 
-def suite_shape(seed: int, draws: int, dim: int = 3) -> Tally:
+def suite_shape(seed: int, draws: int = 8, dim: int = 3) -> Tally:
     """Cutoff angle and radius profile of the pair alpha-set, and its samples' angles."""
     rng = np.random.default_rng(seed)
     tally = Tally(counts={"draws": draws, "samples": 0})
@@ -418,7 +413,7 @@ def _random_triple(rng: np.random.Generator, dim: int):
     return cfg, projspace.TripleCanonicalForm(e1, e2, c, d, distinct_unimodular_triple(rng, 1e-2))
 
 
-def suite_collin_alpha(seed: int, draws: int, dim=None) -> Tally:
+def suite_collin_alpha(seed: int, draws: int = 8, dim=None) -> Tally:
     """Collinear-triple alpha-sets against the oracle in dimensions 3 and 4; the
     draws are split over the dimensions in order, the first ones taking the remainder."""
     rng = np.random.default_rng(seed)
@@ -439,7 +434,7 @@ def suite_collin_alpha(seed: int, draws: int, dim=None) -> Tally:
     return tally
 
 
-def suite_circle4(seed: int, draws: int) -> Tally:
+def suite_circle4(seed: int, draws: int = 8) -> Tally:
     """Double-alpha-sets of collinear triples in dimension 4 are single circles."""
     rng = np.random.default_rng(seed)
     dim = 4
@@ -470,7 +465,7 @@ def _snap_parameters(a: float, c: float, d: float) -> tuple[float, float, float]
     return a, c / s, d / s
 
 
-def suite_circle3(seed: int, draws: int, a=None, c=None, d=None) -> Tally:
+def suite_circle3(seed: int, draws: int = 8, a=None, c=None, d=None) -> Tally:
     """Dimension-3 double-alpha-sets: the case split, and the descriptor against the
     oracle, for the triple ``(a, c, d)`` if given, else the exceptional triples and
     ``draws`` random ones."""
@@ -497,7 +492,7 @@ def suite_circle3(seed: int, draws: int, a=None, c=None, d=None) -> Tally:
     return tally
 
 
-def suite_infinite_element(seed: int, draws: int) -> Tally:
+def suite_infinite_element(seed: int, draws: int = 1000) -> Tally:
     """Disk root counts against the triangle-inequality band, and constructed tangencies."""
     rng = np.random.default_rng(seed)
     tally = Tally(counts={"draws": 0, "agreements": 0, "boundary_cases": 0})
@@ -539,7 +534,7 @@ def suite_infinite_element(seed: int, draws: int) -> Tally:
     return tally
 
 
-def suite_circle_char(seed: int, draws: int) -> Tally:
+def suite_circle_char(seed: int, draws: int = 8) -> Tally:
     """The circle classifier against the sampled symmetry check, alternating dimensions 3 and 4."""
     rng = np.random.default_rng(seed)
     tally = Tally(counts={"draws": draws, "agreements": 0})
@@ -557,7 +552,7 @@ def suite_circle_char(seed: int, draws: int) -> Tally:
     return tally
 
 
-def suite_basic(seed: int, draws: int, dim: int = 3) -> Tally:
+def suite_basic(seed: int, draws: int = 8, dim: int = 3) -> Tally:
     """The elementary alpha-set relations for a one-line and a two-line generator set."""
     rng = np.random.default_rng(seed)
     cloud = oracle.sample_lines(dim, 60_000, _offset_seed(seed, 5))
@@ -568,35 +563,26 @@ def suite_basic(seed: int, draws: int, dim: int = 3) -> Tally:
     return verify_basic_relations(s1, s2, cfg, cloud)
 
 
-def suite_section5(seed: int, draws: int, dim: int = 3) -> Tally:
+def suite_section5(seed: int, draws: int = 100, dim: int = 3) -> Tally:
     """Section 5: balanced common lines, the count threshold at 1/6, and ``draws`` bridges."""
     rng = np.random.default_rng(seed)
-    tally = Tally()
+    tally = Tally(counts={"bridged": draws})
     check_balanced_common_lines(tally, rng, dim, 20)
     check_count_threshold(tally, rng, dim)
-    tally.counts["bridged"] = check_bridges(tally, rng, dim, draws)
+    check_bridges(tally, rng, dim, draws)
     return tally
 
 
-@dataclass(frozen=True)
-class Suite:
-    run: Callable[..., Tally]
-    draws: int  # when the caller names no count
-    options: frozenset  # the keyword arguments of ``run`` beyond seed and draws
-
-
-def _suite(run: Callable[..., Tally], draws: int = 8) -> Suite:
-    """A suite whose options are read off the signature of ``run``."""
-    return Suite(run, draws, frozenset(inspect.signature(run).parameters) - {"seed", "draws"})
-
-
-SUITES: dict[str, Suite] = {
-    "shape": _suite(suite_shape),
-    "collin-alpha": _suite(suite_collin_alpha),
-    "circle4": _suite(suite_circle4),
-    "circle3": _suite(suite_circle3),
-    "infinite-element": _suite(suite_infinite_element, 1000),
-    "circle-char": _suite(suite_circle_char),
-    "basic": _suite(suite_basic),
-    "section5": _suite(suite_section5, 100),
+#: Each suite by name.  A suite runs as ``run(seed, draws, **options)``: its
+#: ``draws`` default is the count when the caller names none, and its other
+#: keyword parameters are the options it takes.
+SUITES = {
+    "shape": suite_shape,
+    "collin-alpha": suite_collin_alpha,
+    "circle4": suite_circle4,
+    "circle3": suite_circle3,
+    "infinite-element": suite_infinite_element,
+    "circle-char": suite_circle_char,
+    "basic": suite_basic,
+    "section5": suite_section5,
 }

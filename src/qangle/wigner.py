@@ -38,9 +38,11 @@ def _unitarity_deviation(m: np.ndarray) -> float:
         return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerSymmetry:
-    """A unitary or antiunitary operator acting on projective space; ``dim`` is the matrix size."""
+    """A unitary or antiunitary operator acting on projective space; ``dim`` is the matrix size.
+
+    ``==`` is identity; :func:`same_induced_map` compares the maps two operators induce."""
 
     matrix: np.ndarray
     antiunitary: bool
@@ -376,9 +378,7 @@ def circle_intersection(
     return out
 
 
-def bridge_basis(
-    e1: Line, e2: Line, f1: Line, f2: Line, cfg: AlphaConfig
-) -> tuple[Line, Line]:
+def bridge_basis(e1: Line, e2: Line, f1: Line, f2: Line) -> tuple[Line, Line]:
     """A basis whose circle meets both given circles, in the a = 1/sqrt(3) regime.
 
     When 1/6 < |<e1, f1>| the original basis already works and is returned
@@ -387,8 +387,6 @@ def bridge_basis(
     canonical form of f1; both overlaps |<g1, e1>| and |<g1, f1>| then
     exceed 1/6.
     """
-    if abs(cfg.a - 1.0 / math.sqrt(3.0)) > 1e-9:
-        raise ParameterError("bridge construction applies to the a = 1/sqrt(3) regime")
     _check_same_span(e1, e2, f1, f2)
 
     p = np.vdot(e1.amplitudes, f1.amplitudes)

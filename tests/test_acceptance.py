@@ -221,7 +221,7 @@ def test_criterion_5_classification_consistency():
         c, d = random_cd(rng, cfg.a, 1e-4)
         e1, e2 = random_orthonormal_pair(rng, dim)
         agreements += check_circle_classification(
-            tally, qa.Circle(e1, e2, c, d), cfg, 12, 5100 + k, clouds[dim]
+            tally, qa.CircleComponent(e1, e2, c, d), cfg, 12, 5100 + k, clouds[dim]
         )
     report(
         "criterion 5 (classifier vs empirical)",
@@ -235,7 +235,7 @@ def test_criterion_5_classification_consistency():
 
     def verdict_tag(cfg, d):
         c = math.sqrt(1 - d * d)
-        return qa.classify_circle(qa.Circle(e1, e2, c, d), cfg).tag
+        return qa.classify_circle(qa.CircleComponent(e1, e2, c, d), cfg).tag
 
     worst = 0.0
     for alpha, expected_boundary in (

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -550,6 +551,8 @@ class TestCardinality:
             qa.atheta_cardinality(
                 fam, fam.theta0 + 0.1, (0.6 + 0j, 0j, 0.8), cfg
             )
+        with pytest.raises(ParameterError, match="unknown cardinality tag 'two'"):
+            qa.Cardinality("two", 0.1)
 
     def test_cfg_of_another_alpha_refused(self):
         # z would take cos(alpha) from cfg and rho from the family, mixing two angles.
@@ -572,7 +575,7 @@ def components_of_dim4() -> dict:
     return {
         "atheta": standard_family(qa.AlphaConfig.from_alpha(1.1), 0.8, 0.6),
         "circle": qa.CircleComponent(basis[0], basis[1], 0.8, 0.6),
-        "slice": qa.SphereSliceComponent(basis[0], 0.8, 0.6, (basis[1],)),
+        "slice": qa.SphereSliceComponent(basis[0], 0.8, (basis[1],)),
         "point": qa.PointComponent(basis[2]),
     }
 
@@ -590,7 +593,36 @@ class TestLineOfAnotherDimension:
 
     def test_slice_refuses_orthogonal_lines_of_another_dimension(self):
         with pytest.raises(DimensionError):
-            qa.SphereSliceComponent(std_basis(4)[0], 0.8, 0.6, (std_basis(3)[1],))
+            qa.SphereSliceComponent(std_basis(4)[0], 0.8, (std_basis(3)[1],))
+
+    # C^3 basis lines stated as ambient dimension 4, and a pair of C^2 below dimension 3.
+    BUILDS = {
+        "atheta": (lambda: qa.AthetaFamily(*std_basis(3)[:2], 0.8, 0.6, 1.1, math.pi / 2, 4),
+                   "basis lines do not match the ambient dimension"),
+        "pair": (lambda: qa.pair_alpha_set(*std_basis(2), qa.AlphaConfig.from_alpha(1.1)),
+                 "pair alpha-sets need ambient dimension >= 3"),
+        "triple": (lambda: qa.collinear_triple_alpha_set(
+            qa.TripleCanonicalForm(*std_basis(3)[:2], 0.8, 0.6, (1.0 + 0j, 1j, -1j)), qa.AlphaConfig.from_alpha(1.1), 4
+        ), "canonical form does not match the ambient dimension"),
+    }
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_builders_refuse_it(self, build):
+        make, message = self.BUILDS[build]
+        with pytest.raises(DimensionError, match=message):
+            make()
+
+
+class TestSphereSlice:
+    def test_radius_is_read_off_the_coefficient(self):
+        comp = qa.SphereSliceComponent(std_basis(3)[0], 0.8, ())
+        assert comp.radius == math.sqrt(1.0 - 0.8**2)
+        assert [f.name for f in dataclasses.fields(comp) if f.init] == ["axis", "coefficient", "orthogonal_to"]
+
+    @pytest.mark.parametrize("q", [1.0 + 1e-15, -1.5, math.inf, math.nan])
+    def test_coefficient_outside_the_unit_interval_is_refused(self, q):
+        with pytest.raises(ParameterError, match=r"slice coefficient must be in \[-1, 1\]"):
+            qa.SphereSliceComponent(std_basis(3)[0], q, ())
 
 
 class TestCircleDistance:
@@ -628,9 +660,8 @@ class TestSphereDistancePrecision:
             member, off = comp.member(np.exp(0.4j)).amplitudes, e3
         else:
             # A slice of coefficient 0 is the unit sphere of its span.
-            q, r = (math.cos(0.7), math.sin(0.7)) if kind == "slice" else (0.0, 1.0)
-            comp = qa.SphereSliceComponent(lines[0], q, r, (lines[0], lines[1]))
-            member, off = q * e1 + r * (e3 + 1j * e4) / math.sqrt(2), e2
+            comp = qa.SphereSliceComponent(lines[0], math.cos(0.7) if kind == "slice" else 0.0, (lines[0], lines[1]))
+            member, off = comp.coefficient * e1 + comp.radius * (e3 + 1j * e4) / math.sqrt(2), e2
         v = qa.canonical_line(math.cos(eps) * member + math.sin(eps) * off)
         assert abs(comp.distance(v) - eps) <= 2e-15
 
@@ -819,7 +850,7 @@ class TestCaseSplitPredicate:
         verdicts = []
         for a, c, d in cases:
             cfg = qa.AlphaConfig.from_alpha(math.acos(a))
-            circle = qa.Circle(e1, e2, c, d)
+            circle = qa.CircleComponent(e1, e2, c, d)
             form = qa.canonical_triple_form(*(circle.member(lam) for lam in (1, 1j, -1)))
             single = len(qa.double_alpha_set_classify(form, cfg, dim).components) == 1
             symmetric = qa.classify_circle(circle, cfg).tag == HIGHLY_SYMMETRIC

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -120,6 +119,13 @@ class TestPayloadVerbFlags:
             main([verb, flag, "3"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("verb", list(_PAYLOAD_HANDLERS))
+    def test_a_payload_that_is_no_object_is_schema_error(self, tmp_path, verb):
+        path = tmp_path / "payload.json"
+        path.write_text("[]")
+        code, out = run_cli([verb, "--in", str(path)])
+        assert (code, out["error"]) == (2, "schema")
+
 
 class TestCanonicalVerb:
     def test_phase_removal(self, tmp_path):
@@ -192,6 +198,12 @@ class TestAlphaSetVerbs:
         code, out = run_cli(["double-alphaset"], payload, tmp_path)
         assert code == 0
         assert [comp["kind"] for comp in out["components"]] == ["circle"]
+
+    @pytest.mark.parametrize("verb, count", [("alphaset", 4), ("double-alphaset", 2)])
+    def test_a_generator_count_the_verb_does_not_take_is_schema_error(self, tmp_path, verb, count):
+        gens = [line_json([1, 0, 0]), line_json([0, 1, 0]), line_json([0, 0, 1]), line_json([1, 1, 1])][:count]
+        code, out = run_cli([verb], {"alpha": 1.1, "generators": gens}, tmp_path)
+        assert (code, out["error"]) == (2, "schema")
 
     @pytest.mark.parametrize("verb", ["alphaset", "double-alphaset"])
     def test_three_lines_of_c2_are_refused(self, tmp_path, verb):
@@ -523,6 +535,17 @@ class TestIntersectAndBridge:
         g1 = qa.Line.from_json(out["g1"])
         assert abs(g1.amplitudes[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
+    def test_bridge_refuses_another_regime(self, tmp_path):
+        payload = {
+            "alpha": 1.0,
+            "e1": line_json([1, 0, 0]),
+            "e2": line_json([0, 1, 0]),
+            "f1": line_json([0.6, 0.8, 0]),
+            "f2": line_json([0.8, -0.6, 0]),
+        }
+        code, out = run_cli(["bridge"], payload, tmp_path)
+        assert (code, out) == (1, {"error": "parameter", "detail": "bridge construction applies to the a = 1/sqrt(3) regime"})
+
     @pytest.mark.parametrize("verb", ["intersect", "bridge"])
     def test_bases_of_mixed_dimension_are_refused(self, tmp_path, verb):
         payload = {
@@ -598,11 +621,11 @@ class TestVerifySuites:
         # The suite itself never runs: at the cap it records the draws, above it is refused first.
         seen = []
 
-        def record(seed, draws, **kwargs):
+        def record(seed, draws, dim=3):
             seen.append(draws)
             return Tally()
 
-        monkeypatch.setitem(SUITES, "shape", dataclasses.replace(SUITES["shape"], run=record))
+        monkeypatch.setitem(SUITES, "shape", record)
         assert run_cli(["verify", "shape", "--draws", str(MAX_DRAWS)])[0] == 0
         code, out = run_cli(["verify", "shape", "--draws", str(MAX_DRAWS + 1)])
         assert (code, out["error"], seen) == (2, "schema", [MAX_DRAWS])
@@ -647,10 +670,10 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("suite", ["shape", "collin-alpha", "basic", "section5"])
     def test_dim_above_max_dim_is_refused_before_running(self, suite, monkeypatch):
-        def must_not_run(*args, **kwargs):
+        def must_not_run(seed, draws, dim=None):
             raise AssertionError("the suite ran")
 
-        monkeypatch.setitem(SUITES, suite, dataclasses.replace(SUITES[suite], run=must_not_run))
+        monkeypatch.setitem(SUITES, suite, must_not_run)
         code, out = run_cli(["verify", suite, "--dim", str(MAX_DIM + 1), "--draws", "1"])
         assert code == 1
         assert out["error"] == "dimension-mismatch"

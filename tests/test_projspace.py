@@ -191,6 +191,10 @@ class TestPairCanonicalForm:
         with pytest.raises(DegeneratePairError):
             qa.canonical_pair_form(v, qa.canonical_line([1j, -1, 0]))
 
+    def test_lines_of_two_dimensions_rejected(self):
+        with pytest.raises(DimensionError, match="dims 2 and 3 differ"):
+            qa.canonical_pair_form(qa.canonical_line([1, 0]), qa.canonical_line([0, 1, 0]))
+
 
 class TestCollinearity:
     def test_span_of_two_basis_vectors(self):
@@ -217,6 +221,10 @@ class TestCollinearity:
             a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             v3 = qa.canonical_line(a * v1.amplitudes + b * v2.amplitudes)
             assert qa.is_collinear(v1, v2, v3)
+
+    def test_lines_of_two_dimensions_rejected(self):
+        with pytest.raises(DimensionError, match="lines live in different dimensions"):
+            qa.is_collinear(qa.canonical_line([1, 0]), qa.canonical_line([0, 1]), qa.canonical_line([1, 0, 0]))
 
 
 class TestTripleCanonicalForm:
@@ -441,7 +449,7 @@ class TestOrthonormalPairRule:
 
     BUILDS = {
         "circle_intersection": lambda e1, e2: qa.circle_intersection(e1, e2, e1, e2, 1 / math.sqrt(2)),
-        "bridge_basis": lambda e1, e2: qa.bridge_basis(e1, e2, e1, e2, qa.AlphaConfig(math.acos(1 / math.sqrt(3)))),
+        "bridge_basis": lambda e1, e2: qa.bridge_basis(e1, e2, e1, e2),
         "CircleComponent": lambda e1, e2: qa.CircleComponent(e1, e2, 0.8, 0.6),
         "PairCanonicalForm": lambda e1, e2: qa.PairCanonicalForm(e1, e2, 0.8, 0.6),
         "TripleCanonicalForm": lambda e1, e2: qa.TripleCanonicalForm(e1, e2, 0.8, 0.6, (1.0 + 0j, 1j, -1j)),
@@ -514,7 +522,7 @@ class TestCheckClose:
                        "matrix is not unitary"),
         "wigner-nan": (lambda: qa.WignerSymmetry(np.array([[1, 0], [0, np.nan]], dtype=complex), False),
                        "matrix is not unitary"),
-        "slice-coefficient": (lambda: qa.SphereSliceComponent(E1, NAN, 0.6, ()), r"coefficient\^2 \+ radius\^2 != 1"),
+        "slice-coefficient": (lambda: qa.SphereSliceComponent(E1, NAN, ()), r"slice coefficient must be in \[-1, 1\], got nan"),
         "pair-e2-phase": (lambda: qa.PairCanonicalForm(E1, E2, 0.8, 0.6, complex(NAN)), "e2_phase must be unimodular"),
         "atheta-e2-phase": (lambda: atheta_family(e2_phase=complex(NAN)), "e2_phase must be unimodular"),
         "atheta-theta0": (lambda: atheta_family(theta0=NAN), "theta0 nan is not the cutoff"),

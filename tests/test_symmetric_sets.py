@@ -9,6 +9,9 @@ from qangle.alphasets import (
     HIGHLY_SYMMETRIC,
     NOT_HIGHLY_SYMMETRIC,
     REASON_DIM_GE_4,
+    REASON_SINGLE_CIRCLE,
+    REASONS,
+    SymmetryVerdict,
 )
 
 from qangle.verify import draw_alpha
@@ -20,7 +23,7 @@ SQ3 = 1 / math.sqrt(3)
 
 def std_circle(dim, c, d):
     eye = np.eye(dim, dtype=complex)
-    return qa.Circle(qa.canonical_line(eye[0]), qa.canonical_line(eye[1]), c, d)
+    return qa.CircleComponent(qa.canonical_line(eye[0]), qa.canonical_line(eye[1]), c, d)
 
 
 class TestClassifyCircle:
@@ -80,7 +83,7 @@ class TestClassifyCircle:
             qa.classify_circle(std_circle(2, 0.8, 0.6), qa.AlphaConfig.from_alpha(1.0))
 
     def test_circle_is_the_descriptor_component(self):
-        assert qa.Circle is qa.CircleComponent
+        assert not hasattr(qa, "Circle")  # the circle has one name
         circle = std_circle(3, 0.8, 0.6)
         assert circle.dim == 3
         assert (circle.c, circle.d) == (0.8, 0.6)
@@ -91,6 +94,12 @@ class TestClassifyCircle:
         blob = v.to_json()
         assert blob["tag"] == HIGHLY_SYMMETRIC
         assert "margins" in blob and "weight_tie" in blob["margins"]
+        assert list(blob) == ["tag", "reason", "margins"]
+
+    @pytest.mark.parametrize("reason", REASONS)
+    def test_tag_is_read_off_the_reason(self, reason):
+        symmetric = reason in (REASON_DIM_GE_4, REASON_SINGLE_CIRCLE)
+        assert SymmetryVerdict(reason).tag == (HIGHLY_SYMMETRIC if symmetric else NOT_HIGHLY_SYMMETRIC)
 
 
 class TestEmpiricalCheck:
@@ -158,7 +167,7 @@ class TestEmpiricalCheck:
                 ):
                     break
             e1, e2 = random_orthonormal_pair(rng, dim)
-            circle = qa.Circle(e1, e2, c, d)
+            circle = qa.CircleComponent(e1, e2, c, d)
             report = qa.empirical_high_symmetry_check(
                 circle,
                 cfg,

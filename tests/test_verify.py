@@ -87,7 +87,7 @@ def test_a_second_component_fails_the_double_alpha_set_in_dimension_4():
     e1, e2 = random_orthonormal_pair(rng, 4)
     form = qa.TripleCanonicalForm(e1, e2, 0.8, 0.6, (1.0 + 0j, 1j, -1j))
     first = qa.collinear_triple_alpha_set(form, CFG, 4)
-    circle = qa.Circle(e1, e2, 0.8, 0.6)
+    circle = qa.CircleComponent(e1, e2, 0.8, 0.6)
     double = qa.AlphaSetDescriptor((circle, qa.PointComponent(circle.member(np.exp(0.3j)))))
     tally = Tally()
     survivors = check_double_alpha_set(tally, first, double, CFG, rng, 30, qa.sample_lines(4, 60_000, 22), 40)
@@ -126,7 +126,7 @@ def hunt_check(_wrong):
     """The tally of the symmetry check's oracle hunt on a dimension-4 circle."""
     e1, e2 = random_orthonormal_pair(np.random.default_rng(41), 4)
     tally = verify.empirical_high_symmetry_check(
-        qa.Circle(e1, e2, 0.8, 0.6), CFG, n_triples=1, n_alpha_samples=12, seed=5,
+        qa.CircleComponent(e1, e2, 0.8, 0.6), CFG, n_triples=1, n_alpha_samples=12, seed=5,
         cloud=qa.sample_lines(4, 5_000, 42),
     )
     return tally, tally.counts["survivors"]
@@ -150,7 +150,7 @@ def test_the_empirical_tag_reads_the_oracle_hunt_only(monkeypatch):
     # closed form's component count says.
     cfg = qa.AlphaConfig.from_alpha(math.acos(1 / math.sqrt(3)))
     e1, e2 = random_orthonormal_pair(np.random.default_rng(43), 3)
-    circle = qa.Circle(e1, e2, math.sqrt(2 / 3), 1 / math.sqrt(3))
+    circle = qa.CircleComponent(e1, e2, math.sqrt(2 / 3), 1 / math.sqrt(3))
     on_circle = [circle.member(np.exp(1j * t)) for t in np.linspace(0.0, 2 * math.pi, 12, endpoint=False)]
     monkeypatch.setattr(verify.oracle, "funnel_alpha_set", lambda *args, **kwargs: on_circle)
     tally = verify.empirical_high_symmetry_check(circle, cfg, n_triples=2, n_alpha_samples=12, seed=5)
@@ -203,13 +203,13 @@ def test_high_symmetry_check_holds_the_circle_to_the_double_alpha_set(monkeypatc
 
     def perturbed(form, cfg, dim):
         d = form.d + 0.02
-        return qa.AlphaSetDescriptor((qa.Circle(form.e1, form.e2, math.sqrt(1 - d * d), d),))
+        return qa.AlphaSetDescriptor((qa.CircleComponent(form.e1, form.e2, math.sqrt(1 - d * d), d),))
 
     monkeypatch.setattr(verify.alphasets, "double_alpha_set_classify", perturbed if wrong else classify)
     rng = np.random.default_rng(31)
     e1, e2 = random_orthonormal_pair(rng, 4)
     tally = verify.empirical_high_symmetry_check(
-        qa.Circle(e1, e2, 0.8, 0.6), CFG, n_triples=2, n_alpha_samples=12, seed=5,
+        qa.CircleComponent(e1, e2, 0.8, 0.6), CFG, n_triples=2, n_alpha_samples=12, seed=5,
         cloud=qa.sample_lines(4, 5_000, 32),
     )
     assert ("circle samples lie off the double-alpha-set of their triple" in tally.notes) is wrong
@@ -219,7 +219,7 @@ def test_high_symmetry_check_holds_the_circle_to_the_double_alpha_set(monkeypatc
 def test_high_symmetry_check_refuses_a_seed_outside_the_cloud_range(seed):
     e1, e2 = random_orthonormal_pair(np.random.default_rng(0), 4)
     with pytest.raises(ParameterError, match="seed must be"):
-        verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, seed=seed)
+        verify.empirical_high_symmetry_check(qa.CircleComponent(e1, e2, 0.8, 0.6), CFG, seed=seed)
 
 
 TOP_SEED = 2**64 - 1
@@ -251,7 +251,7 @@ def test_suite_seeds_wrap_into_the_seed_range(monkeypatch, suite, draws, clouds,
 
     monkeypatch.setattr(verify.oracle, "sample_lines", record_cloud)
     monkeypatch.setattr(verify, "empirical_high_symmetry_check", record_check)
-    verify.SUITES[suite].run(TOP_SEED, draws)
+    verify.SUITES[suite](TOP_SEED, draws)
     assert seen == {"clouds": clouds, "checks": checks}
 
 
@@ -265,5 +265,5 @@ def test_high_symmetry_check_wraps_its_hunt_seed(monkeypatch):
 
     monkeypatch.setattr(verify.oracle, "sample_lines", record_cloud)
     e1, e2 = random_orthonormal_pair(np.random.default_rng(0), 4)
-    verify.empirical_high_symmetry_check(qa.Circle(e1, e2, 0.8, 0.6), CFG, n_triples=1, n_alpha_samples=3, seed=TOP_SEED)
+    verify.empirical_high_symmetry_check(qa.CircleComponent(e1, e2, 0.8, 0.6), CFG, n_triples=1, n_alpha_samples=3, seed=TOP_SEED)
     assert seen == [0]

@@ -141,6 +141,35 @@ class TestSameInducedMap:
                 break
         assert separated
 
+    def test_equality_is_identity(self):
+        # Two operators of one map stay two objects; same_induced_map compares the maps.
+        w1, w2 = qa.random_wigner(2, 1), qa.random_wigner(2, 1)
+        phased = qa.WignerSymmetry(1j * w1.matrix, False)
+        assert w1 == w1 and w1 != w2 and w1 != phased
+        assert len({w1, w2, phased, w1}) == 3  # hashable
+        assert qa.same_induced_map(w1, w2) and qa.same_induced_map(w1, phased)
+
+
+C2_SYMMETRY = qa.WignerSymmetry(np.eye(2), False)
+C3_SYMMETRY = qa.WignerSymmetry(np.eye(3), False)
+C2_LINE, C3_LINE = qa.canonical_line([1, 0]), qa.canonical_line([1, 0, 0])
+
+
+class TestDimensionRefusals:
+    CALLS = {
+        "apply_symmetry": lambda: qa.apply_symmetry(C2_SYMMETRY, C3_LINE),
+        "compose_symmetries": lambda: qa.compose_symmetries(C2_SYMMETRY, C3_SYMMETRY),
+        "same_induced_map": lambda: qa.same_induced_map(C2_SYMMETRY, C3_SYMMETRY),
+        "fit_from_probes": lambda: qa.fit_from_probes(2, [C2_LINE, C2_LINE, C2_LINE, C3_LINE]),
+        "orthocomplement_dim2": lambda: qa.orthocomplement_dim2(C3_LINE),
+    }
+    MESSAGES = {"fit_from_probes": "image dimension mismatch"}
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_lines_and_symmetries_of_two_dimensions_are_refused(self, call):
+        with pytest.raises(DimensionError, match=self.MESSAGES.get(call)):
+            self.CALLS[call]()
+
 
 class TestProbeSet:
     def test_normative_order(self):
@@ -277,6 +306,8 @@ class TestPreservation:
             lambda v: qa.apply_symmetry(w, v), cfg, 3, 50, 1, 1e-9
         )
         assert rep.forward_violations + rep.backward_violations <= rep.pairs_tested
+        with pytest.raises(ParameterError, match="violation counts exceed pairs tested"):
+            qa.PreservationReport(2, 0, 0.0, 1)
 
     @pytest.mark.parametrize("n_pairs", [0, -3])
     def test_needs_a_pair(self, n_pairs):
@@ -413,6 +444,12 @@ class TestCircleIntersection:
                 lo = mid
         assert abs(0.5 * (lo + hi) - 1.0 / 6.0) < 1e-6
 
+    def test_tangent_circles_meet_once(self):
+        # Just below 1/6 the two roots of the sqrt(7/12) circles coincide.
+        e1, e2 = qa.canonical_line([1, 0, 0]), qa.canonical_line([0, 1, 0])
+        f1, f2 = rotated_basis(e1, e2, 0.16666666666666566, 1.0)
+        assert len(qa.circle_intersection(e1, e2, f1, f2, math.sqrt(7 / 12))) == 1
+
     def test_members_verified_on_both_circles(self):
         rng = np.random.default_rng(43)
         e1, e2, f1, f2 = self._basis_pair(rng, 4, 0.5, np.exp(1.1j))
@@ -441,8 +478,6 @@ class TestCircleIntersection:
 
 
 class TestBridgeBasis:
-    CFG = qa.AlphaConfig.from_alpha(math.acos(1 / math.sqrt(3)))
-
     def _basis_pair(self, rng, afrak, mu):
         e1, e2 = random_orthonormal_pair(rng, 3)
         return (e1, e2, *rotated_basis(e1, e2, afrak, mu))
@@ -450,13 +485,13 @@ class TestBridgeBasis:
     def test_large_overlap_returns_original(self):
         rng = np.random.default_rng(46)
         e1, e2, f1, f2 = self._basis_pair(rng, 0.5, np.exp(0.4j))
-        g1, g2 = qa.bridge_basis(e1, e2, f1, f2, self.CFG)
+        g1, g2 = qa.bridge_basis(e1, e2, f1, f2)
         assert g1 is e1 and g2 is e2
 
     def test_orthogonal_extreme(self):
         rng = np.random.default_rng(47)
         e1, e2, f1, f2 = self._basis_pair(rng, 0.0, np.exp(2.2j))
-        g1, _ = qa.bridge_basis(e1, e2, f1, f2, self.CFG)
+        g1, _ = qa.bridge_basis(e1, e2, f1, f2)
         assert abs(np.vdot(g1.amplitudes, f1.amplitudes)) == pytest.approx(
             1 / math.sqrt(2), abs=1e-10
         )
@@ -468,17 +503,11 @@ class TestBridgeBasis:
             afrak = rng.uniform(0.0, 0.95)
             mu = np.exp(1j * rng.uniform(0, 2 * np.pi))
             e1, e2, f1, f2 = self._basis_pair(rng, afrak, mu)
-            g1, g2 = qa.bridge_basis(e1, e2, f1, f2, self.CFG)
+            g1, g2 = qa.bridge_basis(e1, e2, f1, f2)
             assert abs(np.vdot(g1.amplitudes, e1.amplitudes)) > 1 / 6
             assert abs(np.vdot(g1.amplitudes, f1.amplitudes)) > 1 / 6
             assert len(qa.circle_intersection(e1, e2, g1, g2, c0)) >= 2
             assert len(qa.circle_intersection(g1, g2, f1, f2, c0)) >= 2
-
-    def test_wrong_regime_rejected(self):
-        rng = np.random.default_rng(49)
-        e1, e2, f1, f2 = self._basis_pair(rng, 0.5, 1.0)
-        with pytest.raises(ParameterError):
-            qa.bridge_basis(e1, e2, f1, f2, qa.AlphaConfig.from_alpha(1.0))
 
 
 class TestSymmetryJson:

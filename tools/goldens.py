@@ -7,7 +7,7 @@
 directory) first on ``PYTHONPATH``, once per golden run, in an empty working
 directory, and writes ``OUT/<run>.stdout`` and ``OUT/<run>.exit`` for each.
 ``OUT`` must be new or empty, so a capture never mixes with an older one.
-The 64 runs are the 25 ``qangle verify`` goldens (each suite at seeds 0 and
+The runs are the ``qangle verify`` goldens (each suite at seeds 0 and
 1 with two draws, the default-draws runs of ``infinite-element``,
 ``section5`` and ``collin-alpha``, three runs with explicit parameters, and
 ``basic`` at the largest seed, 2**64 - 1),
