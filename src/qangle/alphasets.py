@@ -572,6 +572,9 @@ def double_alpha_set_classify(
     return AlphaSetDescriptor((circle, _second_double_component(t.e1, t.e2, e3, cfg, t.c)))
 
 
+ZERO, ONE, INFINITE = "zero", "one", "infinite"
+
+
 @dataclass(frozen=True)
 class Cardinality:
     """Cardinality verdict for A_theta intersected with a third line's alpha-set.
@@ -580,15 +583,12 @@ class Cardinality:
     boundary, for callers operating close to it.
     """
 
-    tag: str  # "zero" | "one" | "infinite"
+    tag: str
     margin: float
 
     def __post_init__(self):
-        if self.tag not in ("zero", "one", "infinite"):
+        if self.tag not in (ZERO, ONE, INFINITE):
             raise ParameterError(f"unknown cardinality tag {self.tag!r}")
-
-
-ZERO, ONE, INFINITE = "zero", "one", "infinite"
 
 
 def atheta_cardinality(

@@ -151,7 +151,7 @@ def _run_oracle(payload):
     confirm_tol = json_field(payload, "confirmTol", float, 1e-7)
     cloud = oracle.sample_lines(dim, count, seed)
     if refine:
-        members = oracle.funnel_alpha_set(gens, cfg, cloud, tol, confirm_tol, 4000, n_seed_constraints=len(gens))
+        members = oracle.funnel_alpha_set(gens, cfg, cloud, tol, confirm_tol, 4000)
     else:
         members = [Line(row) for row in oracle.alpha_set_numeric(gens, cfg, cloud, tol)]
     return {"count": len(members), "members": [m.to_json() for m in members]}

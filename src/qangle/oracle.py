@@ -474,30 +474,6 @@ def dedup_lines(lines, min_angle: float = 1e-4) -> list[Line]:
     return [lines[i] for i in keep]
 
 
-def discover_alpha_set(
-    generators,
-    cfg: AlphaConfig,
-    cloud: SampleCloud,
-    discovery_tol: float = 1e-3,
-    confirm_tol: float = 1e-7,
-    max_candidates: int = 4000,
-) -> list[Line]:
-    """Numeric alpha-set of a few generators: :func:`funnel_alpha_set` with
-    every generator in both stages.
-
-    Raw rejection alone cannot reach tight tolerances at desk-scale budgets,
-    so hits at ``discovery_tol`` are polished down to ``confirm_tol``.
-    ``max_candidates`` must be at least 1 and caps the hits refined to
-    convergence; above it, the hits are ranked by the look-ahead of
-    :func:`funnel_alpha_set`, two passes of refinement per hit, the
-    ``max_candidates`` best are refined onward, in cloud order, and the rest
-    are dropped.
-    """
-    return funnel_alpha_set(
-        generators, cfg, cloud, discovery_tol, confirm_tol, max_candidates, len(generators)
-    )
-
-
 def funnel_alpha_set(
     constraints,
     cfg: AlphaConfig,
@@ -505,39 +481,38 @@ def funnel_alpha_set(
     pool_tol: float = 5e-2,
     confirm_tol: float = 1e-7,
     max_pool: int = 2000,
-    n_seed_constraints: int = 3,
 ) -> list[Line]:
     """Numeric alpha-set of a large constraint family via a two-stage funnel.
 
     A set cut out by many angle constraints is too thin for direct rejection
-    sampling, so the cloud is first filtered against a few of the constraints
-    at a loose tolerance and the resulting pool is refined against the full
-    family; only candidates meeting every constraint at ``confirm_tol``
-    survive.
+    sampling, so the cloud is first filtered against the first three
+    constraints (every generator of a pair or a triple) at a loose tolerance
+    and the resulting pool is refined against the full family; only
+    candidates meeting every constraint at ``confirm_tol`` survive.
 
-    ``max_pool`` caps the candidates refined to convergence and, like
-    ``n_seed_constraints``, must be at least 1.  A pool above the cap is
-    ranked by a look-ahead against the *whole* family: each hit takes the
-    first two passes of refinement, and scores its maximum angle residual
-    after them.  That costs two Gauss-Newton steps per pool row, and
-    predicts convergence far better than the residual alone.  Scores are
-    floored at ``confirm_tol``, so hits the look-ahead already brings within
-    it tie rather than rank by rounding noise.  The ``max_pool``
-    best-scoring hits are refined onward from where the two passes left
-    them, in cloud order (ties keep cloud order); the rest are dropped.  A
-    pool within the cap is refined whole.
+    ``max_pool`` caps the candidates refined to convergence and must be at
+    least 1.  A pool above the cap is ranked by a look-ahead against the
+    *whole* family: each hit takes the first two passes of refinement, and
+    scores its maximum angle residual after them.  That costs two
+    Gauss-Newton steps per pool row, and predicts convergence far better
+    than the residual alone.  Scores are floored at ``confirm_tol``, so hits
+    the look-ahead already brings within it tie rather than rank by rounding
+    noise.  The ``max_pool`` best-scoring hits are refined onward from where
+    the two passes left them, in cloud order (ties keep cloud order); the
+    rest are dropped.  A pool within the cap is refined whole.
     """
-    if max_pool < 1 or n_seed_constraints < 1:
-        raise ParameterError(
-            f"need max_pool >= 1 and n_seed_constraints >= 1, got {max_pool} and {n_seed_constraints}"
-        )
-    pool = alpha_set_numeric(constraints[:n_seed_constraints], cfg, cloud, pool_tol)
+    if max_pool < 1:
+        raise ParameterError(f"need max_pool >= 1, got {max_pool}")
+    pool = alpha_set_numeric(constraints[:3], cfg, cloud, pool_tol)
     if len(pool) > max_pool:
         gens_c, blocks = _rows(constraints).conj(), _blocks(len(pool), _REFINE_ROWS)
         worst = np.concatenate([_refine_block(pool[a:b], gens_c, cfg.alpha, confirm_tol, _LOOKAHEAD) for a, b in blocks])
         best = np.argsort(np.fmax(worst, confirm_tol), kind="stable")[:max_pool]
         pool = pool[np.sort(best)]
     return refine_alpha_members(constraints, cfg, pool, confirm_tol)
+
+
+discover_alpha_set = funnel_alpha_set
 
 
 def _grid_root_count(z: complex, radii, a: float, grid_size: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import alphasets, oracle, projspace, wigner
-from .alphasets import HIGHLY_SYMMETRIC, NOT_HIGHLY_SYMMETRIC, AthetaFamily, classify_circle
+from .alphasets import HIGHLY_SYMMETRIC, INFINITE, NOT_HIGHLY_SYMMETRIC, ONE, ZERO, AthetaFamily, classify_circle
 from .errors import ParameterError, QAngleError
 from .oracle import SampleCloud, worst_angle_residual
 from .projspace import (
@@ -117,7 +117,7 @@ def _random_rotated_bases(rng: np.random.Generator, dim: int, afr_lo: float):
 
 def sweep_verdict(total) -> str:
     """Cardinality read off a disk root count: two or more roots mean infinitely many."""
-    return "infinite" if (total is math.inf or total >= 2) else "zero"
+    return INFINITE if (total is math.inf or total >= 2) else ZERO
 
 
 def standard_family(cfg: AlphaConfig, c: float, d: float) -> AthetaFamily:
@@ -141,11 +141,11 @@ def check_alpha_set(
     """Descriptor samples are at alpha from every generator, and the oracle
     finds members, every one on the descriptor; returns the oracle members.
 
-    The oracle is :func:`oracle.funnel_alpha_set`, seeded by at most three
+    The oracle is :func:`oracle.funnel_alpha_set`, seeded by the first three
     generators, so a pair or triple is every generator in both stages."""
     res = worst_angle_residual(generators, cfg, descr.sample(n_samples, rng))
     tally.bound(res, SOUNDNESS_TOL, "descriptor sample misses a generator angle")
-    found = oracle.funnel_alpha_set(generators, cfg, cloud, pool_tol, 1e-7, max_pool, min(3, len(generators)))
+    found = oracle.funnel_alpha_set(generators, cfg, cloud, pool_tol, 1e-7, max_pool)
     if not found:
         tally.fail("the oracle found no member")
     tally.bound(_worst_distance(descr, found), COMPLETENESS_TOL, "oracle member escapes the descriptor")
@@ -186,8 +186,8 @@ def verify_basic_relations(
             raise ParameterError("S1 must be a subset of S2")
 
     tally = Tally()
-    n1 = oracle.funnel_alpha_set(S1, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, 800, n_seed_constraints=len(S1))
-    n2 = oracle.funnel_alpha_set(S2, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, 800, n_seed_constraints=len(S2))
+    n1 = oracle.funnel_alpha_set(S1, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, 800)
+    n2 = oracle.funnel_alpha_set(S2, cfg, cloud, _DISCOVERY_TOL, _CONFIRM_TOL, 800)
     tally.counts["alpha_set_S1"] = len(n1)
     tally.counts["alpha_set_S2"] = len(n2)
 
@@ -504,7 +504,7 @@ def suite_infinite_element(seed: int, draws: int = 1000) -> Tally:
         if margin < 1e-6 or abs(z) < 1e-6:
             continue
         lo, hi = abs(z) - r, abs(z) + r
-        expected = "infinite" if lo < a < hi else "zero"
+        expected = INFINITE if lo < a < hi else ZERO
         if sweep_verdict(oracle.root_count_on_disk(z, r, a)) == expected:
             tally.counts["agreements"] += 1
         else:
@@ -528,7 +528,7 @@ def suite_infinite_element(seed: int, draws: int = 1000) -> Tally:
         cfg = AlphaConfig.from_alpha(math.acos(a))
         card = alphasets.atheta_cardinality(standard_family(cfg, c, d), theta, (c1, c2, c3), cfg)
         tally.max_residual = max(tally.max_residual, card.margin)
-        if card.tag != "one":
+        if card.tag != ONE:
             tally.fail(f"constructed boundary case classified as {card.tag}")
         tally.counts["boundary_cases"] += 1
     return tally

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qangle as qa
-from qangle import wigner
+from qangle import oracle, wigner
 from qangle.cli import _PAYLOAD_HANDLERS, MAX_DRAWS, main
 from qangle.projspace import MAX_DIM
 from qangle.verify import SUITES, Tally
@@ -357,6 +357,30 @@ class TestOracleVerb:
         code, out = run_cli(["oracle"], payload, tmp_path)
         assert code == 2
         assert out["error"] == "schema"
+
+    def test_refine_without_generators_is_the_plain_refusal(self, tmp_path):
+        # Refinement adds no refusal of its own: an empty generator list is
+        # refused as it is without refine.
+        payload = {**ORACLE_PAYLOAD, "generators": []}
+        plain = run_cli(["oracle"], payload, tmp_path)
+        assert plain == (1, {"error": "parameter", "detail": "need at least one line"})
+        assert run_cli(["oracle"], {**payload, "refine": True}, tmp_path) == plain
+
+    def test_refine_meets_every_generator_beyond_the_first_three(self, tmp_path):
+        # Four lines of a highly symmetric circle: their alpha-set is the one
+        # of the first three, so the members found from those meet the fourth too.
+        cfg = qa.AlphaConfig.from_alpha(1.0)
+        eye = np.eye(3, dtype=complex)
+        circle = qa.CircleComponent(qa.canonical_line(eye[0]), qa.canonical_line(eye[1]), 0.8, 0.6)
+        gens = [circle.member(np.exp(1j * p)) for p in (0.3, 2.0, 4.4, 5.5)]
+        payload = {
+            "alpha": 1.0, "generators": [g.to_json() for g in gens], "dim": 3, "count": 100_000, "seed": 5,
+            "tol": 5e-2, "refine": True, "confirmTol": 1e-7,
+        }
+        code, out = run_cli(["oracle"], payload, tmp_path)
+        assert code == 0 and out["count"] > 0
+        members = [qa.Line.from_json(m) for m in out["members"]]
+        assert oracle.worst_angle_residual(gens, cfg, members) <= 1e-7
 
 
 class TestWignerVerbs:

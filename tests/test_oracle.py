@@ -862,6 +862,29 @@ class TestFunnelRanking:
         assert max(circle.distance(s) for s in survivors) < 1e-5
 
 
+class TestOneSeedingRule:
+    """One finder under two names, whose rejection always sees the first three constraints."""
+
+    def test_discover_is_the_funnel(self):
+        assert oracle.discover_alpha_set is oracle.funnel_alpha_set
+
+    @pytest.mark.parametrize("name", ["discover_alpha_set", "funnel_alpha_set"])
+    def test_rejection_is_seeded_by_the_first_three_constraints(self, monkeypatch, name):
+        rng = np.random.default_rng(9)
+        constraints = [random_line(rng, 3) for _ in range(5)]
+        seen = []
+        reject = oracle.alpha_set_numeric
+
+        def record(generators, *args):
+            seen.append(list(generators))
+            return reject(generators, *args)
+
+        monkeypatch.setattr(oracle, "alpha_set_numeric", record)
+        getattr(oracle, name)(constraints, qa.AlphaConfig.from_alpha(1.1), qa.sample_lines(3, 1000, 4))
+        assert len(seen) == 1
+        assert len(seen[0]) == 3 and all(got is want for got, want in zip(seen[0], constraints))
+
+
 class TestCandidateCaps:
     """A cap below 1 is refused rather than silently dropping candidates."""
 
@@ -878,11 +901,11 @@ class TestCandidateCaps:
         with pytest.raises(ParameterError):
             oracle.discover_alpha_set(gens, cfg, cloud, 1e-2, 1e-7, cap)
 
-    @pytest.mark.parametrize("max_pool, n_seed", [(0, 2), (-1, 2), (10, -1)])
-    def test_funnel_caps_below_one(self, problem, max_pool, n_seed):
+    @pytest.mark.parametrize("max_pool", [0, -1])
+    def test_funnel_caps_below_one(self, problem, max_pool):
         gens, cfg, cloud = problem
-        with pytest.raises(ParameterError):
-            oracle.funnel_alpha_set(gens, cfg, cloud, 1e-2, 1e-7, max_pool, n_seed)
+        with pytest.raises(ParameterError, match=f"need max_pool >= 1, got {max_pool}"):
+            oracle.funnel_alpha_set(gens, cfg, cloud, 1e-2, 1e-7, max_pool)
 
 
 def reference_circle_count(z, r, a, grid_size):

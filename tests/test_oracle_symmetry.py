@@ -149,9 +149,9 @@ def test_funnel_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, seed, 
     w_constraints = [qa.apply_symmetry(w, s) for s in constraints]
     cloud = qa.sample_lines(dim, 20_000, seed % 1000)
     w_cloud = qa.SampleCloud(mapped_rows(w, cloud.vectors))
-    pool_tol, tol, cap, seeds = 5e-2, 1e-7, 16, 2
-    pool = qa.alpha_set_numeric(constraints[:seeds], cfg, cloud, pool_tol)
-    w_pool = qa.alpha_set_numeric(w_constraints[:seeds], cfg, w_cloud, pool_tol)
+    pool_tol, tol, cap = 5e-2, 1e-7, 16
+    pool = qa.alpha_set_numeric(constraints[:3], cfg, cloud, pool_tol)
+    w_pool = qa.alpha_set_numeric(w_constraints[:3], cfg, w_cloud, pool_tol)
     # A pool above the cap, so that the look-ahead ranks it; the same pool on both sides.
     assume(len(pool) > cap)
     assume(np.array_equal(hit_indices(cloud.vectors, pool), hit_indices(w_cloud.vectors, w_pool)))
@@ -167,8 +167,8 @@ def test_funnel_commutes_with_wigner_symmetries(dim, antiunitary, w_seed, seed, 
     res, w_res = oracle.angle_residuals(constraints, cfg, v), oracle.angle_residuals(w_constraints, cfg, w_v)
     assume(not np.any((np.abs(res - tol) <= ROUNDING) | (np.abs(w_res - tol) <= ROUNDING)))
 
-    members = qa.funnel_alpha_set(constraints, cfg, cloud, pool_tol, tol, cap, seeds)
-    w_members = qa.funnel_alpha_set(w_constraints, cfg, w_cloud, pool_tol, tol, cap, seeds)
+    members = qa.funnel_alpha_set(constraints, cfg, cloud, pool_tol, tol, cap)
+    w_members = qa.funnel_alpha_set(w_constraints, cfg, w_cloud, pool_tol, tol, cap)
     assert len(w_members) == len(members)
     images = mapped_rows(w, np.array([m.amplitudes for m in members]).reshape(-1, dim))
     for m in w_members:

@@ -12,7 +12,8 @@ The runs are the ``qangle verify`` goldens (each suite at seeds 0 and
 ``section5`` and ``collin-alpha``, three runs with explicit parameters, and
 ``basic`` at the largest seed, 2**64 - 1),
 one valid payload per payload verb, a second ``oracle`` payload without
-``refine`` (plain rejection), five dimension-3 ``classify-circle`` payloads
+``refine`` (plain rejection), a third with ``refine`` and no generators
+(refused), five dimension-3 ``classify-circle`` payloads
 (one per reason of the dimension-3 case split, and one with an explicit
 basis), a ``wigner-fit`` payload that no symmetry fits, a ``wigner-check``
 payload with an antiunitary symmetry, three payloads whose wire ``dim``
@@ -124,6 +125,9 @@ def all_runs() -> dict[str, tuple[list[str], dict | None]]:
     runs = {name: (argv, None) for name, argv in verify_runs().items()}
     runs.update({f"payload-{verb}": ([verb], body) for verb, body in payloads().items()})
     runs["payload-oracle-reject"] = (["oracle"], {k: v for k, v in payloads()["oracle"].items() if k != "refine"})
+    runs["payload-oracle-refine-no-generators"] = (
+        ["oracle"], {"alpha": 1.1, "generators": [], "dim": 3, "count": 10, "refine": True},
+    )
     for name, body in classify_circle_dim3().items():
         runs[f"payload-classify-circle-{name}"] = (["classify-circle"], body)
     runs["payload-classify-circle-basis"] = (
