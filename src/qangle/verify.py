@@ -1,9 +1,10 @@
 """Verification engine: each numeric check of the paper's claims, written once.
 
-This is the one module that judges results.  The ``qangle verify`` suites
-and the acceptance tests run the same checks; each caller picks its own
-seeds, draw counts, sample sizes and clouds.  A check records residuals and
-failures on the caller's :class:`Tally`, draws only from the caller's
+This is the one module that judges results.  Every acceptance criterion of
+the paper is a suite in :data:`SUITES`: ``qangle verify`` runs it at any
+seed and draw count, and the acceptance tests run it at the criterion's own
+seed and default draws and keep only their gates.  A check records residuals
+and failures on the caller's :class:`Tally`, draws only from the caller's
 generator, and returns the count the caller reports.  The brute-force
 primitives the checks stand on (clouds, rejection, refinement, dedup, root
 counting) live in :mod:`qangle.oracle`.
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import alphasets, oracle, projspace, wigner
 from .alphasets import HIGHLY_SYMMETRIC, INFINITE, NOT_HIGHLY_SYMMETRIC, ONE, ZERO, AthetaFamily, classify_circle
-from .errors import ParameterError, QAngleError
+from .errors import NotAWignerMapError, ParameterError, QAngleError
 from .oracle import SampleCloud, worst_angle_residual
 from .projspace import (
     AlphaConfig,
@@ -27,7 +28,9 @@ from .projspace import (
     canonical_triple_form,
     circle_member,
     distinct_unimodular_triple,
+    lines_equal,
     quantum_angle,
+    random_line,
     random_orthonormal_pair,
 )
 
@@ -534,10 +537,11 @@ def suite_infinite_element(seed: int, draws: int = 1000) -> Tally:
     return tally
 
 
-def suite_circle_char(seed: int, draws: int = 8) -> Tally:
-    """The circle classifier against the sampled symmetry check, alternating dimensions 3 and 4."""
+def _classify_circles(tally: Tally, seed: int, draws: int, n_alpha_samples: int, cloud_offsets, check_offset: int) -> None:
+    """Count on ``tally`` the agreements of the circle classifier with the sampled symmetry check over
+    ``draws`` random circles, alternating dimensions 3 and 4.  The dimension-3 and dimension-4 clouds
+    are seeded ``cloud_offsets`` past ``seed``, the k-th check ``check_offset + k`` past it."""
     rng = np.random.default_rng(seed)
-    tally = Tally(counts={"draws": draws, "agreements": 0})
     clouds = {}
     for k in range(draws):
         dim = 3 if k % 2 == 0 else 4
@@ -545,10 +549,16 @@ def suite_circle_char(seed: int, draws: int = 8) -> Tally:
         c, d = random_cd(rng, cfg.a, 1e-4)
         e1, e2 = random_orthonormal_pair(rng, dim)
         if dim not in clouds:
-            clouds[dim] = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, _offset_seed(seed, dim))
+            clouds[dim] = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, _offset_seed(seed, cloud_offsets[dim - 3]))
         tally.counts["agreements"] += check_circle_classification(
-            tally, alphasets.CircleComponent(e1, e2, c, d), cfg, 16, _offset_seed(seed, k), clouds[dim]
+            tally, alphasets.CircleComponent(e1, e2, c, d), cfg, n_alpha_samples, _offset_seed(seed, check_offset + k), clouds[dim]
         )
+
+
+def suite_circle_char(seed: int, draws: int = 8) -> Tally:
+    """The circle classifier against the sampled symmetry check, alternating dimensions 3 and 4."""
+    tally = Tally(counts={"draws": draws, "agreements": 0})
+    _classify_circles(tally, seed, draws, 16, (3, 4), 0)
     return tally
 
 
@@ -573,6 +583,202 @@ def suite_section5(seed: int, draws: int = 100, dim: int = 3) -> Tally:
     return tally
 
 
+def suite_pair(seed: int, draws: int = 50) -> Tally:
+    """Pair alpha-sets against the oracle, ``draws`` random pairs in dimension 3 and then in dimension 4."""
+    rng = np.random.default_rng(seed)
+    clouds = {3: oracle.sample_lines(3, 200_000, _offset_seed(seed, 1)), 4: oracle.sample_lines(4, 1_000_000, _offset_seed(seed, 2))}
+    tally = Tally(counts={"members_dim3": 0, "members_dim4": 0})
+    for dim, cloud in clouds.items():
+        for _ in range(draws):
+            cfg = draw_alpha(rng)
+            v1, v2 = random_line(rng, dim), random_line(rng, dim)
+            if lines_equal(v1, v2, 1e-3):
+                continue
+            descr = alphasets.pair_alpha_set(v1, v2, cfg)
+            tally.counts[f"members_dim{dim}"] += len(check_alpha_set(tally, [v1, v2], cfg, descr, rng, 500, cloud, 1e-2, 400))
+    return tally
+
+
+def _draw_dim4_triple(rng: np.random.Generator):
+    """Alpha and a collinear triple in C^4 with c > a + 0.05 and lambdas 5e-2 apart, or None when c
+    misses it; unlike :func:`_random_triple`, it neither retries nor checks the case-split margins."""
+    cfg = draw_alpha(rng)
+    d = rng.uniform(0.15, 1 / math.sqrt(2) - 1e-3)
+    c = math.sqrt(1 - d * d)
+    if c <= cfg.a + 0.05:
+        return None
+    e1, e2 = random_orthonormal_pair(rng, 4)
+    return cfg, projspace.TripleCanonicalForm(e1, e2, c, d, distinct_unimodular_triple(rng, 5e-2))
+
+
+def suite_triple(seed: int, draws: int = 50) -> Tally:
+    """Dimension-4 collinear-triple alpha-sets, then double-alpha-sets, against the oracle (``draws``
+    draws each), then the second components of the exceptional dimension-3 triples."""
+    rng = np.random.default_rng(seed)
+    cloud = oracle.sample_lines(4, 1_000_000, _offset_seed(seed, 1))
+    tally = Tally(counts={"members": 0, "survivors": 0})
+    for _ in range(draws):
+        if drawn := _draw_dim4_triple(rng):
+            cfg, form = drawn
+            descr = alphasets.collinear_triple_alpha_set(form, cfg, 4)
+            tally.counts["members"] += len(check_alpha_set(
+                tally, list(form.synthesize()), cfg, descr, rng, 500, cloud, 3e-2, 400
+            ))
+    for _ in range(draws):
+        if drawn := _draw_dim4_triple(rng):
+            cfg, form = drawn
+            first = alphasets.collinear_triple_alpha_set(form, cfg, 4)
+            double = alphasets.double_alpha_set_classify(form, cfg, 4)
+            tally.counts["survivors"] += len(check_double_alpha_set(tally, first, double, cfg, rng, 500, cloud, 800))
+    e1, e2, e3 = (canonical_line(row) for row in np.eye(3, dtype=complex))
+    circle, point = (
+        alphasets.double_alpha_set_classify(
+            projspace.TripleCanonicalForm(e1, e2, c, d, distinct_unimodular_triple(rng, 5e-2)),
+            AlphaConfig.from_alpha(math.acos(a)), 3,
+        ).components[-1]
+        for a, c, d in alphasets.EXCEPTIONAL_TRIPLES
+    )
+    if isinstance(circle, alphasets.CircleComponent) and isinstance(point, alphasets.PointComponent):
+        off = max(abs(circle.c - math.sqrt(1 / 3)), abs(circle.d - math.sqrt(2 / 3)), quantum_angle(point.line, e3))
+        tally.bound(off, 1e-12, "an exceptional triple's second component is off")
+    else:
+        tally.fail("an exceptional triple's second component is of the wrong kind")
+    return tally
+
+
+def check_cardinality(tally: Tally, fam: AthetaFamily, theta: float, coeffs, cfg: AlphaConfig):
+    """The closed-form cardinality of A_theta against the alpha-set of the line with ``coeffs``
+    (c1, c2, c3), compared with the disk sweep; returns whether the two agree, or None, comparing
+    nothing, when the verdict is within 1e-6 of a boundary or the disk centre within 1e-6 of 0."""
+    card = alphasets.atheta_cardinality(fam, theta, coeffs, cfg)
+    if card.margin < 1e-6:
+        return None
+    c1, c2, c3 = coeffs
+    a = cfg.a
+    z = c1 * (a / fam.c) * math.cos(theta) + c2 * (a / fam.d) * math.sin(theta)
+    if abs(z) < 1e-6:
+        return None
+    swept = sweep_verdict(oracle.root_count_on_disk(z, c3 * fam.rho(theta), a, 2048, 48))
+    if card.tag != swept:
+        tally.fail(f"cardinality {card.tag} but the disk sweep says {swept}")
+    return card.tag == swept
+
+
+def suite_cardinality(seed: int, draws: int = 1000) -> Tally:
+    """The cardinality trichotomy of A_theta families against the disk sweep, ``draws`` compared verdicts."""
+    rng = np.random.default_rng(seed)
+    tally = Tally(counts={"draws": 0, "agreements": 0})
+    while tally.counts["draws"] < draws:
+        cfg = draw_alpha(rng)
+        d = rng.uniform(0.15, 1 / math.sqrt(2))
+        c = math.sqrt(1 - d * d)
+        if c <= cfg.a + 0.02:
+            continue
+        fam = standard_family(cfg, c, d)
+        theta = rng.uniform(-fam.theta0, fam.theta0)
+        c1 = rng.standard_normal() + 1j * rng.standard_normal()
+        c2 = rng.standard_normal() + 1j * rng.standard_normal()
+        c3 = rng.uniform(0.2, 0.9)
+        s = math.sqrt((1 - c3 * c3) / (abs(c1) ** 2 + abs(c2) ** 2))
+        agrees = check_cardinality(tally, fam, theta, (c1 * s, c2 * s, c3), cfg)
+        if agrees is not None:
+            tally.counts["draws"] += 1
+            tally.counts["agreements"] += agrees
+    return tally
+
+
+def suite_witness(seed: int, draws: int = 20) -> Tally:
+    """``draws`` dimension-3 witness quadruples (u1, u2, u3, w), in at most 20 attempts each: every u on
+    the double-alpha-set of its triple and at alpha from w, and w off the triple's alpha-set."""
+    rng = np.random.default_rng(seed)
+    e1, e2 = (canonical_line(row) for row in np.eye(3, dtype=complex)[:2])
+    tally = Tally(counts={"witnesses": 0})
+    for _ in range(20 * draws):
+        if tally.counts["witnesses"] == draws:
+            break
+        a = rng.uniform(0.25, 0.69)
+        cfg = AlphaConfig.from_alpha(math.acos(a))
+        d = rng.uniform(0.2, 0.9) * min(a, math.sqrt((1 - 2 * a * a) / (1 - a * a)))
+        c = math.sqrt(1 - d * d)
+        if not c / math.sqrt(1 + c * c) >= a > d:
+            continue
+        *us, w = alphasets.counterexample_witness(cfg, c, d)
+        form = projspace.TripleCanonicalForm(e1, e2, c, d, (1.0 + 0j, 1j, -1j))
+        tally.bound(_worst_distance(alphasets.double_alpha_set_classify(form, cfg, 3), us), 1e-9, "a witness line lies off the double-alpha-set")
+        tally.bound(max(abs(quantum_angle(w, u) - cfg.alpha) for u in us), 1e-9, "the witness misses angle alpha")
+        if alphasets.collinear_triple_alpha_set(form, cfg, 3).distance(w) <= 1e-6:
+            tally.fail("the witness lies on the alpha-set")
+        tally.counts["witnesses"] += 1
+    if tally.counts["witnesses"] < draws:
+        tally.fail(f"only {tally.counts['witnesses']} witnesses in {20 * draws} attempts")
+    return tally
+
+
+def suite_classification(seed: int, draws: int = 100) -> Tally:
+    """``circle-char`` at 12 samples per check, then the dimension-3 verdict's boundary in d, located
+    by bisection at alpha = 1.0 (where it is d = a) and at alpha = 0.82 (the second-component bound)."""
+    tally = Tally(counts={"draws": draws, "agreements": 0})
+    _classify_circles(tally, seed, draws, 12, (1, 2), 100)
+    e1, e2 = (canonical_line(row) for row in np.eye(3, dtype=complex)[:2])
+    for alpha, boundary in ((1.0, math.cos(1.0)), (0.82, math.sqrt((1 - 2 * math.cos(0.82) ** 2) / (1 - math.cos(0.82) ** 2)))):
+        cfg = AlphaConfig.from_alpha(alpha)
+
+        def symmetric(d: float) -> bool:
+            return classify_circle(alphasets.CircleComponent(e1, e2, math.sqrt(1 - d * d), d), cfg).tag == HIGHLY_SYMMETRIC
+
+        lo, hi = 0.05, 1 / math.sqrt(2) - 1e-6
+        if symmetric(lo) or not symmetric(hi):
+            tally.fail("the dimension-3 verdict does not change over d")
+            continue
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if symmetric(mid) else (mid, hi)
+        tally.bound(abs(0.5 * (lo + hi) - boundary), 1e-6, "the dimension-3 verdict changes off its boundary")
+    return tally
+
+
+def suite_wigner_round_trip(seed: int, draws: int = 100) -> Tally:
+    """``draws`` random symmetries in each dimension 2 to 5, every second one antiunitary, refitted
+    from their probe images; and per dimension one probe image turned by 0.1 rad, which must be refused."""
+    rng = np.random.default_rng(seed)
+    tally = Tally(counts={"recovered": 0, "refused": 0})
+    for dim in range(2, 6):
+        probes = wigner.probe_set(dim)
+        for k in range(draws):
+            w = wigner.random_wigner(dim, _offset_seed(seed, k), bool(k % 2))
+            if wigner.same_induced_map(w, wigner.fit_from_probes(dim, [wigner.apply_symmetry(w, p) for p in probes])):
+                tally.counts["recovered"] += 1
+            else:
+                tally.fail("a symmetry differs from its refit")
+    for dim in range(2, 6):
+        w = wigner.random_wigner(dim, _offset_seed(seed, 777 + dim))
+        images = [wigner.apply_symmetry(w, p) for p in wigner.probe_set(dim)]
+        k = int(rng.integers(0, len(images)))
+        v = images[k].amplitudes
+        images[k] = canonical_line(math.cos(0.1) * v + math.sin(0.1) * projspace.orthonormal_complement(v[None, :])[0])
+        try:
+            wigner.fit_from_probes(dim, images)
+            tally.fail("a turned probe image was fitted")
+        except NotAWignerMapError:
+            tally.counts["refused"] += 1
+    return tally
+
+
+def suite_exotic(seed: int, draws: int = 500) -> Tally:
+    """The dimension-2 exotic map (a random symmetry, followed by the orthocomplement where |v_1|^2 > 1/2)
+    keeps the angle pi/4 both ways over 2 * ``draws`` pairs, and breaks pi/3 over ``draws`` pairs."""
+    phi = wigner.exotic_pi4_map(wigner.random_wigner(2, seed), lambda v: abs(v.amplitudes[0]) ** 2 > 0.5)
+    kept = wigner.preservation_report(phi, AlphaConfig.from_alpha(np.pi / 4), 2, 2 * draws, _offset_seed(seed, 1), 1e-10)
+    broken = wigner.preservation_report(phi, AlphaConfig.from_alpha(np.pi / 3), 2, draws, _offset_seed(seed, 2), 1e-9)
+    tally = Tally(counts={"pi4_pairs": kept.pairs_tested, "pi3_violations": broken.forward_violations})
+    # A report's max deviation exceeds its tolerance exactly when it counts a violation.
+    tally.bound(kept.max_deviation, 1e-10, "the exotic map moves the angle pi/4")
+    if not (broken.forward_violations > 0 and broken.max_deviation > 1e-3):
+        tally.fail("the exotic map keeps the angle pi/3")
+    tally.notes.append(f"pi/3 deviation {broken.max_deviation:.3g}")
+    return tally
+
+
 #: Each suite by name.  A suite runs as ``run(seed, draws, **options)``: its
 #: ``draws`` default is the count when the caller names none, and its other
 #: keyword parameters are the options it takes.
@@ -585,4 +791,11 @@ SUITES = {
     "circle-char": suite_circle_char,
     "basic": suite_basic,
     "section5": suite_section5,
+    "pair": suite_pair,
+    "triple": suite_triple,
+    "cardinality": suite_cardinality,
+    "witness": suite_witness,
+    "classification": suite_classification,
+    "wigner-round-trip": suite_wigner_round_trip,
+    "exotic": suite_exotic,
 }

@@ -40,7 +40,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-TWO_DRAW_SUITES = ("shape", "collin-alpha", "circle4", "circle3", "circle-char", "basic")
+TWO_DRAW_SUITES = (
+    "shape", "collin-alpha", "circle4", "circle3", "circle-char", "basic",
+    "pair", "triple", "cardinality", "witness", "classification", "wigner-round-trip", "exotic",
+)
 
 
 def line(*amps: complex) -> dict:
