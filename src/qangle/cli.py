@@ -24,10 +24,11 @@ from .errors import DimensionError, NotAWignerMapError, ParameterError, QAngleEr
 from .projspace import AlphaConfig, Line, canonical_line, json_complex, json_field
 
 # Suite parameters of ``verify``; a suite takes only those among its keyword parameters.
-_SUITE_OPTIONS = ("dim", "a", "c", "d")
+_SUITE_OPTIONS = ("draws", "dim", "a", "c", "d")
 
 #: Largest ``verify --draws``, a hundred times the largest default (1000
-#: draws of ``infinite-element``); a larger count is refused before the suite starts.
+#: draws of ``infinite-element`` and ``cardinality``); a larger count is
+#: refused before the suite starts.
 MAX_DRAWS = 100_000
 
 
@@ -224,16 +225,14 @@ _PAYLOAD_HANDLERS = {
 
 def _run_suite(args) -> verify.Tally:
     run = verify.SUITES[args.suite]
-    params = inspect.signature(run).parameters
-    draws = params["draws"].default if args.draws is None else args.draws
-    if not 1 <= draws <= MAX_DRAWS:
-        raise SchemaError(f"--draws must be in [1, {MAX_DRAWS}], got {draws}")
+    given = {k: v for k in _SUITE_OPTIONS if (v := getattr(args, k)) is not None}
+    if not 1 <= given.get("draws", 1) <= MAX_DRAWS:
+        raise SchemaError(f"--draws must be in [1, {MAX_DRAWS}], got {args.draws}")
     try:  # the payload seed's range, refused as a usage error
         projspace.check_seed(args.seed)
     except ParameterError as exc:
         raise SchemaError(f"--{exc}") from None
-    given = {k: v for k in _SUITE_OPTIONS if (v := getattr(args, k)) is not None}
-    unused = sorted(given.keys() - params.keys())
+    unused = sorted(given.keys() - inspect.signature(run).parameters.keys())
     if unused:
         raise SchemaError(f"suite {args.suite} does not take " + ", ".join(f"--{k}" for k in unused))
     dim = given.get("dim", 2)
@@ -241,9 +240,12 @@ def _run_suite(args) -> verify.Tally:
         raise SchemaError(f"--dim must be >= 2, got {dim}")
     # Checked before the suite runs, which would allocate dim-sized arrays first.
     projspace.check_dim(dim)
-    if given.keys() & {"a", "c", "d"} and not {"a", "c", "d"} <= given.keys():
-        raise SchemaError(f"{args.suite} needs --a, --c and --d together")
-    return run(args.seed, draws, **given)
+    if given.keys() & {"a", "c", "d"}:
+        if not {"a", "c", "d"} <= given.keys():
+            raise SchemaError(f"{args.suite} needs --a, --c and --d together")
+        if "draws" in given:  # the given triple is the one case; nothing is drawn
+            raise SchemaError(f"{args.suite} takes no --draws with --a, --c and --d")
+    return run(args.seed, **given)
 
 
 def _read_payload(args) -> dict:

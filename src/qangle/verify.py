@@ -537,7 +537,9 @@ def suite_infinite_element(seed: int, draws: int = 1000) -> Tally:
     return tally
 
 
-def _classify_circles(tally: Tally, seed: int, draws: int, n_alpha_samples: int, cloud_offsets, check_offset: int) -> None:
+def _classify_circles(
+    tally: Tally, seed: int, draws: int, n_alpha_samples: int, cloud_offsets, check_offset: int,
+) -> None:
     """Count on ``tally`` the agreements of the circle classifier with the sampled symmetry check over
     ``draws`` random circles, alternating dimensions 3 and 4.  The dimension-3 and dimension-4 clouds
     are seeded ``cloud_offsets`` past ``seed``, the k-th check ``check_offset + k`` past it."""
@@ -549,9 +551,11 @@ def _classify_circles(tally: Tally, seed: int, draws: int, n_alpha_samples: int,
         c, d = random_cd(rng, cfg.a, 1e-4)
         e1, e2 = random_orthonormal_pair(rng, dim)
         if dim not in clouds:
-            clouds[dim] = oracle.sample_lines(dim, 30_000 if dim == 3 else 60_000, _offset_seed(seed, cloud_offsets[dim - 3]))
+            count = 30_000 if dim == 3 else 60_000
+            clouds[dim] = oracle.sample_lines(dim, count, _offset_seed(seed, cloud_offsets[dim - 3]))
+        circle = alphasets.CircleComponent(e1, e2, c, d)
         tally.counts["agreements"] += check_circle_classification(
-            tally, alphasets.CircleComponent(e1, e2, c, d), cfg, n_alpha_samples, _offset_seed(seed, check_offset + k), clouds[dim]
+            tally, circle, cfg, n_alpha_samples, _offset_seed(seed, check_offset + k), clouds[dim]
         )
 
 
@@ -562,7 +566,7 @@ def suite_circle_char(seed: int, draws: int = 8) -> Tally:
     return tally
 
 
-def suite_basic(seed: int, draws: int = 8, dim: int = 3) -> Tally:
+def suite_basic(seed: int, dim: int = 3) -> Tally:
     """The elementary alpha-set relations for a one-line and a two-line generator set."""
     rng = np.random.default_rng(seed)
     cloud = oracle.sample_lines(dim, 60_000, _offset_seed(seed, 5))
@@ -586,7 +590,8 @@ def suite_section5(seed: int, draws: int = 100, dim: int = 3) -> Tally:
 def suite_pair(seed: int, draws: int = 50) -> Tally:
     """Pair alpha-sets against the oracle, ``draws`` random pairs in dimension 3 and then in dimension 4."""
     rng = np.random.default_rng(seed)
-    clouds = {3: oracle.sample_lines(3, 200_000, _offset_seed(seed, 1)), 4: oracle.sample_lines(4, 1_000_000, _offset_seed(seed, 2))}
+    clouds = {3: oracle.sample_lines(3, 200_000, _offset_seed(seed, 1))}
+    clouds[4] = oracle.sample_lines(4, 1_000_000, _offset_seed(seed, 2))
     tally = Tally(counts={"members_dim3": 0, "members_dim4": 0})
     for dim, cloud in clouds.items():
         for _ in range(draws):
@@ -595,7 +600,9 @@ def suite_pair(seed: int, draws: int = 50) -> Tally:
             if lines_equal(v1, v2, 1e-3):
                 continue
             descr = alphasets.pair_alpha_set(v1, v2, cfg)
-            tally.counts[f"members_dim{dim}"] += len(check_alpha_set(tally, [v1, v2], cfg, descr, rng, 500, cloud, 1e-2, 400))
+            tally.counts[f"members_dim{dim}"] += len(check_alpha_set(
+                tally, [v1, v2], cfg, descr, rng, 500, cloud, 1e-2, 400
+            ))
     return tally
 
 
@@ -687,6 +694,12 @@ def suite_cardinality(seed: int, draws: int = 1000) -> Tally:
     return tally
 
 
+def _dim3_boundary(a: float) -> float:
+    """The weight d below which a dimension-3 circle is not highly symmetric at a = cos(alpha): the
+    tie d = a, or the second-component bound where that is lower (for a above (sqrt(5) - 1)/2)."""
+    return min(a, math.sqrt((1 - 2 * a * a) / (1 - a * a)))
+
+
 def suite_witness(seed: int, draws: int = 20) -> Tally:
     """``draws`` dimension-3 witness quadruples (u1, u2, u3, w), in at most 20 attempts each: every u on
     the double-alpha-set of its triple and at alpha from w, and w off the triple's alpha-set."""
@@ -698,13 +711,14 @@ def suite_witness(seed: int, draws: int = 20) -> Tally:
             break
         a = rng.uniform(0.25, 0.69)
         cfg = AlphaConfig.from_alpha(math.acos(a))
-        d = rng.uniform(0.2, 0.9) * min(a, math.sqrt((1 - 2 * a * a) / (1 - a * a)))
+        d = rng.uniform(0.2, 0.9) * _dim3_boundary(a)
         c = math.sqrt(1 - d * d)
         if not c / math.sqrt(1 + c * c) >= a > d:
             continue
         *us, w = alphasets.counterexample_witness(cfg, c, d)
         form = projspace.TripleCanonicalForm(e1, e2, c, d, (1.0 + 0j, 1j, -1j))
-        tally.bound(_worst_distance(alphasets.double_alpha_set_classify(form, cfg, 3), us), 1e-9, "a witness line lies off the double-alpha-set")
+        double = alphasets.double_alpha_set_classify(form, cfg, 3)
+        tally.bound(_worst_distance(double, us), 1e-9, "a witness line lies off the double-alpha-set")
         tally.bound(max(abs(quantum_angle(w, u) - cfg.alpha) for u in us), 1e-9, "the witness misses angle alpha")
         if alphasets.collinear_triple_alpha_set(form, cfg, 3).distance(w) <= 1e-6:
             tally.fail("the witness lies on the alpha-set")
@@ -716,15 +730,16 @@ def suite_witness(seed: int, draws: int = 20) -> Tally:
 
 def suite_classification(seed: int, draws: int = 100) -> Tally:
     """``circle-char`` at 12 samples per check, then the dimension-3 verdict's boundary in d, located
-    by bisection at alpha = 1.0 (where it is d = a) and at alpha = 0.82 (the second-component bound)."""
+    by bisection at alpha = 1.0 and at alpha = 0.82, one on each side of :func:`_dim3_boundary`'s switch."""
     tally = Tally(counts={"draws": draws, "agreements": 0})
     _classify_circles(tally, seed, draws, 12, (1, 2), 100)
     e1, e2 = (canonical_line(row) for row in np.eye(3, dtype=complex)[:2])
-    for alpha, boundary in ((1.0, math.cos(1.0)), (0.82, math.sqrt((1 - 2 * math.cos(0.82) ** 2) / (1 - math.cos(0.82) ** 2)))):
+    for alpha in (1.0, 0.82):
         cfg = AlphaConfig.from_alpha(alpha)
 
         def symmetric(d: float) -> bool:
-            return classify_circle(alphasets.CircleComponent(e1, e2, math.sqrt(1 - d * d), d), cfg).tag == HIGHLY_SYMMETRIC
+            circle = alphasets.CircleComponent(e1, e2, math.sqrt(1 - d * d), d)
+            return classify_circle(circle, cfg).tag == HIGHLY_SYMMETRIC
 
         lo, hi = 0.05, 1 / math.sqrt(2) - 1e-6
         if symmetric(lo) or not symmetric(hi):
@@ -733,7 +748,7 @@ def suite_classification(seed: int, draws: int = 100) -> Tally:
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
             lo, hi = (lo, mid) if symmetric(mid) else (mid, hi)
-        tally.bound(abs(0.5 * (lo + hi) - boundary), 1e-6, "the dimension-3 verdict changes off its boundary")
+        tally.bound(abs(0.5 * (lo + hi) - _dim3_boundary(cfg.a)), 1e-6, "the dimension-3 verdict changes off its boundary")
     return tally
 
 
@@ -779,9 +794,10 @@ def suite_exotic(seed: int, draws: int = 500) -> Tally:
     return tally
 
 
-#: Each suite by name.  A suite runs as ``run(seed, draws, **options)``: its
-#: ``draws`` default is the count when the caller names none, and its other
-#: keyword parameters are the options it takes.
+#: Each suite by name.  A suite runs as ``run(seed, **options)``: its keyword
+#: parameters are the options it takes, ``draws`` (the number of random draws,
+#: which every suite but ``basic`` takes) among them, and their defaults hold
+#: when the caller names none.
 SUITES = {
     "shape": suite_shape,
     "collin-alpha": suite_collin_alpha,

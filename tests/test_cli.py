@@ -614,13 +614,21 @@ class TestVerifySuites:
             ("collin-alpha", 2, {"draws", "oracle_members"}),
             ("circle4", 2, {"draws", "survivors"}),
             ("circle-char", 2, {"draws", "agreements"}),
-            ("basic", 2, {"alpha_set_S1", "alpha_set_S2", "double_alpha_set", "triple_alpha_set"}),
+            # This suite draws once and takes no --draws.
+            ("basic", None, {"alpha_set_S1", "alpha_set_S2", "double_alpha_set", "triple_alpha_set"}),
             # Without --draws this suite runs 1000; an explicit count is honoured.
             ("infinite-element", 9, {"draws", "agreements", "boundary_cases"}),
+            ("pair", 2, {"members_dim3", "members_dim4"}),
+            ("triple", 2, {"members", "survivors"}),
+            ("cardinality", 2, {"draws", "agreements"}),
+            ("witness", 2, {"witnesses"}),
+            ("classification", 2, {"draws", "agreements"}),
+            ("wigner-round-trip", 2, {"recovered", "refused"}),
+            ("exotic", 2, {"pi4_pairs", "pi3_violations"}),
         ],
     )
     def test_suite_passes_at_small_draws(self, suite, draws, keys):
-        code, out = run_cli(["verify", suite, "--seed", "1", "--draws", str(draws)])
+        code, out = run_cli(["verify", suite, "--seed", "1", *(["--draws", str(draws)] if draws else [])])
         assert code == 0
         assert out["verdict"] is True
         assert set(out["counts"]) == keys
@@ -662,18 +670,35 @@ class TestVerifySuites:
         assert run_cli(["verify", "shape", "--seed", str(2**64 - 1), "--draws", "1"])[0] == 0
 
     def test_top_seed_runs_a_suite_that_samples_a_cloud(self):
-        # The suite's cloud seed, --seed plus 3, wraps into [0, 2**64).
-        code, out = run_cli(["verify", "collin-alpha", "--seed", str(2**64 - 1), "--draws", "1"])
-        assert (code, out["verdict"], out["counts"]["draws"]) == (0, True, 1)
+        # Each suite's cloud and check seeds, --seed plus an offset, wrap into [0, 2**64).
+        for suite in ("collin-alpha", "pair", "triple", "cardinality", "witness", "classification", "wigner-round-trip", "exotic"):
+            code, out = run_cli(["verify", suite, "--seed", str(2**64 - 1), "--draws", "1"])
+            assert (code, out["verdict"]) == (0, True), suite
 
     def _schema_error(self, args):
-        code, out = run_cli(["verify", *args, "--draws", "1"])
+        # Each run is refused before its suite starts, so none needs a small --draws.
+        code, out = run_cli(["verify", *args])
         assert code == 2
         assert out["error"] == "schema"
 
-    @pytest.mark.parametrize("suite", ["circle4", "circle3", "circle-char", "infinite-element"])
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            "circle4", "circle3", "circle-char", "infinite-element",
+            "pair", "triple", "cardinality", "witness", "classification", "wigner-round-trip", "exotic",
+        ],
+    )
     def test_dim_rejected_where_unused(self, suite):
         self._schema_error([suite, "--dim", "4"])
+
+    @pytest.mark.parametrize(
+        "args",
+        [["basic", "--draws", "2"], ["circle3", "--a", "0.57735026919", "--c", "0.81649658092", "--d", "0.57735026919", "--draws", "2"]],
+        ids=["basic", "circle3-acd"],
+    )
+    def test_draws_refused_where_nothing_is_drawn(self, args):
+        # basic draws once, and circle3 with --a, --c and --d judges that one triple.
+        self._schema_error(args)
 
     @pytest.mark.parametrize("flag", ["--a", "--c", "--d"])
     @pytest.mark.parametrize("suite", [s for s in SUITES if s != "circle3"])
@@ -694,11 +719,11 @@ class TestVerifySuites:
 
     @pytest.mark.parametrize("suite", ["shape", "collin-alpha", "basic", "section5"])
     def test_dim_above_max_dim_is_refused_before_running(self, suite, monkeypatch):
-        def must_not_run(seed, draws, dim=None):
+        def must_not_run(seed, dim=None):
             raise AssertionError("the suite ran")
 
         monkeypatch.setitem(SUITES, suite, must_not_run)
-        code, out = run_cli(["verify", suite, "--dim", str(MAX_DIM + 1), "--draws", "1"])
+        code, out = run_cli(["verify", suite, "--dim", str(MAX_DIM + 1)])
         assert code == 1
         assert out["error"] == "dimension-mismatch"
 

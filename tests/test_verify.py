@@ -4,6 +4,7 @@ The acceptance criteria and the ``qangle verify`` suites pass only through
 these checks, so a check that cannot fail would let both pass vacuously.
 """
 
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,7 @@ import pytest
 
 import qangle as qa
 from qangle import verify
-from qangle.alphasets import EXCEPTIONAL_TRIPLES
+from qangle.alphasets import EXCEPTIONAL_TRIPLES, INFINITE, ZERO
 from qangle.errors import ParameterError
 from qangle.projspace import distinct_unimodular_triple
 from qangle.verify import COMPLETENESS_TOL, Tally, check_alpha_set, check_double_alpha_set
@@ -176,6 +177,26 @@ def test_circle3_fails_a_double_alpha_set_without_its_second_component(monkeypat
     assert "oracle member escapes the descriptor" in tally.notes
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tag, flipped", [(INFINITE, ZERO), (ZERO, INFINITE)], ids=["infinite-to-zero", "zero-to-infinite"])
+def test_cardinality_suite_fails_a_flipped_verdict(monkeypatch, seed, tag, flipped):
+    # infinite-element passes under either flip: it never calls the closed
+    # form on a generic draw.  Twenty draws hold verdicts of both kinds.
+    assert verify.SUITES["cardinality"](seed, 20).verdict
+    closed_form = qa.atheta_cardinality
+
+    def mutant(*args):
+        card = closed_form(*args)
+        return dataclasses.replace(card, tag=flipped) if card.tag == tag else card
+
+    monkeypatch.setattr(verify.alphasets, "atheta_cardinality", mutant)
+    monkeypatch.setattr(qa, "atheta_cardinality", mutant)
+    tally = verify.SUITES["cardinality"](seed, 20)
+    assert tally.verdict is False
+    assert tally.counts["agreements"] < tally.counts["draws"] == 20
+    assert f"cardinality {flipped} but the disk sweep says {tag}" in tally.notes
+
+
 @pytest.mark.parametrize("seed, draws, dim", [(11, 8, None), (0, 4, 5), (1, 4, 5)])
 def test_collinear_triple_suite_passes_where_constraints_meet_nearly_tangentially(seed, draws, dim):
     # These draws hold oracle members whose angle residual is within the
@@ -232,12 +253,20 @@ TOP_SEED = 2**64 - 1
         ("circle4", 1, [10], []),
         ("circle3", 1, [2], []),
         ("circle-char", 2, [2, 3], [TOP_SEED, 0]),
-        ("basic", 1, [4], []),
+        ("basic", None, [4], []),
+        ("pair", 1, [0, 1], []),
+        ("triple", 1, [0], []),
+        ("cardinality", 1, [], []),
+        ("witness", 1, [], []),
+        ("classification", 2, [0, 1], [99, 100]),
+        ("wigner-round-trip", 1, [], []),
+        ("exotic", 1, [], []),
     ],
 )
 def test_suite_seeds_wrap_into_the_seed_range(monkeypatch, suite, draws, clouds, checks):
-    # A suite seeds its clouds and its symmetry checks at offsets from its own
-    # seed, wrapped into [0, 2**64), so the largest seed the CLI takes runs.
+    # A suite seeds its clouds, its symmetry checks and its Wigner draws at
+    # offsets from its own seed, wrapped into [0, 2**64), so the largest seed
+    # the CLI takes runs.
     seen = {"clouds": [], "checks": []}
     sample_lines, symmetry_check = verify.oracle.sample_lines, verify.empirical_high_symmetry_check
 
@@ -251,7 +280,7 @@ def test_suite_seeds_wrap_into_the_seed_range(monkeypatch, suite, draws, clouds,
 
     monkeypatch.setattr(verify.oracle, "sample_lines", record_cloud)
     monkeypatch.setattr(verify, "empirical_high_symmetry_check", record_check)
-    verify.SUITES[suite](TOP_SEED, draws)
+    verify.SUITES[suite](TOP_SEED, **({} if draws is None else {"draws": draws}))
     assert seen == {"clouds": clouds, "checks": checks}
 
 

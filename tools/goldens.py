@@ -7,10 +7,11 @@
 directory) first on ``PYTHONPATH``, once per golden run, in an empty working
 directory, and writes ``OUT/<run>.stdout`` and ``OUT/<run>.exit`` for each.
 ``OUT`` must be new or empty, so a capture never mixes with an older one.
-The runs are the ``qangle verify`` goldens (each suite at seeds 0 and
-1 with two draws, the default-draws runs of ``infinite-element``,
-``section5`` and ``collin-alpha``, three runs with explicit parameters, and
-``basic`` at the largest seed, 2**64 - 1),
+The runs are the ``qangle verify`` goldens (each suite that takes
+``--draws`` at seeds 0 and 1 with two draws, the default-draws runs of
+``infinite-element``, ``section5``, ``collin-alpha`` and ``basic`` at those
+seeds, three runs with explicit parameters, ``basic`` at the largest seed,
+2**64 - 1, and ``basic`` refusing ``--draws``),
 one valid payload per payload verb, a second ``oracle`` payload without
 ``refine`` (plain rejection), a third with ``refine`` and no generators
 (refused), five dimension-3 ``classify-circle`` payloads
@@ -41,7 +42,7 @@ import tempfile
 from pathlib import Path
 
 TWO_DRAW_SUITES = (
-    "shape", "collin-alpha", "circle4", "circle3", "circle-char", "basic",
+    "shape", "collin-alpha", "circle4", "circle3", "circle-char",
     "pair", "triple", "cardinality", "witness", "classification", "wigner-round-trip", "exotic",
 )
 
@@ -61,13 +62,14 @@ def verify_runs() -> dict[str, list[str]]:
     for seed in ("0", "1"):
         for suite in TWO_DRAW_SUITES:
             runs[f"verify-{suite}-s{seed}-d2"] = [suite, "--seed", seed, "--draws", "2"]
-        for suite in ("infinite-element", "section5", "collin-alpha"):
+        for suite in ("infinite-element", "section5", "collin-alpha", "basic"):
             runs[f"verify-{suite}-s{seed}"] = [suite, "--seed", seed]
         for suite in ("infinite-element", "section5"):
             runs[f"verify-{suite}-s{seed}-d9"] = [suite, "--seed", seed, "--draws", "9"]
     runs["verify-circle3-acd"] = ["circle3", "--a", "0.57735026919", "--c", "0.81649658092", "--d", "0.57735026919"]
     runs["verify-section5-dim3-s3-d20"] = ["section5", "--dim", "3", "--seed", "3", "--draws", "20"]
     runs["verify-basic-s18446744073709551615"] = ["basic", "--seed", str(2**64 - 1)]
+    runs["verify-basic-draws-refused"] = ["basic", "--draws", "2"]
     return {name: ["verify", *args] for name, args in runs.items()}
 
 
