@@ -33,8 +33,9 @@ def run_suite(label: str, suite: str, seed: int, gate=lambda counts: True, secon
     tally = SUITES[suite](seed)
     elapsed = time.perf_counter() - start
     counts = ", ".join(f"{k} {v}" for k, v in sorted(tally.counts.items()))
-    notes = "" if not tally.verdict else "".join(f"; {n}" for n in tally.notes)
-    report(label, tally.verdict and gate(tally.counts) and elapsed < seconds, f"{counts}, {summary(tally)}{notes}, {elapsed:.1f}s")
+    notes = "".join(f"; {n}" for n in dict.fromkeys(tally.notes))
+    ok = tally.verdict and gate(tally.counts) and elapsed < seconds
+    report(label, ok, f"{counts}, worst {tally.max_residual:.2e}{notes}, {elapsed:.1f}s")
 
 
 def test_criterion_1_pair_alpha_set_equivalence():
