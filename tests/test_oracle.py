@@ -894,10 +894,16 @@ class TestCandidateCaps:
         gens = [random_line(rng, 3), random_line(rng, 3)]
         return gens, qa.AlphaConfig.from_alpha(1.1), qa.sample_lines(3, 50_000, 8)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_candidates_below_one(self, problem, cap):
+        gens, cfg, cloud = problem
+        assert len(qa.alpha_set_numeric(gens, cfg, cloud, 1e-2)) > 1
+        with pytest.raises(ParameterError):
+            oracle.discover_alpha_set(gens, cfg, cloud, 1e-2, 1e-7, cap)
+
     @pytest.mark.parametrize("max_pool", [0, -1])
     def test_funnel_caps_below_one(self, problem, max_pool):
         gens, cfg, cloud = problem
-        assert len(qa.alpha_set_numeric(gens, cfg, cloud, 1e-2)) > 1  # the cap would drop candidates
         with pytest.raises(ParameterError, match=f"need max_pool >= 1, got {max_pool}"):
             oracle.funnel_alpha_set(gens, cfg, cloud, 1e-2, 1e-7, max_pool)
 
